@@ -18,7 +18,7 @@ from .paraproduct import (CarlesonSequence, Paraproduct, build_paraproduct,
                           paraproduct_structure_verify, remainder_diagonals)
 from .analysis import (DecompositionReport, TestingReport,
                        decomposition_identity, operator_norm,
-                       sufficiency_ratio, testing_constants)
+                       testing_constants)
 from .search import (SearchConfig, SearchResult, extremal_search,
                      greedy_embedding_sequence, replay_artifact)
 

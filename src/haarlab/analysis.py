@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Cube
 from .measures import GridFunction
 from .operators import InducedOperator
 from .paraproduct import Paraproduct, _largest_singular_value, build_paraproduct
@@ -53,10 +52,19 @@ class TestingReport:
 
 
 def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
-    """Exact suprema over active cubes of the indicator testing quantities."""
+    """Exact suprema over active cubes of the indicator testing quantities.
+
+    A constant is inf when a cube (for C_diag, a comparable pair) has a
+    nonzero testing integral but zero mass on the side it is divided by.
+    `unbounded_witness` then names the last offender in active_cubes
+    order: a ("diag", Q, R) pair if there is one (largest R, then largest
+    Q), else a single cube, "adjoint" winning over "direct" on the same
+    cube.  The maxima are numpy reductions, so a NaN ratio makes its
+    constant NaN, where the builtin max once used here dropped it.
+    """
     lattice = t_mu.lattice
     cubes = lattice.active_cubes
-    x = np.array([lattice.indicator(q) for q in cubes]).T
+    x = lattice.membership
     mu_mass = t_mu.mu.leaf_mass
     nu_mass = t_mu.nu.leaf_mass
     mu_q = mu_mass @ x
@@ -70,35 +78,33 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
     adjoint_local = mu_mass @ (ax * ax * x)
     adjoint_local_nu = nu_mass @ (ax * ax * x)
 
+    mu_pos, nu_pos = mu_q > 0, nu_q > 0
+    c_dg, c_dl = (np.max(v[mu_pos] / mu_q[mu_pos], initial=0.0)
+                  for v in (direct_global, direct_local))
+    c_ag, c_al, c_aln = (np.max(v[nu_pos] / nu_q[nu_pos], initial=0.0)
+                         for v in (adjoint_global, adjoint_local, adjoint_local_nu))
     witness = None
-    c_dg = c_dl = c_ag = c_al = c_aln = 0.0
-    for j, q in enumerate(cubes):
-        if mu_q[j] > 0:
-            c_dg = max(c_dg, direct_global[j] / mu_q[j])
-            c_dl = max(c_dl, direct_local[j] / mu_q[j])
-        elif direct_global[j] > 0:
-            c_dg = c_dl = float("inf")
-            witness = ("direct", q)
-        if nu_q[j] > 0:
-            c_ag = max(c_ag, adjoint_global[j] / nu_q[j])
-            c_al = max(c_al, adjoint_local[j] / nu_q[j])
-            c_aln = max(c_aln, adjoint_local_nu[j] / nu_q[j])
-        elif adjoint_global[j] > 0:
-            c_ag = c_al = float("inf")
-            witness = ("adjoint", q)
+    direct_off = np.flatnonzero(~mu_pos & (direct_global > 0))
+    adjoint_off = np.flatnonzero(~nu_pos & (adjoint_global > 0))
+    if direct_off.size:
+        c_dg = c_dl = float("inf")
+        witness = ("direct", cubes[direct_off[-1]])
+    if adjoint_off.size:
+        c_ag = c_al = float("inf")
+        if not direct_off.size or adjoint_off[-1] >= direct_off[-1]:
+            witness = ("adjoint", cubes[adjoint_off[-1]])
 
-    # comparable-size bilinear pairings
-    b = x.T @ (nu_mass[:, None] * tx)
-    c_diag = 0.0
-    for i, rq in enumerate(cubes):
-        for j, q in enumerate(cubes):
-            if abs(rq.level - q.level) > r:
-                continue
-            if mu_q[j] > 0 and nu_q[i] > 0:
-                c_diag = max(c_diag, abs(b[i, j]) / np.sqrt(mu_q[j] * nu_q[i]))
-            elif abs(b[i, j]) > 0:
-                c_diag = float("inf")
-                witness = ("diag", q, rq)
+    # comparable-size bilinear pairings: rows R, columns Q
+    b = np.abs(x.T @ (nu_mass[:, None] * tx))
+    comparable = np.abs(lattice.levels[:, None] - lattice.levels[None, :]) <= r
+    massive = comparable & np.outer(nu_pos, mu_pos)
+    c_diag = np.max(b[massive] / np.sqrt(np.outer(nu_q, mu_q)[massive]),
+                    initial=0.0)
+    diag_off = np.flatnonzero(comparable & ~massive & (b > 0))
+    if diag_off.size:
+        c_diag = float("inf")
+        i, j = divmod(int(diag_off[-1]), len(cubes))
+        witness = ("diag", cubes[j], cubes[i])
 
     norm = operator_norm(t_mu)
     denom = np.sqrt(c_dl) + np.sqrt(c_al) + c_diag if np.isfinite(
@@ -108,14 +114,6 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
                          c_direct_local=c_dl, c_adjoint_local=c_al,
                          c_adjoint_local_nu=c_aln, c_diag=c_diag,
                          norm=norm, rho=rho, unbounded_witness=witness)
-
-
-def sufficiency_ratio(t_mu: InducedOperator, r: int,
-                      report: TestingReport | None = None) -> float:
-    """rho = norm / (sqrt(C_direct_local) + sqrt(C_adjoint_local) + C_diag)."""
-    if report is None:
-        report = testing_constants(t_mu, r)
-    return report.rho
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suite to run (overrides the config)")
     p.add_argument("--seed", type=int, help="seed override")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface stability; runs are "
-                        "single-threaded and deterministic")
     p.add_argument("--tolerance-override", action="append", default=[],
                    metavar="NAME=VALUE", help="override a named tolerance")
     p.add_argument("--replay", metavar="ARTIFACT",

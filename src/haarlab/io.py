@@ -87,6 +87,8 @@ def band_from_json(obj: dict, lattice: Lattice) -> BandOperator:
             row = index_from_json(e["row"], lattice.dim)
             col = index_from_json(e["col"], lattice.dim)
             entries[(row, col)] = float(e["value"])
+        if not np.all(np.isfinite(list(entries.values()))):
+            raise ValueError("operator entries must be finite")
         return BandOperator(lattice=lattice, band_radius=int(obj["r"]),
                             entries=entries)
     raise ValueError(f"unknown operator spec type {kind!r}")

@@ -96,6 +96,10 @@ class Lattice:
     Cube arithmetic remains global; only enumeration is bounded by the
     lattice.  Leaves are enumerated root by root, lexicographically by
     coordinates (row-major), and the order is stable across runs.
+
+    `membership` (leaves x active cubes) is the transpose of the stacked
+    indicator rows, not a C-ordered copy: that layout keeps the BLAS
+    summation order of products with it, so constants stay bit-exact.
     """
 
     dim: int
@@ -191,6 +195,18 @@ class Lattice:
         """Leaf-vector indicator of an active cube."""
         x = np.zeros(self.n_leaves)
         x[self.leaf_indices(q)] = 1.0
+        return x
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """Level of each active cube, in active_cubes order."""
+        return np.array([q.level for q in self.active_cubes])
+
+    @cached_property
+    def membership(self) -> np.ndarray:
+        """Leaves x active cubes indicator matrix (layout: class docstring)."""
+        x = np.array([self.indicator(q) for q in self.active_cubes]).T
+        x.flags.writeable = False
         return x
 
 

@@ -7,7 +7,7 @@ every formula stays total.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -81,8 +81,8 @@ class MeasureGrid:
         if m.shape != (self.lattice.n_leaves,):
             raise ValueError(f"expected {self.lattice.n_leaves} leaf masses, "
                              f"got shape {m.shape}")
-        if np.any(m < 0):
-            raise ValueError("leaf masses must be nonnegative")
+        if not np.all(np.isfinite(m) & (m >= 0)):
+            raise ValueError("leaf masses must be finite and nonnegative")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "leaf_mass", m)
@@ -178,6 +178,16 @@ class MeasureGrid:
                     leafvals[self.lattice.leaf_indices(children[ci])] = v[j]
                 funcs.append(GridFunction(self.lattice, leafvals))
         return WeightedHaarBasis(cube=q, functions=tuple(funcs))
+
+    def haar_rows(self) -> tuple[list[Cube], np.ndarray]:
+        """The weighted Haar bases of all non-leaf cubes stacked as rows,
+        plus the cube of each row."""
+        cubes, rows = [], []
+        for q in self.lattice.nonleaf_cubes:
+            for h in self.weighted_haar_basis(q):
+                cubes.append(q)
+                rows.append(h.values)
+        return cubes, np.array(rows).reshape(len(cubes), self.lattice.n_leaves)
 
     def martingale_decompose(self, f: GridFunction):
         """All martingale differences plus root averages.

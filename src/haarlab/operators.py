@@ -280,16 +280,8 @@ def _haar_pairings(op_matrix: np.ndarray, out_measure: MeasureGrid,
                    lattice: Lattice):
     """Matrix of <Op chi_Q, h_R^w>_w over non-leaf R (rows, stacked by basis
     element) and all active Q (columns); also the row cube of each row."""
-    row_cubes = []
-    rows = []
-    for rq in lattice.nonleaf_cubes:
-        for h in out_measure.weighted_haar_basis(rq):
-            row_cubes.append(rq)
-            rows.append(h.values * out_measure.leaf_mass)
-    cols = np.array([lattice.indicator(q) for q in lattice.active_cubes]).T
-    if not rows:
-        return np.zeros((0, cols.shape[1])), []
-    pair = np.array(rows) @ (op_matrix @ cols)
+    row_cubes, rows = out_measure.haar_rows()
+    pair = (rows * out_measure.leaf_mass) @ (op_matrix @ lattice.membership)
     return pair, row_cubes
 
 
@@ -350,22 +342,11 @@ def comparable_pairing_count(t_mu: InducedOperator, r: int,
     """Max over Q of the number of comparable-scale cubes R whose weighted
     Haar block against Q is nonzero; finite and bounded in terms of the
     dimension and r only."""
-    lattice = t_mu.lattice
-    mu_rows = []
-    mu_cubes = []
-    for q in lattice.nonleaf_cubes:
-        for h in t_mu.mu.weighted_haar_basis(q):
-            mu_cubes.append(q)
-            mu_rows.append(h.values)
-    nu_rows = []
-    nu_cubes = []
-    for q in lattice.nonleaf_cubes:
-        for h in t_mu.nu.weighted_haar_basis(q):
-            nu_cubes.append(q)
-            nu_rows.append(h.values * t_mu.nu.leaf_mass)
-    if not mu_rows or not nu_rows:
+    mu_cubes, mu_rows = t_mu.mu.haar_rows()
+    nu_cubes, nu_rows = t_mu.nu.haar_rows()
+    if not mu_cubes or not nu_cubes:
         return 0
-    block = np.array(nu_rows) @ t_mu.matrix @ np.array(mu_rows).T
+    block = (nu_rows * t_mu.nu.leaf_mass) @ t_mu.matrix @ mu_rows.T
     scale = float(np.max(np.abs(block)))
     if scale == 0.0:
         return 0

@@ -5,7 +5,6 @@ embedding constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -77,20 +76,6 @@ def build_paraproduct(t_mu: InducedOperator, r: int, side: str = "mu",
     return Paraproduct(source=t_mu, r=r, side=side, matrix=matrix)
 
 
-def _stacked_basis(measure: MeasureGrid):
-    """Weighted Haar basis rows over all non-leaf cubes, plus the cube of
-    each row."""
-    cubes = []
-    rows = []
-    for q in measure.lattice.nonleaf_cubes:
-        for h in measure.weighted_haar_basis(q):
-            cubes.append(q)
-            rows.append(h.values)
-    if rows:
-        return cubes, np.array(rows)
-    return cubes, np.zeros((0, measure.lattice.n_leaves))
-
-
 @dataclass(frozen=True)
 class ParaproductStructureReport:
     """Entrywise check of the paraproduct's matrix in the weighted bases."""
@@ -109,8 +94,8 @@ def paraproduct_structure_verify(pi: Paraproduct, t_mu: InducedOperator, r: int,
         op, in_measure, out_measure = t_mu.matrix, t_mu.mu, t_mu.nu
     else:
         op, in_measure, out_measure = t_mu.adjoint_matrix, t_mu.nu, t_mu.mu
-    mu_cubes, mu_rows = _stacked_basis(in_measure)
-    nu_cubes, nu_rows = _stacked_basis(out_measure)
+    mu_cubes, mu_rows = in_measure.haar_rows()
+    nu_cubes, nu_rows = out_measure.haar_rows()
     if not mu_cubes or not nu_cubes:
         return ParaproductStructureReport(True, 0.0, 0.0, 0.0, 0.0, None)
     weighted = nu_rows * out_measure.leaf_mass
@@ -154,8 +139,8 @@ class RemainderReport:
 def remainder_diagonals(t_mu: InducedOperator, pi_mu: Paraproduct,
                         pi_nu: Paraproduct, tol: float = ZERO_TOL) -> RemainderReport:
     r = pi_mu.r
-    mu_cubes, mu_rows = _stacked_basis(t_mu.mu)
-    nu_cubes, nu_rows = _stacked_basis(t_mu.nu)
+    mu_cubes, mu_rows = t_mu.mu.haar_rows()
+    nu_cubes, nu_rows = t_mu.nu.haar_rows()
     if not mu_cubes or not nu_cubes:
         return RemainderReport(True, 0.0, 0.0, 0.0)
     nu_weighted = nu_rows * t_mu.nu.leaf_mass

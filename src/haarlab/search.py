@@ -41,7 +41,6 @@ class SearchResult:
     history: list = field(default_factory=list)
 
     def to_artifact(self) -> dict:
-        rep = self.report
         return {
             "schema_version": 1,
             "lattice": lattice_to_json(self.band.lattice),
@@ -50,17 +49,17 @@ class SearchResult:
             "mu": [float(m) for m in self.mu.leaf_mass],
             "nu": [float(m) for m in self.nu.leaf_mass],
             "rho": self.rho,
-            "constants": {
-                "norm": rep.norm,
-                "c_direct_local": rep.c_direct_local,
-                "c_adjoint_local": rep.c_adjoint_local,
-                "c_direct_global": rep.c_direct_global,
-                "c_adjoint_global": rep.c_adjoint_global,
-                "c_diag": rep.c_diag,
-            },
+            "constants": _artifact_constants(self.report),
             "search": {"seed": self.config.seed,
                        "iterations": self.config.iterations},
         }
+
+
+def _artifact_constants(report) -> dict:
+    """The testing constants an artifact stores and its replay compares."""
+    return {name: getattr(report, name) for name in (
+        "norm", "c_direct_local", "c_adjoint_local", "c_direct_global",
+        "c_adjoint_global", "c_diag")}
 
 
 def _evaluate(band: BandOperator, mu: MeasureGrid, nu: MeasureGrid, r: int):
@@ -126,14 +125,7 @@ def replay_artifact(artifact: dict):
     rho, report = _evaluate(band, mu, nu, r)
     recomputed = {
         "rho": float(rho),
-        "constants": {
-            "norm": report.norm,
-            "c_direct_local": report.c_direct_local,
-            "c_adjoint_local": report.c_adjoint_local,
-            "c_direct_global": report.c_direct_global,
-            "c_adjoint_global": report.c_adjoint_global,
-            "c_diag": report.c_diag,
-        },
+        "constants": _artifact_constants(report),
     }
     tol = 1e-12
     ok = abs(rho - artifact["rho"]) <= tol * max(1.0, abs(rho))

@@ -1,15 +1,19 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from haarlab import (GridFunction, MeasureGrid, build_lattice,
-                     build_paraproduct, decomposition_identity,
-                     haar_multiplier, induce, operator_norm,
-                     sufficiency_ratio, uniform_measure)
+from haarlab import (GridFunction, InducedOperator, MeasureGrid,
+                     build_lattice, build_paraproduct, decomposition_identity,
+                     haar_multiplier, induce, operator_norm, uniform_measure)
 # local alias: a module attribute named testing_* would be collected by pytest
 from haarlab import testing_constants as constants_of
 
 from conftest import random_instance, random_weights
+from loop_oracle import loop_testing_constants
 
 
 def test_norm_of_zero_operator():
@@ -112,8 +116,6 @@ def test_sufficiency_ratio_definition():
     want = rep.norm / (np.sqrt(rep.c_direct_local)
                        + np.sqrt(rep.c_adjoint_local) + rep.c_diag)
     assert rep.rho == pytest.approx(want, rel=1e-12)
-    assert sufficiency_ratio(t, 1) == pytest.approx(want, rel=1e-12)
-    assert sufficiency_ratio(t, 1, report=rep) == rep.rho
 
 
 def test_norm_monotone_in_output_weight():
@@ -157,3 +159,55 @@ def test_decomposition_builds_paraproducts_when_missing():
     g = GridFunction(t.lattice, rng.standard_normal(t.lattice.n_leaves))
     rep = decomposition_identity(t, 1, f, g)
     assert rep.relative <= 1e-12
+
+
+class UnweightedLeafOperator(InducedOperator):
+    """The leaf matrix used as given, without the density weighting of
+    T M_u.  The weighting zeroes every column of a zero-mass leaf, so no
+    induced operator reaches an infinite testing constant; this one can."""
+
+    @cached_property
+    def matrix(self):
+        return self.lebesgue_matrix
+
+    @cached_property
+    def adjoint_matrix(self):
+        return self.lebesgue_matrix.T
+
+
+def assert_same_report(t, r):
+    # dataclass equality: every field, unbounded_witness included, by ==
+    assert constants_of(t, r) == loop_testing_constants(t, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]), r=st.sampled_from([0, 1, 2]),
+       depth=st.integers(1, 4), seed=st.integers(0, 10 ** 6),
+       zero_fraction=st.floats(0.05, 0.6),
+       root_amplitude=st.sampled_from([0.0, 0.4]))
+def test_testing_constants_match_loop_oracle(dim, r, depth, seed,
+                                             zero_fraction, root_amplitude):
+    depth = min(depth, 3) if dim == 2 else depth
+    t = random_instance(dim, depth, r, seed, zero_fraction=zero_fraction,
+                        root_amplitude=root_amplitude)
+    assert_same_report(t, r)
+
+
+@st.composite
+def leaf_matrix_operators(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    lat = build_lattice(dim, 0, -draw(st.integers(1, 3 if dim == 1 else 2)))
+    n = lat.n_leaves
+    # small exact values, so that sums cancel and maxima tie exactly
+    masses = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    mu = MeasureGrid(lat, draw(arrays(float, n, elements=masses)))
+    nu = MeasureGrid(lat, draw(arrays(float, n, elements=masses)))
+    m = draw(arrays(float, (n, n), elements=st.sampled_from([-1.0, 0.0, 1.0, 2.0])))
+    cls = draw(st.sampled_from([InducedOperator, UnweightedLeafOperator]))
+    return cls.from_leaf_matrix(m, mu, nu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=leaf_matrix_operators(), r=st.sampled_from([0, 1, 2]))
+def test_testing_constants_match_loop_oracle_on_zero_mass_leaves(t, r):
+    assert_same_report(t, r)

@@ -149,3 +149,24 @@ def test_unknown_suite_rejected(tmp_path):
     assert code == 0
     with pytest.raises(SystemExit):
         main(["--config", cfg, "--suite", "bogus"])
+
+
+@pytest.mark.parametrize("change", [
+    {"mu": {"type": "explicit", "mass": [float("nan")] + [1.0] * 7}},
+    {"mu": {"type": "explicit", "mass": [1.0] * 5}},
+    {"operator": {"type": "no_such_operator"}},
+], ids=["nan_mass", "wrong_length_mass", "unknown_operator"])
+def test_bad_instance_exits_2_without_checks(tmp_path, capsys, change):
+    code, _ = run_cli(tmp_path, dict(BASE_CONFIG, **change), "testing")
+    assert code == 2
+    assert "[pass]" not in capsys.readouterr().out
+
+
+def test_necessity_and_ordering_overrides_reach_checks(tmp_path):
+    code, out = run_cli(tmp_path, BASE_CONFIG, "testing",
+                        extra=["--tolerance-override", "necessity=-1e6",
+                               "--tolerance-override", "ordering=-1e6"])
+    assert code == 1
+    report = read_report(out)
+    assert report["tolerances"]["necessity"] == -1e6
+    assert not any(c["passed"] for c in report["checks"])
