@@ -47,7 +47,7 @@ def main(argv=None) -> int:
 
     if args.replay:
         try:
-            code, report = replay(args.replay, args.out)
+            code, report = replay(args.replay, args.out, overrides)
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
             print(f"error: cannot replay artifact: {exc}", file=sys.stderr)
             return 2

@@ -129,10 +129,7 @@ class Lattice:
         return q.level == self.leaf_level
 
     def is_active(self, q: Cube) -> bool:
-        if q.level < self.leaf_level or q.level > self.top_level:
-            return False
-        top = q.ancestor(self.top_level - q.level)
-        return any(top == root for root in self.roots)
+        return q in self.cube_index
 
     def cubes_at_level(self, level: int) -> list[Cube]:
         if level > self.top_level or level < self.leaf_level:
@@ -166,6 +163,21 @@ class Lattice:
     def leaf_index(self) -> dict[Cube, int]:
         return {q: i for i, q in enumerate(self.leaves)}
 
+    @cached_property
+    def cube_index(self) -> dict[Cube, int]:
+        """Position of each active cube in active_cubes."""
+        return {q: i for i, q in enumerate(self.active_cubes)}
+
+    @cached_property
+    def children_index(self) -> np.ndarray:
+        """Non-leaf cubes x 2**dim: active indices of each cube's children,
+        in lexicographic order; row i belongs to active_cubes[i]."""
+        index = self.cube_index
+        x = np.array([[index[c] for c in q.children()] for q in self.nonleaf_cubes],
+                     dtype=np.intp).reshape(-1, 2 ** self.dim)
+        x.flags.writeable = False
+        return x
+
     @property
     def n_leaves(self) -> int:
         return len(self.leaves)
@@ -176,16 +188,12 @@ class Lattice:
 
     @cached_property
     def _subtree_leaves(self) -> dict[Cube, np.ndarray]:
-        idx = {}
-        for q in self.active_cubes:
-            k = q.level - self.leaf_level
-            if k == 0:
-                idx[q] = np.array([self.leaf_index[q]], dtype=np.intp)
-                continue
-            ranges = [range(c << k, (c + 1) << k) for c in q.coords]
-            idx[q] = np.array(sorted(self.leaf_index[Cube(self.dim, self.leaf_level, cs)]
-                                     for cs in itertools.product(*ranges)), dtype=np.intp)
-        return idx
+        # leaves close active_cubes in leaf order; parents precede children
+        kids = self.children_index
+        idx = [None] * len(kids) + list(np.arange(self.n_leaves, dtype=np.intp)[:, None])
+        for p in range(len(kids) - 1, -1, -1):
+            idx[p] = np.sort(np.concatenate([idx[c] for c in kids[p]]))
+        return dict(zip(self.active_cubes, idx))
 
     def leaf_indices(self, q: Cube) -> np.ndarray:
         """Indices of the leaves contained in an active cube q."""

@@ -88,18 +88,20 @@ class MeasureGrid:
         object.__setattr__(self, "leaf_mass", m)
 
     @cached_property
-    def _cube_mass(self) -> dict[Cube, float]:
-        return {q: float(self.leaf_mass[self.lattice.leaf_indices(q)].sum())
-                for q in self.lattice.active_cubes}
+    def cube_masses(self) -> np.ndarray:
+        """mu(Q) per active cube, in active_cubes order."""
+        m = np.array([self.leaf_mass[self.lattice.leaf_indices(q)].sum()
+                      for q in self.lattice.active_cubes])
+        m.flags.writeable = False
+        return m
 
     def mass(self, q: Cube) -> float:
         """Exact mass of q; 0 for cubes outside the lattice support."""
-        got = self._cube_mass.get(q)
-        if got is not None:
-            return got
+        i = self.lattice.cube_index.get(q)
+        if i is not None:
+            return float(self.cube_masses[i])
         if q.level > self.lattice.top_level:
-            return sum(self._cube_mass[r] for r in self.lattice.roots
-                       if q.contains(r))
+            return sum(self.mass(r) for r in self.lattice.roots if q.contains(r))
         return 0.0
 
     @property

@@ -192,6 +192,8 @@ def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
     """
     if r < 0:
         raise ValueError("band radius must be nonnegative")
+    if not np.isfinite([amplitude, root_amplitude]).all():
+        raise ValueError("random_band amplitudes must be finite")
     rng = np.random.default_rng(seed)
     n_comp = 2 ** lattice.dim - 1
     entries = {}
@@ -314,24 +316,19 @@ def check_well_localized(t_mu: InducedOperator, r: int,
     scale = max((float(np.max(np.abs(p))) for p, _ in scans if p.size), default=0.0)
     if scale == 0.0:
         return WellLocalizedReport(True, r, 0.0, 0.0, None, 0)
-    worst = 0.0
-    witness = None
-    checked = 0
+    cubes = lattice.active_cubes
+    worst, witness, checked = 0.0, None, 0
     for direction, (pair, row_cubes) in zip(("direct", "adjoint"), scans):
-        for i, rc in enumerate(row_cubes):
-            for j, q in enumerate(lattice.active_cubes):
-                if rc.level > q.level:
-                    continue
-                grand = q.ancestor(r)
-                flagged = (not grand.contains(rc)) or (
-                    rc.level <= q.level - r and not q.contains(rc))
-                if not flagged:
-                    continue
-                checked += 1
-                v = abs(pair[i, j]) / scale
-                if v > worst:
-                    worst = v
-                    witness = (direction, q, rc)
+        flagged = np.array([[rc.level <= q.level and (
+                                not q.ancestor(r).contains(rc)
+                                or (rc.level <= q.level - r and not q.contains(rc)))
+                             for q in cubes] for rc in row_cubes], dtype=bool)
+        flagged = flagged.reshape(pair.shape)
+        checked += int(np.count_nonzero(flagged))
+        v = np.where(flagged, np.abs(pair) / scale, 0.0)
+        if v.size and np.max(v) > worst:  # witness: the first worst pair
+            i, j = divmod(int(np.argmax(v)), len(cubes))
+            worst, witness = float(v[i, j]), (direction, cubes[j], row_cubes[i])
     return WellLocalizedReport(passed=worst <= tol, r=r, max_violation=worst,
                                scale=scale, witness=witness,
                                checked_pairs=checked)
@@ -350,16 +347,10 @@ def comparable_pairing_count(t_mu: InducedOperator, r: int,
     scale = float(np.max(np.abs(block)))
     if scale == 0.0:
         return 0
-    cols_of = {}
-    for k, c in enumerate(mu_cubes):
-        cols_of.setdefault(c, []).append(k)
-    best = 0
-    for q, cols in cols_of.items():
-        hit = set()
-        for i, rc in enumerate(nu_cubes):
-            if abs(rc.level - q.level) > r:
-                continue
-            if any(abs(block[i, k]) / scale > tol for k in cols):
-                hit.add(rc)
-        best = max(best, len(hit))
-    return best
+    index = t_mu.lattice.cube_index
+    levels = np.subtract.outer([c.level for c in nu_cubes], [c.level for c in mu_cubes])
+    hit = np.zeros((len(index), len(index)), dtype=bool)  # R, Q with a nonzero block
+    np.logical_or.at(hit, (np.array([index[c] for c in nu_cubes])[:, None],
+                           np.array([index[c] for c in mu_cubes])),
+                     (np.abs(block) / scale > tol) & (np.abs(levels) <= r))
+    return int(hit.sum(axis=0).max())

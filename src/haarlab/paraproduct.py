@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Cube, Lattice
+from .lattice import Lattice
 from .measures import GridFunction, MeasureGrid
 from .operators import InducedOperator, ZERO_TOL
 
@@ -104,23 +104,21 @@ def paraproduct_structure_verify(pi: Paraproduct, t_mu: InducedOperator, r: int,
     scale = max(float(np.max(np.abs(g_t))), float(np.max(np.abs(g_pi))))
     if scale == 0.0:
         return ParaproductStructureReport(True, 0.0, 0.0, 0.0, 0.0, None)
-    dev1 = dev2 = dev3 = 0.0
+    coarse = np.array([[rc.level >= qc.level - r for qc in mu_cubes] for rc in nu_cubes])
+    outside = np.array([[not qc.contains(rc) for qc in mu_cubes] for rc in nu_cubes])
+    pi_dev = np.abs(g_pi) / scale
+    devs = (np.where(coarse, pi_dev, 0.0), np.where(outside, pi_dev, 0.0),
+            np.where(coarse, 0.0, np.abs(g_pi - g_t) / scale))
+    dev1, dev2, dev3 = (float(np.max(d)) for d in devs)
+    passed = all(d <= tol for d in (dev1, dev2, dev3))
+    # witness: of the first maximal pair of each kind, the last in (R, Q, kind) order
+    last = max(((int(np.argmax(d)), k) for k, d in enumerate(devs) if np.max(d) > 0),
+               default=None)
     witness = None
-    for i, rc in enumerate(nu_cubes):
-        for j, qc in enumerate(mu_cubes):
-            if rc.level >= qc.level - r:
-                d = abs(g_pi[i, j]) / scale
-                if d > dev1:
-                    dev1, witness = d, ("vanish_scale", qc, rc)
-            if not qc.contains(rc):
-                d = abs(g_pi[i, j]) / scale
-                if d > dev2:
-                    dev2, witness = d, ("vanish_outside", qc, rc)
-            if rc.level < qc.level - r:
-                d = abs(g_pi[i, j] - g_t[i, j]) / scale
-                if d > dev3:
-                    dev3, witness = d, ("equality", qc, rc)
-    passed = max(dev1, dev2, dev3) <= tol
+    if last is not None:
+        i, j = divmod(last[0], len(mu_cubes))
+        witness = (("vanish_scale", "vanish_outside", "equality")[last[1]],
+                   mu_cubes[j], nu_cubes[i])
     return ParaproductStructureReport(passed=passed, scale=scale, max_dev_vanish_scale=dev1,
                          max_dev_vanish_outside=dev2, max_dev_equality=dev3,
                          witness=None if passed else witness)
@@ -149,47 +147,51 @@ def remainder_diagonals(t_mu: InducedOperator, pi_mu: Paraproduct,
     g_pi = nu_weighted @ pi_mu.matrix @ mu_rows.T
     # <(Pi_nu)* h_Q^mu, h_R^nu>_nu = <h_Q^mu, Pi_nu h_R^nu>_mu
     g_pin = (mu_weighted @ pi_nu.matrix @ nu_rows.T).T
-    diff = g_t - g_pi - g_pin
+    diff = np.abs(g_t - g_pi - g_pin)
     scale = float(np.max(np.abs(g_t)))
     if scale == 0.0:
-        scale = max(float(np.max(np.abs(diff))), 1.0)
-    off = in_band = 0.0
-    for i, rc in enumerate(nu_cubes):
-        for j, qc in enumerate(mu_cubes):
-            d = abs(diff[i, j])
-            if abs(rc.level - qc.level) > r:
-                off = max(off, d / scale)
-            else:
-                in_band = max(in_band, d)
+        scale = max(float(np.max(diff)), 1.0)
+    far = np.abs(np.subtract.outer([c.level for c in nu_cubes],
+                                   [c.level for c in mu_cubes])) > r
+    off = float(np.max(diff[far] / scale, initial=0.0))
+    in_band = float(np.max(diff[~far], initial=0.0))
     return RemainderReport(passed=off <= tol, scale=scale,
                            off_band_max=off, in_band_max=in_band)
 
 
 @dataclass(frozen=True)
 class CarlesonSequence:
-    """A nonnegative number per active cube."""
+    """A finite nonnegative number a_Q per active cube.
+
+    `values` is one read-only float array in `lattice.active_cubes` order:
+    values[i] is a_Q for Q = active_cubes[i] (`lattice.cube_index` maps a
+    cube to its position).  Every Carleson computation reads it as an array.
+    """
 
     lattice: Lattice
-    values: dict
+    values: np.ndarray
 
     def __post_init__(self):
-        for q, a in self.values.items():
-            if a < 0:
-                raise ValueError(f"negative Carleson value {a} at {q}")
+        v = np.array(self.values, dtype=float)
+        if v.shape != (len(self.lattice.active_cubes),):
+            raise ValueError(f"expected one value per active cube, got shape {v.shape}")
+        if not np.all(np.isfinite(v) & (v >= 0)):
+            raise ValueError("Carleson values must be finite and nonnegative")
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
-    def get(self, q: Cube) -> float:
-        return self.values.get(q, 0.0)
-
-    def subtree_sums(self) -> dict:
-        """sum of a_Q over active Q contained in each active cube."""
+    def subtree_sums(self) -> np.ndarray:
+        """sum of a_Q over active Q contained in each active cube, computed
+        bottom-up: children in lexicographic order, then a_Q."""
         lattice = self.lattice
-        sums = {}
-        for level in range(lattice.leaf_level, lattice.top_level + 1):
-            for q in lattice.cubes_at_level(level):
-                s = self.get(q)
-                if level > lattice.leaf_level:
-                    s += sum(sums[c] for c in q.children())
-                sums[q] = s
+        kids = lattice.children_index
+        sums = self.values.copy()
+        for level in range(lattice.leaf_level + 1, lattice.top_level + 1):
+            rows = np.flatnonzero(lattice.levels[:len(kids)] == level)
+            acc = sums[kids[rows, 0]]
+            for k in range(1, kids.shape[1]):
+                acc += sums[kids[rows, k]]
+            sums[rows] = acc + self.values[rows]
         return sums
 
 
@@ -197,14 +199,13 @@ def carleson_sequence(t_mu: InducedOperator, r: int) -> CarlesonSequence:
     """a_Q = sum over R inside Q at scale 2^-r side(Q) of the squared nu-norm
     of Delta_R^nu T_mu chi_Q."""
     lattice = t_mu.lattice
-    values = {}
-    for q in lattice.active_cubes:
+    values = np.zeros(len(lattice.active_cubes))
+    for i, q in enumerate(lattice.active_cubes):
         if q.level - r < lattice.leaf_level + 1:
-            values[q] = 0.0
             continue
         t_chi = t_mu.matrix @ lattice.indicator(q)
         d = t_mu.nu.delta_level_within(t_chi, q.level - r, q)
-        values[q] = float(np.sum(d * d * t_mu.nu.leaf_mass))
+        values[i] = np.sum(d * d * t_mu.nu.leaf_mass)
     return CarlesonSequence(lattice=lattice, values=values)
 
 
@@ -212,16 +213,11 @@ def carleson_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
     """Smallest C with sum_{Q inside R} a_Q <= C mu(R) over active R;
     inf when a zero-mass cube carries a positive subtree sum."""
     sums = seq.subtree_sums()
-    best = 0.0
-    for q in seq.lattice.active_cubes:
-        m = mu.mass(q)
-        s = sums[q]
-        if m == 0.0:
-            if s > 0.0:
-                return float("inf")
-            continue
-        best = max(best, s / m)
-    return best
+    m = mu.cube_masses
+    pos = m > 0.0
+    if np.any(sums[~pos] > 0.0):
+        return float("inf")
+    return float(np.max(sums[pos] / m[pos], initial=0.0))
 
 
 def _largest_singular_value(k: np.ndarray, tol: float = 1e-10,
@@ -253,29 +249,22 @@ def embedding_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
 
     The quadratic form is restricted to the positive-mass leaf subspace;
     the constant is the largest eigenvalue of the induced symmetric form.
+    Row R of its square root is sqrt(a_R) sqrt(mu) / mu(R) on R's leaves;
+    cubes with a_R = 0 or mu(R) = 0 (E_R f = 0) contribute no row.
     """
     lattice = seq.lattice
-    mass = mu.leaf_mass
-    pos = np.flatnonzero(mass > 0)
-    if pos.size == 0:
+    pos = np.flatnonzero(mu.leaf_mass > 0)
+    m = mu.cube_masses
+    sel = np.flatnonzero((seq.values > 0) & (m > 0))
+    if pos.size == 0 or sel.size == 0:
         return 0.0
-    sqrt_mass = np.sqrt(mass[pos])
-    rows = []
-    for q in lattice.active_cubes:
-        a = seq.get(q)
-        if a == 0.0:
-            continue
-        m = mu.mass(q)
-        if m == 0.0:
-            continue  # E_Q f = 0 by convention, no contribution
-        row = np.zeros(pos.size)
-        ind = np.zeros(lattice.n_leaves)
-        ind[lattice.leaf_indices(q)] = 1.0
-        row = np.sqrt(a) * ind[pos] * sqrt_mass / m
-        rows.append(row)
-    if not rows:
-        return 0.0
-    s = _largest_singular_value(np.array(rows))
+    k = np.zeros((sel.size, lattice.n_leaves))
+    for row, i in enumerate(sel):
+        k[row, lattice.leaf_indices(lattice.active_cubes[i])] = 1.0
+    k = k[:, pos] * np.sqrt(seq.values[sel])[:, None]
+    k *= np.sqrt(mu.leaf_mass[pos])
+    k /= m[sel][:, None]
+    s = _largest_singular_value(k)
     return float(s * s)
 
 
@@ -291,17 +280,15 @@ class CarlesonPropertyReport:
 def carleson_property(t_mu: InducedOperator, seq: CarlesonSequence,
                       tol: float = 1e-10) -> CarlesonPropertyReport:
     lattice = t_mu.lattice
-    sums = seq.subtree_sums()
-    excess = 0.0
-    c_local = 0.0
+    bounds = []
     for q in lattice.active_cubes:
         ind = lattice.indicator(q)
         out = (t_mu.matrix @ ind) * ind
-        bound = float(np.sum(out * out * t_mu.nu.leaf_mass))
-        scale = max(bound, 1.0)
-        excess = max(excess, (sums[q] - bound) / scale)
-        m = t_mu.mu.mass(q)
-        if m > 0:
-            c_local = max(c_local, bound / m)
+        bounds.append(np.sum(out * out * t_mu.nu.leaf_mass))
+    bounds = np.array(bounds)
+    excess = float(np.max((seq.subtree_sums() - bounds) / np.maximum(bounds, 1.0),
+                          initial=0.0))
+    m = t_mu.mu.cube_masses
+    c_local = float(np.max(bounds[m > 0] / m[m > 0], initial=0.0))
     return CarlesonPropertyReport(passed=excess <= tol, max_excess=excess,
                                   local_testing_constant=c_local)

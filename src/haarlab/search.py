@@ -114,9 +114,10 @@ def extremal_search(config: SearchConfig) -> SearchResult:
                         mu=mu, nu=nu, history=history)
 
 
-def replay_artifact(artifact: dict):
+def replay_artifact(artifact: dict, tol: float = 1e-12):
     """Rebuild the instance stored in a search artifact and recompute all
-    constants.  Returns (matches, recomputed dict)."""
+    constants; each must match to relative `tol` (the `replay` tolerance).
+    Returns (matches, recomputed dict)."""
     lattice = lattice_from_json(artifact["lattice"])
     band = band_from_json(artifact["operator"], lattice)
     mu = MeasureGrid(lattice, np.asarray(artifact["mu"], dtype=float))
@@ -127,13 +128,12 @@ def replay_artifact(artifact: dict):
         "rho": float(rho),
         "constants": _artifact_constants(report),
     }
-    tol = 1e-12
-    ok = abs(rho - artifact["rho"]) <= tol * max(1.0, abs(rho))
-    for name, val in recomputed["constants"].items():
-        stored = artifact["constants"][name]
-        if abs(val - stored) > tol * max(1.0, abs(val)):
-            ok = False
-    return bool(ok), recomputed
+    pairs = [(rho, artifact["rho"])] + [(val, artifact["constants"][name])
+                                        for name, val in recomputed["constants"].items()]
+    # an infinity matches only itself, NaN nothing
+    ok = all(val == stored if np.isinf([val, stored]).any()
+             else abs(val - stored) <= tol * max(1.0, abs(val)) for val, stored in pairs)
+    return ok, recomputed
 
 
 def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
@@ -147,16 +147,20 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
     """
     lattice = build_lattice(1, 0, -depth)
     mu = uniform_measure(lattice, total=1.0)
+    index = lattice.cube_index
     # chain seed: mass-proportional values along a single branch
-    chain = {Cube(1, -j, (0,)): mu.mass(Cube(1, -j, (0,)))
-             for j in range(depth + 1)}
+    branch = [index[Cube(1, -j, (0,))] for j in range(depth + 1)]
+    chain = np.zeros(len(index))
+    chain[branch] = mu.cube_masses[branch]
     candidates = [_normalized(CarlesonSequence(lattice, chain), mu)]
     if init is not None:
         # the shallower optimum extended by zeros: same form on a finer
         # space, so its constant can only grow with depth
-        carried = {q: a for q, a in init.values.items()
-                   if lattice.is_active(q) and a > 0}
-        if carried:
+        carried = np.zeros(len(index))
+        for q, a in zip(init.lattice.active_cubes, init.values):
+            if a > 0 and q in index:
+                carried[index[q]] = a
+        if np.any(carried > 0):
             candidates.append(_normalized(
                 CarlesonSequence(lattice, carried), mu))
     seq, best = None, -1.0
@@ -165,16 +169,15 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
         if val > best:
             seq, best = cand, val
     rng = np.random.default_rng(seed)
-    cubes = list(lattice.active_cubes)
     for _ in range(iterations):
-        cand_values = dict(seq.values)
+        cand_values = seq.values.copy()
         for _ in range(1 + rng.integers(3)):
-            q = cubes[rng.integers(len(cubes))]
-            old = cand_values.get(q, 0.0)
+            i = rng.integers(len(index))
+            old = cand_values[i]
             if old > 0:
-                cand_values[q] = old * np.exp(0.5 * rng.standard_normal())
+                cand_values[i] = old * np.exp(0.5 * rng.standard_normal())
             else:
-                cand_values[q] = mu.mass(q) * rng.uniform(0.1, 1.0)
+                cand_values[i] = mu.cube_masses[i] * rng.uniform(0.1, 1.0)
         cand = _normalized(CarlesonSequence(lattice, cand_values), mu)
         val = embedding_constant(cand, mu)
         if val > best:
@@ -186,5 +189,4 @@ def _normalized(seq: CarlesonSequence, mu: MeasureGrid) -> CarlesonSequence:
     c = carleson_constant(seq, mu)
     if c == 0 or not np.isfinite(c):
         return seq
-    return CarlesonSequence(seq.lattice,
-                            {q: a / c for q, a in seq.values.items()})
+    return CarlesonSequence(seq.lattice, seq.values / c)

@@ -1,12 +1,20 @@
-"""Reference oracle: the original per-cube loop version of
-haarlab.analysis.testing_constants, kept to check the array version
-against it exactly.
+"""Reference oracles: the original per-cube loop versions of functions
+that now run on arrays, kept to check the array versions against them
+exactly.  The Carleson functions here work on {cube: a_Q} dicts, the
+representation CarlesonSequence used before it became an array.
 
 Named without a `test` prefix so pytest collects nothing from it.
 """
+import itertools
+
 import numpy as np
 
+from haarlab import Cube, build_lattice, uniform_measure
 from haarlab.analysis import TestingReport, operator_norm
+from haarlab.operators import WellLocalizedReport, _haar_pairings
+from haarlab.paraproduct import (CarlesonPropertyReport,
+                                 ParaproductStructureReport, RemainderReport,
+                                 _largest_singular_value)
 
 
 def loop_testing_constants(t_mu, r):
@@ -65,3 +73,250 @@ def loop_testing_constants(t_mu, r):
                          c_direct_local=c_dl, c_adjoint_local=c_al,
                          c_adjoint_local_nu=c_aln, c_diag=c_diag,
                          norm=norm, rho=rho, unbounded_witness=witness)
+
+
+def loop_leaf_indices(lattice, q):
+    """Leaves inside an active cube, enumerated cube by cube."""
+    k = q.level - lattice.leaf_level
+    ranges = [range(c << k, (c + 1) << k) for c in q.coords]
+    return np.array(sorted(lattice.leaf_index[Cube(lattice.dim, lattice.leaf_level, cs)]
+                           for cs in itertools.product(*ranges)), dtype=np.intp)
+
+
+def loop_cube_masses(mu):
+    """{cube: mu(Q)} over the active cubes, as MeasureGrid once cached it."""
+    return {q: float(mu.leaf_mass[loop_leaf_indices(mu.lattice, q)].sum())
+            for q in mu.lattice.active_cubes}
+
+
+def loop_subtree_sums(lattice, values):
+    """sum of a_Q over active Q contained in each active cube."""
+    sums = {}
+    for level in range(lattice.leaf_level, lattice.top_level + 1):
+        for q in lattice.cubes_at_level(level):
+            s = values.get(q, 0.0)
+            if level > lattice.leaf_level:
+                s += sum(sums[c] for c in q.children())
+            sums[q] = s
+    return sums
+
+
+def loop_carleson_constant(lattice, values, masses):
+    """`masses` is loop_cube_masses(mu)."""
+    sums = loop_subtree_sums(lattice, values)
+    best = 0.0
+    for q in lattice.active_cubes:
+        m = masses[q]
+        s = sums[q]
+        if m == 0.0:
+            if s > 0.0:
+                return float("inf")
+            continue
+        best = max(best, s / m)
+    return best
+
+
+def loop_embedding_constant(lattice, values, mu, masses):
+    mass = mu.leaf_mass
+    pos = np.flatnonzero(mass > 0)
+    if pos.size == 0:
+        return 0.0
+    sqrt_mass = np.sqrt(mass[pos])
+    rows = []
+    for q in lattice.active_cubes:
+        a = values.get(q, 0.0)
+        if a == 0.0:
+            continue
+        m = masses[q]
+        if m == 0.0:
+            continue
+        ind = np.zeros(lattice.n_leaves)
+        ind[loop_leaf_indices(lattice, q)] = 1.0
+        rows.append(np.sqrt(a) * ind[pos] * sqrt_mass / m)
+    if not rows:
+        return 0.0
+    s = _largest_singular_value(np.array(rows))
+    return float(s * s)
+
+
+def _loop_normalized(lattice, values, masses):
+    c = loop_carleson_constant(lattice, values, masses)
+    if c == 0 or not np.isfinite(c):
+        return values
+    return {q: a / c for q, a in values.items()}
+
+
+def loop_greedy_embedding_sequence(depth, seed=0, iterations=40, init=None):
+    """The greedy maximizer on {cube: a_Q} dicts; init and the returned
+    sequence are such dicts."""
+    lattice = build_lattice(1, 0, -depth)
+    mu = uniform_measure(lattice, total=1.0)
+    masses = loop_cube_masses(mu)
+    chain = {Cube(1, -j, (0,)): masses[Cube(1, -j, (0,))]
+             for j in range(depth + 1)}
+    candidates = [_loop_normalized(lattice, chain, masses)]
+    if init is not None:
+        carried = {q: a for q, a in init.items()
+                   if lattice.is_active(q) and a > 0}
+        if carried:
+            candidates.append(_loop_normalized(lattice, carried, masses))
+    seq, best = None, -1.0
+    for cand in candidates:
+        val = loop_embedding_constant(lattice, cand, mu, masses)
+        if val > best:
+            seq, best = cand, val
+    rng = np.random.default_rng(seed)
+    cubes = list(lattice.active_cubes)
+    for _ in range(iterations):
+        cand_values = dict(seq)
+        for _ in range(1 + rng.integers(3)):
+            q = cubes[rng.integers(len(cubes))]
+            old = cand_values.get(q, 0.0)
+            if old > 0:
+                cand_values[q] = old * np.exp(0.5 * rng.standard_normal())
+            else:
+                cand_values[q] = masses[q] * rng.uniform(0.1, 1.0)
+        cand = _loop_normalized(lattice, cand_values, masses)
+        val = loop_embedding_constant(lattice, cand, mu, masses)
+        if val > best:
+            best, seq = val, cand
+    return seq, best
+
+
+def loop_carleson_property(t_mu, values, tol=1e-10):
+    lattice = t_mu.lattice
+    sums = loop_subtree_sums(lattice, values)
+    masses = loop_cube_masses(t_mu.mu)
+    excess = 0.0
+    c_local = 0.0
+    for q in lattice.active_cubes:
+        ind = lattice.indicator(q)
+        out = (t_mu.matrix @ ind) * ind
+        bound = float(np.sum(out * out * t_mu.nu.leaf_mass))
+        scale = max(bound, 1.0)
+        excess = max(excess, (sums[q] - bound) / scale)
+        m = masses[q]
+        if m > 0:
+            c_local = max(c_local, bound / m)
+    return CarlesonPropertyReport(passed=excess <= tol, max_excess=excess,
+                                  local_testing_constant=c_local)
+
+
+def loop_paraproduct_structure_verify(pi, t_mu, r, tol=1e-9):
+    if pi.side == "mu":
+        op, in_measure, out_measure = t_mu.matrix, t_mu.mu, t_mu.nu
+    else:
+        op, in_measure, out_measure = t_mu.adjoint_matrix, t_mu.nu, t_mu.mu
+    mu_cubes, mu_rows = in_measure.haar_rows()
+    nu_cubes, nu_rows = out_measure.haar_rows()
+    if not mu_cubes or not nu_cubes:
+        return ParaproductStructureReport(True, 0.0, 0.0, 0.0, 0.0, None)
+    weighted = nu_rows * out_measure.leaf_mass
+    g_pi = weighted @ pi.matrix @ mu_rows.T
+    g_t = weighted @ op @ mu_rows.T
+    scale = max(float(np.max(np.abs(g_t))), float(np.max(np.abs(g_pi))))
+    if scale == 0.0:
+        return ParaproductStructureReport(True, 0.0, 0.0, 0.0, 0.0, None)
+    dev1 = dev2 = dev3 = 0.0
+    witness = None
+    for i, rc in enumerate(nu_cubes):
+        for j, qc in enumerate(mu_cubes):
+            if rc.level >= qc.level - r:
+                d = abs(g_pi[i, j]) / scale
+                if d > dev1:
+                    dev1, witness = d, ("vanish_scale", qc, rc)
+            if not qc.contains(rc):
+                d = abs(g_pi[i, j]) / scale
+                if d > dev2:
+                    dev2, witness = d, ("vanish_outside", qc, rc)
+            if rc.level < qc.level - r:
+                d = abs(g_pi[i, j] - g_t[i, j]) / scale
+                if d > dev3:
+                    dev3, witness = d, ("equality", qc, rc)
+    passed = max(dev1, dev2, dev3) <= tol
+    return ParaproductStructureReport(passed=passed, scale=scale, max_dev_vanish_scale=dev1,
+                                      max_dev_vanish_outside=dev2, max_dev_equality=dev3,
+                                      witness=None if passed else witness)
+
+
+def loop_remainder_diagonals(t_mu, pi_mu, pi_nu, tol=1e-12):
+    r = pi_mu.r
+    mu_cubes, mu_rows = t_mu.mu.haar_rows()
+    nu_cubes, nu_rows = t_mu.nu.haar_rows()
+    if not mu_cubes or not nu_cubes:
+        return RemainderReport(True, 0.0, 0.0, 0.0)
+    nu_weighted = nu_rows * t_mu.nu.leaf_mass
+    mu_weighted = mu_rows * t_mu.mu.leaf_mass
+    g_t = nu_weighted @ t_mu.matrix @ mu_rows.T
+    g_pi = nu_weighted @ pi_mu.matrix @ mu_rows.T
+    g_pin = (mu_weighted @ pi_nu.matrix @ nu_rows.T).T
+    diff = g_t - g_pi - g_pin
+    scale = float(np.max(np.abs(g_t)))
+    if scale == 0.0:
+        scale = max(float(np.max(np.abs(diff))), 1.0)
+    off = in_band = 0.0
+    for i, rc in enumerate(nu_cubes):
+        for j, qc in enumerate(mu_cubes):
+            d = abs(diff[i, j])
+            if abs(rc.level - qc.level) > r:
+                off = max(off, d / scale)
+            else:
+                in_band = max(in_band, d)
+    return RemainderReport(passed=off <= tol, scale=scale,
+                           off_band_max=off, in_band_max=in_band)
+
+
+def loop_check_well_localized(t_mu, r, tol=1e-12):
+    lattice = t_mu.lattice
+    scans = [
+        _haar_pairings(t_mu.matrix, t_mu.nu, lattice),
+        _haar_pairings(t_mu.adjoint_matrix, t_mu.mu, lattice),
+    ]
+    scale = max((float(np.max(np.abs(p))) for p, _ in scans if p.size), default=0.0)
+    if scale == 0.0:
+        return WellLocalizedReport(True, r, 0.0, 0.0, None, 0)
+    worst = 0.0
+    witness = None
+    checked = 0
+    for direction, (pair, row_cubes) in zip(("direct", "adjoint"), scans):
+        for i, rc in enumerate(row_cubes):
+            for j, q in enumerate(lattice.active_cubes):
+                if rc.level > q.level:
+                    continue
+                grand = q.ancestor(r)
+                flagged = (not grand.contains(rc)) or (
+                    rc.level <= q.level - r and not q.contains(rc))
+                if not flagged:
+                    continue
+                checked += 1
+                v = abs(pair[i, j]) / scale
+                if v > worst:
+                    worst = v
+                    witness = (direction, q, rc)
+    return WellLocalizedReport(passed=worst <= tol, r=r, max_violation=worst,
+                               scale=scale, witness=witness,
+                               checked_pairs=checked)
+
+
+def loop_comparable_pairing_count(t_mu, r, tol=1e-12):
+    mu_cubes, mu_rows = t_mu.mu.haar_rows()
+    nu_cubes, nu_rows = t_mu.nu.haar_rows()
+    if not mu_cubes or not nu_cubes:
+        return 0
+    block = (nu_rows * t_mu.nu.leaf_mass) @ t_mu.matrix @ mu_rows.T
+    scale = float(np.max(np.abs(block)))
+    if scale == 0.0:
+        return 0
+    cols_of = {}
+    for k, c in enumerate(mu_cubes):
+        cols_of.setdefault(c, []).append(k)
+    best = 0
+    for q, cols in cols_of.items():
+        hit = set()
+        for i, rc in enumerate(nu_cubes):
+            if abs(rc.level - q.level) > r:
+                continue
+            if any(abs(block[i, k]) / scale > tol for k in cols):
+                hit.add(rc)
+        best = max(best, len(hit))
+    return best

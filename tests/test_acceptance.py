@@ -131,10 +131,10 @@ def test_criterion_5_carleson_embedding(emit, console):
     for seed in range(100):
         rng = np.random.default_rng(seed)
         mu = MeasureGrid(lat, rng.uniform(0.05, 2.0, lat.n_leaves))
-        raw = CarlesonSequence(lat, {q: float(rng.uniform(0.0, 1.0))
-                                     for q in lat.active_cubes})
+        raw = CarlesonSequence(lat, [rng.uniform(0.0, 1.0)
+                                     for _ in lat.active_cubes])
         c = carleson_constant(raw, mu)
-        seq = CarlesonSequence(lat, {q: a / c for q, a in raw.values.items()})
+        seq = CarlesonSequence(lat, raw.values / c)
         worst = max(worst, embedding_constant(seq, mu))
     console("depth embedding_constant")
     prev_seq, prev, monotone = None, 0.0, True

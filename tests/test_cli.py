@@ -155,7 +155,10 @@ def test_unknown_suite_rejected(tmp_path):
     {"mu": {"type": "explicit", "mass": [float("nan")] + [1.0] * 7}},
     {"mu": {"type": "explicit", "mass": [1.0] * 5}},
     {"operator": {"type": "no_such_operator"}},
-], ids=["nan_mass", "wrong_length_mass", "unknown_operator"])
+    {"operator": dict(BASE_CONFIG["operator"], amplitude=float("nan"))},
+    {"operator": dict(BASE_CONFIG["operator"], root_amplitude=float("nan"))},
+], ids=["nan_mass", "wrong_length_mass", "unknown_operator", "nan_amplitude",
+        "nan_root_amplitude"])
 def test_bad_instance_exits_2_without_checks(tmp_path, capsys, change):
     code, _ = run_cli(tmp_path, dict(BASE_CONFIG, **change), "testing")
     assert code == 2
@@ -170,3 +173,42 @@ def test_necessity_and_ordering_overrides_reach_checks(tmp_path):
     report = read_report(out)
     assert report["tolerances"]["necessity"] == -1e6
     assert not any(c["passed"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("suite", ["verify", "decompose"])
+def test_radius_not_below_depth_exits_2(tmp_path, capsys, suite):
+    code, _ = run_cli(tmp_path, dict(BASE_CONFIG, r=3), suite)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "[pass]" not in captured.out
+    assert "depth" in captured.err
+
+
+def test_search_suite_rejects_what_verify_rejects(tmp_path, capsys):
+    bad = dict(BASE_CONFIG, search={"iterations": 3},
+               mu={"type": "explicit", "mass": [float("nan")] + [1.0] * 7})
+    for suite in ("search", "verify"):
+        code, _ = run_cli(tmp_path, bad, suite, out_name=suite)
+        assert code == 2
+    assert "[pass]" not in capsys.readouterr().out
+
+
+def test_embedding_override_reaches_check(tmp_path):
+    code, out = run_cli(tmp_path, BASE_CONFIG, "carleson",
+                        extra=["--tolerance-override", "embedding=-1e6"])
+    assert code == 1
+    report = read_report(out)
+    assert report["tolerances"]["embedding"] == -1e6
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["embedding_le_4_carleson"]
+
+
+def test_replay_override_reaches_check(tmp_path):
+    config = dict(BASE_CONFIG, search={"iterations": 5})
+    _, out = run_cli(tmp_path, config, "search")
+    artifact_path = os.path.join(out, "artifact.json")
+    replay_out = str(tmp_path / "replay")
+    assert main(["--replay", artifact_path, "--out", replay_out]) == 0
+    assert main(["--replay", artifact_path, "--out", replay_out,
+                 "--tolerance-override", "replay=-1"]) == 1
+    assert not read_report(replay_out)["passed"]

@@ -165,3 +165,23 @@ def test_cube_validation():
         Cube(0, 0, ())
     with pytest.raises(ValueError):
         Cube(2, 0, (1,))
+
+
+@pytest.mark.parametrize("dim,depth,coords", [
+    (1, 4, [(0,)]), (1, 3, [(-1,), (0,), (2,)]), (2, 2, [(0, 0)]),
+    (2, 3, [(0, 0), (1, -1)])])
+def test_index_arrays_against_cube_enumeration(dim, depth, coords):
+    from loop_oracle import loop_leaf_indices
+    lat = build_lattice(dim, 0, -depth, roots=[Cube(dim, 0, c) for c in coords])
+    cubes = lat.active_cubes
+    assert [cubes[i] for i in lat.cube_index.values()] == list(cubes)
+    assert lat.children_index.shape == (len(lat.nonleaf_cubes), 2 ** dim)
+    for q, kids in zip(lat.nonleaf_cubes, lat.children_index):
+        assert [cubes[i] for i in kids] == q.children()
+    for q in cubes:
+        assert lat.leaf_indices(q).tolist() == loop_leaf_indices(lat, q).tolist()
+        assert lat.is_active(q)
+        far = 16 << (lat.top_level - q.level)  # 16 root widths away
+        assert not lat.is_active(Cube(dim, q.level, tuple(c + far for c in q.coords)))
+    assert not lat.is_active(Cube(dim, 1, (0,) * dim))
+    assert not lat.is_active(Cube(dim, -depth - 1, (0,) * dim))

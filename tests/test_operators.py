@@ -9,6 +9,7 @@ from haarlab import (Cube, GridFunction, HaarIndex, InducedOperator,
 from haarlab.operators import comparable_pairing_count
 
 from conftest import random_instance, random_weights
+from loop_oracle import loop_check_well_localized, loop_comparable_pairing_count
 
 
 def test_haar_system_is_orthonormal():
@@ -215,3 +216,21 @@ def test_comparable_pairing_count_bounds():
     t1 = random_instance(1, 4, 1, seed=3)
     # a cube pairs with itself, its parent and its two children at most
     assert 1 <= comparable_pairing_count(t1, 1) <= 4
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("dim,depth,r", [(1, 3, 0), (1, 4, 1), (1, 4, 2),
+                                         (2, 3, 1), (2, 3, 0)])
+def test_locality_scans_match_loop_oracle(dim, depth, r, dense):
+    seed = dim * 100 + depth * 10 + r
+    t = random_instance(dim, depth, r, seed, zero_fraction=0.25, root_amplitude=0.5)
+    if dense:
+        rng = np.random.default_rng(seed)
+        t = InducedOperator.from_leaf_matrix(
+            rng.standard_normal(t.matrix.shape), t.mu, t.nu)
+    rep = check_well_localized(t, r)
+    assert rep == loop_check_well_localized(t, r)
+    assert rep.passed != dense
+    for radius in range(r + 2):
+        assert (comparable_pairing_count(t, radius)
+                == loop_comparable_pairing_count(t, radius))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from haarlab import (CarlesonSequence, Cube, GridFunction, InducedOperator,
                      MeasureGrid, build_lattice, build_paraproduct,
@@ -8,6 +10,18 @@ from haarlab import (CarlesonSequence, Cube, GridFunction, InducedOperator,
                      paraproduct_structure_verify, remainder_diagonals, uniform_measure)
 
 from conftest import random_instance
+from loop_oracle import (loop_carleson_constant, loop_carleson_property,
+                         loop_cube_masses, loop_embedding_constant,
+                         loop_paraproduct_structure_verify,
+                         loop_remainder_diagonals, loop_subtree_sums)
+
+
+def seq_of(lat, values):
+    """A Carleson sequence from a {cube: a_Q} mapping; absent cubes are 0."""
+    a = np.zeros(len(lat.active_cubes))
+    for q, v in values.items():
+        a[lat.cube_index[q]] = v
+    return CarlesonSequence(lat, a)
 
 
 def test_paraproduct_of_zero_operator_is_zero():
@@ -82,14 +96,14 @@ def test_carleson_sequence_zero_for_zero_operator():
     leb = uniform_measure(lat)
     t = induce(haar_multiplier(lat, 0.0), leb, leb)
     seq = carleson_sequence(t, 1)
-    assert all(v == 0.0 for v in seq.values.values())
+    assert all(v == 0.0 for v in seq.values)
 
 
 def test_carleson_sequence_against_direct_recomputation():
     t = random_instance(1, 4, 1, seed=33, zero_fraction=0.2)
     lat, nu = t.lattice, t.nu
     seq = carleson_sequence(t, 1)
-    for q in lat.active_cubes:
+    for q, got in zip(lat.active_cubes, seq.values):
         want = 0.0
         if q.level - 1 >= lat.leaf_level + 1:
             t_chi = GridFunction(lat, t.matrix @ lat.indicator(q))
@@ -97,44 +111,56 @@ def test_carleson_sequence_against_direct_recomputation():
                 if q.contains(rr):
                     d = nu.martingale_difference(t_chi, rr)
                     want += nu.inner(d, d)
-        assert seq.get(q) == pytest.approx(want, abs=1e-12)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_negative_carleson_values_rejected():
     lat = build_lattice(1, 0, -2)
     with pytest.raises(ValueError):
-        CarlesonSequence(lat, {Cube(1, 0, (0,)): -1.0})
+        seq_of(lat, {Cube(1, 0, (0,)): -1.0})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_carleson_values_rejected(bad):
+    lat = build_lattice(1, 0, -2)
+    with pytest.raises(ValueError, match="finite"):
+        seq_of(lat, {Cube(1, -1, (1,)): bad})
+
+
+def test_carleson_values_need_one_per_active_cube():
+    lat = build_lattice(1, 0, -2)
+    with pytest.raises(ValueError):
+        CarlesonSequence(lat, np.zeros(len(lat.active_cubes) - 1))
 
 
 def test_subtree_sums_by_brute_force():
     lat = build_lattice(1, 0, -3)
     rng = np.random.default_rng(2)
-    seq = CarlesonSequence(lat, {q: float(rng.uniform(0, 1))
-                                 for q in lat.active_cubes})
+    seq = CarlesonSequence(lat, [rng.uniform(0, 1) for _ in lat.active_cubes])
     sums = seq.subtree_sums()
-    for q in lat.active_cubes:
-        want = sum(a for p, a in seq.values.items() if q.contains(p))
-        assert sums[q] == pytest.approx(want)
+    for q, got in zip(lat.active_cubes, sums):
+        want = sum(a for p, a in zip(lat.active_cubes, seq.values) if q.contains(p))
+        assert got == pytest.approx(want)
 
 
 def test_carleson_constant_of_root_mass():
     lat = build_lattice(1, 0, -3)
     mu = uniform_measure(lat)
-    seq = CarlesonSequence(lat, {lat.roots[0]: mu.total_mass})
+    seq = seq_of(lat, {lat.roots[0]: mu.total_mass})
     assert carleson_constant(seq, mu) == pytest.approx(1.0)
 
 
 def test_carleson_constant_infinite_on_zero_mass_support():
     lat = build_lattice(1, 0, -2)
     mu = MeasureGrid(lat, [0.0, 0.0, 1.0, 1.0])
-    seq = CarlesonSequence(lat, {Cube(1, -1, (0,)): 0.5})
+    seq = seq_of(lat, {Cube(1, -1, (0,)): 0.5})
     assert carleson_constant(seq, mu) == float("inf")
 
 
 def test_embedding_constant_single_root_term():
     lat = build_lattice(1, 0, -3)
     mu = uniform_measure(lat, total=1.0)
-    seq = CarlesonSequence(lat, {lat.roots[0]: 1.0})
+    seq = seq_of(lat, {lat.roots[0]: 1.0})
     assert embedding_constant(seq, mu) == pytest.approx(1.0)
 
 
@@ -142,12 +168,11 @@ def test_embedding_constant_against_dense_eigensolve():
     lat = build_lattice(1, 0, -3)
     rng = np.random.default_rng(6)
     mu = MeasureGrid(lat, rng.uniform(0.1, 2.0, lat.n_leaves))
-    seq = CarlesonSequence(lat, {q: float(rng.uniform(0, 1))
-                                 for q in lat.active_cubes})
+    seq = CarlesonSequence(lat, [rng.uniform(0, 1) for _ in lat.active_cubes])
     # quadratic form sum_Q a_Q |E_Q f|^2 as a matrix against the mu form
     n = lat.n_leaves
     a_mat = np.zeros((n, n))
-    for q, a in seq.values.items():
+    for q, a in zip(lat.active_cubes, seq.values):
         ind = lat.indicator(q)
         w = ind * mu.leaf_mass / mu.mass(q)
         a_mat += a * np.outer(w, w)
@@ -162,8 +187,7 @@ def test_embedding_bounded_by_four_times_carleson():
         lat = build_lattice(1, 0, -4)
         rng = np.random.default_rng(seed)
         mu = MeasureGrid(lat, rng.uniform(0.0, 2.0, lat.n_leaves))
-        seq = CarlesonSequence(lat, {q: float(rng.uniform(0, 1))
-                                     for q in lat.active_cubes})
+        seq = CarlesonSequence(lat, [rng.uniform(0, 1) for _ in lat.active_cubes])
         c = carleson_constant(seq, mu)
         if not np.isfinite(c) or c == 0.0:
             continue
@@ -179,3 +203,76 @@ def test_carleson_property_of_induced_operators(dim, depth, r):
     assert rep.passed
     assert rep.max_excess <= 1e-10
     assert rep.local_testing_constant >= 0.0
+
+
+@st.composite
+def carleson_instances(draw):
+    """Multi-root 1D/2D lattices, measures with zero-mass leaves and sparse
+    or dense Carleson sequences (2D stops at depth 3 to keep it quick)."""
+    dim = draw(st.sampled_from([1, 2]))
+    depth = draw(st.integers(1, 5 if dim == 1 else 3))
+    coords = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True))
+    lat = build_lattice(dim, 0, -depth,
+                        [Cube(dim, 0, (c,) + (0,) * (dim - 1)) for c in coords])
+    masses = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]),
+                       st.floats(0.01, 4.0))
+    mu = MeasureGrid(lat, draw(arrays(float, lat.n_leaves, elements=masses)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = len(lat.active_cubes)
+    if draw(st.booleans()):
+        a = rng.uniform(0.0, 2.0, n)
+    else:  # small exact values, so that sums and ratios tie exactly
+        a = rng.choice([0.25, 0.5, 1.0], n)
+    a = a * (rng.random(n) < draw(st.sampled_from([0.05, 0.3, 1.0])))
+    return lat, mu, a
+
+
+@settings(max_examples=120, deadline=None)
+@given(inst=carleson_instances(), sparse_dict=st.booleans())
+def test_carleson_layer_matches_loop_oracle(inst, sparse_dict):
+    lat, mu, a = inst
+    seq = CarlesonSequence(lat, a)
+    values = {q: v for q, v in zip(lat.active_cubes, a.tolist())
+              if v or not sparse_dict}
+    masses = loop_cube_masses(mu)
+    assert mu.cube_masses.tolist() == [masses[q] for q in lat.active_cubes]
+    want = loop_subtree_sums(lat, values)
+    assert seq.subtree_sums().tolist() == [want[q] for q in lat.active_cubes]
+    assert carleson_constant(seq, mu) == loop_carleson_constant(lat, values, masses)
+    assert embedding_constant(seq, mu) == loop_embedding_constant(lat, values, mu, masses)
+
+
+@pytest.mark.parametrize("dim,depth,r,zero_fraction", [
+    (1, 4, 1, 0.0), (1, 5, 2, 0.3), (2, 3, 1, 0.2), (2, 2, 0, 0.5)])
+def test_carleson_property_matches_loop_oracle(dim, depth, r, zero_fraction):
+    t = random_instance(dim, depth, r, seed=dim * 100 + depth * 10 + r,
+                        zero_fraction=zero_fraction, root_amplitude=0.4)
+    seq = carleson_sequence(t, r)
+    values = dict(zip(t.lattice.active_cubes, seq.values.tolist()))
+    assert carleson_property(t, seq) == loop_carleson_property(t, values)
+
+
+def _dense_instance(dim, depth, seed, zero_fraction):
+    lat = build_lattice(dim, 0, -depth)
+    rng = np.random.default_rng(seed)
+    mass = rng.uniform(0.1, 2.0, (2, lat.n_leaves))
+    mass[rng.random(mass.shape) < zero_fraction] = 0.0
+    return InducedOperator.from_leaf_matrix(
+        rng.standard_normal((lat.n_leaves, lat.n_leaves)),
+        MeasureGrid(lat, mass[0]), MeasureGrid(lat, mass[1]))
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("dim,depth,r", [(1, 3, 0), (1, 4, 1), (1, 5, 2),
+                                         (2, 2, 0), (2, 3, 1)])
+def test_structure_and_remainder_match_loop_oracle(dim, depth, r, dense):
+    seed = dim * 100 + depth * 10 + r
+    t = (_dense_instance(dim, depth, seed, 0.2) if dense else
+         random_instance(dim, depth, r, seed, zero_fraction=0.2, root_amplitude=0.4))
+    pis = {side: build_paraproduct(t, r, side=side) for side in ("mu", "nu")}
+    for pi in pis.values():
+        got = paraproduct_structure_verify(pi, t, r)
+        assert got == loop_paraproduct_structure_verify(pi, t, r)
+        assert got.passed != dense
+    assert (remainder_diagonals(t, pis["mu"], pis["nu"])
+            == loop_remainder_diagonals(t, pis["mu"], pis["nu"]))

@@ -7,6 +7,8 @@ from haarlab import (SearchConfig, build_lattice, carleson_constant,
                      extremal_search, greedy_embedding_sequence,
                      replay_artifact, uniform_measure)
 
+from loop_oracle import loop_greedy_embedding_sequence
+
 
 CFG = SearchConfig(dim=1, top_level=0, leaf_level=-3, r=1, seed=7,
                    iterations=30, root_amplitude=0.3)
@@ -73,3 +75,31 @@ def test_greedy_embedding_nondecreasing_with_depth():
         assert const >= prev - 1e-12
         assert const <= 4.0 + 1e-9
         prev = const
+
+
+def test_greedy_scan_matches_loop_oracle_bit_for_bit():
+    # the chained seed-0 scan of acceptance criterion 5
+    seq = ref = None
+    for depth in range(3, 11):
+        seq, const = greedy_embedding_sequence(depth, seed=0, iterations=30,
+                                               init=seq)
+        ref, want = loop_greedy_embedding_sequence(depth, seed=0,
+                                                   iterations=30, init=ref)
+        assert float(const).hex() == float(want).hex()
+        assert ([float(a).hex() for a in seq.values]
+                == [float(ref.get(q, 0.0)).hex() for q in seq.lattice.active_cubes])
+
+
+def test_replay_tolerance_is_a_parameter():
+    artifact = extremal_search(CFG).to_artifact()
+    artifact["rho"] *= 1 + 1e-9
+    assert not replay_artifact(artifact)[0]
+    assert replay_artifact(artifact, tol=1e-6)[0]
+    assert not replay_artifact(extremal_search(CFG).to_artifact(), tol=-1.0)[0]
+
+
+@pytest.mark.parametrize("stored", [float("nan"), float("inf")])
+def test_replay_rejects_non_finite_stored_constants(stored):
+    artifact = json.loads(json.dumps(extremal_search(CFG).to_artifact()))
+    artifact["constants"]["c_diag"] = stored
+    assert not replay_artifact(json.loads(json.dumps(artifact)))[0]
