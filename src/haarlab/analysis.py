@@ -153,16 +153,13 @@ def decomposition_identity(t_mu: InducedOperator, r: int, f: GridFunction,
     term_pi_mu = nu.inner(pi_mu.apply(f_fluct), g)
     term_pi_nu = mu.inner(f, pi_nu.apply(g_fluct))
 
-    deltas_f = {q: mu.martingale_difference(f, q).values
-                for q in lattice.nonleaf_cubes}
-    deltas_g = {q: nu.martingale_difference(g, q).values
-                for q in lattice.nonleaf_cubes}
-    comparable = 0.0
-    for q, df in deltas_f.items():
-        tdf = t_mu.matrix @ df
-        for rq, dg in deltas_g.items():
-            if abs(rq.level - q.level) <= r:
-                comparable += float(np.sum(tdf * dg * nu.leaf_mass))
+    # sum over comparable levels j, k of <T_mu Delta_j f, Delta_k g>_nu, where
+    # Delta_j is the sum of Delta_Q over the cubes Q at level j
+    levels = np.arange(lattice.top_level, lattice.leaf_level, -1)
+    delta_f = mu.level_deltas(f.values, levels)
+    delta_g = nu.level_deltas(g.values, levels) * nu.leaf_mass
+    pairs = delta_f @ t_mu.matrix.T @ delta_g.T
+    comparable = float(pairs[np.abs(levels[:, None] - levels) <= r].sum())
 
     mean_terms = (nu.inner(t_mu.apply(f_mean), g)
                   + nu.inner(t_mu.apply(f_fluct), g_mean))

@@ -187,17 +187,45 @@ class Lattice:
         return 2.0 ** (self.leaf_level * self.dim)
 
     @cached_property
-    def _subtree_leaves(self) -> dict[Cube, np.ndarray]:
-        # leaves close active_cubes in leaf order; parents precede children
+    def ancestor_index(self) -> np.ndarray:
+        """(depth + 1) x leaves: row k holds the active position of each
+        leaf's ancestor at level top_level - k; the last row holds the
+        leaves' own positions (leaves close active_cubes in leaf order)."""
         kids = self.children_index
-        idx = [None] * len(kids) + list(np.arange(self.n_leaves, dtype=np.intp)[:, None])
-        for p in range(len(kids) - 1, -1, -1):
-            idx[p] = np.sort(np.concatenate([idx[c] for c in kids[p]]))
-        return dict(zip(self.active_cubes, idx))
+        parent = np.zeros(len(self.active_cubes), dtype=np.intp)
+        parent[kids] = np.arange(len(kids))[:, None]
+        rows = [len(kids) + np.arange(self.n_leaves)]
+        for _ in range(self.depth):
+            rows.append(parent[rows[-1]])
+        x = np.array(rows[::-1])
+        x.flags.writeable = False
+        return x
+
+    @cached_property
+    def level_leaves(self) -> tuple[np.ndarray, ...]:
+        """Row k of ancestor_index inverted: a table of the cubes at level
+        top_level - k (rows, in active_cubes order) by their leaves
+        (ascending).  Gathers through it keep each cube's leaves in the
+        order that np.sum over leaf_indices sees them."""
+        tables = []
+        for k, row in enumerate(self.ancestor_index):
+            x = np.argsort(row, kind="stable").reshape(len(self.roots) << (self.dim * k), -1)
+            x.flags.writeable = False
+            tables.append(x)
+        return tuple(tables)
+
+    @cached_property
+    def cube_leaves(self) -> tuple[np.ndarray, ...]:
+        """Leaf indices (ascending) of each active cube, by active position."""
+        return tuple(row for table in self.level_leaves for row in table)
+
+    @cached_property
+    def _first_leaf(self) -> np.ndarray:
+        return np.concatenate([table[:, 0] for table in self.level_leaves])
 
     def leaf_indices(self, q: Cube) -> np.ndarray:
         """Indices of the leaves contained in an active cube q."""
-        return self._subtree_leaves[q]
+        return self.cube_leaves[self.cube_index[q]]
 
     def indicator(self, q: Cube) -> np.ndarray:
         """Leaf-vector indicator of an active cube."""
@@ -213,9 +241,36 @@ class Lattice:
     @cached_property
     def membership(self) -> np.ndarray:
         """Leaves x active cubes indicator matrix (layout: class docstring)."""
-        x = np.array([self.indicator(q) for q in self.active_cubes]).T
+        x = np.zeros((len(self.active_cubes), self.n_leaves))
+        x[self.ancestor_index, np.arange(self.n_leaves)] = 1.0
+        x = x.T
         x.flags.writeable = False
         return x
+
+    def ancestor_keys(self, positions: np.ndarray, level: int) -> np.ndarray:
+        """A key for the ancestor at `level` of each active cube in
+        `positions` (cubes above `level` get meaningless keys): its active
+        position up to top_level, above it the index of the roots' common
+        ancestor.  Two cubes have the same ancestor iff their keys agree."""
+        first = self._first_leaf[positions]
+        k = self.top_level - level
+        if k >= 0:
+            return self.ancestor_index[k, first]
+        keys = {}
+        root_key = np.array([keys.setdefault(tuple(c >> -k for c in root.coords), len(keys))
+                             for root in self.roots])
+        return root_key[self.ancestor_index[0, first]]
+
+    def inside(self, inner: np.ndarray, outer: np.ndarray, up: int = 0) -> np.ndarray:
+        """Boolean matrix [i, j]: active cube inner[i] lies inside the up-th
+        ancestor of active cube outer[j] (positions in active_cubes)."""
+        li, lo = self.levels[inner], self.levels[outer]
+        out = li[:, None] <= lo[None, :] + up
+        for level in set(lo.tolist()):
+            cols = np.flatnonzero(lo == level)
+            out[:, cols] &= (self.ancestor_keys(inner, level + up)[:, None]
+                             == self.ancestor_keys(outer[cols], level + up)[None, :])
+        return out
 
 
 def build_lattice(dim: int, top_level: int, leaf_level: int,

@@ -90,8 +90,8 @@ class MeasureGrid:
     @cached_property
     def cube_masses(self) -> np.ndarray:
         """mu(Q) per active cube, in active_cubes order."""
-        m = np.array([self.leaf_mass[self.lattice.leaf_indices(q)].sum()
-                      for q in self.lattice.active_cubes])
+        m = np.concatenate([self.leaf_mass[table].sum(axis=-1)
+                            for table in self.lattice.level_leaves])
         m.flags.writeable = False
         return m
 
@@ -124,11 +124,14 @@ class MeasureGrid:
 
     def average(self, f: GridFunction, q: Cube) -> float:
         """mu(q)^-1 * integral of f over q; 0 when mu(q) = 0."""
-        idx = self.lattice.leaf_indices(q)
-        m = float(self.leaf_mass[idx].sum())
+        return self._average(f.values, self.lattice.cube_index[q])
+
+    def _average(self, values: np.ndarray, i: int) -> float:
+        m = self.cube_masses[i]
         if m == 0.0:
             return 0.0
-        return float(np.sum(f.values[idx] * self.leaf_mass[idx]) / m)
+        idx = self.lattice.cube_leaves[i]
+        return float(np.sum(values[idx] * self.leaf_mass[idx]) / m)
 
     def expectation(self, f: GridFunction, q: Cube) -> GridFunction:
         """E_Q f: the average of f on q, as a function supported on q."""
@@ -140,11 +143,41 @@ class MeasureGrid:
         """Delta_Q f: on each child of q, (average on child) - (average on q)."""
         if self.lattice.is_leaf(q):
             raise ValueError(f"cube {q} is a leaf, no martingale difference")
-        out = np.zeros(self.lattice.n_leaves)
-        base = self.average(f, q)
-        for child in q.children():
-            out[self.lattice.leaf_indices(child)] = self.average(f, child) - base
-        return GridFunction(self.lattice, out)
+        lattice = self.lattice
+        i = lattice.cube_index[q]
+        out = np.zeros(lattice.n_leaves)
+        base = self._average(f.values, i)
+        for c in lattice.children_index[i]:
+            out[lattice.cube_leaves[c]] = self._average(f.values, c) - base
+        return GridFunction(lattice, out)
+
+    def level_deltas(self, values: np.ndarray, levels) -> np.ndarray:
+        """Martingale differences of every cube at the given non-leaf levels
+        at once.
+
+        `values` holds leaf vectors along its last axis: one vector, or the
+        rows of a matrix such as (op @ lattice.membership).T.  The result
+        has shape values.shape[:-1] + (len(levels), n_leaves); entry
+        [..., k, i] is Delta_Q v at leaf i for the cube Q at levels[k] that
+        contains leaf i, so [..., k, :] is the sum of Delta_Q v over the
+        cubes Q at that level.  It is 0 on the leaves of zero-mass children.
+        Averages gather each cube's leaves through lattice.level_leaves, so
+        they are summed in the order np.sum uses on leaf_indices(Q).
+        """
+        lattice = self.lattice
+        anc = lattice.ancestor_index
+        rows = [lattice.top_level - level for level in levels]
+        avg = np.zeros(np.shape(values)[:-1] + (len(lattice.active_cubes),))
+        for k in set(rows) | {k + 1 for k in rows}:
+            table = lattice.level_leaves[k]
+            pos = anc[k, table[:, 0]]
+            sums = np.ascontiguousarray(
+                values[..., table] * self.leaf_mass[table]).sum(axis=-1)
+            m = self.cube_masses[pos]
+            avg[..., pos] = np.divide(sums, m, out=np.zeros_like(sums), where=m > 0)
+        return np.stack([np.where(self.cube_masses[anc[k + 1]] > 0,
+                                  avg[..., anc[k + 1]] - avg[..., anc[k]], 0.0)
+                         for k in rows], axis=-2)
 
     def weighted_haar_basis(self, q: Cube) -> WeightedHaarBasis:
         """Deterministic orthonormal basis of the mean-zero child span on q.
@@ -181,15 +214,21 @@ class MeasureGrid:
                 funcs.append(GridFunction(self.lattice, leafvals))
         return WeightedHaarBasis(cube=q, functions=tuple(funcs))
 
-    def haar_rows(self) -> tuple[list[Cube], np.ndarray]:
-        """The weighted Haar bases of all non-leaf cubes stacked as rows,
-        plus the cube of each row."""
+    @cached_property
+    def haar_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cubes, rows): the weighted Haar bases of all non-leaf cubes
+        stacked as rows, and the active position of each row's cube.
+        Built once per measure; both arrays are read-only."""
+        lattice = self.lattice
         cubes, rows = [], []
-        for q in self.lattice.nonleaf_cubes:
+        for i, q in enumerate(lattice.nonleaf_cubes):
             for h in self.weighted_haar_basis(q):
-                cubes.append(q)
+                cubes.append(i)
                 rows.append(h.values)
-        return cubes, np.array(rows).reshape(len(cubes), self.lattice.n_leaves)
+        cubes = np.array(cubes, dtype=np.intp)
+        rows = np.array(rows).reshape(len(cubes), lattice.n_leaves)
+        cubes.flags.writeable = rows.flags.writeable = False
+        return cubes, rows
 
     def martingale_decompose(self, f: GridFunction):
         """All martingale differences plus root averages.
@@ -215,23 +254,14 @@ class MeasureGrid:
 
     def delta_level_within(self, values: np.ndarray, level: int,
                            q: Cube) -> np.ndarray:
-        """Sum of Delta_R over the cubes R inside q at the given level.
-
-        Operates on raw leaf vectors; used by the paraproduct assembly.
-        """
-        mass = self.leaf_mass
-        out = np.zeros_like(values)
-        cubes = [r for r in self.lattice.cubes_at_level(level) if q.contains(r)]
-        for r in cubes:
-            ridx = self.lattice.leaf_indices(r)
-            mr = float(mass[ridx].sum())
-            base = float(np.sum(values[ridx] * mass[ridx]) / mr) if mr > 0 else 0.0
-            for child in r.children():
-                cidx = self.lattice.leaf_indices(child)
-                mc = float(mass[cidx].sum())
-                if mc > 0:
-                    out[cidx] = float(np.sum(values[cidx] * mass[cidx]) / mc) - base
-        return out
+        """Sum of Delta_R over the cubes R inside q at the given level: the
+        level_deltas row of that level, restricted to q."""
+        lattice = self.lattice
+        if level > q.level:
+            return np.zeros(lattice.n_leaves)
+        inside = (lattice.ancestor_index[lattice.top_level - q.level]
+                  == lattice.cube_index[q])
+        return np.where(inside, self.level_deltas(values, [level])[0], 0.0)
 
 
 def uniform_measure(lattice: Lattice, total: float | None = None) -> MeasureGrid:

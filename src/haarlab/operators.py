@@ -281,10 +281,19 @@ def induce(band: BandOperator, mu: MeasureGrid, nu: MeasureGrid) -> InducedOpera
 def _haar_pairings(op_matrix: np.ndarray, out_measure: MeasureGrid,
                    lattice: Lattice):
     """Matrix of <Op chi_Q, h_R^w>_w over non-leaf R (rows, stacked by basis
-    element) and all active Q (columns); also the row cube of each row."""
-    row_cubes, rows = out_measure.haar_rows()
+    element) and all active Q (columns); also the active position of the
+    cube of each row."""
+    row_cubes, rows = out_measure.haar_rows
     pair = (rows * out_measure.leaf_mass) @ (op_matrix @ lattice.membership)
     return pair, row_cubes
+
+
+def haar_block(matrix: np.ndarray, in_measure: MeasureGrid,
+               out_measure: MeasureGrid) -> np.ndarray:
+    """<matrix h_Q, h_R>_out over the out_measure Haar rows R (rows) and
+    the in_measure Haar rows Q (columns)."""
+    out_rows, in_rows = out_measure.haar_rows[1], in_measure.haar_rows[1]
+    return (out_rows * out_measure.leaf_mass) @ matrix @ in_rows.T
 
 
 @dataclass(frozen=True)
@@ -317,18 +326,20 @@ def check_well_localized(t_mu: InducedOperator, r: int,
     if scale == 0.0:
         return WellLocalizedReport(True, r, 0.0, 0.0, None, 0)
     cubes = lattice.active_cubes
+    # over non-leaf R (rows) x active Q: side(R) <= side(Q) and R outside
+    # the r-th grandparent of Q, or side(R) <= 2^-r side(Q) and R outside Q
+    nonleaf, every = np.arange(len(lattice.nonleaf_cubes)), np.arange(len(cubes))
+    lr, lq = lattice.levels[nonleaf][:, None], lattice.levels[None, :]
+    pattern = (lr <= lq) & (~lattice.inside(nonleaf, every, up=r)
+                            | ((lr <= lq - r) & ~lattice.inside(nonleaf, every)))
     worst, witness, checked = 0.0, None, 0
     for direction, (pair, row_cubes) in zip(("direct", "adjoint"), scans):
-        flagged = np.array([[rc.level <= q.level and (
-                                not q.ancestor(r).contains(rc)
-                                or (rc.level <= q.level - r and not q.contains(rc)))
-                             for q in cubes] for rc in row_cubes], dtype=bool)
-        flagged = flagged.reshape(pair.shape)
+        flagged = pattern[row_cubes]
         checked += int(np.count_nonzero(flagged))
         v = np.where(flagged, np.abs(pair) / scale, 0.0)
         if v.size and np.max(v) > worst:  # witness: the first worst pair
             i, j = divmod(int(np.argmax(v)), len(cubes))
-            worst, witness = float(v[i, j]), (direction, cubes[j], row_cubes[i])
+            worst, witness = float(v[i, j]), (direction, cubes[j], cubes[row_cubes[i]])
     return WellLocalizedReport(passed=worst <= tol, r=r, max_violation=worst,
                                scale=scale, witness=witness,
                                checked_pairs=checked)
@@ -339,18 +350,17 @@ def comparable_pairing_count(t_mu: InducedOperator, r: int,
     """Max over Q of the number of comparable-scale cubes R whose weighted
     Haar block against Q is nonzero; finite and bounded in terms of the
     dimension and r only."""
-    mu_cubes, mu_rows = t_mu.mu.haar_rows()
-    nu_cubes, nu_rows = t_mu.nu.haar_rows()
-    if not mu_cubes or not nu_cubes:
+    mu_cubes, nu_cubes = t_mu.mu.haar_rows[0], t_mu.nu.haar_rows[0]
+    if not mu_cubes.size or not nu_cubes.size:
         return 0
-    block = (nu_rows * t_mu.nu.leaf_mass) @ t_mu.matrix @ mu_rows.T
+    block = haar_block(t_mu.matrix, t_mu.mu, t_mu.nu)
     scale = float(np.max(np.abs(block)))
     if scale == 0.0:
         return 0
-    index = t_mu.lattice.cube_index
-    levels = np.subtract.outer([c.level for c in nu_cubes], [c.level for c in mu_cubes])
-    hit = np.zeros((len(index), len(index)), dtype=bool)  # R, Q with a nonzero block
-    np.logical_or.at(hit, (np.array([index[c] for c in nu_cubes])[:, None],
-                           np.array([index[c] for c in mu_cubes])),
-                     (np.abs(block) / scale > tol) & (np.abs(levels) <= r))
+    levels = t_mu.lattice.levels
+    n = len(levels)
+    hit = np.zeros((n, n), dtype=bool)  # R, Q with a nonzero block
+    np.logical_or.at(hit, (nu_cubes[:, None], mu_cubes),
+                     (np.abs(block) / scale > tol)
+                     & (np.abs(np.subtract.outer(levels[nu_cubes], levels[mu_cubes])) <= r))
     return int(hit.sum(axis=0).max())

@@ -10,7 +10,7 @@ import numpy as np
 
 from .lattice import Lattice
 from .measures import GridFunction, MeasureGrid
-from .operators import InducedOperator, ZERO_TOL
+from .operators import InducedOperator, ZERO_TOL, haar_block
 
 
 @dataclass(frozen=True)
@@ -51,29 +51,37 @@ def build_paraproduct(t_mu: InducedOperator, r: int, side: str = "mu",
         op, avg_measure, delta_measure = t_mu.adjoint_matrix, t_mu.nu, t_mu.mu
     else:
         raise ValueError(f"side must be 'mu' or 'nu', got {side!r}")
-    w_rows = []
-    a_rows = []
-    for q in lattice.active_cubes:
-        if q.level - r < lattice.leaf_level + 1:
-            continue
-        mq = avg_measure.mass(q)
-        if mq == 0.0:
-            continue
-        big = q
-        for _ in range(enlarge):
-            cand = big.parent()
-            if not lattice.is_active(cand):
-                break
-            big = cand
-        t_chi = op @ lattice.indicator(big)
-        w_rows.append(delta_measure.delta_level_within(t_chi, q.level - r, q))
-        a_rows.append(lattice.indicator(q) * avg_measure.leaf_mass / mq)
+    mq = avg_measure.cube_masses
+    cubes = np.flatnonzero((lattice.levels - r >= lattice.leaf_level + 1) & (mq > 0))
     n = lattice.n_leaves
-    if not w_rows:
+    if not cubes.size:
         matrix = np.zeros((n, n))
     else:
-        matrix = np.array(w_rows).T @ np.array(a_rows)
+        w = _local_deltas(op, delta_measure, r, cubes, enlarge)
+        a = lattice.membership.T[cubes] * avg_measure.leaf_mass / mq[cubes][:, None]
+        matrix = w.T @ a
     return Paraproduct(source=t_mu, r=r, side=side, matrix=matrix)
+
+
+def _local_deltas(op: np.ndarray, measure: MeasureGrid, r: int,
+                  cubes: np.ndarray, enlarge: int = 0) -> np.ndarray:
+    """Row k: the sum of Delta_R (op chi_B) over the cubes R inside Q at
+    level(Q) - r, where Q is the active cube at position cubes[k] and B
+    the `enlarge`-th active ancestor of Q (the top cube when there are
+    fewer).  op chi_B is a stacked matrix-vector product per B, which
+    sums each entry in the same order as op @ lattice.indicator(B)."""
+    lattice = measure.lattice
+    anc = lattice.ancestor_index
+    levels = lattice.levels[cubes]
+    rows = np.zeros((cubes.size, lattice.n_leaves))
+    for level in set(levels.tolist()):
+        k = lattice.top_level - level
+        sel = np.flatnonzero(levels == level)
+        big = lattice.ancestor_keys(cubes[sel], min(level + enlarge, lattice.top_level))
+        t_chi = (op @ lattice.membership.T[big, :, None])[..., 0]
+        d = measure.level_deltas(t_chi, [level - r])[:, 0]
+        rows[sel] = np.where(anc[k] == cubes[sel][:, None], d, 0.0)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -94,18 +102,17 @@ def paraproduct_structure_verify(pi: Paraproduct, t_mu: InducedOperator, r: int,
         op, in_measure, out_measure = t_mu.matrix, t_mu.mu, t_mu.nu
     else:
         op, in_measure, out_measure = t_mu.adjoint_matrix, t_mu.nu, t_mu.mu
-    mu_cubes, mu_rows = in_measure.haar_rows()
-    nu_cubes, nu_rows = out_measure.haar_rows()
-    if not mu_cubes or not nu_cubes:
+    mu_cubes, nu_cubes = in_measure.haar_rows[0], out_measure.haar_rows[0]
+    if not mu_cubes.size or not nu_cubes.size:
         return ParaproductStructureReport(True, 0.0, 0.0, 0.0, 0.0, None)
-    weighted = nu_rows * out_measure.leaf_mass
-    g_pi = weighted @ pi.matrix @ mu_rows.T
-    g_t = weighted @ op @ mu_rows.T
+    g_pi = haar_block(pi.matrix, in_measure, out_measure)
+    g_t = haar_block(op, in_measure, out_measure)
     scale = max(float(np.max(np.abs(g_t))), float(np.max(np.abs(g_pi))))
     if scale == 0.0:
         return ParaproductStructureReport(True, 0.0, 0.0, 0.0, 0.0, None)
-    coarse = np.array([[rc.level >= qc.level - r for qc in mu_cubes] for rc in nu_cubes])
-    outside = np.array([[not qc.contains(rc) for qc in mu_cubes] for rc in nu_cubes])
+    levels = pi.lattice.levels
+    coarse = levels[nu_cubes][:, None] >= levels[mu_cubes][None, :] - r
+    outside = ~pi.lattice.inside(nu_cubes, mu_cubes)
     pi_dev = np.abs(g_pi) / scale
     devs = (np.where(coarse, pi_dev, 0.0), np.where(outside, pi_dev, 0.0),
             np.where(coarse, 0.0, np.abs(g_pi - g_t) / scale))
@@ -117,8 +124,9 @@ def paraproduct_structure_verify(pi: Paraproduct, t_mu: InducedOperator, r: int,
     witness = None
     if last is not None:
         i, j = divmod(last[0], len(mu_cubes))
+        cubes = pi.lattice.active_cubes
         witness = (("vanish_scale", "vanish_outside", "equality")[last[1]],
-                   mu_cubes[j], nu_cubes[i])
+                   cubes[mu_cubes[j]], cubes[nu_cubes[i]])
     return ParaproductStructureReport(passed=passed, scale=scale, max_dev_vanish_scale=dev1,
                          max_dev_vanish_outside=dev2, max_dev_equality=dev3,
                          witness=None if passed else witness)
@@ -137,22 +145,20 @@ class RemainderReport:
 def remainder_diagonals(t_mu: InducedOperator, pi_mu: Paraproduct,
                         pi_nu: Paraproduct, tol: float = ZERO_TOL) -> RemainderReport:
     r = pi_mu.r
-    mu_cubes, mu_rows = t_mu.mu.haar_rows()
-    nu_cubes, nu_rows = t_mu.nu.haar_rows()
-    if not mu_cubes or not nu_cubes:
+    mu, nu = t_mu.mu, t_mu.nu
+    mu_cubes, nu_cubes = mu.haar_rows[0], nu.haar_rows[0]
+    if not mu_cubes.size or not nu_cubes.size:
         return RemainderReport(True, 0.0, 0.0, 0.0)
-    nu_weighted = nu_rows * t_mu.nu.leaf_mass
-    mu_weighted = mu_rows * t_mu.mu.leaf_mass
-    g_t = nu_weighted @ t_mu.matrix @ mu_rows.T
-    g_pi = nu_weighted @ pi_mu.matrix @ mu_rows.T
+    g_t = haar_block(t_mu.matrix, mu, nu)
+    g_pi = haar_block(pi_mu.matrix, mu, nu)
     # <(Pi_nu)* h_Q^mu, h_R^nu>_nu = <h_Q^mu, Pi_nu h_R^nu>_mu
-    g_pin = (mu_weighted @ pi_nu.matrix @ nu_rows.T).T
+    g_pin = haar_block(pi_nu.matrix, nu, mu).T
     diff = np.abs(g_t - g_pi - g_pin)
     scale = float(np.max(np.abs(g_t)))
     if scale == 0.0:
         scale = max(float(np.max(diff)), 1.0)
-    far = np.abs(np.subtract.outer([c.level for c in nu_cubes],
-                                   [c.level for c in mu_cubes])) > r
+    levels = t_mu.lattice.levels
+    far = np.abs(np.subtract.outer(levels[nu_cubes], levels[mu_cubes])) > r
     off = float(np.max(diff[far] / scale, initial=0.0))
     in_band = float(np.max(diff[~far], initial=0.0))
     return RemainderReport(passed=off <= tol, scale=scale,
@@ -175,8 +181,11 @@ class CarlesonSequence:
         v = np.array(self.values, dtype=float)
         if v.shape != (len(self.lattice.active_cubes),):
             raise ValueError(f"expected one value per active cube, got shape {v.shape}")
-        if not np.all(np.isfinite(v) & (v >= 0)):
-            raise ValueError("Carleson values must be finite and nonnegative")
+        bad = ~(np.isfinite(v) & (v >= 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"Carleson values must be finite and nonnegative, got "
+                             f"{float(v[i])!r} at {self.lattice.active_cubes[i]}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -200,12 +209,10 @@ def carleson_sequence(t_mu: InducedOperator, r: int) -> CarlesonSequence:
     of Delta_R^nu T_mu chi_Q."""
     lattice = t_mu.lattice
     values = np.zeros(len(lattice.active_cubes))
-    for i, q in enumerate(lattice.active_cubes):
-        if q.level - r < lattice.leaf_level + 1:
-            continue
-        t_chi = t_mu.matrix @ lattice.indicator(q)
-        d = t_mu.nu.delta_level_within(t_chi, q.level - r, q)
-        values[i] = np.sum(d * d * t_mu.nu.leaf_mass)
+    cubes = np.flatnonzero(lattice.levels - r >= lattice.leaf_level + 1)
+    if cubes.size:
+        d = _local_deltas(t_mu.matrix, t_mu.nu, r, cubes)
+        values[cubes] = (d * d * t_mu.nu.leaf_mass).sum(axis=-1)
     return CarlesonSequence(lattice=lattice, values=values)
 
 
@@ -260,7 +267,7 @@ def embedding_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
         return 0.0
     k = np.zeros((sel.size, lattice.n_leaves))
     for row, i in enumerate(sel):
-        k[row, lattice.leaf_indices(lattice.active_cubes[i])] = 1.0
+        k[row, lattice.cube_leaves[i]] = 1.0
     k = k[:, pos] * np.sqrt(seq.values[sel])[:, None]
     k *= np.sqrt(mu.leaf_mass[pos])
     k /= m[sel][:, None]
@@ -279,13 +286,10 @@ class CarlesonPropertyReport:
 
 def carleson_property(t_mu: InducedOperator, seq: CarlesonSequence,
                       tol: float = 1e-10) -> CarlesonPropertyReport:
-    lattice = t_mu.lattice
-    bounds = []
-    for q in lattice.active_cubes:
-        ind = lattice.indicator(q)
-        out = (t_mu.matrix @ ind) * ind
-        bounds.append(np.sum(out * out * t_mu.nu.leaf_mass))
-    bounds = np.array(bounds)
+    x = t_mu.lattice.membership.T
+    # row Q: chi_Q T_mu chi_Q, one stacked matrix-vector product per cube
+    out = (t_mu.matrix @ x[:, :, None])[..., 0] * x
+    bounds = (out * out * t_mu.nu.leaf_mass).sum(axis=-1)
     excess = float(np.max((seq.subtree_sums() - bounds) / np.maximum(bounds, 1.0),
                           initial=0.0))
     m = t_mu.mu.cube_masses

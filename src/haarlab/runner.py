@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import math
 import os
 
 import numpy as np
@@ -25,6 +26,8 @@ from .search import SearchConfig, extremal_search, replay_artifact
 SCHEMA_VERSION = 1
 
 SUITES = ("verify", "testing", "carleson", "search", "decompose")
+
+SEARCH_FLOATS = ("amplitude", "root_amplitude", "weight_sigma", "step")
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -53,13 +56,22 @@ CONFIG_SCHEMA = {
         "suite": {"enum": list(SUITES)},
         "seed": {"type": "integer", "minimum": 0},
         "tolerances": {"type": "object"},
-        "search": {"type": "object"},
+        "search": {"type": "object", "properties": {
+            "iterations": {"type": "integer", "minimum": 0},
+            **{name: {"type": "number"} for name in SEARCH_FLOATS}}},
     },
 }
 
 DEFAULT_TOLERANCES = {"zero": 1e-12, "identity": 1e-10, "eigensolve": 1e-10,
                       "entrywise": 1e-9, "necessity": 1e-9, "ordering": 1e-12,
                       "embedding": 1e-9, "replay": 1e-12}
+
+
+# Budget for the dense arrays of one instance: the leaves x active cubes
+# membership matrix and DENSE_LEAF_MATRICES n x n leaf matrices (band leaf
+# matrix, Haar system, induced operator and adjoint, paraproducts, ...).
+MAX_DENSE_BYTES = 2 ** 31
+DENSE_LEAF_MATRICES = 8
 
 
 class ConfigError(ValueError):
@@ -74,6 +86,27 @@ def validate_config(config: dict) -> None:
     lat = config["lattice"]
     if lat["leaf_level"] >= lat["top_level"]:
         raise ConfigError("leaf_level must be strictly below top_level")
+    search = config.get("search", {})
+    bad = [name for name in SEARCH_FLOATS if not math.isfinite(search.get(name, 0.0))]
+    if bad:
+        raise ConfigError(f"search parameters must be finite: {', '.join(bad)}")
+    need = dense_bytes(lat)
+    if need > MAX_DENSE_BYTES:
+        raise ConfigError(f"instance needs about {need / 2 ** 30:.3g} GiB of dense "
+                          f"arrays, over the {MAX_DENSE_BYTES / 2 ** 30:g} GiB budget")
+
+
+def dense_bytes(lattice: dict) -> int:
+    """Bytes of the dense float arrays an instance on this lattice shape
+    holds: membership plus DENSE_LEAF_MATRICES n x n leaf matrices."""
+    dim = lattice["dim"]
+    depth = lattice["top_level"] - lattice["leaf_level"]
+    if dim * depth > 64:  # 2^64 leaves: no need to count further
+        return 2 ** 128
+    roots = len(lattice.get("roots") or [None])
+    leaves = roots << (dim * depth)
+    cubes = roots * ((1 << (dim * (depth + 1))) - 1) // ((1 << dim) - 1)
+    return 8 * leaves * (cubes + DENSE_LEAF_MATRICES * leaves)
 
 
 def build_instance(config: dict):
@@ -102,7 +135,24 @@ def _random_functions(lattice, seed, count):
 
 
 def _check(name, passed, **details):
-    return {"name": name, "passed": bool(passed), "details": details}
+    """One check result; a non-finite number among the details fails it."""
+    finite = all(math.isfinite(v) for v in details.values()
+                 if isinstance(v, (int, float, np.number)))
+    return {"name": name, "passed": bool(passed) and finite, "details": details}
+
+
+def _worst(residuals) -> float:
+    """The largest residual, NaN if any is NaN (the builtin max drops it)."""
+    return float(np.max(residuals, initial=0.0))
+
+
+def _carleson_sequence(t_mu, r):
+    """(sequence, None), or (None, details) when the instance overflows and
+    some a_Q is not finite, for the Carleson checks to fail with."""
+    try:
+        return carleson_sequence(t_mu, r), None
+    except ValueError as exc:
+        return None, {"error": str(exc)}
 
 
 def suite_verify(config, tol) -> tuple[list, dict]:
@@ -110,7 +160,7 @@ def suite_verify(config, tol) -> tuple[list, dict]:
     seed = int(config.get("seed", 0))
     checks = []
 
-    worst = 0.0
+    residuals = []
     for f, _ in _random_functions(lattice, seed, 20):
         for measure in (mu, nu):
             deltas, exps = measure.martingale_decompose(f)
@@ -118,7 +168,8 @@ def suite_verify(config, tol) -> tuple[list, dict]:
             total += sum(measure.inner(e, e) for e in exps.values())
             norm2 = measure.inner(f, f)
             if norm2 > 0:
-                worst = max(worst, abs(total - norm2) / norm2)
+                residuals.append(abs(total - norm2) / norm2)
+    worst = _worst(residuals)
     checks.append(_check("parseval", worst <= tol["identity"],
                          max_relative_residual=worst))
 
@@ -148,16 +199,17 @@ def suite_verify(config, tol) -> tuple[list, dict]:
                          off_band_max=rem.off_band_max,
                          in_band_max=rem.in_band_max))
 
-    seq = carleson_sequence(t_mu, r)
-    car = carleson_property(t_mu, seq, tol=tol["identity"])
-    checks.append(_check("carleson_property", car.passed,
-                         max_excess=car.max_excess,
-                         local_testing_constant=car.local_testing_constant))
+    seq, overflow = _carleson_sequence(t_mu, r)
+    if overflow:
+        checks.append(_check("carleson_property", False, **overflow))
+    else:
+        car = carleson_property(t_mu, seq, tol=tol["identity"])
+        checks.append(_check("carleson_property", car.passed,
+                             max_excess=car.max_excess,
+                             local_testing_constant=car.local_testing_constant))
 
-    worst = 0.0
-    for f, g in _random_functions(lattice, seed + 1, 20):
-        rep = decomposition_identity(t_mu, r, f, g, pi_mu=pi_mu, pi_nu=pi_nu)
-        worst = max(worst, rep.relative)
+    worst = _worst([decomposition_identity(t_mu, r, f, g, pi_mu=pi_mu, pi_nu=pi_nu).relative
+                    for f, g in _random_functions(lattice, seed + 1, 20)])
     checks.append(_check("decomposition_identity", worst <= tol["identity"],
                          max_relative_residual=worst))
     return checks, {}
@@ -196,7 +248,10 @@ def suite_testing(config, tol) -> tuple[list, dict]:
 def suite_carleson(config, tol) -> tuple[list, dict]:
     lattice, mu, nu, band, r = build_instance(config)
     t_mu = InducedOperator.from_band(band, mu, nu)
-    seq = carleson_sequence(t_mu, r)
+    seq, overflow = _carleson_sequence(t_mu, r)
+    if overflow:
+        return [_check(name, False, **overflow) for name in (
+            "carleson_property", "embedding_le_4_carleson")], {}
     c_car = carleson_constant(seq, mu)
     c_emb = embedding_constant(seq, mu)
     car = carleson_property(t_mu, seq, tol=tol["identity"])
@@ -240,10 +295,8 @@ def suite_decompose(config, tol) -> tuple[list, dict]:
     lattice, mu, nu, band, r = build_instance(config)
     t_mu = InducedOperator.from_band(band, mu, nu)
     pi_mu, pi_nu = _paraproducts(t_mu, r)
-    worst = 0.0
-    for f, g in _random_functions(lattice, int(config.get("seed", 0)), 50):
-        rep = decomposition_identity(t_mu, r, f, g, pi_mu=pi_mu, pi_nu=pi_nu)
-        worst = max(worst, rep.relative)
+    worst = _worst([decomposition_identity(t_mu, r, f, g, pi_mu=pi_mu, pi_nu=pi_nu).relative
+                    for f, g in _random_functions(lattice, int(config.get("seed", 0)), 50)])
     checks = [_check("decomposition_identity", worst <= tol["identity"],
                      max_relative_residual=worst)]
     return checks, {"constants": {"max_relative_residual": worst}}

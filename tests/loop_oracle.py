@@ -1,7 +1,9 @@
 """Reference oracles: the original per-cube loop versions of functions
 that now run on arrays, kept to check the array versions against them
-exactly.  The Carleson functions here work on {cube: a_Q} dicts, the
-representation CarlesonSequence used before it became an array.
+(exactly, except the comparable-scale sum of the decomposition identity,
+whose summation order changed).  The Carleson functions here work on
+{cube: a_Q} dicts, the representation CarlesonSequence used before it
+became an array.
 
 Named without a `test` prefix so pytest collects nothing from it.
 """
@@ -12,9 +14,112 @@ import numpy as np
 from haarlab import Cube, build_lattice, uniform_measure
 from haarlab.analysis import TestingReport, operator_norm
 from haarlab.operators import WellLocalizedReport, _haar_pairings
-from haarlab.paraproduct import (CarlesonPropertyReport,
+from haarlab.paraproduct import (CarlesonPropertyReport, Paraproduct,
                                  ParaproductStructureReport, RemainderReport,
                                  _largest_singular_value)
+
+
+def haar_cubes(measure):
+    """haar_rows with the row cubes as Cube objects."""
+    cubes, rows = measure.haar_rows
+    return [measure.lattice.active_cubes[i] for i in cubes], rows
+
+
+def loop_average(measure, values, q):
+    idx = loop_leaf_indices(measure.lattice, q)
+    m = float(measure.leaf_mass[idx].sum())
+    if m == 0.0:
+        return 0.0
+    return float(np.sum(values[idx] * measure.leaf_mass[idx]) / m)
+
+
+def loop_martingale_difference(measure, values, q):
+    """Delta_Q f: on each child of q, (average on child) - (average on q)."""
+    lattice = measure.lattice
+    out = np.zeros(lattice.n_leaves)
+    base = loop_average(measure, values, q)
+    for child in q.children():
+        out[loop_leaf_indices(lattice, child)] = loop_average(measure, values, child) - base
+    return out
+
+
+def loop_delta_level_within(measure, values, level, q):
+    """Sum of Delta_R over the cubes R inside q at the given level; 0 on the
+    leaves of zero-mass children."""
+    lattice = measure.lattice
+    mass = measure.leaf_mass
+    out = np.zeros(lattice.n_leaves)
+    cubes = [r for r in lattice.cubes_at_level(level) if q.contains(r)]
+    for r in cubes:
+        ridx = loop_leaf_indices(lattice, r)
+        mr = float(mass[ridx].sum())
+        base = float(np.sum(values[ridx] * mass[ridx]) / mr) if mr > 0 else 0.0
+        for child in r.children():
+            cidx = loop_leaf_indices(lattice, child)
+            mc = float(mass[cidx].sum())
+            if mc > 0:
+                out[cidx] = float(np.sum(values[cidx] * mass[cidx]) / mc) - base
+    return out
+
+
+def loop_build_paraproduct(t_mu, r, side="mu", enlarge=0):
+    """The paraproduct matrix assembled row by row, one cube at a time."""
+    lattice = t_mu.lattice
+    if side == "mu":
+        op, avg_measure, delta_measure = t_mu.matrix, t_mu.mu, t_mu.nu
+    else:
+        op, avg_measure, delta_measure = t_mu.adjoint_matrix, t_mu.nu, t_mu.mu
+    w_rows = []
+    a_rows = []
+    for q in lattice.active_cubes:
+        if q.level - r < lattice.leaf_level + 1:
+            continue
+        mq = avg_measure.mass(q)
+        if mq == 0.0:
+            continue
+        big = q
+        for _ in range(enlarge):
+            cand = big.parent()
+            if not lattice.is_active(cand):
+                break
+            big = cand
+        t_chi = op @ lattice.indicator(big)
+        w_rows.append(loop_delta_level_within(delta_measure, t_chi, q.level - r, q))
+        a_rows.append(lattice.indicator(q) * avg_measure.leaf_mass / mq)
+    n = lattice.n_leaves
+    if not w_rows:
+        matrix = np.zeros((n, n))
+    else:
+        matrix = np.array(w_rows).T @ np.array(a_rows)
+    return Paraproduct(source=t_mu, r=r, side=side, matrix=matrix)
+
+
+def loop_carleson_values(t_mu, r):
+    """a_Q per active cube, one cube at a time."""
+    lattice = t_mu.lattice
+    values = np.zeros(len(lattice.active_cubes))
+    for i, q in enumerate(lattice.active_cubes):
+        if q.level - r < lattice.leaf_level + 1:
+            continue
+        t_chi = t_mu.matrix @ lattice.indicator(q)
+        d = loop_delta_level_within(t_mu.nu, t_chi, q.level - r, q)
+        values[i] = np.sum(d * d * t_mu.nu.leaf_mass)
+    return values
+
+
+def loop_comparable_sum(t_mu, r, f, g):
+    """sum over non-leaf Q, R with |level(Q) - level(R)| <= r of
+    <T_mu Delta_Q f, Delta_R g>_nu, one pair at a time."""
+    lattice, mu, nu = t_mu.lattice, t_mu.mu, t_mu.nu
+    deltas_f = {q: loop_martingale_difference(mu, f, q) for q in lattice.nonleaf_cubes}
+    deltas_g = {q: loop_martingale_difference(nu, g, q) for q in lattice.nonleaf_cubes}
+    comparable = 0.0
+    for q, df in deltas_f.items():
+        tdf = t_mu.matrix @ df
+        for rq, dg in deltas_g.items():
+            if abs(rq.level - q.level) <= r:
+                comparable += float(np.sum(tdf * dg * nu.leaf_mass))
+    return comparable
 
 
 def loop_testing_constants(t_mu, r):
@@ -207,8 +312,8 @@ def loop_paraproduct_structure_verify(pi, t_mu, r, tol=1e-9):
         op, in_measure, out_measure = t_mu.matrix, t_mu.mu, t_mu.nu
     else:
         op, in_measure, out_measure = t_mu.adjoint_matrix, t_mu.nu, t_mu.mu
-    mu_cubes, mu_rows = in_measure.haar_rows()
-    nu_cubes, nu_rows = out_measure.haar_rows()
+    mu_cubes, mu_rows = haar_cubes(in_measure)
+    nu_cubes, nu_rows = haar_cubes(out_measure)
     if not mu_cubes or not nu_cubes:
         return ParaproductStructureReport(True, 0.0, 0.0, 0.0, 0.0, None)
     weighted = nu_rows * out_measure.leaf_mass
@@ -241,8 +346,8 @@ def loop_paraproduct_structure_verify(pi, t_mu, r, tol=1e-9):
 
 def loop_remainder_diagonals(t_mu, pi_mu, pi_nu, tol=1e-12):
     r = pi_mu.r
-    mu_cubes, mu_rows = t_mu.mu.haar_rows()
-    nu_cubes, nu_rows = t_mu.nu.haar_rows()
+    mu_cubes, mu_rows = haar_cubes(t_mu.mu)
+    nu_cubes, nu_rows = haar_cubes(t_mu.nu)
     if not mu_cubes or not nu_cubes:
         return RemainderReport(True, 0.0, 0.0, 0.0)
     nu_weighted = nu_rows * t_mu.nu.leaf_mass
@@ -279,7 +384,7 @@ def loop_check_well_localized(t_mu, r, tol=1e-12):
     witness = None
     checked = 0
     for direction, (pair, row_cubes) in zip(("direct", "adjoint"), scans):
-        for i, rc in enumerate(row_cubes):
+        for i, rc in enumerate(lattice.active_cubes[k] for k in row_cubes):
             for j, q in enumerate(lattice.active_cubes):
                 if rc.level > q.level:
                     continue
@@ -299,8 +404,8 @@ def loop_check_well_localized(t_mu, r, tol=1e-12):
 
 
 def loop_comparable_pairing_count(t_mu, r, tol=1e-12):
-    mu_cubes, mu_rows = t_mu.mu.haar_rows()
-    nu_cubes, nu_rows = t_mu.nu.haar_rows()
+    mu_cubes, mu_rows = haar_cubes(t_mu.mu)
+    nu_cubes, nu_rows = haar_cubes(t_mu.nu)
     if not mu_cubes or not nu_cubes:
         return 0
     block = (nu_rows * t_mu.nu.leaf_mass) @ t_mu.matrix @ mu_rows.T

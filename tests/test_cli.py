@@ -1,9 +1,11 @@
 import copy
 import json
+import math
 import os
 
 import pytest
 
+from haarlab import runner
 from haarlab.cli import main
 from haarlab.runner import ConfigError, validate_config
 
@@ -212,3 +214,61 @@ def test_replay_override_reaches_check(tmp_path):
     assert main(["--replay", artifact_path, "--out", replay_out,
                  "--tolerance-override", "replay=-1"]) == 1
     assert not read_report(replay_out)["passed"]
+
+
+def test_overflowing_decomposition_fails(tmp_path, capsys):
+    # <T_mu f, g>_nu overflows, so every residual is NaN: it must not pass
+    config = dict(BASE_CONFIG, operator=dict(BASE_CONFIG["operator"], amplitude=1e306))
+    code, out = run_cli(tmp_path, config, "decompose")
+    assert code == 1
+    assert "[FAIL] decomposition_identity" in capsys.readouterr().out
+    check, = read_report(out)["checks"]
+    assert not check["passed"]
+    assert math.isnan(check["details"]["max_relative_residual"])
+
+
+@pytest.mark.parametrize("suite,failed", [
+    ("verify", {"carleson_property", "decomposition_identity"}),
+    ("carleson", {"carleson_property", "embedding_le_4_carleson"})])
+def test_overflowing_carleson_sequence_fails_in_the_report(tmp_path, capsys, suite, failed):
+    config = dict(BASE_CONFIG, operator=dict(BASE_CONFIG["operator"], amplitude=1e200))
+    code, out = run_cli(tmp_path, config, suite)
+    assert code == 1
+    report = read_report(out)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert failed <= {name for name, c in checks.items() if not c["passed"]}
+    for name in ("carleson_property", "embedding_le_4_carleson"):
+        if name in checks:
+            assert "got nan at Cube" in checks[name]["details"]["error"]
+    assert "[FAIL] carleson_property" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("search", [
+    {"amplitude": float("nan")}, {"root_amplitude": float("inf")},
+    {"weight_sigma": float("nan")}, {"step": -float("inf")},
+    {"iterations": -1}, {"iterations": 2.5}, {"iterations": float("nan")},
+    {"step": "big"}],
+    ids=["nan_amplitude", "inf_root_amplitude", "nan_weight_sigma", "inf_step",
+         "negative_iterations", "fractional_iterations", "nan_iterations", "text_step"])
+def test_bad_search_section_exits_2(tmp_path, capsys, search):
+    code, _ = run_cli(tmp_path, dict(BASE_CONFIG, search=search), "search")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "[pass]" not in captured.out
+    assert "invalid config" in captured.err
+
+
+def test_oversized_lattice_exits_2_before_building(tmp_path, capsys):
+    config = dict(BASE_CONFIG, lattice=dict(BASE_CONFIG["lattice"], leaf_level=-20))
+    code, _ = run_cli(tmp_path, config, "testing")
+    assert code == 2
+    assert "GiB" in capsys.readouterr().err
+
+
+def test_size_guard_reads_the_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "MAX_DENSE_BYTES", runner.dense_bytes(BASE_CONFIG["lattice"]) - 1)
+    code, _ = run_cli(tmp_path, BASE_CONFIG, "testing")
+    assert code == 2
+    monkeypatch.setattr(runner, "MAX_DENSE_BYTES", runner.dense_bytes(BASE_CONFIG["lattice"]))
+    code, _ = run_cli(tmp_path, BASE_CONFIG, "testing", out_name="fits")
+    assert code == 0

@@ -1,0 +1,130 @@
+"""The array martingale layer (Lattice.ancestor_index, Lattice.inside,
+MeasureGrid.level_deltas and what is built on them) against the per-cube
+loop versions in loop_oracle.py.
+
+Instances are 1D and 2D lattices with one to three roots (some of them
+not adjacent), depths 1-5 (2D to 3), measures with zero-mass leaves,
+r from 0 to 2, band operators and dense leaf matrices.
+"""
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from haarlab import (Cube, GridFunction, InducedOperator, MeasureGrid,
+                     build_lattice, build_paraproduct, carleson_sequence,
+                     check_well_localized, decomposition_identity, induce,
+                     operator_norm, paraproduct_structure_verify, random_band)
+
+from loop_oracle import (loop_build_paraproduct, loop_carleson_values,
+                         loop_check_well_localized, loop_comparable_sum,
+                         loop_delta_level_within, loop_martingale_difference,
+                         loop_paraproduct_structure_verify)
+
+# The comparable-scale sum of decomposition_identity is one level-masked
+# matrix sum instead of a running sum over cube pairs, so it is not
+# bit-exact.  Each pair term is at most ||T_mu|| ||f||_mu ||g||_nu, and
+# there are at most (2r + 1) comparable levels per level, so round-off is
+# bounded relative to that scale.
+COMPARABLE_RTOL = 1e-12
+
+
+@st.composite
+def lattices(draw, max_depth=5):
+    dim = draw(st.sampled_from([1, 2]))
+    depth = draw(st.integers(1, max_depth if dim == 1 else min(max_depth, 3)))
+    coords = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True))
+    return build_lattice(dim, 0, -depth,
+                         [Cube(dim, 0, (c,) + (0,) * (dim - 1)) for c in coords])
+
+
+def measures(draw, lat):
+    masses = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]),
+                       st.floats(0.01, 4.0))
+    return MeasureGrid(lat, draw(arrays(float, lat.n_leaves, elements=masses)))
+
+
+@st.composite
+def instances(draw):
+    """(t_mu, r) with depth > r; random_band where the lattice is small
+    enough for its O(cubes^2) scan, a dense leaf matrix otherwise."""
+    r = draw(st.integers(0, 2))
+    lat = draw(lattices().filter(lambda lat: lat.depth > r))
+    mu, nu = measures(draw, lat), measures(draw, lat)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if lat.n_leaves <= 64 and draw(st.booleans()):
+        band = random_band(lat, r, seed=seed,
+                           root_amplitude=draw(st.sampled_from([0.0, 0.4])))
+        return induce(band, mu, nu), r
+    matrix = np.random.default_rng(seed).standard_normal((lat.n_leaves,) * 2)
+    return InducedOperator.from_leaf_matrix(matrix, mu, nu), r
+
+
+@settings(max_examples=60, deadline=None)
+@given(lat=lattices(), up=st.integers(0, 3))
+def test_ancestor_index_and_inside_match_cubes(lat, up):
+    cubes = lat.active_cubes
+    for k, row in enumerate(lat.ancestor_index):
+        assert [cubes[i] for i in row] == [q.ancestor(lat.depth - k) for q in lat.leaves]
+    pos = np.arange(len(cubes))
+    want = [[outer.ancestor(up).contains(inner) for outer in cubes] for inner in cubes]
+    assert lat.inside(pos, pos, up=up).tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), lat=lattices())
+def test_level_deltas_match_loop_oracle(data, lat):
+    mu = measures(data.draw, lat)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.standard_normal((3, lat.n_leaves))
+    levels = list(range(lat.top_level, lat.leaf_level, -1))
+    got = mu.level_deltas(values, levels)
+    assert got.shape == (3, len(levels), lat.n_leaves)
+    for v, rows in zip(values, got):
+        # the roots are disjoint, so adding their parts is exact
+        want = [sum(loop_delta_level_within(mu, v, level, root) for root in lat.roots)
+                for level in levels]
+        assert np.array_equal(rows, want)
+        assert np.array_equal(mu.level_deltas(v, levels), want)
+        for q in lat.nonleaf_cubes:
+            for level in range(q.level + 1, lat.leaf_level, -1):
+                assert np.array_equal(mu.delta_level_within(v, level, q),
+                                      loop_delta_level_within(mu, v, level, q))
+            assert np.array_equal(mu.martingale_difference(GridFunction(lat, v), q).values,
+                                  loop_martingale_difference(mu, v, q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=instances())
+def test_paraproducts_and_carleson_sequence_match_loop_oracle(inst):
+    t, r = inst
+    for side in ("mu", "nu"):
+        for enlarge in (0, 1):
+            assert np.array_equal(build_paraproduct(t, r, side, enlarge).matrix,
+                                  loop_build_paraproduct(t, r, side, enlarge).matrix)
+    assert np.array_equal(carleson_sequence(t, r).values, loop_carleson_values(t, r))
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=instances())
+def test_locality_masks_match_loop_oracle(inst):
+    t, r = inst
+    assert check_well_localized(t, r) == loop_check_well_localized(t, r)
+    for side in ("mu", "nu"):
+        pi = build_paraproduct(t, r, side)
+        assert (paraproduct_structure_verify(pi, t, r)
+                == loop_paraproduct_structure_verify(pi, t, r))
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=instances(), seed=st.integers(0, 2 ** 32 - 1))
+def test_decomposition_matches_loop_oracle(inst, seed):
+    t, r = inst
+    rng = np.random.default_rng(seed)
+    f, g = (GridFunction(t.lattice, rng.standard_normal(t.lattice.n_leaves))
+            for _ in range(2))
+    rep = decomposition_identity(t, r, f, g)
+    scale = (2 * r + 1) * operator_norm(t) * t.mu.norm(f) * t.nu.norm(g)
+    assert abs(rep.comparable - loop_comparable_sum(t, r, f.values, g.values)) \
+        <= COMPARABLE_RTOL * max(scale, 1.0)
+    if t.band is not None:  # the identity needs a well localized operator
+        assert rep.relative <= 1e-10
