@@ -326,8 +326,6 @@ def check_well_localized(t_mu: InducedOperator, r: int,
     if scale == 0.0:
         return WellLocalizedReport(True, r, 0.0, 0.0, None, 0)
     cubes = lattice.active_cubes
-    # over non-leaf R (rows) x active Q: side(R) <= side(Q) and R outside
-    # the r-th grandparent of Q, or side(R) <= 2^-r side(Q) and R outside Q
     nonleaf, every = np.arange(len(lattice.nonleaf_cubes)), np.arange(len(cubes))
     lr, lq = lattice.levels[nonleaf][:, None], lattice.levels[None, :]
     pattern = (lr <= lq) & (~lattice.inside(nonleaf, every, up=r)

@@ -287,7 +287,8 @@ class CarlesonPropertyReport:
 def carleson_property(t_mu: InducedOperator, seq: CarlesonSequence,
                       tol: float = 1e-10) -> CarlesonPropertyReport:
     x = t_mu.lattice.membership.T
-    # row Q: chi_Q T_mu chi_Q, one stacked matrix-vector product per cube
+    # row Q: chi_Q T_mu chi_Q; stacked matrix-vector products sum in the
+    # order of T_mu @ indicator(Q)
     out = (t_mu.matrix @ x[:, :, None])[..., 0] * x
     bounds = (out * out * t_mu.nu.leaf_mass).sum(axis=-1)
     excess = float(np.max((seq.subtree_sums() - bounds) / np.maximum(bounds, 1.0),
