@@ -12,7 +12,7 @@ from .operators import InducedOperator
 from .paraproduct import Paraproduct, _largest_singular_value, build_paraproduct
 
 
-def operator_norm(t_mu: InducedOperator, tol: float = 1e-10) -> float:
+def operator_norm(t_mu: InducedOperator) -> float:
     """Exact norm of T_mu from L2(mu) to L2(nu).
 
     Largest singular value of D_nu^(1/2) [T_mu] D_mu^(-1/2) on the
@@ -26,7 +26,7 @@ def operator_norm(t_mu: InducedOperator, tol: float = 1e-10) -> float:
         return 0.0
     k = (np.sqrt(nu_mass[rows])[:, None] * t_mu.matrix[np.ix_(rows, cols)]
          / np.sqrt(mu_mass[cols])[None, :])
-    return _largest_singular_value(k, tol=tol)
+    return _largest_singular_value(k)
 
 
 @dataclass(frozen=True)

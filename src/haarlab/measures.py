@@ -180,53 +180,58 @@ class MeasureGrid:
                          for k in rows], axis=-2)
 
     def weighted_haar_basis(self, q: Cube) -> WeightedHaarBasis:
-        """Deterministic orthonormal basis of the mean-zero child span on q.
-
-        Gram-Schmidt in the mu inner product over child indicators in
-        lexicographic order, skipping zero-mass children.  Signs are fixed so
-        each vector is negative on earlier children and positive on the
-        latest child it involves.
-        """
+        """The rows of haar_rows that belong to the non-leaf cube q."""
         if self.lattice.is_leaf(q):
             raise ValueError(f"cube {q} is a leaf, no Haar basis")
-        children = q.children()
-        masses = np.array([self.mass(c) for c in children])
-        alive = np.flatnonzero(masses > 0)
-        funcs = []
-        if alive.size >= 2:
-            w = masses[alive]
-            # work in the child-value space with weighted inner product
-            done: list[np.ndarray] = []
-            for k in range(1, alive.size):
-                v = np.zeros(alive.size)
-                v[k] = 1.0
-                v -= np.sum(v * w) / np.sum(w)          # mu-mean zero
-                for u in done:
-                    v -= np.sum(v * u * w) * u          # orthogonalize
-                nrm = np.sqrt(np.sum(v * v * w))
-                v /= nrm
-                if v[k] < 0:
-                    v = -v
-                done.append(v)
-                leafvals = np.zeros(self.lattice.n_leaves)
-                for j, ci in enumerate(alive):
-                    leafvals[self.lattice.leaf_indices(children[ci])] = v[j]
-                funcs.append(GridFunction(self.lattice, leafvals))
-        return WeightedHaarBasis(cube=q, functions=tuple(funcs))
+        cubes, rows = self.haar_rows
+        return WeightedHaarBasis(cube=q, functions=tuple(
+            GridFunction(self.lattice, h) for h in rows[cubes == self.lattice.cube_index[q]]))
 
     @cached_property
     def haar_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(cubes, rows): the weighted Haar bases of all non-leaf cubes
-        stacked as rows, and the active position of each row's cube.
-        Built once per measure; both arrays are read-only."""
+        stacked as rows, and the active position of each row's cube; built
+        once per measure, both read-only.
+
+        A basis is Gram-Schmidt in the mu inner product over the cube's
+        positive-mass child indicators in lexicographic order, each vector
+        negative on earlier children and positive on the latest one it
+        involves.  It runs over all cubes with the same positive-mass
+        children at once, their masses C-contiguous so that each row sum is
+        the np.sum of one cube's vector.
+        """
         lattice = self.lattice
-        cubes, rows = [], []
-        for i, q in enumerate(lattice.nonleaf_cubes):
-            for h in self.weighted_haar_basis(q):
-                cubes.append(i)
-                rows.append(h.values)
-        cubes = np.array(cubes, dtype=np.intp)
-        rows = np.array(rows).reshape(len(cubes), lattice.n_leaves)
+        kids = lattice.children_index
+        n = kids.shape[1]
+        masses = self.cube_masses[kids]
+        alive = masses > 0
+        coef = np.zeros((n - 1, len(lattice.active_cubes)))  # component, child
+        code = (alive << np.arange(n)).sum(axis=1)
+        # set(), not np.unique: np.unique imports numpy.ma
+        for c in set(code.tolist()):
+            idx = np.flatnonzero(c >> np.arange(n) & 1)
+            sel = np.flatnonzero(code == c)
+            w = np.ascontiguousarray(masses[sel][:, idx])
+            done: list[np.ndarray] = []
+            for k in range(1, idx.size):
+                v = np.zeros_like(w)
+                v[:, k] = 1.0
+                v -= (np.sum(v * w, axis=1) / np.sum(w, axis=1))[:, None]
+                for u in done:
+                    v -= np.sum(v * u * w, axis=1)[:, None] * u
+                v /= np.sqrt(np.sum(v * v * w, axis=1))[:, None]
+                v[v[:, k] < 0] *= -1.0
+                done.append(v)
+                coef[k - 1, kids[sel[:, None], idx]] = v
+        cubes, comp = np.nonzero(np.arange(n - 1) < alive.sum(axis=1)[:, None] - 1)
+        # spread onto leaves level by level (table rows: the level's cubes in
+        # active order); a row's value on a leaf is its child's coefficient
+        anc = lattice.ancestor_index
+        rows = np.zeros((cubes.size, lattice.n_leaves))
+        for k, table in enumerate(lattice.level_leaves[:-1]):
+            at = np.flatnonzero(lattice.levels[cubes] == lattice.top_level - k)
+            leaves = table[cubes[at] - anc[k, table[0, 0]]]
+            rows[at[:, None], leaves] = coef[comp[at, None], anc[k + 1, leaves]]
         cubes.flags.writeable = rows.flags.writeable = False
         return cubes, rows
 

@@ -52,19 +52,13 @@ class HaarSystem:
 
     @classmethod
     def build(cls, lattice: Lattice) -> "HaarSystem":
-        lebesgue = uniform_measure(lattice)
-        indices = []
-        rows = []
-        for q in lattice.nonleaf_cubes:
-            basis = lebesgue.weighted_haar_basis(q)
-            for k, h in enumerate(basis):
-                indices.append(HaarIndex(q, k))
-                rows.append(h.values)
-        for root in lattice.roots:
-            indices.append(RootIndex(root))
-            rows.append(lattice.indicator(root) /
-                        np.sqrt(2.0 ** (root.level * lattice.dim)))
-        rows = np.array(rows)
+        cubes, haar_rows = uniform_measure(lattice).haar_rows
+        components = np.arange(cubes.size) - np.searchsorted(cubes, cubes)
+        indices = [HaarIndex(lattice.nonleaf_cubes[i], k)
+                   for i, k in zip(cubes.tolist(), components.tolist())]
+        indices += [RootIndex(root) for root in lattice.roots]
+        rows = np.vstack([haar_rows] + [lattice.indicator(root) / np.sqrt(root.volume)
+                                        for root in lattice.roots])
         return cls(lattice=lattice, indices=tuple(indices), rows=rows,
                    position={ix: i for i, ix in enumerate(indices)})
 

@@ -227,28 +227,14 @@ def carleson_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
     return float(np.max(sums[pos] / m[pos], initial=0.0))
 
 
-def _largest_singular_value(k: np.ndarray, tol: float = 1e-10,
-                            max_iter: int = 100_000) -> float:
+def _largest_singular_value(k: np.ndarray) -> float:
     if min(k.shape) == 0:
         return 0.0
     if max(k.shape) <= 4096:
         return float(np.linalg.svd(k, compute_uv=False)[0])
-    # power iteration on K K^T
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(k.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = k @ (k.T @ v)
-        new = float(np.linalg.norm(w))
-        if new == 0.0:
-            return 0.0
-        v = w / new
-        if abs(new - lam) <= tol * max(new, 1.0):
-            lam = new
-            break
-        lam = new
-    return float(np.sqrt(lam))
+    # a direct eigensolve of the smaller Gram matrix; SVD is slower here
+    gram = k @ k.T if k.shape[0] <= k.shape[1] else k.T @ k
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def embedding_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 
 from haarlab import Cube, build_lattice, uniform_measure
 from haarlab.analysis import TestingReport, operator_norm
-from haarlab.operators import WellLocalizedReport, _haar_pairings
+from haarlab.operators import HaarIndex, RootIndex, WellLocalizedReport, _haar_pairings
 from haarlab.paraproduct import (CarlesonPropertyReport, Paraproduct,
                                  ParaproductStructureReport, RemainderReport,
                                  _largest_singular_value)
@@ -425,3 +425,58 @@ def loop_comparable_pairing_count(t_mu, r, tol=1e-12):
                 hit.add(rc)
         best = max(best, len(hit))
     return best
+
+
+def loop_weighted_haar_basis(measure, q):
+    """The weighted Haar basis of q as leaf vectors: Gram-Schmidt in the mu
+    inner product over the positive-mass children, one cube at a time."""
+    lattice = measure.lattice
+    children = q.children()
+    masses = np.array([measure.mass(c) for c in children])
+    alive = np.flatnonzero(masses > 0)
+    funcs = []
+    if alive.size >= 2:
+        w = masses[alive]
+        done = []
+        for k in range(1, alive.size):
+            v = np.zeros(alive.size)
+            v[k] = 1.0
+            v -= np.sum(v * w) / np.sum(w)
+            for u in done:
+                v -= np.sum(v * u * w) * u
+            nrm = np.sqrt(np.sum(v * v * w))
+            v /= nrm
+            if v[k] < 0:
+                v = -v
+            done.append(v)
+            leafvals = np.zeros(lattice.n_leaves)
+            for j, ci in enumerate(alive):
+                leafvals[loop_leaf_indices(lattice, children[ci])] = v[j]
+            funcs.append(leafvals)
+    return funcs
+
+
+def loop_haar_rows(measure):
+    """(cubes, rows) as MeasureGrid.haar_rows, stacked cube by cube."""
+    lattice = measure.lattice
+    cubes, rows = [], []
+    for i, q in enumerate(lattice.nonleaf_cubes):
+        for h in loop_weighted_haar_basis(measure, q):
+            cubes.append(i)
+            rows.append(h)
+    return (np.array(cubes, dtype=np.intp),
+            np.array(rows).reshape(len(cubes), lattice.n_leaves))
+
+
+def loop_haar_system(lattice):
+    """(indices, rows) of the Lebesgue Haar system, stacked cube by cube."""
+    lebesgue = uniform_measure(lattice)
+    indices, rows = [], []
+    for q in lattice.nonleaf_cubes:
+        for k, h in enumerate(loop_weighted_haar_basis(lebesgue, q)):
+            indices.append(HaarIndex(q, k))
+            rows.append(h)
+    for root in lattice.roots:
+        indices.append(RootIndex(root))
+        rows.append(lattice.indicator(root) / np.sqrt(2.0 ** (root.level * lattice.dim)))
+    return tuple(indices), np.array(rows)

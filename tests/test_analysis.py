@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from haarlab import (GridFunction, InducedOperator, MeasureGrid,
                      build_lattice, build_paraproduct, decomposition_identity,
                      haar_multiplier, induce, operator_norm, uniform_measure)
+from haarlab.paraproduct import _largest_singular_value
 # local alias: a module attribute named testing_* would be collected by pytest
 from haarlab import testing_constants as constants_of
 
@@ -43,6 +44,20 @@ def test_norm_against_generalized_eigensolve():
         lam = float(np.max(scipy.linalg.eigh(a, b, eigvals_only=True)))
         assert operator_norm(t) == pytest.approx(np.sqrt(max(lam, 0.0)),
                                                  rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(4200, 40), (40, 4200)])
+def test_largest_singular_value_above_dense_threshold(shape):
+    # singular values 1 - 1e-6 i: clustered enough that a power iteration
+    # stopping on a stalled estimate misses the top one by about 1e-7
+    rng = np.random.default_rng(3)
+    n = min(shape)
+    u = np.linalg.qr(rng.standard_normal((max(shape), n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    k = (u * (1.0 - 1e-6 * np.arange(n))) @ v
+    k = k if shape[0] > shape[1] else k.T
+    want = np.linalg.svd(k, compute_uv=False)[0]
+    assert _largest_singular_value(k) == pytest.approx(want, rel=1e-13)
 
 
 def test_norm_is_supremum_of_rayleigh_quotients():

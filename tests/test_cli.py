@@ -121,6 +121,10 @@ def test_invalid_configs_exit_2(tmp_path):
     assert main(["--config", str(tmp_path / "nope.json")]) == 2
     assert main(["--out", str(tmp_path / "o3")]) == 2
 
+    text_tolerance = dict(BASE_CONFIG, tolerances={"zero": "abc"})
+    assert main(["--config", write_config(tmp_path, text_tolerance, "bad3.json"),
+                 "--out", str(tmp_path / "o4")]) == 2
+
 
 def test_bad_tolerance_override_exits_2(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG)
@@ -214,6 +218,21 @@ def test_replay_override_reaches_check(tmp_path):
     assert main(["--replay", artifact_path, "--out", replay_out,
                  "--tolerance-override", "replay=-1"]) == 1
     assert not read_report(replay_out)["passed"]
+
+
+@pytest.mark.parametrize("names", [["zeroo"], ["eigensolve"], ["zero", "zeroo"]])
+def test_unknown_tolerance_name_exits_2(tmp_path, capsys, names):
+    overrides = [arg for name in names for arg in ("--tolerance-override", f"{name}=1e-30")]
+    code, out = run_cli(tmp_path, BASE_CONFIG, "testing", extra=overrides)
+    assert code == 2
+    config = dict(BASE_CONFIG, tolerances={name: 1e-30 for name in names})
+    assert run_cli(tmp_path, config, "testing", out_name="config")[0] == 2
+    artifact = os.path.join(run_cli(tmp_path, dict(BASE_CONFIG, search={"iterations": 2}),
+                                    "search", out_name="search")[1], "artifact.json")
+    assert main(["--replay", artifact, "--out", str(tmp_path / "replay"), *overrides]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("unknown tolerance names") == 3
+    assert "[FAIL]" not in captured.out and not os.path.exists(out)
 
 
 def test_overflowing_decomposition_fails(tmp_path, capsys):
