@@ -48,9 +48,6 @@ def main(argv=None) -> int:
     if args.replay:
         try:
             code, report = replay(args.replay, args.out, overrides)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
             print(f"error: cannot replay artifact: {exc}", file=sys.stderr)
             return 2

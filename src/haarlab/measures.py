@@ -206,11 +206,12 @@ class MeasureGrid:
         masses = self.cube_masses[kids]
         alive = masses > 0
         coef = np.zeros((n - 1, len(lattice.active_cubes)))  # component, child
-        code = (alive << np.arange(n)).sum(axis=1)
-        # set(), not np.unique: np.unique imports numpy.ma
-        for c in set(code.tolist()):
-            idx = np.flatnonzero(c >> np.arange(n) & 1)
-            sel = np.flatnonzero(code == c)
+        # groups of equal alive rows from a stable lexsort (np.unique would
+        # import numpy.ma; an integer bit code overflows past 64 children)
+        order = np.lexsort(alive.T)
+        edges = np.flatnonzero(np.diff(alive[order], axis=0).any(axis=1)) + 1
+        for sel in np.split(order, edges):
+            idx = np.flatnonzero(alive[sel[0]])
             w = np.ascontiguousarray(masses[sel][:, idx])
             done: list[np.ndarray] = []
             for k in range(1, idx.size):

@@ -121,11 +121,14 @@ def build_instance(config: dict):
 
 
 def _tolerances(*overrides) -> dict:
-    """DEFAULT_TOLERANCES updated by each mapping; unknown names are a ConfigError."""
+    """DEFAULT_TOLERANCES updated by each mapping; unknown names and
+    non-finite values (inf passes every check) are a ConfigError."""
     tol = dict(DEFAULT_TOLERANCES)
     for names in filter(None, overrides):
         if set(names) - set(tol):
             raise ConfigError(f"unknown tolerance names {sorted(set(names) - set(tol))}")
+        if not all(map(math.isfinite, names.values())):
+            raise ConfigError(f"tolerances must be finite: {names}")
         tol.update(names)
     return tol
 

@@ -235,6 +235,25 @@ def test_unknown_tolerance_name_exits_2(tmp_path, capsys, names):
     assert "[FAIL]" not in captured.out and not os.path.exists(out)
 
 
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+def test_non_finite_tolerance_exits_2(tmp_path, capsys, value):
+    # an infinite tolerance would pass every check it bounds
+    overrides = ["--tolerance-override", f"zero={value}"]
+    code, out = run_cli(tmp_path, BASE_CONFIG, "verify", extra=overrides)
+    assert code == 2
+    config = dict(BASE_CONFIG, tolerances={"identity": value})
+    assert run_cli(tmp_path, config, "verify", out_name="config")[0] == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("tolerances must be finite") == 2
+    assert "[pass]" not in captured.out and not os.path.exists(out)
+    artifact = os.path.join(run_cli(tmp_path, dict(BASE_CONFIG, search={"iterations": 2}),
+                                    "search", out_name="search")[1], "artifact.json")
+    capsys.readouterr()
+    assert main(["--replay", artifact, "--out", str(tmp_path / "replay"),
+                 "--tolerance-override", f"replay={value}"]) == 2
+    assert "tolerances must be finite" in capsys.readouterr().err
+
+
 def test_overflowing_decomposition_fails(tmp_path, capsys):
     # <T_mu f, g>_nu overflows, so every residual is NaN: it must not pass
     config = dict(BASE_CONFIG, operator=dict(BASE_CONFIG["operator"], amplitude=1e306))

@@ -83,3 +83,20 @@ def test_haar_system_matches_loop_oracle(lat):
     indices, rows = loop_haar_system(lat)
     assert system.indices == indices
     assert same(system.rows, rows)
+
+
+def test_haar_rows_match_loop_oracle_past_64_children():
+    # dim 7: 128 children per cube, more than one 64-bit word of alive bits;
+    # roots 0 and 1 differ only in child 100, roots 0 and 2 only in child 63
+    dim, n = 7, 128
+    lat = build_lattice(dim, 0, -1, [Cube(dim, 0, (i,) + (0,) * (dim - 1))
+                                     for i in range(4)])
+    alive = np.ones((4, n), dtype=bool)
+    alive[:3, [5, 63, 70, 127]] = False
+    alive[1, 100] = False
+    alive[2, 63] = True
+    masses = alive * np.random.default_rng(7).uniform(0.1, 3.0, alive.shape)
+    mu = MeasureGrid(lat, masses.ravel())
+    check_against_loop(mu)
+    assert np.array_equal(np.bincount(mu.haar_rows[0], minlength=4), alive.sum(axis=1) - 1)
+    check_against_loop(uniform_measure(lat))
