@@ -111,7 +111,9 @@ def check_band(op: BandOperator, r: int, tol: float = ZERO_TOL):
     """Verify the band structure at radius r.
 
     Returns (passed, witness); witness is the offending (row, col) pair of
-    Haar indices, or None.
+    Haar indices, or None.  It measures distances with tree_distance, not
+    with the Lattice.inside masks that random_band draws its pairs from, so
+    that the check shares no code with the generator it checks.
     """
     for (row, col), val in op.entries.items():
         if not (isinstance(row, HaarIndex) and isinstance(col, HaarIndex)):
@@ -171,10 +173,6 @@ def haar_shift(lattice: Lattice) -> BandOperator:
                         meta={"dropped_terms": dropped})
 
 
-def _cubes_within_distance(lattice: Lattice, q: Cube, r: int) -> list[Cube]:
-    return [p for p in lattice.nonleaf_cubes if tree_distance(q, p) <= r]
-
-
 def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
                 root_amplitude: float = 0.0) -> BandOperator:
     """Random band operator: i.i.d. uniform entries on all Haar index pairs
@@ -183,6 +181,10 @@ def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
     With root_amplitude > 0, root blocks are also filled: root-root pairs
     and pairings of a root with Haar cubes within tree distance r of it
     (the pattern that keeps the induced operator well localized).
+
+    Cubes P and Q first share an ancestor u levels above Q; their tree
+    distance is 2u + level(Q) - level(P).  Entries are drawn for the pairs
+    (Q, P) in Q-major, then nonleaf_cubes order, components (kq, kp) last.
     """
     if r < 0:
         raise ValueError("band radius must be nonnegative")
@@ -190,28 +192,29 @@ def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
         raise ValueError("random_band amplitudes must be finite")
     rng = np.random.default_rng(seed)
     n_comp = 2 ** lattice.dim - 1
+    nonleaf = np.arange(len(lattice.nonleaf_cubes))
+    levels = lattice.levels[nonleaf]
+    gap = levels[:, None] - levels[None, :]
+    near = np.zeros((nonleaf.size,) * 2, dtype=bool)
+    for u in range(r + 1):
+        near |= lattice.inside(nonleaf, nonleaf, up=u).T & (2 * u + gap <= r)
+    qs, ps = np.nonzero(near)
+    haar = [[HaarIndex(q, k) for k in range(n_comp)] for q in lattice.nonleaf_cubes]
+    vals = rng.uniform(-amplitude, amplitude, size=qs.size * n_comp ** 2)
     entries = {}
-    for q in lattice.nonleaf_cubes:
-        for p in _cubes_within_distance(lattice, q, r):
-            for kq in range(n_comp):
-                for kp in range(n_comp):
-                    val = rng.uniform(-amplitude, amplitude)
-                    if amplitude > 0:
-                        entries[(HaarIndex(p, kp), HaarIndex(q, kq))] = val
+    if amplitude > 0:  # drawn either way, so the root block's draws stay put
+        entries = dict(zip([(ip, iq) for q, p in zip(qs.tolist(), ps.tolist())
+                            for iq in haar[q] for ip in haar[p]], vals.tolist()))
     if root_amplitude > 0:
-        for root in lattice.roots:
+        roots = np.arange(len(lattice.roots))
+        below = lattice.inside(nonleaf, roots) & (levels >= lattice.top_level - r)[:, None]
+        for j, root in enumerate(lattice.roots):
             rix = RootIndex(root)
-            for other in lattice.roots:
-                entries[(RootIndex(other), rix)] = rng.uniform(
-                    -root_amplitude, root_amplitude)
-            near = [p for p in lattice.nonleaf_cubes
-                    if root.contains(p) and root.level - p.level <= r]
-            for p in near:
-                for k in range(n_comp):
-                    entries[(HaarIndex(p, k), rix)] = rng.uniform(
-                        -root_amplitude, root_amplitude)
-                    entries[(rix, HaarIndex(p, k))] = rng.uniform(
-                        -root_amplitude, root_amplitude)
+            keys = [(RootIndex(other), rix) for other in lattice.roots]
+            keys += [key for p in np.flatnonzero(below[:, j]).tolist()
+                     for ix in haar[p] for key in ((ix, rix), (rix, ix))]
+            entries.update(zip(keys, rng.uniform(-root_amplitude, root_amplitude,
+                                                 size=len(keys)).tolist()))
     return BandOperator(lattice=lattice, band_radius=r, entries=entries)
 
 

@@ -11,7 +11,6 @@ import math
 import os
 
 import numpy as np
-from jsonschema import Draft7Validator
 
 from .analysis import decomposition_identity, testing_constants
 from .io import band_from_json, lattice_from_json, measure_from_json
@@ -79,6 +78,8 @@ class ConfigError(ValueError):
 
 
 def validate_config(config: dict) -> None:
+    from jsonschema import Draft7Validator  # only config validation needs it
+
     errors = sorted(Draft7Validator(CONFIG_SCHEMA).iter_errors(config),
                     key=lambda e: list(e.path))
     if errors:

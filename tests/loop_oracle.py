@@ -11,9 +11,10 @@ import itertools
 
 import numpy as np
 
-from haarlab import Cube, build_lattice, uniform_measure
+from haarlab import Cube, build_lattice, tree_distance, uniform_measure
 from haarlab.analysis import TestingReport, operator_norm
-from haarlab.operators import HaarIndex, RootIndex, WellLocalizedReport, _haar_pairings
+from haarlab.operators import (BandOperator, HaarIndex, RootIndex, WellLocalizedReport,
+                               _haar_pairings)
 from haarlab.paraproduct import (CarlesonPropertyReport, Paraproduct,
                                  ParaproductStructureReport, RemainderReport,
                                  _largest_singular_value)
@@ -480,3 +481,37 @@ def loop_haar_system(lattice):
         indices.append(RootIndex(root))
         rows.append(lattice.indicator(root) / np.sqrt(2.0 ** (root.level * lattice.dim)))
     return tuple(indices), np.array(rows)
+
+
+def loop_cubes_within_distance(lattice, q, r):
+    return [p for p in lattice.nonleaf_cubes if tree_distance(q, p) <= r]
+
+
+def loop_random_band(lattice, r, seed, amplitude=1.0, root_amplitude=0.0):
+    """random_band drawn pair by pair over a tree_distance scan of every
+    pair of non-leaf cubes, one scalar draw per entry."""
+    rng = np.random.default_rng(seed)
+    n_comp = 2 ** lattice.dim - 1
+    entries = {}
+    for q in lattice.nonleaf_cubes:
+        for p in loop_cubes_within_distance(lattice, q, r):
+            for kq in range(n_comp):
+                for kp in range(n_comp):
+                    val = rng.uniform(-amplitude, amplitude)
+                    if amplitude > 0:
+                        entries[(HaarIndex(p, kp), HaarIndex(q, kq))] = val
+    if root_amplitude > 0:
+        for root in lattice.roots:
+            rix = RootIndex(root)
+            for other in lattice.roots:
+                entries[(RootIndex(other), rix)] = rng.uniform(
+                    -root_amplitude, root_amplitude)
+            near = [p for p in lattice.nonleaf_cubes
+                    if root.contains(p) and root.level - p.level <= r]
+            for p in near:
+                for k in range(n_comp):
+                    entries[(HaarIndex(p, k), rix)] = rng.uniform(
+                        -root_amplitude, root_amplitude)
+                    entries[(rix, HaarIndex(p, k))] = rng.uniform(
+                        -root_amplitude, root_amplitude)
+    return BandOperator(lattice=lattice, band_radius=r, entries=entries)

@@ -2,9 +2,12 @@ import copy
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import haarlab
 from haarlab import runner
 from haarlab.cli import main
 from haarlab.runner import ConfigError, validate_config
@@ -310,3 +313,13 @@ def test_size_guard_reads_the_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "MAX_DENSE_BYTES", runner.dense_bytes(BASE_CONFIG["lattice"]))
     code, _ = run_cli(tmp_path, BASE_CONFIG, "testing", out_name="fits")
     assert code == 0
+
+
+def test_importing_the_runner_leaves_jsonschema_unloaded():
+    """jsonschema is loaded only to validate a config, not by every process
+    that imports the runner."""
+    src = os.path.dirname(os.path.dirname(haarlab.__file__))
+    code = "import sys, haarlab.runner; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"

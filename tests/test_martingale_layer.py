@@ -1,24 +1,27 @@
 """The array martingale layer (Lattice.ancestor_index, Lattice.inside,
-MeasureGrid.level_deltas and what is built on them) against the per-cube
-loop versions in loop_oracle.py.
+MeasureGrid.level_deltas and what is built on them, random_band included)
+against the per-cube loop versions in loop_oracle.py.
 
 Instances are 1D and 2D lattices with one to three roots (some of them
 not adjacent), depths 1-5 (2D to 3), measures with zero-mass leaves,
-r from 0 to 2, band operators and dense leaf matrices.
+r from 0 to 2, band operators and dense leaf matrices; random_band is
+also compared on r up to depth + 2 and on a 3D lattice.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from haarlab import (Cube, GridFunction, InducedOperator, MeasureGrid,
                      build_lattice, build_paraproduct, carleson_sequence,
-                     check_well_localized, decomposition_identity, induce,
-                     operator_norm, paraproduct_structure_verify, random_band)
+                     check_band, check_well_localized, decomposition_identity,
+                     induce, operator_norm, paraproduct_structure_verify,
+                     random_band)
 
 from loop_oracle import (loop_build_paraproduct, loop_carleson_values,
                          loop_check_well_localized, loop_comparable_sum,
                          loop_delta_level_within, loop_martingale_difference,
-                         loop_paraproduct_structure_verify)
+                         loop_paraproduct_structure_verify, loop_random_band)
 
 # The comparable-scale sum of decomposition_identity is one level-masked
 # matrix sum instead of a running sum over cube pairs, so it is not
@@ -45,15 +48,16 @@ def measures(draw, lat):
 
 @st.composite
 def instances(draw):
-    """(t_mu, r) with depth > r; random_band where the lattice is small
-    enough for its O(cubes^2) scan, a dense leaf matrix otherwise."""
+    """(t_mu, r) with depth > r, from a random_band (checked to be a band of
+    radius r) or a dense leaf matrix."""
     r = draw(st.integers(0, 2))
     lat = draw(lattices().filter(lambda lat: lat.depth > r))
     mu, nu = measures(draw, lat), measures(draw, lat)
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    if lat.n_leaves <= 64 and draw(st.booleans()):
+    if draw(st.booleans()):
         band = random_band(lat, r, seed=seed,
                            root_amplitude=draw(st.sampled_from([0.0, 0.4])))
+        assert check_band(band, r)[0]
         return induce(band, mu, nu), r
     matrix = np.random.default_rng(seed).standard_normal((lat.n_leaves,) * 2)
     return InducedOperator.from_leaf_matrix(matrix, mu, nu), r
@@ -68,6 +72,30 @@ def test_ancestor_index_and_inside_match_cubes(lat, up):
     pos = np.arange(len(cubes))
     want = [[outer.ancestor(up).contains(inner) for outer in cubes] for inner in cubes]
     assert lat.inside(pos, pos, up=up).tolist() == want
+
+
+AMPLITUDES = [(1.0, 0.0), (1.0, 0.5), (0.0, 0.5)]
+
+
+def assert_band_matches_loop_oracle(lat, r, seed, amplitudes):
+    new = random_band(lat, r, seed, *amplitudes)
+    old = loop_random_band(lat, r, seed, *amplitudes)
+    assert list(new.entries.items()) == list(old.entries.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), lat=lattices(), seed=st.integers(0, 2 ** 32 - 1),
+       amplitudes=st.sampled_from(AMPLITUDES))
+def test_random_band_matches_loop_oracle(data, lat, seed, amplitudes):
+    r = data.draw(st.integers(0, lat.depth + 2))
+    assert_band_matches_loop_oracle(lat, r, seed, amplitudes)
+
+
+@pytest.mark.parametrize("amplitudes", AMPLITUDES)
+@pytest.mark.parametrize("r", range(5))
+def test_random_band_matches_loop_oracle_3d(r, amplitudes):
+    lat = build_lattice(3, 0, -2, [Cube(3, 0, (0, 0, 0)), Cube(3, 0, (1, 0, 0))])
+    assert_band_matches_loop_oracle(lat, r, 7 + r, amplitudes)
 
 
 @settings(max_examples=60, deadline=None)

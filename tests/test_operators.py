@@ -6,6 +6,7 @@ from haarlab import (Cube, GridFunction, HaarIndex, InducedOperator,
                      check_band, check_well_localized, haar_multiplier,
                      haar_shift, haar_system, induce, random_band,
                      uniform_measure)
+from haarlab import lattice as lattice_module, operators as operators_module
 from haarlab.operators import comparable_pairing_count
 
 from conftest import random_instance, random_weights
@@ -116,6 +117,30 @@ def test_random_band_respects_radius():
     assert not ok
     row, col = witness
     assert isinstance(row, HaarIndex) and isinstance(col, HaarIndex)
+    # adjacent roots share a parent above top_level: at r = 2 the band pairs
+    # the roots' own Haar functions (tree distance 2)
+    left, right = Cube(1, 0, (0,)), Cube(1, 0, (1,))
+    op = random_band(build_lattice(1, 0, -3, [left, right]), 2, seed=3)
+    assert (HaarIndex(right, 0), HaarIndex(left, 0)) in op.entries
+    assert (HaarIndex(left, 0), HaarIndex(right, 0)) in op.entries
+    assert check_band(op, 2)[0]
+    ok, witness = check_band(op, 1)
+    assert not ok and witness is not None
+
+
+def test_random_band_does_not_scan_tree_distance(monkeypatch):
+    """random_band finds its pairs without calling tree_distance on every
+    pair of cubes."""
+    def refuse(q, r):
+        raise AssertionError("random_band called tree_distance")
+
+    monkeypatch.setattr(lattice_module, "tree_distance", refuse)
+    monkeypatch.setattr(operators_module, "tree_distance", refuse)
+    lat = build_lattice(1, 0, -10)
+    assert len(random_band(lat, 2, seed=0).entries) > 0
+    roots = [Cube(2, 0, (c, 0)) for c in (-1, 0, 1)]
+    assert len(random_band(build_lattice(2, 0, -3, roots), 1, seed=0,
+                           root_amplitude=0.5).entries) > 0
 
 
 def test_random_band_zero_amplitude():
