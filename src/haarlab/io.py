@@ -9,8 +9,8 @@ import numpy as np
 
 from .lattice import Cube, Lattice, build_lattice
 from .measures import MeasureGrid, generate_measure
-from .operators import (BandOperator, HaarIndex, RootIndex, haar_multiplier,
-                        haar_shift, random_band)
+from .operators import (BandOperator, HaarIndex, RootIndex, basis_positions,
+                        haar_multiplier, haar_shift, random_band)
 
 
 def cube_to_json(q: Cube) -> dict:
@@ -33,10 +33,6 @@ def lattice_from_json(obj: dict) -> Lattice:
     roots = [cube_from_json(r, dim) for r in obj.get("roots", [])] or None
     return build_lattice(dim, int(obj["top_level"]), int(obj["leaf_level"]),
                          roots)
-
-
-def measure_to_json(mu: MeasureGrid) -> dict:
-    return {"type": "explicit", "mass": [float(m) for m in mu.leaf_mass]}
 
 
 def index_to_json(ix) -> dict:
@@ -69,12 +65,11 @@ def band_from_json(obj: dict, lattice: Lattice) -> BandOperator:
     """Build an operator from a config spec (named generator or explicit)."""
     kind = obj["type"]
     if kind == "multiplier":
-        alpha = obj.get("alpha", 1.0)
-        if isinstance(alpha, dict):
-            alpha = {cube_from_json(c, lattice.dim): float(v)
-                     for c, v in alpha.items()}  # pragma: no cover
-        return haar_multiplier(lattice, alpha,
-                               root_alpha=obj.get("root_alpha", 0.0))
+        alpha, root_alpha = obj.get("alpha", 1.0), obj.get("root_alpha", 0.0)
+        if not all(isinstance(a, (int, float)) and np.isfinite(a)
+                   for a in (alpha, root_alpha)):
+            raise ValueError("multiplier alpha and root_alpha must be finite numbers")
+        return haar_multiplier(lattice, alpha, root_alpha=root_alpha)
     if kind == "shift":
         return haar_shift(lattice)
     if kind == "random_band":
@@ -89,6 +84,7 @@ def band_from_json(obj: dict, lattice: Lattice) -> BandOperator:
             entries[(row, col)] = float(e["value"])
         if not np.all(np.isfinite(list(entries.values()))):
             raise ValueError("operator entries must be finite")
+        basis_positions(lattice, [ix for key in entries for ix in key])
         return BandOperator(lattice=lattice, band_radius=int(obj["r"]),
                             entries=entries)
     raise ValueError(f"unknown operator spec type {kind!r}")

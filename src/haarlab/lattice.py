@@ -160,10 +160,6 @@ class Lattice:
         return tuple(self.cubes_at_level(self.leaf_level))
 
     @cached_property
-    def leaf_index(self) -> dict[Cube, int]:
-        return {q: i for i, q in enumerate(self.leaves)}
-
-    @cached_property
     def cube_index(self) -> dict[Cube, int]:
         """Position of each active cube in active_cubes."""
         return {q: i for i, q in enumerate(self.active_cubes)}

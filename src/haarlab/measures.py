@@ -31,14 +31,6 @@ class GridFunction:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def zeros(cls, lattice: Lattice) -> "GridFunction":
-        return cls(lattice, np.zeros(lattice.n_leaves))
-
-    @classmethod
-    def indicator(cls, lattice: Lattice, q: Cube) -> "GridFunction":
-        return cls(lattice, lattice.indicator(q))
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
         return GridFunction(self.lattice, self.values + other.values)
 
@@ -49,24 +41,6 @@ class GridFunction:
         return GridFunction(self.lattice, self.values * scalar)
 
     __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class WeightedHaarBasis:
-    """Orthonormal mean-zero basis of the child-indicator span on a cube.
-
-    Size is (#children with positive mass) - 1, at most 2**dim - 1; empty
-    when at most one child carries mass.
-    """
-
-    cube: Cube
-    functions: tuple[GridFunction, ...]
-
-    def __len__(self) -> int:
-        return len(self.functions)
-
-    def __iter__(self):
-        return iter(self.functions)
 
 
 @dataclass(frozen=True)
@@ -94,19 +68,6 @@ class MeasureGrid:
                             for table in self.lattice.level_leaves])
         m.flags.writeable = False
         return m
-
-    def mass(self, q: Cube) -> float:
-        """Exact mass of q; 0 for cubes outside the lattice support."""
-        i = self.lattice.cube_index.get(q)
-        if i is not None:
-            return float(self.cube_masses[i])
-        if q.level > self.lattice.top_level:
-            return sum(self.mass(r) for r in self.lattice.roots if q.contains(r))
-        return 0.0
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.leaf_mass.sum())
 
     def density(self) -> np.ndarray:
         """Leaf density with respect to Lebesgue measure (mass / cell volume)."""
@@ -179,13 +140,14 @@ class MeasureGrid:
                                   avg[..., anc[k + 1]] - avg[..., anc[k]], 0.0)
                          for k in rows], axis=-2)
 
-    def weighted_haar_basis(self, q: Cube) -> WeightedHaarBasis:
-        """The rows of haar_rows that belong to the non-leaf cube q."""
+    def weighted_haar_basis(self, q: Cube) -> np.ndarray:
+        """The rows of haar_rows that belong to the non-leaf cube q: an
+        orthonormal mean-zero basis of its child-indicator span, one row
+        fewer than q has positive-mass children (none if at most one)."""
         if self.lattice.is_leaf(q):
             raise ValueError(f"cube {q} is a leaf, no Haar basis")
         cubes, rows = self.haar_rows
-        return WeightedHaarBasis(cube=q, functions=tuple(
-            GridFunction(self.lattice, h) for h in rows[cubes == self.lattice.cube_index[q]]))
+        return rows[cubes == self.lattice.cube_index[q]]
 
     @cached_property
     def haar_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -253,10 +215,6 @@ class MeasureGrid:
         for r in self.lattice.roots:
             out[self.lattice.leaf_indices(r)] = self.average(f, r)
         return GridFunction(self.lattice, out)
-
-    def fluctuation_part(self, f: GridFunction) -> GridFunction:
-        """f minus root averages; equals the sum of all Delta_Q f."""
-        return f - self.mean_part(f)
 
     def delta_level_within(self, values: np.ndarray, level: int,
                            q: Cube) -> np.ndarray:

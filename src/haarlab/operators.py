@@ -35,53 +35,42 @@ class RootIndex:
     cube: Cube
 
 
-@dataclass(frozen=True)
-class HaarSystem:
-    """The orthonormal Lebesgue Haar system of a lattice, as leaf vectors.
-
-    Rows of `rows` are the Haar functions for every non-leaf active cube
-    (components in Gram-Schmidt order) followed by the normalized root
-    indicators; together they form an orthonormal basis of the leaf space
-    under uniform leaf weights.
-    """
-
-    lattice: Lattice
-    indices: tuple
-    rows: np.ndarray
-    position: dict
-
-    @classmethod
-    def build(cls, lattice: Lattice) -> "HaarSystem":
-        cubes, haar_rows = uniform_measure(lattice).haar_rows
-        components = np.arange(cubes.size) - np.searchsorted(cubes, cubes)
-        indices = [HaarIndex(lattice.nonleaf_cubes[i], k)
-                   for i, k in zip(cubes.tolist(), components.tolist())]
-        indices += [RootIndex(root) for root in lattice.roots]
-        rows = np.vstack([haar_rows] + [lattice.indicator(root) / np.sqrt(root.volume)
-                                        for root in lattice.roots])
-        return cls(lattice=lattice, indices=tuple(indices), rows=rows,
-                   position={ix: i for i, ix in enumerate(indices)})
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-
 @lru_cache(maxsize=32)
-def haar_system(lattice: Lattice) -> HaarSystem:
-    return HaarSystem.build(lattice)
+def haar_system(lattice: Lattice) -> np.ndarray:
+    """The orthonormal Lebesgue Haar system of a lattice as read-only leaf
+    vectors: the Haar functions of every non-leaf active cube (components in
+    Gram-Schmidt order), then the normalized root indicators.  They form an
+    orthonormal basis of the leaf space under uniform leaf weights; row
+    basis_positions(lattice, [ix]) is the basis index ix."""
+    rows = np.vstack([uniform_measure(lattice).haar_rows[1]]
+                     + [lattice.indicator(root) / np.sqrt(root.volume)
+                        for root in lattice.roots])
+    rows.flags.writeable = False
+    return rows
 
 
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """A coefficient per non-leaf cube, acting as alpha_Q times the identity
-    on the Haar space of Q."""
+def basis_positions(lattice: Lattice, indices) -> np.ndarray:
+    """Row of each basis index in haar_system(lattice).
 
-    alpha: dict
-
-    @classmethod
-    def constant(cls, lattice: Lattice, value: float) -> "MultiplierSpec":
-        return cls(alpha={q: float(value) for q in lattice.nonleaf_cubes})
+    HaarIndex(Q, k) is row (2**dim - 1) * i + k for the i-th active cube Q
+    (every non-leaf cube has 2**dim - 1 Lebesgue Haar functions); the roots
+    follow all Haar rows, in order.  Raises ValueError for an index outside
+    the lattice's Haar system: a leaf or inactive cube, a component out of
+    range, or a RootIndex of a cube that is not a root.
+    """
+    n_comp = 2 ** lattice.dim - 1
+    n_nonleaf, n_roots = len(lattice.nonleaf_cubes), len(lattice.roots)
+    index = lattice.cube_index
+    out = []
+    for ix in indices:
+        i = index.get(getattr(ix, "cube", None), n_nonleaf)
+        if isinstance(ix, HaarIndex) and i < n_nonleaf and 0 <= ix.component < n_comp:
+            out.append(n_comp * i + ix.component)
+        elif isinstance(ix, RootIndex) and i < n_roots:
+            out.append(n_comp * n_nonleaf + i)
+        else:
+            raise ValueError(f"{ix!r} is not a basis index of the lattice")
+    return np.array(out, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -96,12 +85,12 @@ class BandOperator:
     @cached_property
     def leaf_matrix(self) -> np.ndarray:
         """Dense matrix acting on leaf functions in L2(m)."""
-        system = haar_system(self.lattice)
-        e = np.zeros((system.size, system.size))
-        for (row, col), val in self.entries.items():
-            e[system.position[row], system.position[col]] = val
-        vol = self.lattice.leaf_volume
-        return vol * (system.rows.T @ e @ system.rows)
+        rows = haar_system(self.lattice)
+        e = np.zeros((len(rows),) * 2)
+        e[basis_positions(self.lattice, [row for row, _ in self.entries]),
+          basis_positions(self.lattice, [col for _, col in self.entries])] = list(
+              self.entries.values())
+        return self.lattice.leaf_volume * (rows.T @ e @ rows)
 
     def apply(self, f: GridFunction) -> GridFunction:
         return GridFunction(self.lattice, self.leaf_matrix @ f.values)
@@ -128,15 +117,10 @@ def check_band(op: BandOperator, r: int, tol: float = ZERO_TOL):
 def haar_multiplier(lattice: Lattice, spec, root_alpha: float = 0.0) -> BandOperator:
     """T f = sum alpha_Q (f, h_Q) h_Q, a band operator with r = 0.
 
-    `spec` is a MultiplierSpec, a {cube: alpha} mapping, or a scalar.
+    `spec` is a {cube: alpha} mapping or a scalar for every non-leaf cube.
     A nonzero root_alpha adds alpha times the identity on root indicators.
     """
-    if isinstance(spec, MultiplierSpec):
-        alpha = spec.alpha
-    elif isinstance(spec, dict):
-        alpha = spec
-    else:
-        alpha = {q: float(spec) for q in lattice.nonleaf_cubes}
+    alpha = spec if isinstance(spec, dict) else {q: float(spec) for q in lattice.nonleaf_cubes}
     n_comp = 2 ** lattice.dim - 1
     entries = {}
     for q, a in alpha.items():
@@ -261,15 +245,6 @@ class InducedOperator:
     def apply(self, f: GridFunction) -> GridFunction:
         return GridFunction(self.lattice, self.matrix @ f.values)
 
-    def apply_adjoint(self, g: GridFunction) -> GridFunction:
-        return GridFunction(self.lattice, self.adjoint_matrix @ g.values)
-
-    def bilinear(self, q: Cube, r: Cube) -> float:
-        """<T_mu chi_Q, chi_R>_nu, exact at leaf resolution."""
-        out = self.matrix @ self.lattice.indicator(q)
-        ridx = self.lattice.leaf_indices(r)
-        return float(np.sum(out[ridx] * self.nu.leaf_mass[ridx]))
-
 
 def induce(band: BandOperator, mu: MeasureGrid, nu: MeasureGrid) -> InducedOperator:
     return InducedOperator.from_band(band, mu, nu)
@@ -312,14 +287,15 @@ def check_well_localized(t_mu: InducedOperator, r: int,
     <T_mu chi_Q, h_R^nu>_nu must vanish if R is not inside the r-th
     grandparent of Q, or if side(R) <= 2^-r side(Q) and R is not inside Q;
     symmetrically for T*_nu against mu-Haar functions.  Pairings are
-    normalized by the maximal absolute pairing before the zero test.
+    normalized by the maximal absolute pairing before the zero test; a
+    non-finite pairing makes that scale non-finite and fails the check.
     """
     lattice = t_mu.lattice
     scans = [
         _haar_pairings(t_mu.matrix, t_mu.nu, lattice),
         _haar_pairings(t_mu.adjoint_matrix, t_mu.mu, lattice),
     ]
-    scale = max((float(np.max(np.abs(p))) for p, _ in scans if p.size), default=0.0)
+    scale = float(np.max([np.max(np.abs(p)) for p, _ in scans if p.size], initial=0.0))
     if scale == 0.0:
         return WellLocalizedReport(True, r, 0.0, 0.0, None, 0)
     cubes = lattice.active_cubes
@@ -335,7 +311,8 @@ def check_well_localized(t_mu: InducedOperator, r: int,
         if v.size and np.max(v) > worst:  # witness: the first worst pair
             i, j = divmod(int(np.argmax(v)), len(cubes))
             worst, witness = float(v[i, j]), (direction, cubes[j], cubes[row_cubes[i]])
-    return WellLocalizedReport(passed=worst <= tol, r=r, max_violation=worst,
+    return WellLocalizedReport(passed=worst <= tol and bool(np.isfinite(scale)),
+                               r=r, max_violation=worst,
                                scale=scale, witness=witness,
                                checked_pairs=checked)
 

@@ -55,7 +55,7 @@ CONFIG_SCHEMA = {
         "suite": {"enum": list(SUITES)},
         "seed": {"type": "integer", "minimum": 0},
         "tolerances": {"type": "object", "additionalProperties": {"type": "number"}},
-        "search": {"type": "object", "properties": {
+        "search": {"type": "object", "additionalProperties": False, "properties": {
             "iterations": {"type": "integer", "minimum": 0},
             **{name: {"type": "number"} for name in SEARCH_FLOATS}}},
     },
@@ -193,7 +193,7 @@ def suite_verify(config, tol) -> tuple[list, dict]:
     t_mu = InducedOperator.from_band(band, mu, nu)
     wl = check_well_localized(t_mu, r, tol=tol["zero"])
     checks.append(_check("well_localized", wl.passed,
-                         max_violation=wl.max_violation))
+                         max_violation=wl.max_violation, scale=wl.scale))
 
     pi_mu, pi_nu = _paraproducts(t_mu, r)
     lem = paraproduct_structure_verify(pi_mu, t_mu, r, tol=tol["entrywise"])
@@ -288,15 +288,9 @@ def suite_carleson(config, tol) -> tuple[list, dict]:
 def suite_search(config, tol) -> tuple[list, dict]:
     build_instance(config)  # reject what the other suites reject
     lat = config["lattice"]
-    s = config.get("search", {})
     sc = SearchConfig(dim=lat["dim"], top_level=lat["top_level"],
                       leaf_level=lat["leaf_level"], r=int(config["r"]),
-                      seed=int(config.get("seed", 0)),
-                      iterations=int(s.get("iterations", 200)),
-                      amplitude=float(s.get("amplitude", 1.0)),
-                      root_amplitude=float(s.get("root_amplitude", 0.0)),
-                      weight_sigma=float(s.get("weight_sigma", 1.0)),
-                      step=float(s.get("step", 0.5)))
+                      seed=int(config.get("seed", 0)), **config.get("search", {}))
     result = extremal_search(sc)
     monotone = all(b >= a for a, b in zip(result.history, result.history[1:]))
     checks = [_check("search_monotone", monotone, final_rho=result.rho)]

@@ -29,6 +29,9 @@ class SearchConfig:
     weight_sigma: float = 1.0
     step: float = 0.5
 
+    def __post_init__(self):  # a JSON integer may arrive as a float such as 3.0
+        object.__setattr__(self, "iterations", int(self.iterations))
+
 
 @dataclass
 class SearchResult:

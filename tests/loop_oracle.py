@@ -75,7 +75,7 @@ def loop_build_paraproduct(t_mu, r, side="mu", enlarge=0):
     for q in lattice.active_cubes:
         if q.level - r < lattice.leaf_level + 1:
             continue
-        mq = avg_measure.mass(q)
+        mq = avg_measure.cube_masses[lattice.cube_index[q]]
         if mq == 0.0:
             continue
         big = q
@@ -185,7 +185,9 @@ def loop_leaf_indices(lattice, q):
     """Leaves inside an active cube, enumerated cube by cube."""
     k = q.level - lattice.leaf_level
     ranges = [range(c << k, (c + 1) << k) for c in q.coords]
-    return np.array(sorted(lattice.leaf_index[Cube(lattice.dim, lattice.leaf_level, cs)]
+    # leaves close active_cubes, in leaf order
+    first = len(lattice.nonleaf_cubes)
+    return np.array(sorted(lattice.cube_index[Cube(lattice.dim, lattice.leaf_level, cs)] - first
                            for cs in itertools.product(*ranges)), dtype=np.intp)
 
 
@@ -433,7 +435,7 @@ def loop_weighted_haar_basis(measure, q):
     inner product over the positive-mass children, one cube at a time."""
     lattice = measure.lattice
     children = q.children()
-    masses = np.array([measure.mass(c) for c in children])
+    masses = measure.cube_masses[[lattice.cube_index[c] for c in children]]
     alive = np.flatnonzero(masses > 0)
     funcs = []
     if alive.size >= 2:

@@ -50,6 +50,8 @@ def test_verify_suite_passes(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "[pass] parseval" in printed
     assert "suite verify: pass" in printed
+    well_localized, = [c for c in report["checks"] if c["name"] == "well_localized"]
+    assert 0 < well_localized["details"]["scale"] < math.inf
 
 
 def test_testing_suite_writes_table(tmp_path):
@@ -83,6 +85,17 @@ def test_reports_deterministic_modulo_timestamp(tmp_path):
     rep_a, rep_b = read_report(out_a), read_report(out_b)
     rep_a.pop("timestamp"), rep_b.pop("timestamp")
     assert rep_a == rep_b
+    with open(os.path.join(out_a, "artifact.json")) as fa, \
+            open(os.path.join(out_b, "artifact.json")) as fb:
+        assert fa.read() == fb.read()
+
+
+def test_search_section_integral_numbers_as_floats(tmp_path):
+    # JSON integers may arrive as floats; the run is the same
+    _, out_a = run_cli(tmp_path, dict(BASE_CONFIG, search={"iterations": 3, "step": 1}),
+                       "search", out_name="a")
+    _, out_b = run_cli(tmp_path, dict(BASE_CONFIG, search={"iterations": 3.0, "step": 1.0}),
+                       "search", out_name="b")
     with open(os.path.join(out_a, "artifact.json")) as fa, \
             open(os.path.join(out_b, "artifact.json")) as fb:
         assert fa.read() == fb.read()
@@ -172,6 +185,45 @@ def test_bad_instance_exits_2_without_checks(tmp_path, capsys, change):
     code, _ = run_cli(tmp_path, dict(BASE_CONFIG, **change), "testing")
     assert code == 2
     assert "[pass]" not in capsys.readouterr().out
+
+
+HAAR_ROOT = {"kind": "haar", "cube": {"level": 0, "coords": [0]}, "component": 0}
+BAD_INDICES = {  # on BASE_CONFIG's lattice: 1D, levels 0 to -3, root [0]
+    "leaf": {"kind": "haar", "cube": {"level": -3, "coords": [0]}, "component": 0},
+    "outside": {"kind": "haar", "cube": {"level": 5, "coords": [99]}, "component": 0},
+    "component_4": {"kind": "haar", "cube": {"level": 0, "coords": [0]}, "component": 4},
+    "root_not_a_root": {"kind": "root", "cube": {"level": -1, "coords": [0]}},
+}
+BAD_OPERATORS = {
+    "alpha_object": {"type": "multiplier", "alpha": {'{"level": 0, "coords": [0]}': 2.0}},
+    "nan_alpha": {"type": "multiplier", "alpha": float("nan")},
+    "inf_root_alpha": {"type": "multiplier", "root_alpha": float("inf")},
+    "text_alpha": {"type": "multiplier", "alpha": "2"},
+    **{f"explicit_{name}_row": {"type": "explicit", "r": 0, "entries": [
+        {"row": ix, "col": HAAR_ROOT, "value": 1.0}]} for name, ix in BAD_INDICES.items()},
+    **{f"explicit_{name}_col": {"type": "explicit", "r": 0, "entries": [
+        {"row": HAAR_ROOT, "col": HAAR_ROOT, "value": 1.0},
+        {"row": HAAR_ROOT, "col": ix, "value": 0.5}]} for name, ix in BAD_INDICES.items()},
+}
+
+
+@pytest.mark.parametrize("operator", BAD_OPERATORS.values(), ids=list(BAD_OPERATORS))
+def test_bad_operator_spec_exits_2_under_every_suite_and_replay(tmp_path, capsys, operator):
+    config = dict(BASE_CONFIG, operator=operator, search={"iterations": 2})
+    for suite in runner.SUITES:
+        assert run_cli(tmp_path, config, suite, out_name=suite)[0] == 2, suite
+    assert "[pass]" not in capsys.readouterr().out
+    _, out = run_cli(tmp_path, dict(BASE_CONFIG, search={"iterations": 2}), "search",
+                     out_name="good")
+    with open(os.path.join(out, "artifact.json")) as fh:
+        artifact = dict(json.load(fh), operator=operator)
+    bad_artifact = tmp_path / "bad_artifact.json"
+    bad_artifact.write_text(json.dumps(artifact))
+    capsys.readouterr()
+    assert main(["--replay", str(bad_artifact), "--out", str(tmp_path / "replay")]) == 2
+    captured = capsys.readouterr()
+    assert "[pass]" not in captured.out
+    assert "cannot replay artifact" in captured.err
 
 
 def test_necessity_and_ordering_overrides_reach_checks(tmp_path):
@@ -288,9 +340,10 @@ def test_overflowing_carleson_sequence_fails_in_the_report(tmp_path, capsys, sui
     {"amplitude": float("nan")}, {"root_amplitude": float("inf")},
     {"weight_sigma": float("nan")}, {"step": -float("inf")},
     {"iterations": -1}, {"iterations": 2.5}, {"iterations": float("nan")},
-    {"step": "big"}],
+    {"step": "big"}, {"iteratons": 3}],
     ids=["nan_amplitude", "inf_root_amplitude", "nan_weight_sigma", "inf_step",
-         "negative_iterations", "fractional_iterations", "nan_iterations", "text_step"])
+         "negative_iterations", "fractional_iterations", "nan_iterations", "text_step",
+         "misspelt_iterations"])
 def test_bad_search_section_exits_2(tmp_path, capsys, search):
     code, _ = run_cli(tmp_path, dict(BASE_CONFIG, search=search), "search")
     assert code == 2

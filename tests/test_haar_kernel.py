@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from haarlab import Cube, MeasureGrid, build_lattice, uniform_measure
-from haarlab.operators import HaarSystem
+from haarlab import (Cube, MeasureGrid, basis_positions, build_lattice, haar_system,
+                     uniform_measure)
 
 from loop_oracle import loop_haar_rows, loop_haar_system, loop_weighted_haar_basis
 
@@ -48,10 +48,8 @@ def check_against_loop(mu):
     assert np.array_equal(cubes, want_cubes)
     assert same(rows, want_rows)
     for q in mu.lattice.nonleaf_cubes:
-        got = [h.values for h in mu.weighted_haar_basis(q)]
         want = loop_weighted_haar_basis(mu, q)
-        assert len(got) == len(want)
-        assert all(same(g, w) for g, w in zip(got, want))
+        assert same(mu.weighted_haar_basis(q), np.array(want).reshape(-1, mu.lattice.n_leaves))
     with pytest.raises(ValueError):
         mu.weighted_haar_basis(mu.lattice.leaves[0])
 
@@ -79,10 +77,10 @@ def test_haar_rows_match_loop_oracle_on_every_children_pattern(dim):
 @settings(max_examples=30, deadline=None)
 @given(lat=lattices())
 def test_haar_system_matches_loop_oracle(lat):
-    system = HaarSystem.build(lat)
     indices, rows = loop_haar_system(lat)
-    assert system.indices == indices
-    assert same(system.rows, rows)
+    assert same(haar_system(lat), rows)
+    # the position rule puts the loop's indices in the loop's order
+    assert np.array_equal(basis_positions(lat, indices), np.arange(len(indices)))
 
 
 def test_haar_rows_match_loop_oracle_past_64_children():

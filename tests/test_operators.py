@@ -1,12 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
-from haarlab import (Cube, GridFunction, HaarIndex, InducedOperator,
-                     MeasureGrid, MultiplierSpec, RootIndex, build_lattice,
+from haarlab import (BandOperator, Cube, GridFunction, HaarIndex, InducedOperator,
+                     MeasureGrid, RootIndex, basis_positions, build_lattice,
                      check_band, check_well_localized, haar_multiplier,
                      haar_shift, haar_system, induce, random_band,
                      uniform_measure)
 from haarlab import lattice as lattice_module, operators as operators_module
+from haarlab.io import band_from_json, band_to_json
 from haarlab.operators import comparable_pairing_count
 
 from conftest import random_instance, random_weights
@@ -15,19 +18,35 @@ from loop_oracle import loop_check_well_localized, loop_comparable_pairing_count
 
 def test_haar_system_is_orthonormal():
     lat = build_lattice(2, 0, -2)
-    sys = haar_system(lat)
-    assert sys.size == lat.n_leaves
-    gram = lat.leaf_volume * (sys.rows @ sys.rows.T)
-    np.testing.assert_allclose(gram, np.eye(sys.size), atol=1e-12)
+    rows = haar_system(lat)
+    assert rows.shape == (lat.n_leaves, lat.n_leaves)
+    gram = lat.leaf_volume * (rows @ rows.T)
+    np.testing.assert_allclose(gram, np.eye(lat.n_leaves), atol=1e-12)
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1.0
 
 
 def test_haar_system_index_layout():
     lat = build_lattice(1, 0, -2)
-    sys = haar_system(lat)
-    haar = [ix for ix in sys.indices if isinstance(ix, HaarIndex)]
-    roots = [ix for ix in sys.indices if isinstance(ix, RootIndex)]
-    assert len(haar) == 3 and len(roots) == 1
-    assert roots[0].cube == lat.roots[0]
+    haar = [HaarIndex(q, 0) for q in lat.nonleaf_cubes]
+    assert len(haar) == 3
+    assert basis_positions(lat, haar + [RootIndex(lat.roots[0])]).tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("index", [
+    HaarIndex(Cube(1, -2, (0,)), 0), HaarIndex(Cube(1, 5, (99,)), 0),
+    HaarIndex(Cube(1, 0, (0,)), 1), HaarIndex(Cube(1, 0, (0,)), -1),
+    HaarIndex(Cube(2, 0, (0, 0)), 0), RootIndex(Cube(1, -1, (0,))),
+    RootIndex(Cube(1, 0, (1,))), Cube(1, 0, (0,))],
+    ids=["leaf", "outside", "component_1_in_1d", "negative_component", "other_dim",
+         "root_not_a_root", "root_outside", "not_an_index"])
+def test_basis_positions_reject_indices_outside_the_system(index):
+    lat = build_lattice(1, 0, -2)
+    with pytest.raises(ValueError):
+        basis_positions(lat, [index])
+    band = BandOperator(lattice=lat, band_radius=0, entries={(index, index): 1.0})
+    with pytest.raises(ValueError):
+        band.leaf_matrix
 
 
 def test_zero_multiplier_is_zero_matrix():
@@ -38,7 +57,7 @@ def test_zero_multiplier_is_zero_matrix():
 
 def test_unit_multiplier_subtracts_root_average():
     lat = build_lattice(1, 0, -3)
-    op = haar_multiplier(lat, MultiplierSpec.constant(lat, 1.0))
+    op = haar_multiplier(lat, {q: 1.0 for q in lat.nonleaf_cubes})
     rng = np.random.default_rng(0)
     f = GridFunction(lat, rng.standard_normal(lat.n_leaves))
     got = op.apply(f).values
@@ -54,7 +73,7 @@ def test_unit_multiplier_with_root_block_is_identity():
 def test_root_multiplier_on_half_indicator():
     lat = build_lattice(1, 0, -1)
     op = haar_multiplier(lat, {Cube(1, 0, (0,)): 1.0})
-    left = GridFunction.indicator(lat, Cube(1, -1, (0,)))
+    left = GridFunction(lat, lat.indicator(Cube(1, -1, (0,))))
     # T chi_left = (chi_left, h) h = 1/2 chi_left - 1/2 chi_right
     np.testing.assert_allclose(op.apply(left).values, [0.5, -0.5], atol=1e-12)
 
@@ -69,17 +88,36 @@ def test_multiplier_band_radius_zero():
 def test_shift_moves_haar_functions_down():
     lat = build_lattice(1, 0, -3)
     op = haar_shift(lat)
-    sys = haar_system(lat)
+    rows = haar_system(lat)
 
     def haar(cube):
-        row = sys.rows[sys.position[HaarIndex(cube, 0)]]
-        return GridFunction(lat, row)
+        return GridFunction(lat, rows[basis_positions(lat, [HaarIndex(cube, 0)])[0]])
 
     q = Cube(1, -1, (0,))
     left, right = q.children()
     got = op.apply(haar(q)).values
     want = haar(right).values - haar(left).values
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+HAAR = {"kind": "haar", "cube": {"level": -1, "coords": [2]}, "component": 0}
+ROOT = {"kind": "root", "cube": {"level": 0, "coords": [1]}}
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "multiplier", "alpha": 0.7},
+    {"type": "multiplier", "alpha": -1.5, "root_alpha": 2},
+    {"type": "shift"},
+    {"type": "random_band", "r": 2, "seed": 4, "root_amplitude": 0.5},
+    {"type": "explicit", "r": 1, "entries": [{"row": HAAR, "col": ROOT, "value": 0.25},
+                                             {"row": ROOT, "col": ROOT, "value": -1.0}]}],
+    ids=["multiplier", "multiplier_root_alpha", "shift", "random_band_roots", "explicit"])
+def test_band_json_round_trip(spec):
+    lat = build_lattice(1, 0, -4, [Cube(1, 0, (0,)), Cube(1, 0, (1,))])
+    band = band_from_json(spec, lat)
+    again = band_from_json(json.loads(json.dumps(band_to_json(band))), lat)
+    assert again.entries == band.entries
+    assert np.array_equal(again.leaf_matrix, band.leaf_matrix)
 
 
 def test_shift_band_structure():
@@ -180,16 +218,18 @@ def test_bilinear_matches_entrywise_assembly():
     mu = random_weights(lat, 10)
     nu = random_weights(lat, 11)
     t = induce(band, mu, nu)
-    sys = haar_system(lat)
+    rows = haar_system(lat)
     for q in (Cube(1, 0, (0,)), Cube(1, -1, (1,)), Cube(1, -2, (2,))):
         for rr in (Cube(1, 0, (0,)), Cube(1, -2, (1,)), Cube(1, -3, (5,))):
             qind, rind = lat.indicator(q), lat.indicator(rr)
             want = 0.0
             for (row, col), val in band.entries.items():
-                in_part = np.sum(qind * mu.leaf_mass * sys.rows[sys.position[col]])
-                out_part = np.sum(rind * nu.leaf_mass * sys.rows[sys.position[row]])
+                (i, j) = basis_positions(lat, [row, col])
+                in_part = np.sum(qind * mu.leaf_mass * rows[j])
+                out_part = np.sum(rind * nu.leaf_mass * rows[i])
                 want += val * in_part * out_part
-            assert t.bilinear(q, rr) == pytest.approx(want, abs=1e-12)
+            got = np.sum((t.matrix @ qind) * rind * nu.leaf_mass)
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_adjoint_duality():
@@ -199,7 +239,7 @@ def test_adjoint_duality():
         f = GridFunction(t.lattice, rng.standard_normal(t.lattice.n_leaves))
         g = GridFunction(t.lattice, rng.standard_normal(t.lattice.n_leaves))
         lhs = t.nu.inner(t.apply(f), g)
-        rhs = t.mu.inner(f, t.apply_adjoint(g))
+        rhs = t.mu.inner(f, GridFunction(t.lattice, t.adjoint_matrix @ g.values))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -219,6 +259,17 @@ def test_zero_operator_is_well_localized():
     t = induce(haar_multiplier(lat, 0.0), leb, leb)
     rep = check_well_localized(t, 0)
     assert rep.passed and rep.scale == 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_pairing_is_not_well_localized(bad):
+    lat = build_lattice(1, 0, -3)
+    leb = uniform_measure(lat)
+    mat = np.eye(lat.n_leaves)
+    mat[5, 2] = bad
+    rep = check_well_localized(InducedOperator.from_leaf_matrix(mat, leb, leb), 0)
+    assert not rep.passed
+    assert not np.isfinite(rep.scale)
 
 
 def test_dense_leaf_matrix_is_not_well_localized():
