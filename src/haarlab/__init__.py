@@ -4,9 +4,8 @@ Carleson embedding and indicator testing constants.
 """
 
 from .lattice import NO_COMMON_ANCESTOR, Cube, Lattice, build_lattice, tree_distance
-from .measures import (GridFunction, MeasureGrid, generate_measure,
-                       lognormal_measure, sparse_atoms_measure,
-                       uniform_measure, zero_blocks_measure)
+from .measures import (MeasureGrid, generate_measure, lognormal_measure,
+                       sparse_atoms_measure, uniform_measure, zero_blocks_measure)
 from .operators import (BandOperator, HaarIndex, InducedOperator, RootIndex,
                         basis_positions, check_band, check_well_localized,
                         haar_multiplier, haar_shift, haar_system, induce,

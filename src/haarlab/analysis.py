@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GridFunction
 from .operators import InducedOperator
 from .paraproduct import Paraproduct, _largest_singular_value, build_paraproduct
 
@@ -130,8 +129,8 @@ class DecompositionReport:
     relative: float
 
 
-def decomposition_identity(t_mu: InducedOperator, r: int, f: GridFunction,
-                           g: GridFunction, pi_mu: Paraproduct | None = None,
+def decomposition_identity(t_mu: InducedOperator, r: int, f: np.ndarray,
+                           g: np.ndarray, pi_mu: Paraproduct | None = None,
                            pi_nu: Paraproduct | None = None) -> DecompositionReport:
     """Verify <T_mu f, g>_nu = <Pi^mu f~, g>_nu + <f, Pi^nu g~>_mu
     + sum over comparable scales <T_mu Delta_Q f, Delta_R g>_nu
@@ -149,20 +148,20 @@ def decomposition_identity(t_mu: InducedOperator, r: int, f: GridFunction,
     g_mean = nu.mean_part(g)
     g_fluct = g - g_mean
 
-    lhs = nu.inner(t_mu.apply(f), g)
-    term_pi_mu = nu.inner(pi_mu.apply(f_fluct), g)
-    term_pi_nu = mu.inner(f, pi_nu.apply(g_fluct))
+    lhs = nu.inner(t_mu.matrix @ f, g)
+    term_pi_mu = nu.inner(pi_mu.matrix @ f_fluct, g)
+    term_pi_nu = mu.inner(f, pi_nu.matrix @ g_fluct)
 
     # sum over comparable levels j, k of <T_mu Delta_j f, Delta_k g>_nu, where
     # Delta_j is the sum of Delta_Q over the cubes Q at level j
     levels = np.arange(lattice.top_level, lattice.leaf_level, -1)
-    delta_f = mu.level_deltas(f.values, levels)
-    delta_g = nu.level_deltas(g.values, levels) * nu.leaf_mass
+    delta_f = mu.level_deltas(f, levels)
+    delta_g = nu.level_deltas(g, levels) * nu.leaf_mass
     pairs = delta_f @ t_mu.matrix.T @ delta_g.T
     comparable = float(pairs[np.abs(levels[:, None] - levels) <= r].sum())
 
-    mean_terms = (nu.inner(t_mu.apply(f_mean), g)
-                  + nu.inner(t_mu.apply(f_fluct), g_mean))
+    mean_terms = (nu.inner(t_mu.matrix @ f_mean, g)
+                  + nu.inner(t_mu.matrix @ f_fluct, g_mean))
 
     rhs = term_pi_mu + term_pi_nu + comparable + mean_terms
     residual = abs(lhs - rhs)

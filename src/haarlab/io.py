@@ -1,11 +1,12 @@
 """JSON (de)serialization of cubes, lattices, measures and operators.
 
 The same encoding is used by run configs, reports and search artifacts, so
-any emitted instance can be replayed bit for bit.
+any emitted instance can be replayed bit for bit.  Replayed artifacts skip
+the config schema, so every number read here is checked here.
 """
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .lattice import Cube, Lattice, build_lattice
 from .measures import MeasureGrid, generate_measure
@@ -13,13 +14,23 @@ from .operators import (BandOperator, HaarIndex, RootIndex, basis_positions,
                         haar_multiplier, haar_shift, random_band)
 
 
+def _number(value, what: str, kind: type = float):
+    """A finite JSON number as `kind`, float or int; an int field takes an
+    integral float (JSON does not tell 3 from 3.0), never a bool or string."""
+    if type(value) is kind and (kind is int or math.isfinite(value)):
+        return value  # the common case, kept cheap: a band has thousands of numbers
+    if type(value) in (int, float) and math.isfinite(value) and kind(value) == value:
+        return kind(value)
+    raise ValueError(f"{what} must be a finite {kind.__name__}, got {value!r}")
+
+
 def cube_to_json(q: Cube) -> dict:
     return {"level": q.level, "coords": list(q.coords)}
 
 
 def cube_from_json(obj: dict, dim: int) -> Cube:
-    return Cube(dim=dim, level=int(obj["level"]),
-                coords=tuple(int(c) for c in obj["coords"]))
+    return Cube(dim=dim, level=_number(obj["level"], "cube level", int),
+                coords=tuple(_number(c, "cube coordinate", int) for c in obj["coords"]))
 
 
 def lattice_to_json(lat: Lattice) -> dict:
@@ -29,10 +40,10 @@ def lattice_to_json(lat: Lattice) -> dict:
 
 
 def lattice_from_json(obj: dict) -> Lattice:
-    dim = int(obj["dim"])
+    dim = _number(obj["dim"], "lattice dim", int)
     roots = [cube_from_json(r, dim) for r in obj.get("roots", [])] or None
-    return build_lattice(dim, int(obj["top_level"]), int(obj["leaf_level"]),
-                         roots)
+    return build_lattice(dim, _number(obj["top_level"], "top_level", int),
+                         _number(obj["leaf_level"], "leaf_level", int), roots)
 
 
 def index_to_json(ix) -> dict:
@@ -47,7 +58,7 @@ def index_to_json(ix) -> dict:
 def index_from_json(obj: dict, dim: int):
     cube = cube_from_json(obj["cube"], dim)
     if obj["kind"] == "haar":
-        return HaarIndex(cube=cube, component=int(obj["component"]))
+        return HaarIndex(cube=cube, component=_number(obj["component"], "component", int))
     if obj["kind"] == "root":
         return RootIndex(cube=cube)
     raise ValueError(f"unknown index kind {obj['kind']!r}")
@@ -65,30 +76,34 @@ def band_from_json(obj: dict, lattice: Lattice) -> BandOperator:
     """Build an operator from a config spec (named generator or explicit)."""
     kind = obj["type"]
     if kind == "multiplier":
-        alpha, root_alpha = obj.get("alpha", 1.0), obj.get("root_alpha", 0.0)
-        if not all(isinstance(a, (int, float)) and np.isfinite(a)
-                   for a in (alpha, root_alpha)):
-            raise ValueError("multiplier alpha and root_alpha must be finite numbers")
-        return haar_multiplier(lattice, alpha, root_alpha=root_alpha)
+        return haar_multiplier(lattice, _number(obj.get("alpha", 1.0), "multiplier alpha"),
+                               root_alpha=_number(obj.get("root_alpha", 0.0),
+                                                  "multiplier root_alpha"))
     if kind == "shift":
         return haar_shift(lattice)
     if kind == "random_band":
-        return random_band(lattice, r=int(obj["r"]), seed=int(obj["seed"]),
-                           amplitude=float(obj.get("amplitude", 1.0)),
-                           root_amplitude=float(obj.get("root_amplitude", 0.0)))
+        return random_band(lattice, r=_number(obj["r"], "random_band r", int),
+                           seed=_number(obj["seed"], "random_band seed", int),
+                           amplitude=_number(obj.get("amplitude", 1.0), "amplitude"),
+                           root_amplitude=_number(obj.get("root_amplitude", 0.0),
+                                                  "root_amplitude"))
     if kind == "explicit":
         entries = {}
         for e in obj["entries"]:
             row = index_from_json(e["row"], lattice.dim)
             col = index_from_json(e["col"], lattice.dim)
-            entries[(row, col)] = float(e["value"])
-        if not np.all(np.isfinite(list(entries.values()))):
-            raise ValueError("operator entries must be finite")
+            entries[(row, col)] = _number(e["value"], "operator entry")
+        if len(entries) < len(obj["entries"]):
+            raise ValueError("explicit operator repeats a (row, col) pair")
         basis_positions(lattice, [ix for key in entries for ix in key])
-        return BandOperator(lattice=lattice, band_radius=int(obj["r"]),
+        return BandOperator(lattice=lattice, band_radius=_number(obj["r"], "explicit r", int),
                             entries=entries)
     raise ValueError(f"unknown operator spec type {kind!r}")
 
 
 def measure_from_json(obj, lattice: Lattice) -> MeasureGrid:
+    kinds = {"seed": int, "count": int, "total": float, "sigma": float, "fraction": float}
+    if isinstance(obj, dict):
+        obj = {key: _number(v, f"measure {key}", kinds[key]) if key in kinds else v
+               for key, v in obj.items()}
     return generate_measure(lattice, obj)

@@ -1,9 +1,9 @@
 """Finite-resolution measures, averages, martingale differences, weighted
 Haar bases and the orthogonal decomposition of leaf functions.
 
-A measure is a nonnegative mass per leaf cell; a grid function is a real
-value per leaf cell.  Averages over zero-mass cubes are defined to be 0 so
-every formula stays total.
+A measure is a nonnegative mass per leaf cell; a leaf function is a float
+array of length n_leaves, one value per leaf cell.  Averages over zero-mass
+cubes are defined to be 0 so every formula stays total.
 """
 from __future__ import annotations
 
@@ -13,34 +13,6 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import Cube, Lattice
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """A real value per leaf cell: the finite model of a function in L2."""
-
-    lattice: Lattice
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.lattice.n_leaves,):
-            raise ValueError(f"expected {self.lattice.n_leaves} leaf values, "
-                             f"got shape {v.shape}")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.lattice, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.lattice, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.lattice, self.values * scalar)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -73,19 +45,15 @@ class MeasureGrid:
         """Leaf density with respect to Lebesgue measure (mass / cell volume)."""
         return self.leaf_mass / self.lattice.leaf_volume
 
-    def inner(self, f: GridFunction, g: GridFunction) -> float:
-        if f.lattice is not self.lattice and f.lattice != self.lattice:
-            raise ValueError("lattice mismatch")
-        if g.lattice is not self.lattice and g.lattice != self.lattice:
-            raise ValueError("lattice mismatch")
-        return float(np.sum(f.values * g.values * self.leaf_mass))
+    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
+        return float(np.sum(f * g * self.leaf_mass))
 
-    def norm(self, f: GridFunction) -> float:
+    def norm(self, f: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(f, f), 0.0)))
 
-    def average(self, f: GridFunction, q: Cube) -> float:
+    def average(self, f: np.ndarray, q: Cube) -> float:
         """mu(q)^-1 * integral of f over q; 0 when mu(q) = 0."""
-        return self._average(f.values, self.lattice.cube_index[q])
+        return self._average(f, self.lattice.cube_index[q])
 
     def _average(self, values: np.ndarray, i: int) -> float:
         m = self.cube_masses[i]
@@ -94,23 +62,23 @@ class MeasureGrid:
         idx = self.lattice.cube_leaves[i]
         return float(np.sum(values[idx] * self.leaf_mass[idx]) / m)
 
-    def expectation(self, f: GridFunction, q: Cube) -> GridFunction:
+    def expectation(self, f: np.ndarray, q: Cube) -> np.ndarray:
         """E_Q f: the average of f on q, as a function supported on q."""
         out = np.zeros(self.lattice.n_leaves)
         out[self.lattice.leaf_indices(q)] = self.average(f, q)
-        return GridFunction(self.lattice, out)
+        return out
 
-    def martingale_difference(self, f: GridFunction, q: Cube) -> GridFunction:
+    def martingale_difference(self, f: np.ndarray, q: Cube) -> np.ndarray:
         """Delta_Q f: on each child of q, (average on child) - (average on q)."""
         if self.lattice.is_leaf(q):
             raise ValueError(f"cube {q} is a leaf, no martingale difference")
         lattice = self.lattice
         i = lattice.cube_index[q]
         out = np.zeros(lattice.n_leaves)
-        base = self._average(f.values, i)
+        base = self._average(f, i)
         for c in lattice.children_index[i]:
-            out[lattice.cube_leaves[c]] = self._average(f.values, c) - base
-        return GridFunction(lattice, out)
+            out[lattice.cube_leaves[c]] = self._average(f, c) - base
+        return out
 
     def level_deltas(self, values: np.ndarray, levels) -> np.ndarray:
         """Martingale differences of every cube at the given non-leaf levels
@@ -198,7 +166,7 @@ class MeasureGrid:
         cubes.flags.writeable = rows.flags.writeable = False
         return cubes, rows
 
-    def martingale_decompose(self, f: GridFunction):
+    def martingale_decompose(self, f: np.ndarray):
         """All martingale differences plus root averages.
 
         Returns (deltas, expectations): dicts over non-leaf active cubes and
@@ -209,12 +177,9 @@ class MeasureGrid:
         exps = {r: self.expectation(f, r) for r in self.lattice.roots}
         return deltas, exps
 
-    def mean_part(self, f: GridFunction) -> GridFunction:
+    def mean_part(self, f: np.ndarray) -> np.ndarray:
         """Sum of the root averages E_R f."""
-        out = np.zeros(self.lattice.n_leaves)
-        for r in self.lattice.roots:
-            out[self.lattice.leaf_indices(r)] = self.average(f, r)
-        return GridFunction(self.lattice, out)
+        return sum(self.expectation(f, r) for r in self.lattice.roots)
 
     def delta_level_within(self, values: np.ndarray, level: int,
                            q: Cube) -> np.ndarray:

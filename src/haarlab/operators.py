@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .lattice import Cube, Lattice, tree_distance
-from .measures import GridFunction, MeasureGrid, uniform_measure
+from .measures import MeasureGrid, uniform_measure
 
 ZERO_TOL = 1e-12
 
@@ -91,9 +91,6 @@ class BandOperator:
           basis_positions(self.lattice, [col for _, col in self.entries])] = list(
               self.entries.values())
         return self.lattice.leaf_volume * (rows.T @ e @ rows)
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        return GridFunction(self.lattice, self.leaf_matrix @ f.values)
 
 
 def check_band(op: BandOperator, r: int, tol: float = ZERO_TOL):
@@ -172,8 +169,9 @@ def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
     """
     if r < 0:
         raise ValueError("band radius must be nonnegative")
-    if not np.isfinite([amplitude, root_amplitude]).all():
-        raise ValueError("random_band amplitudes must be finite")
+    for name, a in (("amplitude", amplitude), ("root_amplitude", root_amplitude)):
+        if not (np.isfinite(a) and a >= 0):
+            raise ValueError(f"random_band {name} must be finite and nonnegative, got {a!r}")
     rng = np.random.default_rng(seed)
     n_comp = 2 ** lattice.dim - 1
     nonleaf = np.arange(len(lattice.nonleaf_cubes))
@@ -215,24 +213,13 @@ class InducedOperator:
     mu: MeasureGrid
     nu: MeasureGrid
     lebesgue_matrix: np.ndarray
-    band_radius: int
     band: BandOperator | None = None
 
     @classmethod
-    def from_band(cls, band: BandOperator, mu: MeasureGrid,
-                  nu: MeasureGrid) -> "InducedOperator":
-        if mu.lattice != band.lattice or nu.lattice != band.lattice:
-            raise ValueError("lattice mismatch between operator and measures")
-        return cls(lattice=band.lattice, mu=mu, nu=nu,
-                   lebesgue_matrix=band.leaf_matrix,
-                   band_radius=band.band_radius, band=band)
-
-    @classmethod
     def from_leaf_matrix(cls, matrix: np.ndarray, mu: MeasureGrid,
-                         nu: MeasureGrid, band_radius: int = 0) -> "InducedOperator":
+                         nu: MeasureGrid) -> "InducedOperator":
         return cls(lattice=mu.lattice, mu=mu, nu=nu,
-                   lebesgue_matrix=np.asarray(matrix, dtype=float),
-                   band_radius=band_radius)
+                   lebesgue_matrix=np.asarray(matrix, dtype=float))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -242,12 +229,13 @@ class InducedOperator:
     def adjoint_matrix(self) -> np.ndarray:
         return self.lebesgue_matrix.T * self.nu.density()[np.newaxis, :]
 
-    def apply(self, f: GridFunction) -> GridFunction:
-        return GridFunction(self.lattice, self.matrix @ f.values)
-
 
 def induce(band: BandOperator, mu: MeasureGrid, nu: MeasureGrid) -> InducedOperator:
-    return InducedOperator.from_band(band, mu, nu)
+    """T_mu for the band operator T between the measures on its lattice."""
+    if mu.lattice != band.lattice or nu.lattice != band.lattice:
+        raise ValueError("lattice mismatch between operator and measures")
+    return InducedOperator(lattice=band.lattice, mu=mu, nu=nu,
+                           lebesgue_matrix=band.leaf_matrix, band=band)
 
 
 def _haar_pairings(op_matrix: np.ndarray, out_measure: MeasureGrid,

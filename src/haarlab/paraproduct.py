@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice
-from .measures import GridFunction, MeasureGrid
+from .measures import MeasureGrid
 from .operators import InducedOperator, ZERO_TOL, haar_block
 
 
@@ -21,17 +21,9 @@ class Paraproduct:
     the paraproduct of the adjoint T*_nu (output in L2(mu)).
     """
 
-    source: InducedOperator
     r: int
     side: str
     matrix: np.ndarray
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.source.lattice
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        return GridFunction(self.lattice, self.matrix @ f.values)
 
 
 def build_paraproduct(t_mu: InducedOperator, r: int, side: str = "mu",
@@ -60,7 +52,7 @@ def build_paraproduct(t_mu: InducedOperator, r: int, side: str = "mu",
         w = _local_deltas(op, delta_measure, r, cubes, enlarge)
         a = lattice.membership.T[cubes] * avg_measure.leaf_mass / mq[cubes][:, None]
         matrix = w.T @ a
-    return Paraproduct(source=t_mu, r=r, side=side, matrix=matrix)
+    return Paraproduct(r=r, side=side, matrix=matrix)
 
 
 def _local_deltas(op: np.ndarray, measure: MeasureGrid, r: int,
@@ -110,9 +102,9 @@ def paraproduct_structure_verify(pi: Paraproduct, t_mu: InducedOperator, r: int,
     scale = max(float(np.max(np.abs(g_t))), float(np.max(np.abs(g_pi))))
     if scale == 0.0:
         return ParaproductStructureReport(True, 0.0, 0.0, 0.0, 0.0, None)
-    levels = pi.lattice.levels
+    levels = t_mu.lattice.levels
     coarse = levels[nu_cubes][:, None] >= levels[mu_cubes][None, :] - r
-    outside = ~pi.lattice.inside(nu_cubes, mu_cubes)
+    outside = ~t_mu.lattice.inside(nu_cubes, mu_cubes)
     pi_dev = np.abs(g_pi) / scale
     devs = (np.where(coarse, pi_dev, 0.0), np.where(outside, pi_dev, 0.0),
             np.where(coarse, 0.0, np.abs(g_pi - g_t) / scale))
@@ -124,7 +116,7 @@ def paraproduct_structure_verify(pi: Paraproduct, t_mu: InducedOperator, r: int,
     witness = None
     if last is not None:
         i, j = divmod(last[0], len(mu_cubes))
-        cubes = pi.lattice.active_cubes
+        cubes = t_mu.lattice.active_cubes
         witness = (("vanish_scale", "vanish_outside", "equality")[last[1]],
                    cubes[mu_cubes[j]], cubes[nu_cubes[i]])
     return ParaproductStructureReport(passed=passed, scale=scale, max_dev_vanish_scale=dev1,

@@ -14,8 +14,7 @@ import numpy as np
 
 from .analysis import decomposition_identity, testing_constants
 from .io import band_from_json, lattice_from_json, measure_from_json
-from .measures import GridFunction
-from .operators import InducedOperator, check_band, check_well_localized
+from .operators import check_band, check_well_localized, induce
 from .paraproduct import (build_paraproduct, carleson_constant,
                           carleson_property, carleson_sequence,
                           embedding_constant, paraproduct_structure_verify,
@@ -88,9 +87,10 @@ def validate_config(config: dict) -> None:
     if lat["leaf_level"] >= lat["top_level"]:
         raise ConfigError("leaf_level must be strictly below top_level")
     search = config.get("search", {})
-    bad = [name for name in SEARCH_FLOATS if not math.isfinite(search.get(name, 0.0))]
+    bad = [name for name in SEARCH_FLOATS if not math.isfinite(search.get(name, 0.0))
+           or "amplitude" in name and search.get(name, 0.0) < 0]
     if bad:
-        raise ConfigError(f"search parameters must be finite: {', '.join(bad)}")
+        raise ConfigError(f"search parameters must be finite, amplitudes nonnegative: {bad}")
     need = dense_bytes(lat)
     if need > MAX_DENSE_BYTES:
         raise ConfigError(f"instance needs about {need / 2 ** 30:.3g} GiB of dense "
@@ -142,10 +142,8 @@ def _paraproducts(t_mu, r):
 
 
 def _random_functions(lattice, seed, count):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        yield (GridFunction(lattice, rng.standard_normal(lattice.n_leaves)),
-               GridFunction(lattice, rng.standard_normal(lattice.n_leaves)))
+    """count (f, g) pairs of standard normal leaf functions."""
+    return np.random.default_rng(seed).standard_normal((count, 2, lattice.n_leaves))
 
 
 def _check(name, passed, **details):
@@ -190,7 +188,7 @@ def suite_verify(config, tol) -> tuple[list, dict]:
     ok, witness = check_band(band, band.band_radius, tol=tol["zero"])
     checks.append(_check("band_structure", ok, witness=repr(witness)))
 
-    t_mu = InducedOperator.from_band(band, mu, nu)
+    t_mu = induce(band, mu, nu)
     wl = check_well_localized(t_mu, r, tol=tol["zero"])
     checks.append(_check("well_localized", wl.passed,
                          max_violation=wl.max_violation, scale=wl.scale))
@@ -231,7 +229,7 @@ def suite_verify(config, tol) -> tuple[list, dict]:
 
 def suite_testing(config, tol) -> tuple[list, dict]:
     lattice, mu, nu, band, r = build_instance(config)
-    t_mu = InducedOperator.from_band(band, mu, nu)
+    t_mu = induce(band, mu, nu)
     rep = testing_constants(t_mu, r)
     checks = [
         _check("necessity_direct",
@@ -261,7 +259,7 @@ def suite_testing(config, tol) -> tuple[list, dict]:
 
 def suite_carleson(config, tol) -> tuple[list, dict]:
     lattice, mu, nu, band, r = build_instance(config)
-    t_mu = InducedOperator.from_band(band, mu, nu)
+    t_mu = induce(band, mu, nu)
     seq, overflow = _carleson_sequence(t_mu, r)
     if overflow:
         return [_check(name, False, **overflow) for name in (
@@ -301,7 +299,7 @@ def suite_search(config, tol) -> tuple[list, dict]:
 
 def suite_decompose(config, tol) -> tuple[list, dict]:
     lattice, mu, nu, band, r = build_instance(config)
-    t_mu = InducedOperator.from_band(band, mu, nu)
+    t_mu = induce(band, mu, nu)
     pi_mu, pi_nu = _paraproducts(t_mu, r)
     worst = _worst([decomposition_identity(t_mu, r, f, g, pi_mu=pi_mu, pi_nu=pi_nu).relative
                     for f, g in _random_functions(lattice, int(config.get("seed", 0)), 50)])

@@ -12,7 +12,7 @@ from .analysis import testing_constants
 from .io import band_to_json, band_from_json, lattice_from_json, lattice_to_json
 from .lattice import Cube, build_lattice
 from .measures import MeasureGrid, uniform_measure
-from .operators import BandOperator, InducedOperator, random_band
+from .operators import BandOperator, induce, random_band
 from .paraproduct import CarlesonSequence, carleson_constant, embedding_constant
 
 
@@ -66,8 +66,7 @@ def _artifact_constants(report) -> dict:
 
 
 def _evaluate(band: BandOperator, mu: MeasureGrid, nu: MeasureGrid, r: int):
-    t_mu = InducedOperator.from_band(band, mu, nu)
-    report = testing_constants(t_mu, r)
+    report = testing_constants(induce(band, mu, nu), r)
     return report.rho, report
 
 

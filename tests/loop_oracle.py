@@ -92,7 +92,7 @@ def loop_build_paraproduct(t_mu, r, side="mu", enlarge=0):
         matrix = np.zeros((n, n))
     else:
         matrix = np.array(w_rows).T @ np.array(a_rows)
-    return Paraproduct(source=t_mu, r=r, side=side, matrix=matrix)
+    return Paraproduct(r=r, side=side, matrix=matrix)
 
 
 def loop_carleson_values(t_mu, r):

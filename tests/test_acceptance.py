@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from haarlab import (CarlesonSequence, GridFunction, MeasureGrid,
+from haarlab import (CarlesonSequence, MeasureGrid,
                      build_lattice, build_paraproduct, carleson_constant,
                      check_well_localized, decomposition_identity,
                      embedding_constant, greedy_embedding_sequence,
@@ -72,18 +72,18 @@ def test_criterion_1_orthogonal_decomposition(emit):
         mass = rng.uniform(0.0, 2.0, lat.n_leaves)
         mass[rng.random(lat.n_leaves) < 0.2] = 0.0
         mu = MeasureGrid(lat, mass)
-        f = GridFunction(lat, rng.standard_normal(lat.n_leaves))
+        f = rng.standard_normal(lat.n_leaves)
         deltas, exps = mu.martingale_decompose(f)
         pieces = list(deltas.values()) + list(exps.values())
         norm2 = mu.inner(f, f)
         if norm2 == 0.0:
             continue
         total = sum(mu.inner(p, p) for p in pieces)
-        recon = sum(p.values for p in pieces)
+        recon = sum(pieces)
         pos = mass > 0
-        dev = float(np.max(np.abs(recon[pos] - f.values[pos]), initial=0.0))
+        dev = float(np.max(np.abs(recon[pos] - f[pos]), initial=0.0))
         worst = max(worst, abs(total - norm2) / norm2,
-                    dev / max(1.0, float(np.max(np.abs(f.values[pos])))))
+                    dev / max(1.0, float(np.max(np.abs(f[pos])))))
     elapsed = time.monotonic() - start
     emit(1, "orthogonal decomposition", worst <= 1e-10 and elapsed <= 10.0,
          f"max residual {worst:.2e}, {elapsed:.1f}s")
@@ -167,8 +167,8 @@ def test_criterion_7_bilinear_decomposition(suite, suite_paraproducts, emit):
     for i, t, r in suite:
         pi_mu, pi_nu = suite_paraproducts[i]
         rng = np.random.default_rng(10_000 + i)
-        f = GridFunction(t.lattice, rng.standard_normal(t.lattice.n_leaves))
-        g = GridFunction(t.lattice, rng.standard_normal(t.lattice.n_leaves))
+        f = rng.standard_normal(t.lattice.n_leaves)
+        g = rng.standard_normal(t.lattice.n_leaves)
         rep = decomposition_identity(t, r, f, g, pi_mu=pi_mu, pi_nu=pi_nu)
         worst = max(worst, rep.relative)
     emit(7, "bilinear form decomposition identity", worst <= 1e-10,

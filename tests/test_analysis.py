@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from haarlab import (GridFunction, InducedOperator, MeasureGrid,
+from haarlab import (InducedOperator, MeasureGrid,
                      build_lattice, build_paraproduct, decomposition_identity,
                      haar_multiplier, induce, operator_norm, uniform_measure)
 from haarlab.paraproduct import _largest_singular_value
@@ -65,10 +65,10 @@ def test_norm_is_supremum_of_rayleigh_quotients():
     nrm = operator_norm(t)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        f = GridFunction(t.lattice, rng.standard_normal(t.lattice.n_leaves))
+        f = rng.standard_normal(t.lattice.n_leaves)
         denom = t.mu.norm(f)
         if denom > 0:
-            assert t.nu.norm(t.apply(f)) <= nrm * denom + 1e-10
+            assert t.nu.norm(t.matrix @ f) <= nrm * denom + 1e-10
 
 
 def test_testing_constants_of_density_multiplication():
@@ -158,8 +158,8 @@ def test_bilinear_form_decomposition_is_exact(dim, depth, r):
     pi_nu = build_paraproduct(t, r, side="nu")
     rng = np.random.default_rng(100 + r)
     for _ in range(5):
-        f = GridFunction(t.lattice, rng.standard_normal(t.lattice.n_leaves))
-        g = GridFunction(t.lattice, rng.standard_normal(t.lattice.n_leaves))
+        f = rng.standard_normal(t.lattice.n_leaves)
+        g = rng.standard_normal(t.lattice.n_leaves)
         rep = decomposition_identity(t, r, f, g, pi_mu=pi_mu, pi_nu=pi_nu)
         assert rep.relative <= 1e-12
         total = (rep.paraproduct_mu + rep.paraproduct_nu + rep.comparable
@@ -170,8 +170,8 @@ def test_bilinear_form_decomposition_is_exact(dim, depth, r):
 def test_decomposition_builds_paraproducts_when_missing():
     t = random_instance(1, 3, 1, seed=1)
     rng = np.random.default_rng(2)
-    f = GridFunction(t.lattice, rng.standard_normal(t.lattice.n_leaves))
-    g = GridFunction(t.lattice, rng.standard_normal(t.lattice.n_leaves))
+    f = rng.standard_normal(t.lattice.n_leaves)
+    g = rng.standard_normal(t.lattice.n_leaves)
     rep = decomposition_identity(t, 1, f, g)
     assert rep.relative <= 1e-12
 

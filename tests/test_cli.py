@@ -101,6 +101,17 @@ def test_search_section_integral_numbers_as_floats(tmp_path):
         assert fa.read() == fb.read()
 
 
+def test_spec_integers_as_integral_floats(tmp_path):
+    # the same holds for the seeds, counts and radii of measure and operator specs
+    def config(n):
+        return dict(BASE_CONFIG, mu={"type": "lognormal", "seed": n(11)},
+                    nu={"type": "sparse_atoms", "count": n(5), "seed": n(12)},
+                    operator=dict(BASE_CONFIG["operator"], r=n(1), seed=n(13)))
+    reports = [read_report(run_cli(tmp_path, config(n), "testing", out_name=n.__name__)[1])
+               for n in (int, float)]
+    assert reports[0]["constants"] == reports[1]["constants"]
+
+
 def test_seed_flag_changes_results(tmp_path):
     config = dict(BASE_CONFIG, search={"iterations": 25})
     _, out_a = run_cli(tmp_path, config, "search", out_name="a")
@@ -207,12 +218,9 @@ BAD_OPERATORS = {
 }
 
 
-@pytest.mark.parametrize("operator", BAD_OPERATORS.values(), ids=list(BAD_OPERATORS))
-def test_bad_operator_spec_exits_2_under_every_suite_and_replay(tmp_path, capsys, operator):
-    config = dict(BASE_CONFIG, operator=operator, search={"iterations": 2})
-    for suite in runner.SUITES:
-        assert run_cli(tmp_path, config, suite, out_name=suite)[0] == 2, suite
-    assert "[pass]" not in capsys.readouterr().out
+def replay_with_operator(tmp_path, capsys, operator):
+    """Replay a search artifact whose band is replaced by `operator`: exit
+    code and stderr."""
     _, out = run_cli(tmp_path, dict(BASE_CONFIG, search={"iterations": 2}), "search",
                      out_name="good")
     with open(os.path.join(out, "artifact.json")) as fh:
@@ -220,10 +228,71 @@ def test_bad_operator_spec_exits_2_under_every_suite_and_replay(tmp_path, capsys
     bad_artifact = tmp_path / "bad_artifact.json"
     bad_artifact.write_text(json.dumps(artifact))
     capsys.readouterr()
-    assert main(["--replay", str(bad_artifact), "--out", str(tmp_path / "replay")]) == 2
+    code = main(["--replay", str(bad_artifact), "--out", str(tmp_path / "replay")])
     captured = capsys.readouterr()
     assert "[pass]" not in captured.out
-    assert "cannot replay artifact" in captured.err
+    return code, captured.err
+
+
+@pytest.mark.parametrize("operator", BAD_OPERATORS.values(), ids=list(BAD_OPERATORS))
+def test_bad_operator_spec_exits_2_under_every_suite_and_replay(tmp_path, capsys, operator):
+    config = dict(BASE_CONFIG, operator=operator, search={"iterations": 2})
+    for suite in runner.SUITES:
+        assert run_cli(tmp_path, config, suite, out_name=suite)[0] == 2, suite
+    assert "[pass]" not in capsys.readouterr().out
+    code, err = replay_with_operator(tmp_path, capsys, operator)
+    assert code == 2
+    assert "cannot replay artifact" in err
+
+
+def explicit(*rows):
+    """An explicit operator with entries 1, 2, ... in the given rows and the
+    root's Haar column."""
+    return {"type": "explicit", "r": 0, "entries": [
+        {"row": row, "col": HAAR_ROOT, "value": k + 1.0} for k, row in enumerate(rows)]}
+
+
+BAND = BASE_CONFIG["operator"]
+# config section, its value, and a word the error message must contain
+BAD_NUMBERS = {
+    "negative_amplitude": ("operator", dict(BAND, amplitude=-1.0), "amplitude"),
+    "negative_root_amplitude": ("operator", dict(BAND, root_amplitude=-0.5),
+                                "root_amplitude"),
+    "fractional_component": ("operator", explicit(dict(HAAR_ROOT, component=0.9)), "component"),
+    "bool_component": ("operator", explicit(dict(HAAR_ROOT, component=False)), "component"),
+    "fractional_level": ("operator", explicit(dict(HAAR_ROOT, cube={
+        "level": -0.5, "coords": [0]})), "level"),
+    "fractional_coords": ("operator", explicit(dict(HAAR_ROOT, cube={
+        "level": 0, "coords": [0.7]})), "coordinate"),
+    "text_coords": ("operator", explicit(dict(HAAR_ROOT, cube={
+        "level": 0, "coords": ["0"]})), "coordinate"),
+    "fractional_r": ("operator", dict(BAND, r=1.5), "random_band r"),
+    "fractional_seed": ("operator", dict(BAND, seed=2.7), "random_band seed"),
+    "repeated_pair": ("operator", explicit(HAAR_ROOT, HAAR_ROOT), "repeats"),
+    "search_negative_amplitude": ("search", {"iterations": 2, "amplitude": -1},
+                                  "amplitude"),
+    "search_negative_root_amplitude": ("search", {"iterations": 2, "root_amplitude": -1},
+                                       "root_amplitude"),
+    "fractional_lognormal_seed": ("mu", {"type": "lognormal", "seed": 1.5}, "seed"),
+    "fractional_atom_count": ("mu", {"type": "sparse_atoms", "count": 2.5, "seed": 1},
+                              "count"),
+    "text_uniform_total": ("mu", {"type": "uniform", "total": "abc"}, "total"),
+}
+
+
+@pytest.mark.parametrize("section,value,word", BAD_NUMBERS.values(), ids=list(BAD_NUMBERS))
+def test_bad_number_in_spec_exits_2_under_every_suite_and_replay(tmp_path, capsys,
+                                                                 section, value, word):
+    config = {**BASE_CONFIG, "search": {"iterations": 2}, section: value}
+    for suite in runner.SUITES:
+        assert run_cli(tmp_path, config, suite, out_name=suite)[0] == 2, suite
+        captured = capsys.readouterr()
+        assert "[pass]" not in captured.out
+        assert word in captured.err, suite
+    if section == "operator":  # artifacts store bands, not measure specs or searches
+        code, err = replay_with_operator(tmp_path, capsys, value)
+        assert code == 2
+        assert word in err
 
 
 def test_necessity_and_ordering_overrides_reach_checks(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from haarlab import (Cube, GridFunction, InducedOperator, MeasureGrid,
+from haarlab import (Cube, InducedOperator, MeasureGrid,
                      build_lattice, build_paraproduct, carleson_sequence,
                      check_band, check_well_localized, decomposition_identity,
                      induce, operator_norm, paraproduct_structure_verify,
@@ -117,7 +117,7 @@ def test_level_deltas_match_loop_oracle(data, lat):
             for level in range(q.level + 1, lat.leaf_level, -1):
                 assert np.array_equal(mu.delta_level_within(v, level, q),
                                       loop_delta_level_within(mu, v, level, q))
-            assert np.array_equal(mu.martingale_difference(GridFunction(lat, v), q).values,
+            assert np.array_equal(mu.martingale_difference(v, q),
                                   loop_martingale_difference(mu, v, q))
 
 
@@ -148,11 +148,10 @@ def test_locality_masks_match_loop_oracle(inst):
 def test_decomposition_matches_loop_oracle(inst, seed):
     t, r = inst
     rng = np.random.default_rng(seed)
-    f, g = (GridFunction(t.lattice, rng.standard_normal(t.lattice.n_leaves))
-            for _ in range(2))
+    f, g = rng.standard_normal((2, t.lattice.n_leaves))
     rep = decomposition_identity(t, r, f, g)
     scale = (2 * r + 1) * operator_norm(t) * t.mu.norm(f) * t.nu.norm(g)
-    assert abs(rep.comparable - loop_comparable_sum(t, r, f.values, g.values)) \
+    assert abs(rep.comparable - loop_comparable_sum(t, r, f, g)) \
         <= COMPARABLE_RTOL * max(scale, 1.0)
     if t.band is not None:  # the identity needs a well localized operator
         assert rep.relative <= 1e-10

@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarlab import (Cube, GridFunction, MeasureGrid, build_lattice,
+from haarlab import (Cube, MeasureGrid, build_lattice,
                      generate_measure, lognormal_measure, sparse_atoms_measure,
                      uniform_measure, zero_blocks_measure)
-
-
-def gf(lattice, values):
-    return GridFunction(lattice, np.asarray(values, dtype=float))
 
 
 def test_uniform_measure_is_lebesgue():
@@ -37,14 +33,14 @@ def test_negative_mass_rejected():
 def test_weighted_average():
     lat = build_lattice(1, 0, -1)
     m = MeasureGrid(lat, [1.0, 3.0])
-    f = gf(lat, [1.0, 3.0])
+    f = np.array([1.0, 3.0])
     assert m.average(f, Cube(1, 0, (0,))) == pytest.approx(2.5)
 
 
 def test_average_over_zero_mass_cube_is_zero():
     lat = build_lattice(1, 0, -2)
     m = MeasureGrid(lat, [0.0, 0.0, 1.0, 1.0])
-    f = gf(lat, [5.0, 7.0, 1.0, 1.0])
+    f = np.array([5.0, 7.0, 1.0, 1.0])
     assert m.average(f, Cube(1, -1, (0,))) == 0.0
 
 
@@ -52,32 +48,32 @@ def test_inner_of_indicator_is_mass():
     lat = build_lattice(1, 0, -2)
     m = MeasureGrid(lat, [1, 2, 3, 4])
     q = Cube(1, -1, (1,))
-    ind = gf(lat, lat.indicator(q))
+    ind = lat.indicator(q)
     assert m.inner(ind, ind) == pytest.approx(m.cube_masses[lat.cube_index[q]])
 
 
 def test_martingale_difference_of_constant_vanishes():
     lat = build_lattice(1, 0, -2)
     m = MeasureGrid(lat, [1, 2, 3, 4])
-    f = gf(lat, [2.0, 2.0, 2.0, 2.0])
+    f = np.full(4, 2.0)
     for q in lat.nonleaf_cubes:
-        np.testing.assert_allclose(m.martingale_difference(f, q).values, 0.0)
+        np.testing.assert_allclose(m.martingale_difference(f, q), 0.0)
 
 
 def test_martingale_difference_values_and_mean_zero():
     lat = build_lattice(1, 0, -1)
     m = MeasureGrid(lat, [1.0, 3.0])
-    f = gf(lat, [0.0, 2.0])
+    f = np.array([0.0, 2.0])
     d = m.martingale_difference(f, Cube(1, 0, (0,)))
-    np.testing.assert_allclose(d.values, [-1.5, 0.5])
-    assert m.inner(d, gf(lat, [1.0, 1.0])) == pytest.approx(0.0)
+    np.testing.assert_allclose(d, [-1.5, 0.5])
+    assert m.inner(d, np.array([1.0, 1.0])) == pytest.approx(0.0)
 
 
 def test_martingale_difference_on_leaf_raises():
     lat = build_lattice(1, 0, -1)
     m = uniform_measure(lat)
     with pytest.raises(ValueError):
-        m.martingale_difference(gf(lat, [0, 1]), lat.leaves[0])
+        m.martingale_difference(np.array([0.0, 1.0]), lat.leaves[0])
 
 
 def test_haar_basis_symmetric_two_atoms():
@@ -114,8 +110,8 @@ def test_haar_basis_orthonormal_and_mean_zero():
     lat = build_lattice(2, 0, -1)
     rng = np.random.default_rng(5)
     m = MeasureGrid(lat, rng.uniform(0.1, 2.0, lat.n_leaves))
-    basis = [gf(lat, h) for h in m.weighted_haar_basis(Cube(2, 0, (0, 0)))]
-    one = gf(lat, np.ones(lat.n_leaves))
+    basis = m.weighted_haar_basis(Cube(2, 0, (0, 0)))
+    one = np.ones(lat.n_leaves)
     for i, hi in enumerate(basis):
         assert m.inner(hi, one) == pytest.approx(0.0, abs=1e-12)
         for j, hj in enumerate(basis):
@@ -134,12 +130,12 @@ def test_haar_projection_reproduces_martingale_difference():
     lat = build_lattice(2, 0, -2)
     rng = np.random.default_rng(7)
     m = MeasureGrid(lat, rng.uniform(0.0, 2.0, lat.n_leaves))
-    f = gf(lat, rng.standard_normal(lat.n_leaves))
+    f = rng.standard_normal(lat.n_leaves)
     for q in lat.nonleaf_cubes:
         proj = np.zeros(lat.n_leaves)
         for h in m.weighted_haar_basis(q):
-            proj += m.inner(f, gf(lat, h)) * h
-        delta = m.martingale_difference(f, q).values
+            proj += m.inner(f, h) * h
+        delta = m.martingale_difference(f, q)
         pos = m.leaf_mass > 0
         np.testing.assert_allclose(proj[pos], delta[pos], atol=1e-12)
 
@@ -147,11 +143,11 @@ def test_haar_projection_reproduces_martingale_difference():
 def test_decomposition_of_constant_is_root_average_only():
     lat = build_lattice(1, 0, -2)
     m = MeasureGrid(lat, [1, 2, 3, 4])
-    f = gf(lat, [3.0] * 4)
+    f = np.full(4, 3.0)
     deltas, exps = m.martingale_decompose(f)
     for d in deltas.values():
-        np.testing.assert_allclose(d.values, 0.0, atol=1e-14)
-    np.testing.assert_allclose(exps[lat.roots[0]].values, 3.0)
+        np.testing.assert_allclose(d, 0.0, atol=1e-14)
+    np.testing.assert_allclose(exps[lat.roots[0]], 3.0)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 2), st.integers(1, 3))
@@ -162,12 +158,12 @@ def test_parseval_identity(seed, dim, depth):
     mass = rng.uniform(0.0, 2.0, lat.n_leaves)
     mass[rng.random(lat.n_leaves) < 0.2] = 0.0
     m = MeasureGrid(lat, mass)
-    f = gf(lat, rng.standard_normal(lat.n_leaves))
+    f = rng.standard_normal(lat.n_leaves)
     deltas, exps = m.martingale_decompose(f)
     pieces = list(deltas.values()) + list(exps.values())
-    recon = sum(p.values for p in pieces)
+    recon = sum(pieces)
     pos = mass > 0
-    np.testing.assert_allclose(recon[pos], f.values[pos], atol=1e-10)
+    np.testing.assert_allclose(recon[pos], f[pos], atol=1e-10)
     total = sum(m.inner(p, p) for p in pieces)
     assert total == pytest.approx(m.inner(f, f), rel=1e-10, abs=1e-12)
 
@@ -176,12 +172,12 @@ def test_mean_plus_fluctuation_is_identity():
     lat = build_lattice(1, 0, -3, roots=None)
     rng = np.random.default_rng(3)
     m = MeasureGrid(lat, rng.uniform(0.1, 1.0, lat.n_leaves))
-    f = gf(lat, rng.standard_normal(lat.n_leaves))
+    f = rng.standard_normal(lat.n_leaves)
     # the fluctuation part: the sum of all martingale differences
-    fluctuation = sum(m.martingale_decompose(f)[0].values(), gf(lat, np.zeros(lat.n_leaves)))
+    fluctuation = sum(m.martingale_decompose(f)[0].values())
     total = m.mean_part(f) + fluctuation
-    np.testing.assert_allclose(total.values, f.values)
-    one = gf(lat, np.ones(lat.n_leaves))
+    np.testing.assert_allclose(total, f)
+    one = np.ones(lat.n_leaves)
     assert m.inner(fluctuation, one) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -194,20 +190,9 @@ def test_delta_level_within_matches_martingale_differences():
     got = m.delta_level_within(f, -1, q)
     want = np.zeros(lat.n_leaves)
     for rr in lat.cubes_at_level(-1):
-        want += m.martingale_difference(gf(lat, f), rr).values
+        want += m.martingale_difference(f, rr)
     pos = m.leaf_mass > 0
     np.testing.assert_allclose(got[pos], want[pos], atol=1e-12)
-
-
-def test_grid_function_arithmetic_and_immutability():
-    lat = build_lattice(1, 0, -1)
-    f = gf(lat, [1.0, 2.0])
-    g = gf(lat, [3.0, -1.0])
-    np.testing.assert_allclose((f + g).values, [4.0, 1.0])
-    np.testing.assert_allclose((f - g).values, [-2.0, 3.0])
-    np.testing.assert_allclose((2.0 * f).values, [2.0, 4.0])
-    with pytest.raises(ValueError):
-        f.values[0] = 9.0
 
 
 def test_generators_are_deterministic():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from haarlab import (BandOperator, Cube, GridFunction, HaarIndex, InducedOperator,
+from haarlab import (BandOperator, Cube, HaarIndex, InducedOperator,
                      MeasureGrid, RootIndex, basis_positions, build_lattice,
                      check_band, check_well_localized, haar_multiplier,
                      haar_shift, haar_system, induce, random_band,
@@ -59,9 +59,8 @@ def test_unit_multiplier_subtracts_root_average():
     lat = build_lattice(1, 0, -3)
     op = haar_multiplier(lat, {q: 1.0 for q in lat.nonleaf_cubes})
     rng = np.random.default_rng(0)
-    f = GridFunction(lat, rng.standard_normal(lat.n_leaves))
-    got = op.apply(f).values
-    np.testing.assert_allclose(got, f.values - f.values.mean(), atol=1e-12)
+    f = rng.standard_normal(lat.n_leaves)
+    np.testing.assert_allclose(op.leaf_matrix @ f, f - f.mean(), atol=1e-12)
 
 
 def test_unit_multiplier_with_root_block_is_identity():
@@ -73,9 +72,9 @@ def test_unit_multiplier_with_root_block_is_identity():
 def test_root_multiplier_on_half_indicator():
     lat = build_lattice(1, 0, -1)
     op = haar_multiplier(lat, {Cube(1, 0, (0,)): 1.0})
-    left = GridFunction(lat, lat.indicator(Cube(1, -1, (0,))))
+    left = lat.indicator(Cube(1, -1, (0,)))
     # T chi_left = (chi_left, h) h = 1/2 chi_left - 1/2 chi_right
-    np.testing.assert_allclose(op.apply(left).values, [0.5, -0.5], atol=1e-12)
+    np.testing.assert_allclose(op.leaf_matrix @ left, [0.5, -0.5], atol=1e-12)
 
 
 def test_multiplier_band_radius_zero():
@@ -91,13 +90,11 @@ def test_shift_moves_haar_functions_down():
     rows = haar_system(lat)
 
     def haar(cube):
-        return GridFunction(lat, rows[basis_positions(lat, [HaarIndex(cube, 0)])[0]])
+        return rows[basis_positions(lat, [HaarIndex(cube, 0)])[0]]
 
     q = Cube(1, -1, (0,))
     left, right = q.children()
-    got = op.apply(haar(q)).values
-    want = haar(right).values - haar(left).values
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    np.testing.assert_allclose(op.leaf_matrix @ haar(q), haar(right) - haar(left), atol=1e-12)
 
 
 HAAR = {"kind": "haar", "cube": {"level": -1, "coords": [2]}, "component": 0}
@@ -236,10 +233,9 @@ def test_adjoint_duality():
     for seed in range(20):
         t = random_instance(1, 3, 1, seed, zero_fraction=0.2, root_amplitude=0.4)
         rng = np.random.default_rng(seed + 1000)
-        f = GridFunction(t.lattice, rng.standard_normal(t.lattice.n_leaves))
-        g = GridFunction(t.lattice, rng.standard_normal(t.lattice.n_leaves))
-        lhs = t.nu.inner(t.apply(f), g)
-        rhs = t.mu.inner(f, GridFunction(t.lattice, t.adjoint_matrix @ g.values))
+        f, g = rng.standard_normal((2, t.lattice.n_leaves))
+        lhs = t.nu.inner(t.matrix @ f, g)
+        rhs = t.mu.inner(f, t.adjoint_matrix @ g)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -277,7 +273,7 @@ def test_dense_leaf_matrix_is_not_well_localized():
     rng = np.random.default_rng(8)
     mat = rng.standard_normal((lat.n_leaves, lat.n_leaves))
     leb = uniform_measure(lat)
-    t = InducedOperator.from_leaf_matrix(mat, leb, leb, band_radius=0)
+    t = InducedOperator.from_leaf_matrix(mat, leb, leb)
     rep = check_well_localized(t, 0)
     assert not rep.passed
     assert rep.witness is not None

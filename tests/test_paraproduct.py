@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from haarlab import (CarlesonSequence, Cube, GridFunction, InducedOperator,
+from haarlab import (CarlesonSequence, Cube, InducedOperator,
                      MeasureGrid, build_lattice, build_paraproduct,
                      carleson_constant, carleson_property, carleson_sequence,
                      embedding_constant, haar_multiplier, induce,
@@ -106,7 +106,7 @@ def test_carleson_sequence_against_direct_recomputation():
     for q, got in zip(lat.active_cubes, seq.values):
         want = 0.0
         if q.level - 1 >= lat.leaf_level + 1:
-            t_chi = GridFunction(lat, t.matrix @ lat.indicator(q))
+            t_chi = t.matrix @ lat.indicator(q)
             for rr in lat.cubes_at_level(q.level - 1):
                 if q.contains(rr):
                     d = nu.martingale_difference(t_chi, rr)
