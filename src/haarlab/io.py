@@ -24,13 +24,23 @@ def _number(value, what: str, kind: type = float):
     raise ValueError(f"{what} must be a finite {kind.__name__}, got {value!r}")
 
 
+def _container(value, what: str, kind: type = dict):
+    """A JSON object (dict) or array (list), as `kind` says, and nothing else."""
+    if isinstance(value, kind):
+        return value
+    raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, "
+                     f"got {value!r}")
+
+
 def cube_to_json(q: Cube) -> dict:
     return {"level": q.level, "coords": list(q.coords)}
 
 
 def cube_from_json(obj: dict, dim: int) -> Cube:
+    obj = _container(obj, "cube")
     return Cube(dim=dim, level=_number(obj["level"], "cube level", int),
-                coords=tuple(_number(c, "cube coordinate", int) for c in obj["coords"]))
+                coords=tuple(_number(c, "cube coordinate", int)
+                             for c in _container(obj["coords"], "cube coords", list)))
 
 
 def lattice_to_json(lat: Lattice) -> dict:
@@ -40,10 +50,11 @@ def lattice_to_json(lat: Lattice) -> dict:
 
 
 def lattice_from_json(obj: dict) -> Lattice:
+    obj = _container(obj, "lattice")
     dim = _number(obj["dim"], "lattice dim", int)
-    roots = [cube_from_json(r, dim) for r in obj.get("roots", [])] or None
+    roots = [cube_from_json(r, dim) for r in _container(obj.get("roots", []), "roots", list)]
     return build_lattice(dim, _number(obj["top_level"], "top_level", int),
-                         _number(obj["leaf_level"], "leaf_level", int), roots)
+                         _number(obj["leaf_level"], "leaf_level", int), roots or None)
 
 
 def index_to_json(ix) -> dict:
@@ -74,7 +85,7 @@ def band_to_json(op: BandOperator) -> dict:
 
 def band_from_json(obj: dict, lattice: Lattice) -> BandOperator:
     """Build an operator from a config spec (named generator or explicit)."""
-    kind = obj["type"]
+    kind = _container(obj, "operator")["type"]
     if kind == "multiplier":
         return haar_multiplier(lattice, _number(obj.get("alpha", 1.0), "multiplier alpha"),
                                root_alpha=_number(obj.get("root_alpha", 0.0),
@@ -89,9 +100,10 @@ def band_from_json(obj: dict, lattice: Lattice) -> BandOperator:
                                                   "root_amplitude"))
     if kind == "explicit":
         entries = {}
-        for e in obj["entries"]:
-            row = index_from_json(e["row"], lattice.dim)
-            col = index_from_json(e["col"], lattice.dim)
+        for e in _container(obj["entries"], "operator entries", list):
+            e = _container(e, "operator entry")
+            row = index_from_json(_container(e["row"], "entry row"), lattice.dim)
+            col = index_from_json(_container(e["col"], "entry col"), lattice.dim)
             entries[(row, col)] = _number(e["value"], "operator entry")
         if len(entries) < len(obj["entries"]):
             raise ValueError("explicit operator repeats a (row, col) pair")
@@ -103,7 +115,10 @@ def band_from_json(obj: dict, lattice: Lattice) -> BandOperator:
 
 def measure_from_json(obj, lattice: Lattice) -> MeasureGrid:
     kinds = {"seed": int, "count": int, "total": float, "sigma": float, "fraction": float}
-    if isinstance(obj, dict):
-        obj = {key: _number(v, f"measure {key}", kinds[key]) if key in kinds else v
-               for key, v in obj.items()}
+    if not isinstance(obj, dict):  # the bare-list form of explicit masses
+        obj = {"type": "explicit", "mass": obj}
+    obj = {key: _number(v, f"measure {key}", kinds[key]) if key in kinds else v
+           for key, v in obj.items()}
+    if obj.get("type") == "explicit":
+        obj["mass"] = [_number(m, "leaf mass") for m in _container(obj["mass"], "mass", list)]
     return generate_measure(lattice, obj)

@@ -167,16 +167,27 @@ class Lattice:
     @cached_property
     def children_index(self) -> np.ndarray:
         """Non-leaf cubes x 2**dim: active indices of each cube's children,
-        in lexicographic order; row i belongs to active_cubes[i]."""
-        index = self.cube_index
-        x = np.array([[index[c] for c in q.children()] for q in self.nonleaf_cubes],
-                     dtype=np.intp).reshape(-1, 2 ** self.dim)
+        in lexicographic order; row i belongs to active_cubes[i].  A level
+        runs root by root, row-major in each root's block, so splitting each
+        axis of the next level into (coordinate, offset) pairs gives them."""
+        rows, axes = [], range(1, 2 * self.dim + 1)
+        for k in range(self.depth):
+            kids = np.arange(*self.level_starts[k + 1:k + 3]).reshape(
+                (len(self.roots),) + (1 << k, 2) * self.dim)
+            rows.append(kids.transpose(0, *axes[::2], *axes[1::2]).reshape(-1, 2 ** self.dim))
+        x = np.concatenate(rows).astype(np.intp)
         x.flags.writeable = False
         return x
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaves)
+        return len(self.roots) << (self.dim * self.depth)
+
+    @cached_property
+    def level_starts(self) -> np.ndarray:
+        """Active position of the first cube k levels below the top for
+        k = 0..depth, then the number of active cubes."""
+        return np.cumsum([0, *(len(self.roots) << (self.dim * np.arange(self.depth + 1)))])
 
     @property
     def leaf_volume(self) -> float:
@@ -188,7 +199,7 @@ class Lattice:
         leaf's ancestor at level top_level - k; the last row holds the
         leaves' own positions (leaves close active_cubes in leaf order)."""
         kids = self.children_index
-        parent = np.zeros(len(self.active_cubes), dtype=np.intp)
+        parent = np.zeros(len(self.levels), dtype=np.intp)
         parent[kids] = np.arange(len(kids))[:, None]
         rows = [len(kids) + np.arange(self.n_leaves)]
         for _ in range(self.depth):
@@ -232,12 +243,13 @@ class Lattice:
     @cached_property
     def levels(self) -> np.ndarray:
         """Level of each active cube, in active_cubes order."""
-        return np.array([q.level for q in self.active_cubes])
+        k = np.arange(self.depth + 1)
+        return np.repeat(self.top_level - k, np.diff(self.level_starts))
 
     @cached_property
     def membership(self) -> np.ndarray:
         """Leaves x active cubes indicator matrix (layout: class docstring)."""
-        x = np.zeros((len(self.active_cubes), self.n_leaves))
+        x = np.zeros((len(self.levels), self.n_leaves))
         x[self.ancestor_index, np.arange(self.n_leaves)] = 1.0
         x = x.T
         x.flags.writeable = False

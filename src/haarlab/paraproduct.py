@@ -171,7 +171,7 @@ class CarlesonSequence:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
-        if v.shape != (len(self.lattice.active_cubes),):
+        if v.shape != self.lattice.levels.shape:
             raise ValueError(f"expected one value per active cube, got shape {v.shape}")
         bad = ~(np.isfinite(v) & (v >= 0))
         if bad.any():
@@ -187,8 +187,9 @@ class CarlesonSequence:
         lattice = self.lattice
         kids = lattice.children_index
         sums = self.values.copy()
-        for level in range(lattice.leaf_level + 1, lattice.top_level + 1):
-            rows = np.flatnonzero(lattice.levels[:len(kids)] == level)
+        starts = lattice.level_starts
+        for j in range(lattice.depth - 1, -1, -1):
+            rows = slice(starts[j], starts[j + 1])
             acc = sums[kids[rows, 0]]
             for k in range(1, kids.shape[1]):
                 acc += sums[kids[rows, k]]
@@ -200,7 +201,7 @@ def carleson_sequence(t_mu: InducedOperator, r: int) -> CarlesonSequence:
     """a_Q = sum over R inside Q at scale 2^-r side(Q) of the squared nu-norm
     of Delta_R^nu T_mu chi_Q."""
     lattice = t_mu.lattice
-    values = np.zeros(len(lattice.active_cubes))
+    values = np.zeros(len(lattice.levels))
     cubes = np.flatnonzero(lattice.levels - r >= lattice.leaf_level + 1)
     if cubes.size:
         d = _local_deltas(t_mu.matrix, t_mu.nu, r, cubes)
@@ -243,10 +244,8 @@ def embedding_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
     sel = np.flatnonzero((seq.values > 0) & (m > 0))
     if pos.size == 0 or sel.size == 0:
         return 0.0
-    k = np.zeros((sel.size, lattice.n_leaves))
-    for row, i in enumerate(sel):
-        k[row, lattice.cube_leaves[i]] = 1.0
-    k = k[:, pos] * np.sqrt(seq.values[sel])[:, None]
+    inside = lattice.ancestor_index[lattice.top_level - lattice.levels[sel]] == sel[:, None]
+    k = inside[:, pos] * np.sqrt(seq.values[sel])[:, None]
     k *= np.sqrt(mu.leaf_mass[pos])
     k /= m[sel][:, None]
     s = _largest_singular_value(k)

@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import testing_constants
-from .io import band_to_json, band_from_json, lattice_from_json, lattice_to_json
-from .lattice import Cube, build_lattice
+from .io import (_number, band_to_json, band_from_json, lattice_from_json, lattice_to_json,
+                 measure_from_json)
+from .lattice import build_lattice
 from .measures import MeasureGrid, uniform_measure
 from .operators import BandOperator, induce, random_band
 from .paraproduct import CarlesonSequence, carleson_constant, embedding_constant
@@ -122,9 +123,11 @@ def replay_artifact(artifact: dict, tol: float = 1e-12):
     Returns (matches, recomputed dict)."""
     lattice = lattice_from_json(artifact["lattice"])
     band = band_from_json(artifact["operator"], lattice)
-    mu = MeasureGrid(lattice, np.asarray(artifact["mu"], dtype=float))
-    nu = MeasureGrid(lattice, np.asarray(artifact["nu"], dtype=float))
-    r = int(artifact["r"])
+    mu = measure_from_json(artifact["mu"], lattice)
+    nu = measure_from_json(artifact["nu"], lattice)
+    r = _number(artifact["r"], "artifact r", int)
+    if r < 0:
+        raise ValueError(f"artifact r must be nonnegative, got {r}")
     rho, report = _evaluate(band, mu, nu, r)
     recomputed = {
         "rho": float(rho),
@@ -149,19 +152,20 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
     """
     lattice = build_lattice(1, 0, -depth)
     mu = uniform_measure(lattice, total=1.0)
-    index = lattice.cube_index
-    # chain seed: mass-proportional values along a single branch
-    branch = [index[Cube(1, -j, (0,))] for j in range(depth + 1)]
-    chain = np.zeros(len(index))
+    n = len(lattice.levels)
+    # chain seed: mass-proportional values along the branch at 0 (level -j at 2^j - 1)
+    branch = (1 << np.arange(depth + 1)) - 1
+    chain = np.zeros(n)
     chain[branch] = mu.cube_masses[branch]
     candidates = [_normalized(CarlesonSequence(lattice, chain), mu)]
     if init is not None:
-        # the shallower optimum extended by zeros: same form on a finer
-        # space, so its constant can only grow with depth
-        carried = np.zeros(len(index))
-        for q, a in zip(init.lattice.active_cubes, init.values):
-            if a > 0 and q in index:
-                carried[index[q]] = a
+        if init.lattice.roots != lattice.roots:
+            raise ValueError(f"init lives under {init.lattice.roots}, not {lattice.roots}")
+        # the shallower optimum extended by zeros (a deeper one cut), as the
+        # shallower tree's cubes come first: same form on a finer space, so
+        # its constant can only grow with depth
+        carried = np.zeros(n)
+        carried[:init.values.size] = init.values[:n]
         if np.any(carried > 0):
             candidates.append(_normalized(
                 CarlesonSequence(lattice, carried), mu))
@@ -174,7 +178,7 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
     for _ in range(iterations):
         cand_values = seq.values.copy()
         for _ in range(1 + rng.integers(3)):
-            i = rng.integers(len(index))
+            i = rng.integers(n)
             old = cand_values[i]
             if old > 0:
                 cand_values[i] = old * np.exp(0.5 * rng.standard_normal())

@@ -191,6 +191,36 @@ def loop_leaf_indices(lattice, q):
                            for cs in itertools.product(*ranges)), dtype=np.intp)
 
 
+def loop_children_index(lattice):
+    """Lattice.children_index built from Cube objects, as it was before
+    position arithmetic."""
+    index = lattice.cube_index
+    return np.array([[index[c] for c in q.children()] for q in lattice.nonleaf_cubes],
+                    dtype=np.intp).reshape(-1, 2 ** lattice.dim)
+
+
+def loop_levels(lattice):
+    return np.array([q.level for q in lattice.active_cubes])
+
+
+def loop_ancestor_index(lattice):
+    """Row k: active position of each leaf's ancestor k levels below the top."""
+    return np.array([[lattice.cube_index[leaf.ancestor(lattice.depth - k)]
+                      for leaf in lattice.leaves] for k in range(lattice.depth + 1)])
+
+
+def loop_level_leaves(lattice):
+    return tuple(np.array([loop_leaf_indices(lattice, q) for q in lattice.cubes_at_level(level)])
+                 for level in range(lattice.top_level, lattice.leaf_level - 1, -1))
+
+
+def loop_membership(lattice):
+    x = np.zeros((len(lattice.leaves), len(lattice.active_cubes)))
+    for j, q in enumerate(lattice.active_cubes):
+        x[loop_leaf_indices(lattice, q), j] = 1.0
+    return x
+
+
 def loop_cube_masses(mu):
     """{cube: mu(Q)} over the active cubes, as MeasureGrid once cached it."""
     return {q: float(mu.leaf_mass[loop_leaf_indices(mu.lattice, q)].sum())

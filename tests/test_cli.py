@@ -218,13 +218,13 @@ BAD_OPERATORS = {
 }
 
 
-def replay_with_operator(tmp_path, capsys, operator):
-    """Replay a search artifact whose band is replaced by `operator`: exit
-    code and stderr."""
+def replay_with(tmp_path, capsys, **changes):
+    """Replay a search artifact with some fields replaced: exit code and
+    stderr."""
     _, out = run_cli(tmp_path, dict(BASE_CONFIG, search={"iterations": 2}), "search",
                      out_name="good")
     with open(os.path.join(out, "artifact.json")) as fh:
-        artifact = dict(json.load(fh), operator=operator)
+        artifact = dict(json.load(fh), **changes)
     bad_artifact = tmp_path / "bad_artifact.json"
     bad_artifact.write_text(json.dumps(artifact))
     capsys.readouterr()
@@ -240,7 +240,7 @@ def test_bad_operator_spec_exits_2_under_every_suite_and_replay(tmp_path, capsys
     for suite in runner.SUITES:
         assert run_cli(tmp_path, config, suite, out_name=suite)[0] == 2, suite
     assert "[pass]" not in capsys.readouterr().out
-    code, err = replay_with_operator(tmp_path, capsys, operator)
+    code, err = replay_with(tmp_path, capsys, operator=operator)
     assert code == 2
     assert "cannot replay artifact" in err
 
@@ -290,9 +290,64 @@ def test_bad_number_in_spec_exits_2_under_every_suite_and_replay(tmp_path, capsy
         assert "[pass]" not in captured.out
         assert word in captured.err, suite
     if section == "operator":  # artifacts store bands, not measure specs or searches
-        code, err = replay_with_operator(tmp_path, capsys, value)
+        code, err = replay_with(tmp_path, capsys, operator=value)
         assert code == 2
         assert word in err
+
+
+def explicit_entries(entries):
+    return {"type": "explicit", "r": 0, "entries": entries}
+
+
+def both(section, value):
+    """The same bad value in a config section and in the artifact field."""
+    return {section: value}, {section: value}
+
+
+TEXT_MASSES, BOOL_MASSES = ["1.5"] * 8, [True] * 8
+# config change (None where the config schema already rejects it), artifact
+# change, and the words the error message must contain
+BAD_INPUTS = {
+    "int_coords": (*both("operator", explicit(dict(HAAR_ROOT, cube={
+        "level": 0, "coords": 5}))), "cube coords must be a JSON array"),
+    "int_cube": (*both("operator", explicit(dict(HAAR_ROOT, cube=5))),
+                 "cube must be a JSON object"),
+    "list_row": (*both("operator", explicit([HAAR_ROOT])), "entry row must be a JSON object"),
+    "text_col": (*both("operator", explicit_entries([
+        {"row": HAAR_ROOT, "col": "root", "value": 1.0}])), "entry col must be a JSON object"),
+    "int_entry": (*both("operator", explicit_entries([5])),
+                  "operator entry must be a JSON object"),
+    "int_entries": (*both("operator", explicit_entries(5)),
+                    "operator entries must be a JSON array"),
+    "text_masses": ({"mu": {"type": "explicit", "mass": TEXT_MASSES}}, {"mu": TEXT_MASSES},
+                    "leaf mass must be a finite float"),
+    "bool_masses": ({"nu": {"type": "explicit", "mass": BOOL_MASSES}}, {"nu": BOOL_MASSES},
+                    "leaf mass must be a finite float"),
+    "text_masses_bare_list": (*both("nu", TEXT_MASSES), "leaf mass must be a finite float"),
+    "bool_masses_bare_list": (*both("mu", BOOL_MASSES), "leaf mass must be a finite float"),
+    "int_lattice": (None, {"lattice": 5}, "lattice must be a JSON object"),
+    "int_roots": (None, {"lattice": dict(BASE_CONFIG["lattice"], roots=5)},
+                  "roots must be a JSON array"),
+    "int_operator": (None, {"operator": 5}, "operator must be a JSON object"),
+    "fractional_replay_r": (None, {"r": 1.5}, "artifact r must be a finite int"),
+    "negative_replay_r": (None, {"r": -1}, "artifact r must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("config_change,artifact_change,words", BAD_INPUTS.values(),
+                         ids=list(BAD_INPUTS))
+def test_bad_json_input_exits_2_under_every_suite_and_replay(
+        tmp_path, capsys, config_change, artifact_change, words):
+    if config_change is not None:
+        config = {**BASE_CONFIG, "search": {"iterations": 2}, **config_change}
+        for suite in runner.SUITES:
+            assert run_cli(tmp_path, config, suite, out_name=suite)[0] == 2, suite
+            captured = capsys.readouterr()
+            assert "[pass]" not in captured.out
+            assert words in captured.err, suite
+    code, err = replay_with(tmp_path, capsys, **artifact_change)
+    assert code == 2
+    assert words in err
 
 
 def test_necessity_and_ordering_overrides_reach_checks(tmp_path):

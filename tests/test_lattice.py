@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from haarlab import NO_COMMON_ANCESTOR, Cube, build_lattice, tree_distance
 
+from loop_oracle import (loop_ancestor_index, loop_children_index, loop_level_leaves,
+                         loop_levels, loop_membership)
+
 
 def test_children_of_unit_interval():
     q = Cube(1, 0, (0,))
@@ -186,3 +189,28 @@ def test_index_arrays_against_cube_enumeration(dim, depth, coords):
         assert not lat.is_active(Cube(dim, q.level, tuple(c + far for c in q.coords)))
     assert not lat.is_active(Cube(dim, 1, (0,) * dim))
     assert not lat.is_active(Cube(dim, -depth - 1, (0,) * dim))
+
+
+@st.composite
+def small_lattices(draw):
+    """dim 1-3, 1-3 roots (negative coords too), any top level, depth 1-4
+    with at most 2^6 leaves per root to keep the Cube oracle small."""
+    dim = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, min(4, 6 // dim)))
+    top = draw(st.integers(-3, 3))
+    coords = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim),
+                           min_size=1, max_size=3, unique=True))
+    return build_lattice(dim, top, top - depth, roots=[Cube(dim, top, c) for c in coords])
+
+
+@given(small_lattices())
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_tables_match_cube_oracle(lat):
+    assert lat.n_leaves == len(lat.leaves)
+    for got, want in [(lat.children_index, loop_children_index(lat)),
+                      (lat.levels, loop_levels(lat)),
+                      (lat.ancestor_index, loop_ancestor_index(lat)),
+                      (lat.membership, loop_membership(lat)),
+                      *zip(lat.level_leaves, loop_level_leaves(lat), strict=True)]:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from haarlab import (SearchConfig, build_lattice, carleson_constant,
-                     extremal_search, greedy_embedding_sequence,
-                     replay_artifact, uniform_measure)
+from haarlab import (CarlesonSequence, Cube, Lattice, SearchConfig, build_lattice,
+                     carleson_constant, embedding_constant, extremal_search,
+                     greedy_embedding_sequence, replay_artifact, uniform_measure)
 
 from loop_oracle import loop_greedy_embedding_sequence
 
@@ -77,17 +77,54 @@ def test_greedy_embedding_nondecreasing_with_depth():
         prev = const
 
 
-def test_greedy_scan_matches_loop_oracle_bit_for_bit():
-    # the chained seed-0 scan of acceptance criterion 5
+@pytest.mark.parametrize("seed", [0, 1, 10 ** 6])
+def test_greedy_scan_matches_loop_oracle_bit_for_bit(seed):
+    # the chained scan of acceptance criterion 5 (seed 0) and the benchmark
     seq = ref = None
     for depth in range(3, 11):
-        seq, const = greedy_embedding_sequence(depth, seed=0, iterations=30,
+        seq, const = greedy_embedding_sequence(depth, seed=seed, iterations=30,
                                                init=seq)
-        ref, want = loop_greedy_embedding_sequence(depth, seed=0,
+        ref, want = loop_greedy_embedding_sequence(depth, seed=seed,
                                                    iterations=30, init=ref)
         assert float(const).hex() == float(want).hex()
         assert ([float(a).hex() for a in seq.values]
                 == [float(ref.get(q, 0.0)).hex() for q in seq.lattice.active_cubes])
+
+
+def test_carleson_scan_reads_no_cube_view(monkeypatch):
+    def cube_view(self):
+        raise AssertionError("an array table read a per-cube view")
+
+    for name in ("active_cubes", "leaves", "nonleaf_cubes", "cube_index"):
+        monkeypatch.setattr(Lattice, name, property(cube_view))
+    seq = None
+    for depth in range(3, 8):
+        seq, const = greedy_embedding_sequence(depth, seed=0, iterations=10, init=seq)
+    mu = uniform_measure(seq.lattice, total=1.0)
+    assert carleson_constant(seq, mu) == pytest.approx(1.0, rel=1e-12)
+    assert embedding_constant(seq, mu) == const
+    lat = build_lattice(2, 1, -2, roots=[Cube(2, 1, (-1, 0)), Cube(2, 1, (0, 0))])
+    for table in ("children_index", "levels", "ancestor_index", "level_leaves",
+                  "membership", "n_leaves"):
+        getattr(lat, table)
+
+
+@pytest.mark.parametrize("init_lattice", [
+    build_lattice(1, 1, -3), build_lattice(1, 0, -3, roots=[Cube(1, 0, (1,))]),
+    build_lattice(2, 0, -2)], ids=["top_level_1", "other_root", "dim_2"])
+def test_greedy_init_from_another_tree_raises(init_lattice):
+    init = CarlesonSequence(init_lattice, np.ones(len(init_lattice.levels)))
+    with pytest.raises(ValueError, match="init"):
+        greedy_embedding_sequence(4, seed=0, iterations=2, init=init)
+
+
+def test_greedy_init_from_a_deeper_tree_is_truncated():
+    deep, _ = greedy_embedding_sequence(6, seed=3, iterations=10)
+    seq, const = greedy_embedding_sequence(4, seed=0, iterations=5, init=deep)
+    ref, want = loop_greedy_embedding_sequence(
+        4, seed=0, iterations=5, init=dict(zip(deep.lattice.active_cubes, deep.values)))
+    assert float(const).hex() == float(want).hex()
+    assert seq.values.tolist() == [ref.get(q, 0.0) for q in seq.lattice.active_cubes]
 
 
 def test_replay_tolerance_is_a_parameter():
