@@ -10,18 +10,18 @@ import math
 
 from .lattice import Cube, Lattice, build_lattice
 from .measures import MeasureGrid, generate_measure
-from .operators import (BandOperator, HaarIndex, RootIndex, basis_positions,
-                        haar_multiplier, haar_shift, random_band)
+from .operators import (BandOperator, HaarIndex, RootIndex, basis_table,
+                        haar_multiplier, haar_shift, random_band, repr_order)
 
 
-def _number(value, what: str, kind: type = float):
-    """A finite JSON number as `kind`, float or int; an int field takes an
-    integral float (JSON does not tell 3 from 3.0), never a bool or string."""
-    if type(value) is kind and (kind is int or math.isfinite(value)):
+def _number(value, what: str, kind: type = float, finite: bool = True):
+    """A JSON number as `kind`, float or int, finite unless finite=False; an int
+    field takes an integral float (JSON does not tell 3 from 3.0), never a bool or string."""
+    if type(value) is kind and (kind is int or not finite or math.isfinite(value)):
         return value  # the common case, kept cheap: a band has thousands of numbers
     if type(value) in (int, float) and math.isfinite(value) and kind(value) == value:
         return kind(value)
-    raise ValueError(f"{what} must be a finite {kind.__name__}, got {value!r}")
+    raise ValueError(f"{what} must be a {'finite ' * finite}{kind.__name__}, got {value!r}")
 
 
 def _container(value, what: str, kind: type = dict):
@@ -36,11 +36,11 @@ def cube_to_json(q: Cube) -> dict:
     return {"level": q.level, "coords": list(q.coords)}
 
 
-def cube_from_json(obj: dict, dim: int) -> Cube:
+def _cube_fields(obj: dict) -> tuple:
     obj = _container(obj, "cube")
-    return Cube(dim=dim, level=_number(obj["level"], "cube level", int),
-                coords=tuple(_number(c, "cube coordinate", int)
-                             for c in _container(obj["coords"], "cube coords", list)))
+    return (_number(obj["level"], "cube level", int),
+            tuple(_number(c, "cube coordinate", int)
+                  for c in _container(obj["coords"], "cube coords", list)))
 
 
 def lattice_to_json(lat: Lattice) -> dict:
@@ -52,7 +52,7 @@ def lattice_to_json(lat: Lattice) -> dict:
 def lattice_from_json(obj: dict) -> Lattice:
     obj = _container(obj, "lattice")
     dim = _number(obj["dim"], "lattice dim", int)
-    roots = [cube_from_json(r, dim) for r in _container(obj.get("roots", []), "roots", list)]
+    roots = [Cube(dim, *_cube_fields(r)) for r in _container(obj.get("roots", []), "roots", list)]
     return build_lattice(dim, _number(obj["top_level"], "top_level", int),
                          _number(obj["leaf_level"], "leaf_level", int), roots or None)
 
@@ -66,20 +66,26 @@ def index_to_json(ix) -> dict:
     raise TypeError(f"not a basis index: {ix!r}")
 
 
-def index_from_json(obj: dict, dim: int):
-    cube = cube_from_json(obj["cube"], dim)
-    if obj["kind"] == "haar":
-        return HaarIndex(cube=cube, component=_number(obj["component"], "component", int))
-    if obj["kind"] == "root":
-        return RootIndex(cube=cube)
-    raise ValueError(f"unknown index kind {obj['kind']!r}")
+def _position(obj: dict, what: str, positions: dict) -> int:
+    """The haar_system row of a JSON basis index, every number checked."""
+    obj = _container(obj, what)
+    level, coords = _cube_fields(obj["cube"])
+    kind = obj["kind"]
+    if kind not in ("haar", "root"):
+        raise ValueError(f"unknown index kind {kind!r}")
+    component = _number(obj["component"], "component", int) if kind == "haar" else None
+    pos = positions.get((kind, level, coords, component))
+    if pos is None:
+        raise ValueError(f"{what} {obj!r} is not a basis index of the lattice")
+    return pos
 
 
 def band_to_json(op: BandOperator) -> dict:
-    entries = [{"row": index_to_json(row), "col": index_to_json(col),
-                "value": float(val)}
-               for (row, col), val in sorted(
-                   op.entries.items(), key=lambda kv: repr(kv[0]))]
+    """The explicit spec of a band, entries in sorted(..., key=repr) order."""
+    items = list(op.entries.items())
+    entries = [{"row": index_to_json(row), "col": index_to_json(col), "value": float(val)}
+               for (row, col), val in map(items.__getitem__,
+                                          repr_order(op.lattice, *op.positions()))]
     return {"type": "explicit", "r": op.band_radius, "entries": entries}
 
 
@@ -99,17 +105,16 @@ def band_from_json(obj: dict, lattice: Lattice) -> BandOperator:
                            root_amplitude=_number(obj.get("root_amplitude", 0.0),
                                                   "root_amplitude"))
     if kind == "explicit":
-        entries = {}
+        (ix, _, positions), entries = basis_table(lattice), {}
         for e in _container(obj["entries"], "operator entries", list):
             e = _container(e, "operator entry")
-            row = index_from_json(_container(e["row"], "entry row"), lattice.dim)
-            col = index_from_json(_container(e["col"], "entry col"), lattice.dim)
-            entries[(row, col)] = _number(e["value"], "operator entry")
+            entries[(_position(e["row"], "entry row", positions),
+                     _position(e["col"], "entry col", positions))] = _number(
+                         e["value"], "operator entry")
         if len(entries) < len(obj["entries"]):
             raise ValueError("explicit operator repeats a (row, col) pair")
-        basis_positions(lattice, [ix for key in entries for ix in key])
         return BandOperator(lattice=lattice, band_radius=_number(obj["r"], "explicit r", int),
-                            entries=entries)
+                            entries={(ix[i], ix[j]): v for (i, j), v in entries.items()})
     raise ValueError(f"unknown operator spec type {kind!r}")
 
 

@@ -49,6 +49,27 @@ def haar_system(lattice: Lattice) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=32)
+def basis_table(lattice: Lattice) -> tuple:
+    """(indices, rank, positions): the basis indices in haar_system order, each one's repr
+    rank, and the position of each JSON key (kind, level, coords, component; None for a root)."""
+    n_comp = 2 ** lattice.dim - 1
+    indices = tuple([HaarIndex(q, k) for q in lattice.nonleaf_cubes for k in range(n_comp)]
+                    + [RootIndex(root) for root in lattice.roots])
+    rank = np.argsort(sorted(range(len(indices)), key=lambda i: repr(indices[i])))
+    keys = [("haar" if isinstance(ix, HaarIndex) else "root", ix.cube.level, ix.cube.coords,
+             getattr(ix, "component", None)) for ix in indices]
+    return indices, rank, dict(zip(keys, range(len(keys))))
+
+
+def repr_order(lattice: Lattice, rows, cols) -> np.ndarray:
+    """The permutation that sorts (row, col) position pairs as
+    sorted(..., key=repr) sorts their (row, col) index pairs: no index repr
+    is a proper prefix of another, so a pair's repr compares row first."""
+    rank = basis_table(lattice)[1]
+    return np.lexsort((rank[cols], rank[rows]))
+
+
 def basis_positions(lattice: Lattice, indices) -> np.ndarray:
     """Row of each basis index in haar_system(lattice).
 
@@ -85,12 +106,20 @@ class BandOperator:
     @cached_property
     def leaf_matrix(self) -> np.ndarray:
         """Dense matrix acting on leaf functions in L2(m)."""
-        rows = haar_system(self.lattice)
-        e = np.zeros((len(rows),) * 2)
-        e[basis_positions(self.lattice, [row for row, _ in self.entries]),
-          basis_positions(self.lattice, [col for _, col in self.entries])] = list(
-              self.entries.values())
-        return self.lattice.leaf_volume * (rows.T @ e @ rows)
+        return assemble(self.lattice, *self.positions(), list(self.entries.values()))
+
+    def positions(self) -> tuple:
+        """haar_system positions (rows, cols) of the entries, in entry order."""
+        return tuple(basis_positions(self.lattice, [key[j] for key in self.entries])
+                     for j in (0, 1))
+
+
+def assemble(lattice: Lattice, rows, cols, values) -> np.ndarray:
+    """Leaf matrix in L2(m) of the entries `values` at haar_system positions."""
+    h = haar_system(lattice)
+    e = np.zeros((len(h),) * 2)
+    e[rows, cols] = values
+    return lattice.leaf_volume * (h.T @ e @ h)
 
 
 def check_band(op: BandOperator, r: int, tol: float = ZERO_TOL):

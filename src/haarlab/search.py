@@ -9,11 +9,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import testing_constants
-from .io import (_number, band_to_json, band_from_json, lattice_from_json, lattice_to_json,
-                 measure_from_json)
+from .io import (_container, _number, band_to_json, band_from_json, lattice_from_json,
+                 lattice_to_json, measure_from_json)
 from .lattice import build_lattice
 from .measures import MeasureGrid, uniform_measure
-from .operators import BandOperator, induce, random_band
+from .operators import BandOperator, InducedOperator, assemble, random_band, repr_order
 from .paraproduct import CarlesonSequence, carleson_constant, embedding_constant
 
 
@@ -52,7 +52,7 @@ class SearchResult:
             "operator": band_to_json(self.band),
             "mu": [float(m) for m in self.mu.leaf_mass],
             "nu": [float(m) for m in self.nu.leaf_mass],
-            "rho": self.rho,
+            "rho": float(self.rho),
             "constants": _artifact_constants(self.report),
             "search": {"seed": self.config.seed,
                        "iterations": self.config.iterations},
@@ -61,13 +61,13 @@ class SearchResult:
 
 def _artifact_constants(report) -> dict:
     """The testing constants an artifact stores and its replay compares."""
-    return {name: getattr(report, name) for name in (
+    return {name: float(getattr(report, name)) for name in (
         "norm", "c_direct_local", "c_adjoint_local", "c_direct_global",
         "c_adjoint_global", "c_diag")}
 
 
-def _evaluate(band: BandOperator, mu: MeasureGrid, nu: MeasureGrid, r: int):
-    report = testing_constants(induce(band, mu, nu), r)
+def _evaluate(matrix: np.ndarray, mu: MeasureGrid, nu: MeasureGrid, r: int):
+    report = testing_constants(InducedOperator.from_leaf_matrix(matrix, mu, nu), r)
     return report.rho, report
 
 
@@ -86,18 +86,20 @@ def extremal_search(config: SearchConfig) -> SearchResult:
     nu = MeasureGrid(lattice, np.exp(
         config.weight_sigma * rng.standard_normal(lattice.n_leaves)))
 
-    rho, report = _evaluate(band, mu, nu, config.r)
+    keys, values = list(band.entries), np.array(list(band.entries.values()))
+    rows, cols = band.positions()
+    order = repr_order(lattice, rows, cols)  # moves pick keys in repr order
+    matrix = assemble(lattice, rows, cols, values)
+    rho, report = _evaluate(matrix, mu, nu, config.r)
     history = [rho]
-    keys = sorted(band.entries, key=repr)
     for _ in range(config.iterations):
         move = rng.integers(3)
-        cand_band, cand_mu, cand_nu = band, mu, nu
+        cand_values, cand_matrix, cand_mu, cand_nu = values, matrix, mu, nu
         if move == 0 and keys:
-            key = keys[rng.integers(len(keys))]
-            entries = dict(band.entries)
-            entries[key] = entries[key] + config.step * rng.standard_normal()
-            cand_band = BandOperator(lattice=lattice,
-                                     band_radius=config.r, entries=entries)
+            k = order[rng.integers(len(keys))]
+            cand_values = values.copy()
+            cand_values[k] = cand_values[k] + config.step * rng.standard_normal()
+            cand_matrix = assemble(lattice, rows, cols, cand_values)
         elif move == 1:
             mass = mu.leaf_mass.copy()
             i = rng.integers(mass.size)
@@ -108,19 +110,22 @@ def extremal_search(config: SearchConfig) -> SearchResult:
             i = rng.integers(mass.size)
             mass[i] = mass[i] * np.exp(config.step * rng.standard_normal())
             cand_nu = MeasureGrid(lattice, mass)
-        cand_rho, cand_report = _evaluate(cand_band, cand_mu, cand_nu, config.r)
+        cand_rho, cand_report = _evaluate(cand_matrix, cand_mu, cand_nu, config.r)
         if cand_rho > rho:
-            band, mu, nu = cand_band, cand_mu, cand_nu
+            values, matrix, mu, nu = cand_values, cand_matrix, cand_mu, cand_nu
             rho, report = cand_rho, cand_report
         history.append(rho)
-    return SearchResult(config=config, rho=rho, report=report, band=band,
-                        mu=mu, nu=nu, history=history)
+    return SearchResult(config=config, rho=rho, report=report, mu=mu, nu=nu, history=history,
+                        band=BandOperator(lattice, config.r, dict(zip(keys, values.tolist()))))
 
 
 def replay_artifact(artifact: dict, tol: float = 1e-12):
     """Rebuild the instance stored in a search artifact and recompute all
     constants; each must match to relative `tol` (the `replay` tolerance).
-    Returns (matches, recomputed dict)."""
+    Returns (matches, recomputed dict).  Only schema_version 1 is read."""
+    version = _container(artifact, "artifact").get("schema_version")
+    if _number(version, "artifact schema_version", int) != 1:
+        raise ValueError(f"artifact schema_version {version} is not supported")
     lattice = lattice_from_json(artifact["lattice"])
     band = band_from_json(artifact["operator"], lattice)
     mu = measure_from_json(artifact["mu"], lattice)
@@ -128,13 +133,14 @@ def replay_artifact(artifact: dict, tol: float = 1e-12):
     r = _number(artifact["r"], "artifact r", int)
     if r < 0:
         raise ValueError(f"artifact r must be nonnegative, got {r}")
-    rho, report = _evaluate(band, mu, nu, r)
+    rho, report = _evaluate(band.leaf_matrix, mu, nu, r)
     recomputed = {
         "rho": float(rho),
         "constants": _artifact_constants(report),
     }
-    pairs = [(rho, artifact["rho"])] + [(val, artifact["constants"][name])
-                                        for name, val in recomputed["constants"].items()]
+    stored = {**_container(artifact["constants"], "artifact constants"), "rho": artifact["rho"]}
+    pairs = [(val, _number(stored[name], f"artifact {name}", finite=False))
+             for name, val in {"rho": rho, **recomputed["constants"]}.items()]
     # an infinity matches only itself, NaN nothing
     ok = all(val == stored if np.isinf([val, stored]).any()
              else abs(val - stored) <= tol * max(1.0, abs(val)) for val, stored in pairs)

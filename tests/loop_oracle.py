@@ -3,7 +3,8 @@ that now run on arrays, kept to check the array versions against them
 (exactly, except the comparable-scale sum of the decomposition identity,
 whose summation order changed).  The Carleson functions here work on
 {cube: a_Q} dicts, the representation CarlesonSequence used before it
-became an array.
+became an array; the search and band_to_json oracles sort BandOperator
+keys by repr, where the code now ranks Haar-system positions.
 
 Named without a `test` prefix so pytest collects nothing from it.
 """
@@ -11,13 +12,16 @@ import itertools
 
 import numpy as np
 
-from haarlab import Cube, build_lattice, tree_distance, uniform_measure
-from haarlab.analysis import TestingReport, operator_norm
+from haarlab import (Cube, MeasureGrid, build_lattice, induce, random_band, tree_distance,
+                     uniform_measure)
+from haarlab.analysis import TestingReport, operator_norm, testing_constants
+from haarlab.io import index_to_json
 from haarlab.operators import (BandOperator, HaarIndex, RootIndex, WellLocalizedReport,
                                _haar_pairings)
 from haarlab.paraproduct import (CarlesonPropertyReport, Paraproduct,
                                  ParaproductStructureReport, RemainderReport,
                                  _largest_singular_value)
+from haarlab.search import SearchResult
 
 
 def haar_cubes(measure):
@@ -547,3 +551,61 @@ def loop_random_band(lattice, r, seed, amplitude=1.0, root_amplitude=0.0):
                     entries[(rix, HaarIndex(p, k))] = rng.uniform(
                         -root_amplitude, root_amplitude)
     return BandOperator(lattice=lattice, band_radius=r, entries=entries)
+
+
+def loop_band_to_json(op):
+    """band_to_json with its entries sorted by the repr of (row, col)."""
+    entries = [{"row": index_to_json(row), "col": index_to_json(col),
+                "value": float(val)}
+               for (row, col), val in sorted(
+                   op.entries.items(), key=lambda kv: repr(kv[0]))]
+    return {"type": "explicit", "r": op.band_radius, "entries": entries}
+
+
+def _loop_evaluate(band, mu, nu, r):
+    report = testing_constants(induce(band, mu, nu), r)
+    return report.rho, report
+
+
+def loop_extremal_search(config):
+    """extremal_search on BandOperator dicts: move keys sorted by repr, and
+    every band move copies the entries and rebuilds a BandOperator."""
+    rng = np.random.default_rng(config.seed)
+    lattice = build_lattice(config.dim, config.top_level, config.leaf_level)
+    band = random_band(lattice, config.r, seed=config.seed,
+                       amplitude=config.amplitude,
+                       root_amplitude=config.root_amplitude)
+    mu = MeasureGrid(lattice, np.exp(
+        config.weight_sigma * rng.standard_normal(lattice.n_leaves)))
+    nu = MeasureGrid(lattice, np.exp(
+        config.weight_sigma * rng.standard_normal(lattice.n_leaves)))
+
+    rho, report = _loop_evaluate(band, mu, nu, config.r)
+    history = [rho]
+    keys = sorted(band.entries, key=repr)
+    for _ in range(config.iterations):
+        move = rng.integers(3)
+        cand_band, cand_mu, cand_nu = band, mu, nu
+        if move == 0 and keys:
+            key = keys[rng.integers(len(keys))]
+            entries = dict(band.entries)
+            entries[key] = entries[key] + config.step * rng.standard_normal()
+            cand_band = BandOperator(lattice=lattice,
+                                     band_radius=config.r, entries=entries)
+        elif move == 1:
+            mass = mu.leaf_mass.copy()
+            i = rng.integers(mass.size)
+            mass[i] = mass[i] * np.exp(config.step * rng.standard_normal())
+            cand_mu = MeasureGrid(lattice, mass)
+        else:
+            mass = nu.leaf_mass.copy()
+            i = rng.integers(mass.size)
+            mass[i] = mass[i] * np.exp(config.step * rng.standard_normal())
+            cand_nu = MeasureGrid(lattice, mass)
+        cand_rho, cand_report = _loop_evaluate(cand_band, cand_mu, cand_nu, config.r)
+        if cand_rho > rho:
+            band, mu, nu = cand_band, cand_mu, cand_nu
+            rho, report = cand_rho, cand_report
+        history.append(rho)
+    return SearchResult(config=config, rho=rho, report=report, band=band,
+                        mu=mu, nu=nu, history=history)

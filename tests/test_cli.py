@@ -204,6 +204,9 @@ BAD_INDICES = {  # on BASE_CONFIG's lattice: 1D, levels 0 to -3, root [0]
     "outside": {"kind": "haar", "cube": {"level": 5, "coords": [99]}, "component": 0},
     "component_4": {"kind": "haar", "cube": {"level": 0, "coords": [0]}, "component": 4},
     "root_not_a_root": {"kind": "root", "cube": {"level": -1, "coords": [0]}},
+    "wrong_length_coords": {"kind": "haar", "cube": {"level": 0, "coords": [0, 0]},
+                            "component": 0},
+    "unknown_kind": {"kind": "leaf", "cube": {"level": 0, "coords": [0]}, "component": 0},
 }
 BAD_OPERATORS = {
     "alpha_object": {"type": "multiplier", "alpha": {'{"level": 0, "coords": [0]}': 2.0}},
@@ -331,6 +334,14 @@ BAD_INPUTS = {
     "int_operator": (None, {"operator": 5}, "operator must be a JSON object"),
     "fractional_replay_r": (None, {"r": 1.5}, "artifact r must be a finite int"),
     "negative_replay_r": (None, {"r": -1}, "artifact r must be nonnegative"),
+    "text_replay_rho": (None, {"rho": "abc"}, "artifact rho must be a float"),
+    "bool_replay_rho": (None, {"rho": True}, "artifact rho must be a float"),
+    "int_replay_constants": (None, {"constants": 5},
+                             "artifact constants must be a JSON object"),
+    "unknown_schema_version": (None, {"schema_version": 99},
+                               "artifact schema_version 99 is not supported"),
+    "null_schema_version": (None, {"schema_version": None},
+                            "artifact schema_version must be a finite int"),
 }
 
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from haarlab import (BandOperator, Cube, HaarIndex, InducedOperator,
                      MeasureGrid, RootIndex, basis_positions, build_lattice,
@@ -10,10 +11,11 @@ from haarlab import (BandOperator, Cube, HaarIndex, InducedOperator,
                      uniform_measure)
 from haarlab import lattice as lattice_module, operators as operators_module
 from haarlab.io import band_from_json, band_to_json
-from haarlab.operators import comparable_pairing_count
+from haarlab.operators import basis_table, comparable_pairing_count, repr_order
 
 from conftest import random_instance, random_weights
-from loop_oracle import loop_check_well_localized, loop_comparable_pairing_count
+from loop_oracle import (loop_band_to_json, loop_check_well_localized,
+                         loop_comparable_pairing_count)
 
 
 def test_haar_system_is_orthonormal():
@@ -115,6 +117,35 @@ def test_band_json_round_trip(spec):
     again = band_from_json(json.loads(json.dumps(band_to_json(band))), lat)
     assert again.entries == band.entries
     assert np.array_equal(again.leaf_matrix, band.leaf_matrix)
+
+
+@st.composite
+def deep_bands(draw):
+    """(lattice, r, seed, root_amplitude) of a random band: dim 1-3, 1-3
+    roots (negative coords too), top levels -9..3 and leaf levels down to
+    -15, at most 2^6 leaves per root."""
+    dim = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 6 // dim))
+    top = draw(st.integers(-9, 3))
+    coords = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim),
+                           min_size=1, max_size=3, unique=True))
+    lat = build_lattice(dim, top, top - depth, roots=[Cube(dim, top, c) for c in coords])
+    return (lat, draw(st.integers(0, 2)), draw(st.integers(0, 99)),
+            draw(st.sampled_from([0.0, 0.5])))
+
+
+@given(deep_bands())
+@example((build_lattice(1, -1, -11, [Cube(1, -1, (-1,))]), 2, 0, 0.5))  # "level=-1" < "level=-10"
+@settings(max_examples=40, deadline=None)
+def test_rank_order_is_repr_order(spec):
+    lat, r, seed, root_amplitude = spec
+    band = random_band(lat, r, seed=seed, root_amplitude=root_amplitude)
+    keys, (indices, rank, _) = list(band.entries), basis_table(lat)
+    assert np.array_equal(basis_positions(lat, indices), np.arange(len(indices)))
+    assert [keys[i] for i in repr_order(lat, *band.positions())] == sorted(keys, key=repr)
+    assert [indices[i] for i in np.argsort(rank)] == sorted(indices, key=repr)
+    assert band_to_json(band) == loop_band_to_json(band)
+    assert band_from_json(band_to_json(band), lat).entries == band.entries
 
 
 def test_shift_band_structure():

@@ -7,7 +7,7 @@ from haarlab import (CarlesonSequence, Cube, Lattice, SearchConfig, build_lattic
                      carleson_constant, embedding_constant, extremal_search,
                      greedy_embedding_sequence, replay_artifact, uniform_measure)
 
-from loop_oracle import loop_greedy_embedding_sequence
+from loop_oracle import loop_extremal_search, loop_greedy_embedding_sequence
 
 
 CFG = SearchConfig(dim=1, top_level=0, leaf_level=-3, r=1, seed=7,
@@ -56,6 +56,23 @@ def test_replay_detects_tampering():
     artifact2 = extremal_search(CFG).to_artifact()
     artifact2["rho"] += 1e-3
     assert not replay_artifact(artifact2)[0]
+
+
+@pytest.mark.parametrize("config", [
+    CFG,
+    SearchConfig(dim=1, top_level=2, leaf_level=-3, r=2, seed=3, iterations=40,
+                 root_amplitude=0.5),
+    SearchConfig(dim=2, top_level=-1, leaf_level=-4, r=1, seed=10 ** 6, iterations=25,
+                 root_amplitude=0.5),
+    SearchConfig(dim=3, top_level=0, leaf_level=-2, r=0, seed=11, iterations=12),
+    SearchConfig(dim=1, leaf_level=-3, r=1, seed=2, iterations=10, amplitude=0.0),
+], ids=["1d_roots", "1d_top_2_r_2", "2d_roots", "3d", "no_entries"])
+def test_search_matches_loop_oracle_bit_for_bit(config):
+    got, want = extremal_search(config), loop_extremal_search(config)
+    assert [float(h).hex() for h in got.history] == [float(h).hex() for h in want.history]
+    assert float(got.rho).hex() == float(want.rho).hex()
+    assert list(got.band.entries.items()) == list(want.band.entries.items())
+    assert json.dumps(got.to_artifact()) == json.dumps(want.to_artifact())
 
 
 def test_greedy_embedding_normalized_and_bounded():
