@@ -68,8 +68,7 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
     nu_mass = t_mu.nu.leaf_mass
     mu_q = mu_mass @ x
     nu_q = nu_mass @ x
-    tx = t_mu.matrix @ x
-    ax = t_mu.adjoint_matrix @ x
+    tx, ax = t_mu.chi_table, t_mu.adjoint_chi_table
 
     direct_global = nu_mass @ (tx * tx)
     direct_local = nu_mass @ (tx * tx * x)

@@ -113,7 +113,10 @@ def band_from_json(obj: dict, lattice: Lattice) -> BandOperator:
                          e["value"], "operator entry")
         if len(entries) < len(obj["entries"]):
             raise ValueError("explicit operator repeats a (row, col) pair")
-        return BandOperator(lattice=lattice, band_radius=_number(obj["r"], "explicit r", int),
+        r = _number(obj["r"], "explicit r", int)
+        if r < 0:
+            raise ValueError(f"explicit r must be nonnegative, got {r}")
+        return BandOperator(lattice=lattice, band_radius=r,
                             entries={(ix[i], ix[j]): v for (i, j), v in entries.items()})
     raise ValueError(f"unknown operator spec type {kind!r}")
 

@@ -111,6 +111,9 @@ class Lattice:
         object.__setattr__(self, "roots", tuple(self.roots))
         if self.leaf_level >= self.top_level:
             raise ValueError("leaf_level must be below top_level")
+        if self.dim * self.leaf_level < -1022 or self.dim * self.top_level > 1023:
+            raise ValueError("cube volumes 2**(dim*level) must be normal floats, got levels "
+                             f"{self.leaf_level} to {self.top_level} in dimension {self.dim}")
         seen = set()
         for root in self.roots:
             if root.dim != self.dim or root.level != self.top_level:

@@ -85,7 +85,7 @@ class MeasureGrid:
         at once.
 
         `values` holds leaf vectors along its last axis: one vector, or the
-        rows of a matrix such as (op @ lattice.membership).T.  The result
+        rows of a matrix such as InducedOperator.chi_table.T.  The result
         has shape values.shape[:-1] + (len(levels), n_leaves); entry
         [..., k, i] is Delta_Q v at leaf i for the cube Q at levels[k] that
         contains leaf i, so [..., k, :] is the sum of Delta_Q v over the

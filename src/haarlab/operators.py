@@ -258,6 +258,16 @@ class InducedOperator:
     def adjoint_matrix(self) -> np.ndarray:
         return self.lebesgue_matrix.T * self.nu.density()[np.newaxis, :]
 
+    @cached_property
+    def chi_table(self) -> np.ndarray:
+        """Leaves x active cubes: column Q is T_mu chi_Q."""
+        return self.matrix @ self.lattice.membership
+
+    @cached_property
+    def adjoint_chi_table(self) -> np.ndarray:
+        """Leaves x active cubes: column Q is T*_nu chi_Q."""
+        return self.adjoint_matrix @ self.lattice.membership
+
 
 def induce(band: BandOperator, mu: MeasureGrid, nu: MeasureGrid) -> InducedOperator:
     """T_mu for the band operator T between the measures on its lattice."""
@@ -265,16 +275,6 @@ def induce(band: BandOperator, mu: MeasureGrid, nu: MeasureGrid) -> InducedOpera
         raise ValueError("lattice mismatch between operator and measures")
     return InducedOperator(lattice=band.lattice, mu=mu, nu=nu,
                            lebesgue_matrix=band.leaf_matrix, band=band)
-
-
-def _haar_pairings(op_matrix: np.ndarray, out_measure: MeasureGrid,
-                   lattice: Lattice):
-    """Matrix of <Op chi_Q, h_R^w>_w over non-leaf R (rows, stacked by basis
-    element) and all active Q (columns); also the active position of the
-    cube of each row."""
-    row_cubes, rows = out_measure.haar_rows
-    pair = (rows * out_measure.leaf_mass) @ (op_matrix @ lattice.membership)
-    return pair, row_cubes
 
 
 def haar_block(matrix: np.ndarray, in_measure: MeasureGrid,
@@ -308,10 +308,10 @@ def check_well_localized(t_mu: InducedOperator, r: int,
     non-finite pairing makes that scale non-finite and fails the check.
     """
     lattice = t_mu.lattice
-    scans = [
-        _haar_pairings(t_mu.matrix, t_mu.nu, lattice),
-        _haar_pairings(t_mu.adjoint_matrix, t_mu.mu, lattice),
-    ]
+    # <T chi_Q, h_R^w>_w over non-leaf R (rows, stacked by basis element) and
+    # all active Q (columns), with the active position of each row's cube
+    scans = [((m.haar_rows[1] * m.leaf_mass) @ table, m.haar_rows[0])
+             for table, m in ((t_mu.chi_table, t_mu.nu), (t_mu.adjoint_chi_table, t_mu.mu))]
     scale = float(np.max([np.max(np.abs(p)) for p, _ in scans if p.size], initial=0.0))
     if scale == 0.0:
         return WellLocalizedReport(True, r, 0.0, 0.0, None, 0)

@@ -38,9 +38,9 @@ def build_paraproduct(t_mu: InducedOperator, r: int, side: str = "mu",
     if lattice.depth <= r:
         raise ValueError(f"lattice depth {lattice.depth} must exceed r={r}")
     if side == "mu":
-        op, avg_measure, delta_measure = t_mu.matrix, t_mu.mu, t_mu.nu
+        table, avg_measure, delta_measure = t_mu.chi_table, t_mu.mu, t_mu.nu
     elif side == "nu":
-        op, avg_measure, delta_measure = t_mu.adjoint_matrix, t_mu.nu, t_mu.mu
+        table, avg_measure, delta_measure = t_mu.adjoint_chi_table, t_mu.nu, t_mu.mu
     else:
         raise ValueError(f"side must be 'mu' or 'nu', got {side!r}")
     mq = avg_measure.cube_masses
@@ -49,19 +49,18 @@ def build_paraproduct(t_mu: InducedOperator, r: int, side: str = "mu",
     if not cubes.size:
         matrix = np.zeros((n, n))
     else:
-        w = _local_deltas(op, delta_measure, r, cubes, enlarge)
+        w = _local_deltas(table, delta_measure, r, cubes, enlarge)
         a = lattice.membership.T[cubes] * avg_measure.leaf_mass / mq[cubes][:, None]
         matrix = w.T @ a
     return Paraproduct(r=r, side=side, matrix=matrix)
 
 
-def _local_deltas(op: np.ndarray, measure: MeasureGrid, r: int,
+def _local_deltas(table: np.ndarray, measure: MeasureGrid, r: int,
                   cubes: np.ndarray, enlarge: int = 0) -> np.ndarray:
-    """Row k: the sum of Delta_R (op chi_B) over the cubes R inside Q at
-    level(Q) - r, where Q is the active cube at position cubes[k] and B
-    the `enlarge`-th active ancestor of Q (the top cube when there are
-    fewer).  op chi_B is a stacked matrix-vector product per B, which
-    sums each entry in the same order as op @ lattice.indicator(B)."""
+    """Row k: the sum of Delta_R (T chi_B) over the cubes R inside Q at
+    level(Q) - r, where Q is the active cube at position cubes[k], B the
+    `enlarge`-th active ancestor of Q (the top cube when there are fewer)
+    and T chi_B column B of `table` (an InducedOperator chi table)."""
     lattice = measure.lattice
     anc = lattice.ancestor_index
     levels = lattice.levels[cubes]
@@ -70,8 +69,7 @@ def _local_deltas(op: np.ndarray, measure: MeasureGrid, r: int,
         k = lattice.top_level - level
         sel = np.flatnonzero(levels == level)
         big = lattice.ancestor_keys(cubes[sel], min(level + enlarge, lattice.top_level))
-        t_chi = (op @ lattice.membership.T[big, :, None])[..., 0]
-        d = measure.level_deltas(t_chi, [level - r])[:, 0]
+        d = measure.level_deltas(table.T[big], [level - r])[:, 0]
         rows[sel] = np.where(anc[k] == cubes[sel][:, None], d, 0.0)
     return rows
 
@@ -204,7 +202,7 @@ def carleson_sequence(t_mu: InducedOperator, r: int) -> CarlesonSequence:
     values = np.zeros(len(lattice.levels))
     cubes = np.flatnonzero(lattice.levels - r >= lattice.leaf_level + 1)
     if cubes.size:
-        d = _local_deltas(t_mu.matrix, t_mu.nu, r, cubes)
+        d = _local_deltas(t_mu.chi_table, t_mu.nu, r, cubes)
         values[cubes] = (d * d * t_mu.nu.leaf_mass).sum(axis=-1)
     return CarlesonSequence(lattice=lattice, values=values)
 
@@ -263,11 +261,8 @@ class CarlesonPropertyReport:
 
 def carleson_property(t_mu: InducedOperator, seq: CarlesonSequence,
                       tol: float = 1e-10) -> CarlesonPropertyReport:
-    x = t_mu.lattice.membership.T
-    # row Q: chi_Q T_mu chi_Q; stacked matrix-vector products sum in the
-    # order of T_mu @ indicator(Q)
-    out = (t_mu.matrix @ x[:, :, None])[..., 0] * x
-    bounds = (out * out * t_mu.nu.leaf_mass).sum(axis=-1)
+    tx = t_mu.chi_table
+    bounds = t_mu.nu.leaf_mass @ (tx * tx * t_mu.lattice.membership)
     excess = float(np.max((seq.subtree_sums() - bounds) / np.maximum(bounds, 1.0),
                           initial=0.0))
     m = t_mu.mu.cube_masses

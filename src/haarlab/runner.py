@@ -65,10 +65,12 @@ DEFAULT_TOLERANCES = {"zero": 1e-12, "identity": 1e-10, "entrywise": 1e-9,
                       "replay": 1e-12}
 
 
-# Budget for the dense arrays of one instance: the leaves x active cubes
-# membership matrix and DENSE_LEAF_MATRICES n x n leaf matrices (band leaf
-# matrix, Haar system, induced operator and adjoint, paraproducts, ...).
+# Budget for the dense arrays of one instance: DENSE_CUBE_TABLES leaves x
+# active cubes tables (membership and the induced operator's two chi tables)
+# and DENSE_LEAF_MATRICES n x n leaf matrices (band leaf matrix, Haar system,
+# induced operator and adjoint, paraproducts, ...).
 MAX_DENSE_BYTES = 2 ** 31
+DENSE_CUBE_TABLES = 3
 DENSE_LEAF_MATRICES = 8
 
 
@@ -99,7 +101,7 @@ def validate_config(config: dict) -> None:
 
 def dense_bytes(lattice: dict) -> int:
     """Bytes of the dense float arrays an instance on this lattice shape
-    holds: membership plus DENSE_LEAF_MATRICES n x n leaf matrices."""
+    holds, as listed above MAX_DENSE_BYTES."""
     dim = lattice["dim"]
     depth = lattice["top_level"] - lattice["leaf_level"]
     if dim * depth > 64:  # 2^64 leaves: no need to count further
@@ -107,7 +109,7 @@ def dense_bytes(lattice: dict) -> int:
     roots = len(lattice.get("roots") or [None])
     leaves = roots << (dim * depth)
     cubes = roots * ((1 << (dim * (depth + 1))) - 1) // ((1 << dim) - 1)
-    return 8 * leaves * (cubes + DENSE_LEAF_MATRICES * leaves)
+    return 8 * leaves * (DENSE_CUBE_TABLES * cubes + DENSE_LEAF_MATRICES * leaves)
 
 
 def build_instance(config: dict):

@@ -342,6 +342,15 @@ BAD_INPUTS = {
                                "artifact schema_version 99 is not supported"),
     "null_schema_version": (None, {"schema_version": None},
                             "artifact schema_version must be a finite int"),
+    "negative_explicit_r": (*both("operator", dict(explicit(HAAR_ROOT), r=-1)),
+                            "explicit r must be nonnegative"),
+    # cube volumes 2**(dim*level) that overflow, or fall below the normal floats
+    "huge_levels": (*both("lattice", {"dim": 1, "top_level": 1100, "leaf_level": 1097}),
+                    "must be normal floats"),
+    "tiny_levels": (*both("lattice", {"dim": 1, "top_level": -1100, "leaf_level": -1103}),
+                    "must be normal floats"),
+    "tiny_volumes_2d": (*both("lattice", {"dim": 2, "top_level": -510, "leaf_level": -512}),
+                        "must be normal floats"),
 }
 
 
@@ -492,6 +501,16 @@ def test_oversized_lattice_exits_2_before_building(tmp_path, capsys):
     code, _ = run_cli(tmp_path, config, "testing")
     assert code == 2
     assert "GiB" in capsys.readouterr().err
+
+
+def test_size_guard_counts_the_chi_tables(tmp_path, capsys, monkeypatch):
+    # 1.82 GiB without the induced operator's two leaves x cubes chi tables
+    lattice = {"dim": 2, "top_level": 0, "leaf_level": -5,
+               "roots": [{"level": 0, "coords": [i, 0]} for i in range(5)]}
+    monkeypatch.setattr(runner, "build_instance", None)  # never reached
+    code, _ = run_cli(tmp_path, dict(BASE_CONFIG, lattice=lattice), "testing")
+    assert code == 2
+    assert "2.34 GiB" in capsys.readouterr().err
 
 
 def test_size_guard_reads_the_budget(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from haarlab.operators import basis_table, comparable_pairing_count, repr_order
 
 from conftest import random_instance, random_weights
 from loop_oracle import (loop_band_to_json, loop_check_well_localized,
-                         loop_comparable_pairing_count)
+                         loop_comparable_pairing_count, oracle_close)
 
 
 def test_haar_system_is_orthonormal():
@@ -146,6 +146,24 @@ def test_rank_order_is_repr_order(spec):
     assert [indices[i] for i in np.argsort(rank)] == sorted(indices, key=repr)
     assert band_to_json(band) == loop_band_to_json(band)
     assert band_from_json(band_to_json(band), lat).entries == band.entries
+
+
+@given(deep_bands(), st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_chi_tables_hold_the_images_of_indicators(spec, seed, dense):
+    lat, r, band_seed, root_amplitude = spec
+    rng = np.random.default_rng(seed)
+    mu, nu = (MeasureGrid(lat, np.where(rng.random(lat.n_leaves) < 0.3, 0.0,
+                                        rng.uniform(0.1, 2.0, lat.n_leaves)))
+              for _ in range(2))
+    if dense:
+        t = InducedOperator.from_leaf_matrix(
+            rng.standard_normal((lat.n_leaves,) * 2), mu, nu)
+    else:
+        t = induce(random_band(lat, r, seed=band_seed, root_amplitude=root_amplitude), mu, nu)
+    for table, op in ((t.chi_table, t.matrix), (t.adjoint_chi_table, t.adjoint_matrix)):
+        want = np.array([op @ lat.indicator(q) for q in lat.active_cubes]).T
+        assert oracle_close(table, want)
 
 
 def test_shift_band_structure():

@@ -13,7 +13,7 @@ from conftest import random_instance
 from loop_oracle import (loop_carleson_constant, loop_carleson_property,
                          loop_cube_masses, loop_embedding_constant,
                          loop_paraproduct_structure_verify,
-                         loop_remainder_diagonals, loop_subtree_sums)
+                         loop_remainder_diagonals, loop_subtree_sums, oracle_close)
 
 
 def seq_of(lat, values):
@@ -102,16 +102,15 @@ def test_carleson_sequence_zero_for_zero_operator():
 def test_carleson_sequence_against_direct_recomputation():
     t = random_instance(1, 4, 1, seed=33, zero_fraction=0.2)
     lat, nu = t.lattice, t.nu
-    seq = carleson_sequence(t, 1)
-    for q, got in zip(lat.active_cubes, seq.values):
-        want = 0.0
+    want = np.zeros(len(lat.active_cubes))
+    for i, q in enumerate(lat.active_cubes):
         if q.level - 1 >= lat.leaf_level + 1:
             t_chi = t.matrix @ lat.indicator(q)
             for rr in lat.cubes_at_level(q.level - 1):
                 if q.contains(rr):
                     d = nu.martingale_difference(t_chi, rr)
-                    want += nu.inner(d, d)
-        assert got == pytest.approx(want, abs=1e-12)
+                    want[i] += nu.inner(d, d)
+    assert oracle_close(carleson_sequence(t, 1).values, want)
 
 
 def test_negative_carleson_values_rejected():
@@ -249,7 +248,11 @@ def test_carleson_property_matches_loop_oracle(dim, depth, r, zero_fraction):
                         zero_fraction=zero_fraction, root_amplitude=0.4)
     seq = carleson_sequence(t, r)
     values = dict(zip(t.lattice.active_cubes, seq.values.tolist()))
-    assert carleson_property(t, seq) == loop_carleson_property(t, values)
+    got, want = carleson_property(t, seq), loop_carleson_property(t, values)
+    assert got.passed == want.passed
+    # max_excess is a ratio to max(bound, 1), so its drift is relative already
+    assert oracle_close(got.max_excess, want.max_excess, floor=1.0)
+    assert oracle_close(got.local_testing_constant, want.local_testing_constant)
 
 
 def _dense_instance(dim, depth, seed, zero_fraction):
