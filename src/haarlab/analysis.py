@@ -21,8 +21,6 @@ def operator_norm(t_mu: InducedOperator) -> float:
     nu_mass = t_mu.nu.leaf_mass
     cols = np.flatnonzero(mu_mass > 0)
     rows = np.flatnonzero(nu_mass > 0)
-    if cols.size == 0 or rows.size == 0:
-        return 0.0
     k = (np.sqrt(nu_mass[rows])[:, None] * t_mu.matrix[np.ix_(rows, cols)]
          / np.sqrt(mu_mass[cols])[None, :])
     return _largest_singular_value(k)
@@ -105,9 +103,10 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
         witness = ("diag", cubes[j], cubes[i])
 
     norm = operator_norm(t_mu)
-    denom = np.sqrt(c_dl) + np.sqrt(c_al) + c_diag if np.isfinite(
-        c_dl + c_al + c_diag) else float("inf")
-    rho = 0.0 if norm == 0.0 else (norm / denom if denom > 0 else float("inf"))
+    # an infinite constant (unbounded witness) gives rho 0, a NaN one NaN
+    denom = np.sqrt(c_dl) + np.sqrt(c_al) + c_diag
+    rho = (float("nan") if np.isnan(norm + denom) else norm / denom if denom > 0
+           else 0.0 if norm == 0.0 else float("inf"))
     return TestingReport(c_direct_global=c_dg, c_adjoint_global=c_ag,
                          c_direct_local=c_dl, c_adjoint_local=c_al,
                          c_adjoint_local_nu=c_aln, c_diag=c_diag,

@@ -4,6 +4,7 @@ embedding constant.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,13 +220,21 @@ def carleson_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
 
 
 def _largest_singular_value(k: np.ndarray) -> float:
-    if min(k.shape) == 0:
-        return 0.0
-    if max(k.shape) <= 4096:
-        return float(np.linalg.svd(k, compute_uv=False)[0])
-    # a direct eigensolve of the smaller Gram matrix; SVD is slower here
+    """Largest singular value sigma of k; NaN if an entry is NaN or inf.
+
+    k is scaled exactly by a power of two into max|k| in [1/2, 1), so its
+    smaller (p x p) Gram, summed over q terms, cannot overflow.  The root of
+    its top eigenvalue is sigma (1 + delta), |delta| <= (q + c) p eps / 2 to
+    first order.  Nothing stops on a tolerance of its own: LAPACK's
+    backward-stable eigensolve meets its bound or raises.
+    """
+    amax = float(np.abs(k).max()) if k.size else 0.0
+    if not 0.0 < amax < math.inf:
+        return amax * 0.0  # 0 for the zero matrix, NaN for a NaN or inf entry
+    e = math.frexp(amax)[1]
+    k = np.ldexp(k, -e)
     gram = k @ k.T if k.shape[0] <= k.shape[1] else k.T @ k
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+    return float(np.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), e))
 
 
 def embedding_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
@@ -240,8 +249,6 @@ def embedding_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
     pos = np.flatnonzero(mu.leaf_mass > 0)
     m = mu.cube_masses
     sel = np.flatnonzero((seq.values > 0) & (m > 0))
-    if pos.size == 0 or sel.size == 0:
-        return 0.0
     inside = lattice.ancestor_index[lattice.top_level - lattice.levels[sel]] == sel[:, None]
     k = inside[:, pos] * np.sqrt(seq.values[sel])[:, None]
     k *= np.sqrt(mu.leaf_mass[pos])

@@ -1,3 +1,4 @@
+import math
 from functools import cached_property
 
 import numpy as np
@@ -46,18 +47,35 @@ def test_norm_against_generalized_eigensolve():
                                                  rel=1e-10, abs=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(4200, 40), (40, 4200)])
-def test_largest_singular_value_above_dense_threshold(shape):
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 900, 2.0 ** -900],
+                         ids=["unit", "2^900", "2^-900"])
+@pytest.mark.parametrize("shape", [(1, 1), (8, 8), (63, 32), (4200, 40), (40, 4200)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_largest_singular_value_matches_svd(shape, scale):
     # singular values 1 - 1e-6 i: clustered enough that a power iteration
-    # stopping on a stalled estimate misses the top one by about 1e-7
+    # stopping on a stalled estimate misses the top one by about 1e-7; the
+    # scales would overflow (2^900) or underflow (2^-900) an unscaled Gram,
+    # hence abs=0: the default absolute slack would accept 0 for 2^-900
     rng = np.random.default_rng(3)
     n = min(shape)
     u = np.linalg.qr(rng.standard_normal((max(shape), n)))[0]
     v = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    k = (u * (1.0 - 1e-6 * np.arange(n))) @ v
-    k = k if shape[0] > shape[1] else k.T
+    k = (u * (1.0 - 1e-6 * np.arange(n))) @ v * scale
+    k = k if shape[0] >= shape[1] else k.T
     want = np.linalg.svd(k, compute_uv=False)[0]
-    assert _largest_singular_value(k) == pytest.approx(want, rel=1e-13)
+    assert _largest_singular_value(k) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_largest_singular_value_of_zero_matrix_is_zero():
+    assert _largest_singular_value(np.zeros((5, 3))) == 0.0
+    assert _largest_singular_value(np.zeros((0, 3))) == 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_largest_singular_value_of_non_finite_matrix_is_nan(bad):
+    k = np.random.default_rng(0).standard_normal((6, 4))
+    k[2, 1] = bad
+    assert math.isnan(_largest_singular_value(k))
 
 
 def test_norm_is_supremum_of_rayleigh_quotients():
@@ -226,3 +244,27 @@ def leaf_matrix_operators(draw):
 @given(t=leaf_matrix_operators(), r=st.sampled_from([0, 1, 2]))
 def test_testing_constants_match_loop_oracle_on_zero_mass_leaves(t, r):
     assert_same_report(t, r)
+
+
+def test_unbounded_testing_constant_gives_rho_zero():
+    # column 0 maps a zero-mass leaf of mu onto a nonzero image
+    lat = build_lattice(1, 0, -2)
+    mu = MeasureGrid(lat, np.array([0.0, 1.0, 1.0, 1.0]))
+    t = UnweightedLeafOperator.from_leaf_matrix(np.eye(4), mu, uniform_measure(lat))
+    rep = constants_of(t, 0)
+    assert rep.c_direct_local == math.inf and rep.unbounded_witness is not None
+    assert rep.norm > 0 and rep.rho == 0.0
+
+
+@pytest.mark.parametrize("entry", [1e200, float("nan")], ids=["overflow", "nan"])
+def test_nan_testing_constant_gives_nan_rho(entry):
+    # 1e200 squares to inf, and inf times a zero of membership is NaN; the
+    # norm stays finite, so before, the NaN became rho 0 and passed
+    lat = build_lattice(1, 0, -2)
+    leb = uniform_measure(lat)
+    m = np.eye(lat.n_leaves)
+    m[0, 1] = entry
+    with np.errstate(all="ignore"):
+        rep = constants_of(InducedOperator.from_leaf_matrix(m, leb, leb), 0)
+    assert math.isnan(rep.c_direct_local) and math.isnan(rep.rho)
+    assert math.isfinite(rep.norm) == math.isfinite(entry)

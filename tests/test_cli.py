@@ -480,6 +480,39 @@ def test_overflowing_carleson_sequence_fails_in_the_report(tmp_path, capsys, sui
     assert "[FAIL] carleson_property" in capsys.readouterr().out
 
 
+def default_config():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "default.json")) as fh:
+        return json.load(fh)
+
+
+def test_nan_testing_constant_fails_search(tmp_path, capfd):
+    # cube volumes are normal floats here, but the mass/volume densities
+    # overflow: c_direct_local is NaN, so rho is NaN, not 0, and fails
+    config = default_config()
+    config["lattice"].update(top_level=-1019, leaf_level=-1022)
+    code, out = run_cli(tmp_path, config, "search")
+    assert code == 1
+    captured = capfd.readouterr()
+    assert "[pass]" not in captured.out
+    assert "DLASCL" not in captured.out + captured.err
+    artifact = read_report(out)["artifact"]
+    assert math.isnan(artifact["rho"]) and math.isnan(artifact["constants"]["c_direct_local"])
+
+
+@pytest.mark.parametrize("amplitude", [1e200, 1e306])
+def test_overflowing_testing_suite_keeps_a_finite_norm(tmp_path, capfd, amplitude):
+    config = default_config()
+    config["operator"]["amplitude"] = amplitude
+    code, out = run_cli(tmp_path, config, "testing")
+    assert code == 1
+    captured = capfd.readouterr()
+    assert "DLASCL" not in captured.out + captured.err
+    constants = read_report(out)["constants"]
+    assert amplitude < constants["norm"] < math.inf
+    assert math.isnan(constants["rho"])
+
+
 @pytest.mark.parametrize("search", [
     {"amplitude": float("nan")}, {"root_amplitude": float("inf")},
     {"weight_sigma": float("nan")}, {"step": -float("inf")},

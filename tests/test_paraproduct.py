@@ -238,7 +238,9 @@ def test_carleson_layer_matches_loop_oracle(inst, sparse_dict):
     want = loop_subtree_sums(lat, values)
     assert seq.subtree_sums().tolist() == [want[q] for q in lat.active_cubes]
     assert carleson_constant(seq, mu) == loop_carleson_constant(lat, values, masses)
-    assert embedding_constant(seq, mu) == loop_embedding_constant(lat, values, mu, masses)
+    # the Gram eigensolve against the oracle's dense SVD: round-off apart
+    assert embedding_constant(seq, mu) == pytest.approx(
+        loop_embedding_constant(lat, values, mu, masses), rel=1e-13)
 
 
 @pytest.mark.parametrize("dim,depth,r,zero_fraction", [
