@@ -64,7 +64,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
+    if args.seed is not None and isinstance(config, dict):  # run rejects the rest
         config["seed"] = args.seed
     try:
         code, report = run(config, args.out, suite=args.suite,

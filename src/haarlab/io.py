@@ -1,8 +1,8 @@
 """JSON (de)serialization of cubes, lattices, measures and operators.
 
 The same encoding is used by run configs, reports and search artifacts, so
-any emitted instance can be replayed bit for bit.  Replayed artifacts skip
-the config schema, so every number read here is checked here.
+any emitted instance can be replayed bit for bit.  Configs and artifacts go
+through the same readers, which check every number and reject unread keys.
 """
 from __future__ import annotations
 
@@ -14,14 +14,19 @@ from .operators import (BandOperator, HaarIndex, RootIndex, basis_table,
                         haar_multiplier, haar_shift, random_band, repr_order)
 
 
-def _number(value, what: str, kind: type = float, finite: bool = True):
-    """A JSON number as `kind`, float or int, finite unless finite=False; an int
-    field takes an integral float (JSON does not tell 3 from 3.0), never a bool or string."""
-    if type(value) is kind and (kind is int or not finite or math.isfinite(value)):
-        return value  # the common case, kept cheap: a band has thousands of numbers
-    if type(value) in (int, float) and math.isfinite(value) and kind(value) == value:
-        return kind(value)
-    raise ValueError(f"{what} must be a {'finite ' * finite}{kind.__name__}, got {value!r}")
+def _number(value, what: str, kind: type = float, nonnegative: bool = False, finite: bool = True):
+    """A JSON number as `kind`, float or int, finite unless finite=False and >= 0
+    if nonnegative; an int field takes an integral float (JSON does not tell 3
+    from 3.0), never a bool or string.  The first test is the common case, kept
+    cheap: a band has thousands of numbers."""
+    if not (type(value) is kind and (kind is int or not finite or math.isfinite(value))):
+        if not (type(value) in (int, float) and math.isfinite(value) and kind(value) == value):
+            raise ValueError(f"{what} must be a {'finite ' * finite}{kind.__name__}, "
+                             f"got {value!r}")
+        value = kind(value)
+    if nonnegative and value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+    return value
 
 
 def _container(value, what: str, kind: type = dict):
@@ -30,6 +35,29 @@ def _container(value, what: str, kind: type = dict):
         return value
     raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, "
                      f"got {value!r}")
+
+
+def _fields(obj, what: str, names) -> dict:
+    """A JSON object whose keys are all among `names`: no typo leaves a default in force."""
+    unknown = _container(obj, what).keys() - names
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {sorted(unknown)}")
+    return obj
+
+
+def _typed(obj, what: str, fields: dict) -> str:
+    """The `type` of a spec object, a key of `fields`; its other keys must be that type's."""
+    kind = _container(obj, what).get("type")
+    if not isinstance(kind, str) or kind not in fields:
+        raise ValueError(f"unknown {what} spec type {kind!r}")
+    _fields(obj, f"{kind} {what}", ("type", *fields[kind]))
+    return kind
+
+
+OPERATOR_FIELDS = {"multiplier": ("alpha", "root_alpha"), "explicit": ("r", "entries"),
+                   "shift": (), "random_band": ("r", "seed", "amplitude", "root_amplitude")}
+MEASURE_FIELDS = {"explicit": ("mass",), "uniform": ("total",), "lognormal": ("sigma", "seed"),
+                  "sparse_atoms": ("count", "seed"), "zero_blocks": ("fraction", "seed")}
 
 
 def cube_to_json(q: Cube) -> dict:
@@ -50,8 +78,10 @@ def lattice_to_json(lat: Lattice) -> dict:
 
 
 def lattice_from_json(obj: dict) -> Lattice:
-    obj = _container(obj, "lattice")
+    obj = _fields(obj, "lattice", ("dim", "top_level", "leaf_level", "roots"))
     dim = _number(obj["dim"], "lattice dim", int)
+    if not 0 < dim < 1024:  # past 1023 no two levels have normal cube volumes
+        raise ValueError(f"lattice dim must be 1 to 1023, got {dim}")
     roots = [Cube(dim, *_cube_fields(r)) for r in _container(obj.get("roots", []), "roots", list)]
     return build_lattice(dim, _number(obj["top_level"], "top_level", int),
                          _number(obj["leaf_level"], "leaf_level", int), roots or None)
@@ -91,7 +121,7 @@ def band_to_json(op: BandOperator) -> dict:
 
 def band_from_json(obj: dict, lattice: Lattice) -> BandOperator:
     """Build an operator from a config spec (named generator or explicit)."""
-    kind = _container(obj, "operator")["type"]
+    kind = _typed(obj, "operator", OPERATOR_FIELDS)
     if kind == "multiplier":
         return haar_multiplier(lattice, _number(obj.get("alpha", 1.0), "multiplier alpha"),
                                root_alpha=_number(obj.get("root_alpha", 0.0),
@@ -104,29 +134,26 @@ def band_from_json(obj: dict, lattice: Lattice) -> BandOperator:
                            amplitude=_number(obj.get("amplitude", 1.0), "amplitude"),
                            root_amplitude=_number(obj.get("root_amplitude", 0.0),
                                                   "root_amplitude"))
-    if kind == "explicit":
-        (ix, _, positions), entries = basis_table(lattice), {}
-        for e in _container(obj["entries"], "operator entries", list):
-            e = _container(e, "operator entry")
-            entries[(_position(e["row"], "entry row", positions),
-                     _position(e["col"], "entry col", positions))] = _number(
-                         e["value"], "operator entry")
-        if len(entries) < len(obj["entries"]):
-            raise ValueError("explicit operator repeats a (row, col) pair")
-        r = _number(obj["r"], "explicit r", int)
-        if r < 0:
-            raise ValueError(f"explicit r must be nonnegative, got {r}")
-        return BandOperator(lattice=lattice, band_radius=r,
-                            entries={(ix[i], ix[j]): v for (i, j), v in entries.items()})
-    raise ValueError(f"unknown operator spec type {kind!r}")
+    (ix, _, positions), entries = basis_table(lattice), {}  # explicit
+    for e in _container(obj["entries"], "operator entries", list):
+        e = _container(e, "operator entry")
+        entries[(_position(e["row"], "entry row", positions),
+                 _position(e["col"], "entry col", positions))] = _number(
+                     e["value"], "operator entry")
+    if len(entries) < len(obj["entries"]):
+        raise ValueError("explicit operator repeats a (row, col) pair")
+    r = _number(obj["r"], "explicit r", int, nonnegative=True)
+    return BandOperator(lattice=lattice, band_radius=r,
+                        entries={(ix[i], ix[j]): v for (i, j), v in entries.items()})
 
 
 def measure_from_json(obj, lattice: Lattice) -> MeasureGrid:
     kinds = {"seed": int, "count": int, "total": float, "sigma": float, "fraction": float}
     if not isinstance(obj, dict):  # the bare-list form of explicit masses
         obj = {"type": "explicit", "mass": obj}
+    kind = _typed(obj, "measure", MEASURE_FIELDS)
     obj = {key: _number(v, f"measure {key}", kinds[key]) if key in kinds else v
            for key, v in obj.items()}
-    if obj.get("type") == "explicit":
+    if kind == "explicit":
         obj["mass"] = [_number(m, "leaf mass") for m in _container(obj["mass"], "mass", list)]
     return generate_measure(lattice, obj)

@@ -13,7 +13,8 @@ import os
 import numpy as np
 
 from .analysis import decomposition_identity, testing_constants
-from .io import band_from_json, lattice_from_json, measure_from_json
+from .io import _fields, _number, band_from_json, lattice_from_json, measure_from_json
+from .lattice import Lattice
 from .operators import check_band, check_well_localized, induce
 from .paraproduct import (build_paraproduct, carleson_constant,
                           carleson_property, carleson_sequence,
@@ -25,40 +26,11 @@ SCHEMA_VERSION = 1
 
 SUITES = ("verify", "testing", "carleson", "search", "decompose")
 
-SEARCH_FLOATS = ("amplitude", "root_amplitude", "weight_sigma", "step")
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["lattice", "mu", "nu", "operator", "r"],
-    "properties": {
-        "lattice": {
-            "type": "object",
-            "required": ["dim", "top_level", "leaf_level"],
-            "properties": {
-                "dim": {"type": "integer", "minimum": 1},
-                "top_level": {"type": "integer"},
-                "leaf_level": {"type": "integer"},
-                "roots": {"type": "array", "items": {
-                    "type": "object",
-                    "required": ["level", "coords"],
-                    "properties": {"level": {"type": "integer"},
-                                   "coords": {"type": "array",
-                                              "items": {"type": "integer"}}},
-                }},
-            },
-        },
-        "mu": {"type": ["object", "array"]},
-        "nu": {"type": ["object", "array"]},
-        "operator": {"type": "object", "required": ["type"]},
-        "r": {"type": "integer", "minimum": 0},
-        "suite": {"enum": list(SUITES)},
-        "seed": {"type": "integer", "minimum": 0},
-        "tolerances": {"type": "object", "additionalProperties": {"type": "number"}},
-        "search": {"type": "object", "additionalProperties": False, "properties": {
-            "iterations": {"type": "integer", "minimum": 0},
-            **{name: {"type": "number"} for name in SEARCH_FLOATS}}},
-    },
-}
+CONFIG_KEYS = ("lattice", "mu", "nu", "operator", "r", "suite", "seed", "tolerances", "search")
+# each search field's type, and whether it must be nonnegative
+SEARCH_FIELDS = {"iterations": (int, True), "amplitude": (float, True),
+                 "root_amplitude": (float, True), "weight_sigma": (float, False),
+                 "step": (float, False)}
 
 DEFAULT_TOLERANCES = {"zero": 1e-12, "identity": 1e-10, "entrywise": 1e-9,
                       "necessity": 1e-9, "ordering": 1e-12, "embedding": 1e-9,
@@ -75,38 +47,34 @@ DENSE_LEAF_MATRICES = 8
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration (schema violation or inconsistent levels)."""
+    """A run config that cannot be read or built (exit 2 at the CLI)."""
 
 
 def validate_config(config: dict) -> None:
-    from jsonschema import Draft7Validator  # only config validation needs it
-
-    errors = sorted(Draft7Validator(CONFIG_SCHEMA).iter_errors(config),
-                    key=lambda e: list(e.path))
-    if errors:
-        raise ConfigError("; ".join(e.message for e in errors))
-    lat = config["lattice"]
-    if lat["leaf_level"] >= lat["top_level"]:
-        raise ConfigError("leaf_level must be strictly below top_level")
-    search = config.get("search", {})
-    bad = [name for name in SEARCH_FLOATS if not math.isfinite(search.get(name, 0.0))
-           or "amplitude" in name and search.get(name, 0.0) < 0]
-    if bad:
-        raise ConfigError(f"search parameters must be finite, amplitudes nonnegative: {bad}")
-    need = dense_bytes(lat)
+    """Read the config's top level, lattice, integers, suite and search section
+    with io's checked readers and bound the instance size, before anything is
+    built; every suite's build_instance reads the measure and operator specs."""
+    try:
+        lattice = lattice_from_json(_fields(config, "config", CONFIG_KEYS)["lattice"])
+        _number(config["r"], "r", int, nonnegative=True)
+        _number(config.get("seed", 0), "seed", int, nonnegative=True)
+        if config.get("suite", "verify") not in SUITES:
+            raise ValueError(f"suite must be one of {SUITES}, got {config['suite']!r}")
+        _search_fields(config)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"missing key {exc}" if type(exc) is KeyError else str(exc)) from exc
+    need = dense_bytes(lattice)
     if need > MAX_DENSE_BYTES:
         raise ConfigError(f"instance needs about {need / 2 ** 30:.3g} GiB of dense "
                           f"arrays, over the {MAX_DENSE_BYTES / 2 ** 30:g} GiB budget")
 
 
-def dense_bytes(lattice: dict) -> int:
-    """Bytes of the dense float arrays an instance on this lattice shape
-    holds, as listed above MAX_DENSE_BYTES."""
-    dim = lattice["dim"]
-    depth = lattice["top_level"] - lattice["leaf_level"]
+def dense_bytes(lattice: Lattice) -> int:
+    """Bytes of the dense float arrays an instance on this lattice holds, as
+    listed above MAX_DENSE_BYTES; counted from its shape, nothing is built."""
+    dim, depth, roots = lattice.dim, lattice.depth, len(lattice.roots)
     if dim * depth > 64:  # 2^64 leaves: no need to count further
         return 2 ** 128
-    roots = len(lattice.get("roots") or [None])
     leaves = roots << (dim * depth)
     cubes = roots * ((1 << (dim * (depth + 1))) - 1) // ((1 << dim) - 1)
     return 8 * leaves * (DENSE_CUBE_TABLES * cubes + DENSE_LEAF_MATRICES * leaves)
@@ -123,15 +91,23 @@ def build_instance(config: dict):
     return lattice, mu, nu, band, int(config["r"])
 
 
+def _search_fields(config: dict) -> dict:
+    """The config's search section as SearchConfig keywords, each checked."""
+    search = _fields(config.get("search", {}), "search", SEARCH_FIELDS)
+    return {name: _number(value, f"search {name}", *SEARCH_FIELDS[name])
+            for name, value in search.items()}
+
+
 def _tolerances(*overrides) -> dict:
-    """DEFAULT_TOLERANCES updated by each mapping; unknown names and
-    non-finite values (inf passes every check) are a ConfigError."""
+    """DEFAULT_TOLERANCES updated by each JSON object of names; anything but
+    finite numbers (inf passes every check) and unknown names are a ConfigError."""
     tol = dict(DEFAULT_TOLERANCES)
-    for names in filter(None, overrides):
+    for names in overrides:
+        if not (isinstance(names, dict) and all(type(v) in (int, float) and math.isfinite(v)
+                                                for v in names.values())):
+            raise ConfigError(f"tolerances must be finite numbers in a JSON object: {names}")
         if set(names) - set(tol):
             raise ConfigError(f"unknown tolerance names {sorted(set(names) - set(tol))}")
-        if not all(map(math.isfinite, names.values())):
-            raise ConfigError(f"tolerances must be finite: {names}")
         tol.update(names)
     return tol
 
@@ -286,11 +262,10 @@ def suite_carleson(config, tol) -> tuple[list, dict]:
 
 
 def suite_search(config, tol) -> tuple[list, dict]:
-    build_instance(config)  # reject what the other suites reject
-    lat = config["lattice"]
-    sc = SearchConfig(dim=lat["dim"], top_level=lat["top_level"],
-                      leaf_level=lat["leaf_level"], r=int(config["r"]),
-                      seed=int(config.get("seed", 0)), **config.get("search", {}))
+    lattice, *_, r = build_instance(config)  # reject what the other suites reject
+    sc = SearchConfig(dim=lattice.dim, top_level=lattice.top_level,
+                      leaf_level=lattice.leaf_level, r=r,
+                      seed=int(config.get("seed", 0)), **_search_fields(config))
     result = extremal_search(sc)
     monotone = all(b >= a for a, b in zip(result.history, result.history[1:]))
     checks = [_check("search_monotone", monotone, final_rho=result.rho)]
@@ -330,9 +305,10 @@ def run(config: dict, out_dir: str, suite: str | None = None,
     suite = suite or config.get("suite", "verify")
     if suite not in SUITE_RUNNERS:
         raise ConfigError(f"unknown suite {suite!r}")
-    tol = _tolerances(config.get("tolerances"), tolerance_overrides)
+    tol = _tolerances(config.get("tolerances", {}), tolerance_overrides or {})
 
-    checks, extra = SUITE_RUNNERS[suite](config, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks report NaN and inf
+        checks, extra = SUITE_RUNNERS[suite](config, tol)
     passed = all(c["passed"] for c in checks)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -360,10 +336,11 @@ def run(config: dict, out_dir: str, suite: str | None = None,
 def replay(artifact_path: str, out_dir: str,
            tolerance_overrides: dict | None = None) -> tuple[int, dict]:
     """Recompute all constants of a stored search instance and compare."""
-    tol = _tolerances(tolerance_overrides)
+    tol = _tolerances(tolerance_overrides or {})
     with open(artifact_path) as fh:
         artifact = json.load(fh)
-    ok, recomputed = replay_artifact(artifact, tol=tol["replay"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok, recomputed = replay_artifact(artifact, tol=tol["replay"])
     report = {
         "schema_version": SCHEMA_VERSION,
         "suite": "replay",

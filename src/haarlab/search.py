@@ -30,9 +30,6 @@ class SearchConfig:
     weight_sigma: float = 1.0
     step: float = 0.5
 
-    def __post_init__(self):  # a JSON integer may arrive as a float such as 3.0
-        object.__setattr__(self, "iterations", int(self.iterations))
-
 
 @dataclass
 class SearchResult:
@@ -130,9 +127,7 @@ def replay_artifact(artifact: dict, tol: float = 1e-12):
     band = band_from_json(artifact["operator"], lattice)
     mu = measure_from_json(artifact["mu"], lattice)
     nu = measure_from_json(artifact["nu"], lattice)
-    r = _number(artifact["r"], "artifact r", int)
-    if r < 0:
-        raise ValueError(f"artifact r must be nonnegative, got {r}")
+    r = _number(artifact["r"], "artifact r", int, nonnegative=True)
     rho, report = _evaluate(band.leaf_matrix, mu, nu, r)
     recomputed = {
         "rho": float(rho),

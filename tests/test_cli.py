@@ -10,6 +10,7 @@ import pytest
 import haarlab
 from haarlab import runner
 from haarlab.cli import main
+from haarlab.lattice import build_lattice
 from haarlab.runner import ConfigError, validate_config
 
 BASE_CONFIG = {
@@ -308,8 +309,8 @@ def both(section, value):
 
 
 TEXT_MASSES, BOOL_MASSES = ["1.5"] * 8, [True] * 8
-# config change (None where the config schema already rejects it), artifact
-# change, and the words the error message must contain
+# config change (None for an artifact-only field or value), artifact change,
+# and the words the error message must contain
 BAD_INPUTS = {
     "int_coords": (*both("operator", explicit(dict(HAAR_ROOT, cube={
         "level": 0, "coords": 5}))), "cube coords must be a JSON array"),
@@ -328,10 +329,10 @@ BAD_INPUTS = {
                     "leaf mass must be a finite float"),
     "text_masses_bare_list": (*both("nu", TEXT_MASSES), "leaf mass must be a finite float"),
     "bool_masses_bare_list": (*both("mu", BOOL_MASSES), "leaf mass must be a finite float"),
-    "int_lattice": (None, {"lattice": 5}, "lattice must be a JSON object"),
-    "int_roots": (None, {"lattice": dict(BASE_CONFIG["lattice"], roots=5)},
+    "int_lattice": (*both("lattice", 5), "lattice must be a JSON object"),
+    "int_roots": (*both("lattice", dict(BASE_CONFIG["lattice"], roots=5)),
                   "roots must be a JSON array"),
-    "int_operator": (None, {"operator": 5}, "operator must be a JSON object"),
+    "int_operator": (*both("operator", 5), "operator must be a JSON object"),
     "fractional_replay_r": (None, {"r": 1.5}, "artifact r must be a finite int"),
     "negative_replay_r": (None, {"r": -1}, "artifact r must be nonnegative"),
     "text_replay_rho": (None, {"rho": "abc"}, "artifact rho must be a float"),
@@ -522,11 +523,125 @@ def test_overflowing_testing_suite_keeps_a_finite_norm(tmp_path, capfd, amplitud
          "negative_iterations", "fractional_iterations", "nan_iterations", "text_step",
          "misspelt_iterations"])
 def test_bad_search_section_exits_2(tmp_path, capsys, search):
-    code, _ = run_cli(tmp_path, dict(BASE_CONFIG, search=search), "search")
-    assert code == 2
+    key, = search
+    for suite in runner.SUITES:
+        assert run_cli(tmp_path, dict(BASE_CONFIG, search=search), suite, out_name=suite)[0] == 2
+        captured = capsys.readouterr()
+        assert "[pass]" not in captured.out
+        assert "invalid config" in captured.err and key in captured.err, suite
+
+
+def without(key):
+    return {k: v for k, v in BASE_CONFIG.items() if k != key}
+
+
+LATTICE = BASE_CONFIG["lattice"]
+# a config, and a word its error message must contain: every rule the config
+# reader enforces, and a key that no section reads in each section
+CONFIG_RULES = {
+    "list_config": ([1, 2], "config"),
+    "number_config": (5, "config"),
+    "text_config": ("verify", "config"),
+    **{f"missing_{key}": (without(key), repr(key))
+       for key in ("lattice", "mu", "nu", "operator", "r")},
+    "zero_dim": (dict(BASE_CONFIG, lattice=dict(LATTICE, dim=0)), "dim"),
+    "fractional_dim": (dict(BASE_CONFIG, lattice=dict(LATTICE, dim=1.5)), "dim"),
+    "flat_lattice": (dict(BASE_CONFIG, lattice=dict(LATTICE, leaf_level=0)), "leaf_level"),
+    "text_top_level": (dict(BASE_CONFIG, lattice=dict(LATTICE, top_level="0")), "top_level"),
+    "negative_r": (dict(BASE_CONFIG, r=-1), "r must be"),
+    "fractional_r": (dict(BASE_CONFIG, r=1.5), "r must be"),
+    "bool_r": (dict(BASE_CONFIG, r=True), "r must be"),
+    "negative_seed": (dict(BASE_CONFIG, seed=-1), "seed"),
+    "fractional_seed": (dict(BASE_CONFIG, seed=0.5), "seed"),
+    "bool_seed": (dict(BASE_CONFIG, seed=False), "seed"),
+    "text_seed": (dict(BASE_CONFIG, seed="0"), "seed"),
+    "unknown_suite": (dict(BASE_CONFIG, suite="bogus"), "suite"),
+    "list_suite": (dict(BASE_CONFIG, suite=["verify"]), "suite"),
+    "list_tolerances": (dict(BASE_CONFIG, tolerances=[]), "tolerances"),
+    "number_tolerances": (dict(BASE_CONFIG, tolerances=5), "tolerances"),
+    "text_tolerance": (dict(BASE_CONFIG, tolerances={"zero": "abc"}),
+                       "tolerances must be finite"),
+    "bool_tolerance": (dict(BASE_CONFIG, tolerances={"zero": True}),
+                       "tolerances must be finite"),
+    # more of the search section's rules in test_bad_search_section_exits_2
+    "list_search": (dict(BASE_CONFIG, search=[]), "search"),
+    "bool_iterations": (dict(BASE_CONFIG, search={"iterations": True}), "iterations"),
+    "negative_search_amplitude": (dict(BASE_CONFIG, search={"amplitude": -1}), "amplitude"),
+    # keys that no section reads, the first four misspelt defaults
+    "unknown_config_key": (dict(BASE_CONFIG, tolerence={"zero": 1e-30}), "tolerence"),
+    "unknown_lattice_key": (dict(BASE_CONFIG, lattice=dict(LATTICE, rootz=[])), "rootz"),
+    "unknown_lognormal_key": (dict(BASE_CONFIG, mu=dict(BASE_CONFIG["mu"], sigmaa=5.0)),
+                              "sigmaa"),
+    "unknown_random_band_key": (dict(BASE_CONFIG, operator=dict(BAND, amplitud=9.0)),
+                                "amplitud"),
+    "unknown_zero_blocks_key": (dict(BASE_CONFIG, nu=dict(BASE_CONFIG["nu"], total=1e308)),
+                                "total"),
+    "unknown_uniform_key": (dict(BASE_CONFIG, mu={"type": "uniform", "sigma": 2.0}), "sigma"),
+    "unknown_sparse_atoms_key": (dict(BASE_CONFIG, mu={"type": "sparse_atoms", "count": 2,
+                                                       "seed": 1, "fraction": 0.5}),
+                                 "fraction"),
+    "unknown_explicit_measure_key": (dict(BASE_CONFIG, mu={"type": "explicit",
+                                                           "mass": [1.0] * 8, "seed": 1}),
+                                     "seed"),
+    "unknown_multiplier_key": (dict(BASE_CONFIG, operator={"type": "multiplier", "alfa": 2.0}),
+                               "alfa"),
+    "unknown_shift_key": (dict(BASE_CONFIG, operator={"type": "shift", "amplitude": 2.0}),
+                          "amplitude"),
+    "unknown_explicit_operator_key": (dict(BASE_CONFIG, operator=dict(explicit(HAAR_ROOT),
+                                                                      seed=1)), "seed"),
+}
+
+
+@pytest.mark.parametrize("config,word", CONFIG_RULES.values(), ids=list(CONFIG_RULES))
+def test_config_rules_exit_2(tmp_path, capsys, config, word):
+    for suite in runner.SUITES:
+        assert run_cli(tmp_path, config, suite, out_name=suite)[0] == 2, suite
+        captured = capsys.readouterr()
+        assert "[pass]" not in captured.out
+        assert word in captured.err, suite
+
+
+@pytest.mark.parametrize("config", [[1, 2], 5, "verify"], ids=["list", "number", "text"])
+def test_seed_flag_on_non_object_config_exits_2(tmp_path, capsys, config):
+    # --seed writes into the config: only into an object, the rest is rejected
+    assert run_cli(tmp_path, config, "verify", extra=["--seed", "3"])[0] == 2
     captured = capsys.readouterr()
     assert "[pass]" not in captured.out
-    assert "invalid config" in captured.err
+    assert "config must be a JSON object" in captured.err
+
+
+@pytest.mark.parametrize("suite", ["testing", "search"])
+def test_top_level_integers_as_integral_floats(tmp_path, suite):
+    ints = dict(BASE_CONFIG, search={"iterations": 2})
+    floats = dict(ints, r=1.0, seed=0.0, search={"iterations": 2.0},
+                  lattice={"dim": 1.0, "top_level": 0.0, "leaf_level": -3.0})
+    reports = [read_report(run_cli(tmp_path, config, suite, out_name=name)[1])
+               for name, config in (("ints", ints), ("floats", floats))]
+    assert reports[0]["constants"] == reports[1]["constants"]
+    assert reports[0].get("artifact") == reports[1].get("artifact")
+
+
+@pytest.mark.parametrize("suite,lattice,failed", [
+    ("testing", None, ["necessity_direct", "necessity_adjoint", "local_le_global"]),
+    ("search", {"top_level": -1019, "leaf_level": -1022}, ["search_monotone"])],
+    ids=["testing_amplitude_1e200", "search_tiny_cubes"])
+def test_overflow_prints_no_runtime_warning(tmp_path, suite, lattice, failed):
+    # the failing checks report the NaNs and infinities; numpy's warnings
+    # about them would only bury the report lines
+    config = default_config()
+    if lattice:
+        config["lattice"].update(lattice)
+        config["search"] = {"iterations": 5}
+    else:
+        config["operator"]["amplitude"] = 1e200
+    src = os.path.dirname(os.path.dirname(haarlab.__file__))
+    out = subprocess.run([sys.executable, "-m", "haarlab", "--config",
+                          write_config(tmp_path, config), "--suite", suite,
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 1
+    assert all(f"[FAIL] {name}" in out.stdout for name in failed)
+    assert "RuntimeWarning" not in out.stderr
 
 
 def test_oversized_lattice_exits_2_before_building(tmp_path, capsys):
@@ -547,19 +662,30 @@ def test_size_guard_counts_the_chi_tables(tmp_path, capsys, monkeypatch):
 
 
 def test_size_guard_reads_the_budget(tmp_path, monkeypatch):
-    monkeypatch.setattr(runner, "MAX_DENSE_BYTES", runner.dense_bytes(BASE_CONFIG["lattice"]) - 1)
+    need = runner.dense_bytes(build_lattice(1, 0, -3))  # BASE_CONFIG's lattice
+    monkeypatch.setattr(runner, "MAX_DENSE_BYTES", need - 1)
     code, _ = run_cli(tmp_path, BASE_CONFIG, "testing")
     assert code == 2
-    monkeypatch.setattr(runner, "MAX_DENSE_BYTES", runner.dense_bytes(BASE_CONFIG["lattice"]))
+    monkeypatch.setattr(runner, "MAX_DENSE_BYTES", need)
     code, _ = run_cli(tmp_path, BASE_CONFIG, "testing", out_name="fits")
     assert code == 0
 
 
-def test_importing_the_runner_leaves_jsonschema_unloaded():
-    """jsonschema is loaded only to validate a config, not by every process
-    that imports the runner."""
+def test_runs_and_replays_load_no_jsonschema(tmp_path):
+    """A suite run and a replay read their JSON with io's checked readers alone."""
     src = os.path.dirname(os.path.dirname(haarlab.__file__))
-    code = "import sys, haarlab.runner; print('jsonschema' in sys.modules)"
+    code = f"""
+import json, sys
+from haarlab import runner
+with open({os.path.join(src, os.pardir, "configs", "default.json")!r}) as fh:
+    config = json.load(fh)
+assert runner.run(config, {str(tmp_path / "verify")!r}, suite="verify")[0] == 0
+config["search"] = {{"iterations": 2}}
+assert runner.run(config, {str(tmp_path / "search")!r}, suite="search")[0] == 0
+assert runner.replay({str(tmp_path / "search" / "artifact.json")!r},
+                     {str(tmp_path / "replay")!r})[0] == 0
+print("jsonschema" in sys.modules)
+"""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
