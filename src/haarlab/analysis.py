@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import _row_sums, _scalar
 from .operators import InducedOperator
 from .paraproduct import Paraproduct, _largest_singular_value, build_paraproduct
 
@@ -116,15 +117,16 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
 @dataclass(frozen=True)
 class DecompositionReport:
     """Exact splitting of <T_mu f, g>_nu into paraproducts, the
-    comparable-scale band and the mean (root-average) cross terms."""
+    comparable-scale band and the mean (root-average) cross terms.  Each
+    field is a float for one pair (f, g), an array for stacks of pairs."""
 
-    lhs: float
-    paraproduct_mu: float
-    paraproduct_nu: float
-    comparable: float
-    mean_terms: float
-    residual: float
-    relative: float
+    lhs: float | np.ndarray
+    paraproduct_mu: float | np.ndarray
+    paraproduct_nu: float | np.ndarray
+    comparable: float | np.ndarray
+    mean_terms: float | np.ndarray
+    residual: float | np.ndarray
+    relative: float | np.ndarray
 
 
 def decomposition_identity(t_mu: InducedOperator, r: int, f: np.ndarray,
@@ -133,6 +135,13 @@ def decomposition_identity(t_mu: InducedOperator, r: int, f: np.ndarray,
     """Verify <T_mu f, g>_nu = <Pi^mu f~, g>_nu + <f, Pi^nu g~>_mu
     + sum over comparable scales <T_mu Delta_Q f, Delta_R g>_nu
     + mean terms, where f~, g~ are f, g minus their root averages.
+
+    f and g are leaf functions, or stacks of them along the last axis
+    paired row by row; a stack is one matrix product per operator.
+    `relative` is the residual over ||T_mu f||_nu ||g||_nu
+    + ||f||_mu ||T*_nu g||_mu, which bounds 2 |lhs| and scales like every
+    term when mu or nu is multiplied by a constant (the residual itself
+    where that scale is 0, NaN where it or the residual is not finite).
     """
     lattice = t_mu.lattice
     mu, nu = t_mu.mu, t_mu.nu
@@ -140,32 +149,35 @@ def decomposition_identity(t_mu: InducedOperator, r: int, f: np.ndarray,
         pi_mu = build_paraproduct(t_mu, r, side="mu")
     if pi_nu is None:
         pi_nu = build_paraproduct(t_mu, r, side="nu")
+    t = t_mu.matrix.T  # v @ t applies T_mu to every row of v
 
     f_mean = mu.mean_part(f)
     f_fluct = f - f_mean
     g_mean = nu.mean_part(g)
     g_fluct = g - g_mean
 
-    lhs = nu.inner(t_mu.matrix @ f, g)
-    term_pi_mu = nu.inner(pi_mu.matrix @ f_fluct, g)
-    term_pi_nu = mu.inner(f, pi_nu.matrix @ g_fluct)
+    tf = f @ t
+    lhs = nu.inner(tf, g)
+    term_pi_mu = nu.inner(f_fluct @ pi_mu.matrix.T, g)
+    term_pi_nu = mu.inner(f, g_fluct @ pi_nu.matrix.T)
 
     # sum over comparable levels j, k of <T_mu Delta_j f, Delta_k g>_nu, where
     # Delta_j is the sum of Delta_Q over the cubes Q at level j
     levels = np.arange(lattice.top_level, lattice.leaf_level, -1)
     delta_f = mu.level_deltas(f, levels)
     delta_g = nu.level_deltas(g, levels) * nu.leaf_mass
-    pairs = delta_f @ t_mu.matrix.T @ delta_g.T
-    comparable = float(pairs[np.abs(levels[:, None] - levels) <= r].sum())
+    pairs = delta_f @ t @ np.swapaxes(delta_g, -1, -2)
+    comparable = _scalar(_row_sums(pairs[..., np.abs(levels[:, None] - levels) <= r]))
 
-    mean_terms = (nu.inner(t_mu.matrix @ f_mean, g)
-                  + nu.inner(t_mu.matrix @ f_fluct, g_mean))
+    mean_terms = nu.inner(f_mean @ t, g) + nu.inner(f_fluct @ t, g_mean)
 
     rhs = term_pi_mu + term_pi_nu + comparable + mean_terms
     residual = abs(lhs - rhs)
-    scale = mu.norm(f) * nu.norm(g)
-    relative = residual / scale if scale > 0 else residual
+    scale = (nu.norm(tf) * nu.norm(g)
+             + mu.norm(f) * mu.norm(g @ t_mu.adjoint_matrix.T))
+    relative = np.where(np.isfinite(residual) & np.isfinite(scale),
+                        residual / np.where(scale > 0, scale, 1.0), np.nan)
     return DecompositionReport(lhs=lhs, paraproduct_mu=term_pi_mu,
                                paraproduct_nu=term_pi_nu,
                                comparable=comparable, mean_terms=mean_terms,
-                               residual=residual, relative=relative)
+                               residual=residual, relative=_scalar(relative))

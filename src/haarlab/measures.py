@@ -2,8 +2,11 @@
 Haar bases and the orthogonal decomposition of leaf functions.
 
 A measure is a nonnegative mass per leaf cell; a leaf function is a float
-array of length n_leaves, one value per leaf cell.  Averages over zero-mass
-cubes are defined to be 0 so every formula stays total.
+array of length n_leaves, one value per leaf cell.  The methods that take
+leaf functions also take a stack of them along the last axis and act on
+each row, with the same bits as a call on that row; for one function they
+return floats where a stack gets an array.  Averages over zero-mass cubes
+are defined to be 0 so every formula stays total.
 """
 from __future__ import annotations
 
@@ -45,39 +48,47 @@ class MeasureGrid:
         """Leaf density with respect to Lebesgue measure (mass / cell volume)."""
         return self.leaf_mass / self.lattice.leaf_volume
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        return float(np.sum(f * g * self.leaf_mass))
+    def inner(self, f: np.ndarray, g: np.ndarray):
+        return _scalar(_row_sums(f * g * self.leaf_mass))
 
-    def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(f, f), 0.0)))
+    def norm(self, f: np.ndarray):
+        return _scalar(np.sqrt(np.maximum(self.inner(f, f), 0.0)))
 
-    def average(self, f: np.ndarray, q: Cube) -> float:
+    def _position(self, q: Cube) -> int:
+        """Active position of q; a ValueError names a cube off the lattice."""
+        i = self.lattice.cube_index.get(q)
+        if i is None:
+            raise ValueError(f"{q!r} is not a cube of the lattice")
+        return i
+
+    def average(self, f: np.ndarray, q: Cube):
         """mu(q)^-1 * integral of f over q; 0 when mu(q) = 0."""
-        return self._average(f, self.lattice.cube_index[q])
+        return self._average(f, self._position(q))
 
-    def _average(self, values: np.ndarray, i: int) -> float:
+    def _average(self, values: np.ndarray, i: int):
         m = self.cube_masses[i]
         if m == 0.0:
-            return 0.0
+            return _scalar(np.zeros(np.shape(values)[:-1]))
         idx = self.lattice.cube_leaves[i]
-        return float(np.sum(values[idx] * self.leaf_mass[idx]) / m)
+        return _scalar(_row_sums(values[..., idx] * self.leaf_mass[idx]) / m)
 
     def expectation(self, f: np.ndarray, q: Cube) -> np.ndarray:
         """E_Q f: the average of f on q, as a function supported on q."""
-        out = np.zeros(self.lattice.n_leaves)
-        out[self.lattice.leaf_indices(q)] = self.average(f, q)
+        i = self._position(q)
+        out = np.zeros(np.shape(f))
+        out[..., self.lattice.cube_leaves[i]] = np.expand_dims(self._average(f, i), -1)
         return out
 
     def martingale_difference(self, f: np.ndarray, q: Cube) -> np.ndarray:
         """Delta_Q f: on each child of q, (average on child) - (average on q)."""
-        if self.lattice.is_leaf(q):
-            raise ValueError(f"cube {q} is a leaf, no martingale difference")
         lattice = self.lattice
-        i = lattice.cube_index[q]
-        out = np.zeros(lattice.n_leaves)
+        i = self._position(q)
+        if lattice.is_leaf(q):
+            raise ValueError(f"cube {q} is a leaf, no martingale difference")
+        out = np.zeros(np.shape(f))
         base = self._average(f, i)
         for c in lattice.children_index[i]:
-            out[lattice.cube_leaves[c]] = self._average(f, c) - base
+            out[..., lattice.cube_leaves[c]] = np.expand_dims(self._average(f, c) - base, -1)
         return out
 
     def level_deltas(self, values: np.ndarray, levels) -> np.ndarray:
@@ -100,8 +111,7 @@ class MeasureGrid:
         for k in set(rows) | {k + 1 for k in rows}:
             table = lattice.level_leaves[k]
             pos = anc[k, table[:, 0]]
-            sums = np.ascontiguousarray(
-                values[..., table] * self.leaf_mass[table]).sum(axis=-1)
+            sums = _row_sums(values[..., table] * self.leaf_mass[table])
             m = self.cube_masses[pos]
             avg[..., pos] = np.divide(sums, m, out=np.zeros_like(sums), where=m > 0)
         return np.stack([np.where(self.cube_masses[anc[k + 1]] > 0,
@@ -112,10 +122,11 @@ class MeasureGrid:
         """The rows of haar_rows that belong to the non-leaf cube q: an
         orthonormal mean-zero basis of its child-indicator span, one row
         fewer than q has positive-mass children (none if at most one)."""
+        i = self._position(q)
         if self.lattice.is_leaf(q):
             raise ValueError(f"cube {q} is a leaf, no Haar basis")
         cubes, rows = self.haar_rows
-        return rows[cubes == self.lattice.cube_index[q]]
+        return rows[cubes == i]
 
     @cached_property
     def haar_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,10 +198,22 @@ class MeasureGrid:
         level_deltas row of that level, restricted to q."""
         lattice = self.lattice
         if level > q.level:
-            return np.zeros(lattice.n_leaves)
+            return np.zeros(np.shape(values))
         inside = (lattice.ancestor_index[lattice.top_level - q.level]
-                  == lattice.cube_index[q])
-        return np.where(inside, self.level_deltas(values, [level])[0], 0.0)
+                  == self._position(q))
+        return np.where(inside, self.level_deltas(values, [level])[..., 0, :], 0.0)
+
+
+def _row_sums(products: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, each the np.sum of its own row: a gathered
+    stack is not C-contiguous, and numpy sums a strided axis in another
+    order."""
+    return np.ascontiguousarray(products).sum(axis=-1)
+
+
+def _scalar(x):
+    """A float for a 0-d result (one leaf function), else the array."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def uniform_measure(lattice: Lattice, total: float | None = None) -> MeasureGrid:

@@ -1,7 +1,8 @@
 """Reference oracles: the original per-cube loop versions of functions
 that now run on arrays, kept to check the array versions against them
 (exactly, except where the summation order changed: the comparable-scale
-sum of the decomposition identity, and everything the InducedOperator chi
+sum of the decomposition identity, the identity on stacks of pairs (one
+matrix product for all of them), and everything the InducedOperator chi
 tables feed, compared at ORACLE_RTOL).  The Carleson functions here work on
 {cube: a_Q} dicts, the representation CarlesonSequence used before it
 became an array; the search and band_to_json oracles sort BandOperator
@@ -10,12 +11,14 @@ keys by repr, where the code now ranks Haar-system positions.
 Named without a `test` prefix so pytest collects nothing from it.
 """
 import itertools
+import math
 
 import numpy as np
 
 from haarlab import (Cube, MeasureGrid, build_lattice, induce, random_band, tree_distance,
                      uniform_measure)
-from haarlab.analysis import TestingReport, operator_norm, testing_constants
+from haarlab.analysis import (DecompositionReport, TestingReport, operator_norm,
+                              testing_constants)
 from haarlab.io import index_to_json
 from haarlab.operators import BandOperator, HaarIndex, RootIndex, WellLocalizedReport
 from haarlab.paraproduct import (CarlesonPropertyReport, Paraproduct,
@@ -65,6 +68,30 @@ def loop_martingale_difference(measure, values, q):
     for child in q.children():
         out[loop_leaf_indices(lattice, child)] = loop_average(measure, values, child) - base
     return out
+
+
+def loop_expectation(measure, values, q):
+    """E_Q f: the average of f on q, as a function supported on q."""
+    out = np.zeros(measure.lattice.n_leaves)
+    out[loop_leaf_indices(measure.lattice, q)] = loop_average(measure, values, q)
+    return out
+
+
+def loop_parseval_residuals(mu, nu, functions):
+    """suite_verify's Parseval residuals |sum of ||piece||^2 - ||f||^2| / ||f||^2,
+    one function, measure and cube at a time, in the order it once ran."""
+    residuals = []
+    for f in functions:
+        for measure in (mu, nu):
+            lattice, mass = measure.lattice, measure.leaf_mass
+            deltas = [loop_martingale_difference(measure, f, q) for q in lattice.nonleaf_cubes]
+            exps = [loop_expectation(measure, f, root) for root in lattice.roots]
+            total = sum(float(np.sum(d * d * mass)) for d in deltas)
+            total += sum(float(np.sum(e * e * mass)) for e in exps)
+            norm2 = float(np.sum(f * f * mass))
+            if norm2 > 0:
+                residuals.append(abs(total - norm2) / norm2)
+    return residuals
 
 
 def loop_delta_level_within(measure, values, level, q):
@@ -144,6 +171,37 @@ def loop_comparable_sum(t_mu, r, f, g):
             if abs(rq.level - q.level) <= r:
                 comparable += float(np.sum(tdf * dg * nu.leaf_mass))
     return comparable
+
+
+def loop_decomposition_identity(t_mu, r, f, g, pi_mu, pi_nu):
+    """decomposition_identity for one pair (f, g), with matrix-vector
+    products, as it ran once per pair."""
+    lattice, mu, nu = t_mu.lattice, t_mu.mu, t_mu.nu
+    f_mean = mu.mean_part(f)
+    f_fluct = f - f_mean
+    g_mean = nu.mean_part(g)
+    g_fluct = g - g_mean
+    lhs = nu.inner(t_mu.matrix @ f, g)
+    term_pi_mu = nu.inner(pi_mu.matrix @ f_fluct, g)
+    term_pi_nu = mu.inner(f, pi_nu.matrix @ g_fluct)
+    levels = np.arange(lattice.top_level, lattice.leaf_level, -1)
+    delta_f = mu.level_deltas(f, levels)
+    delta_g = nu.level_deltas(g, levels) * nu.leaf_mass
+    pairs = delta_f @ t_mu.matrix.T @ delta_g.T
+    comparable = float(pairs[np.abs(levels[:, None] - levels) <= r].sum())
+    mean_terms = (nu.inner(t_mu.matrix @ f_mean, g)
+                  + nu.inner(t_mu.matrix @ f_fluct, g_mean))
+    residual = abs(lhs - (term_pi_mu + term_pi_nu + comparable + mean_terms))
+    scale = (nu.norm(t_mu.matrix @ f) * nu.norm(g)
+             + mu.norm(f) * mu.norm(t_mu.adjoint_matrix @ g))
+    if not (math.isfinite(residual) and math.isfinite(scale)):
+        relative = float("nan")
+    else:
+        relative = residual / scale if scale > 0 else residual
+    return DecompositionReport(lhs=lhs, paraproduct_mu=term_pi_mu,
+                               paraproduct_nu=term_pi_nu, comparable=comparable,
+                               mean_terms=mean_terms, residual=residual,
+                               relative=relative)
 
 
 def loop_testing_constants(t_mu, r):
