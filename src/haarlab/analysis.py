@@ -49,6 +49,14 @@ class TestingReport:
     unbounded_witness: tuple | None = None
 
 
+def _testing_integrals(t: InducedOperator) -> tuple:
+    """(global, local, mass) per active Q: the integrals of |T chi_Q|^2 over
+    the whole space and over Q in t.nu, and Q's mass in t.mu, the divisor."""
+    x = t.lattice.membership
+    out_mass, tx = t.nu.leaf_mass, t.chi_table
+    return out_mass @ (tx * tx), out_mass @ (tx * tx * x), t.mu.leaf_mass @ x
+
+
 def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
     """Exact suprema over active cubes of the indicator testing quantities.
 
@@ -63,16 +71,10 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
     lattice = t_mu.lattice
     cubes = lattice.active_cubes
     x = lattice.membership
-    mu_mass = t_mu.mu.leaf_mass
     nu_mass = t_mu.nu.leaf_mass
-    mu_q = mu_mass @ x
-    nu_q = nu_mass @ x
-    tx, ax = t_mu.chi_table, t_mu.adjoint_chi_table
-
-    direct_global = nu_mass @ (tx * tx)
-    direct_local = nu_mass @ (tx * tx * x)
-    adjoint_global = mu_mass @ (ax * ax)
-    adjoint_local = mu_mass @ (ax * ax * x)
+    (direct_global, direct_local, mu_q), (adjoint_global, adjoint_local, nu_q) = (
+        _testing_integrals(t) for t in (t_mu, t_mu.adjoint))
+    ax = t_mu.adjoint.chi_table
     adjoint_local_nu = nu_mass @ (ax * ax * x)
 
     mu_pos, nu_pos = mu_q > 0, nu_q > 0
@@ -92,7 +94,7 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
             witness = ("adjoint", cubes[adjoint_off[-1]])
 
     # comparable-size bilinear pairings: rows R, columns Q
-    b = np.abs(x.T @ (nu_mass[:, None] * tx))
+    b = np.abs(x.T @ (nu_mass[:, None] * t_mu.chi_table))
     comparable = np.abs(lattice.levels[:, None] - lattice.levels[None, :]) <= r
     massive = comparable & np.outer(nu_pos, mu_pos)
     c_diag = np.max(b[massive] / np.sqrt(np.outer(nu_q, mu_q)[massive]),
@@ -146,9 +148,9 @@ def decomposition_identity(t_mu: InducedOperator, r: int, f: np.ndarray,
     lattice = t_mu.lattice
     mu, nu = t_mu.mu, t_mu.nu
     if pi_mu is None:
-        pi_mu = build_paraproduct(t_mu, r, side="mu")
+        pi_mu = build_paraproduct(t_mu, r)
     if pi_nu is None:
-        pi_nu = build_paraproduct(t_mu, r, side="nu")
+        pi_nu = build_paraproduct(t_mu.adjoint, r)
     t = t_mu.matrix.T  # v @ t applies T_mu to every row of v
 
     f_mean = mu.mean_part(f)
@@ -174,7 +176,7 @@ def decomposition_identity(t_mu: InducedOperator, r: int, f: np.ndarray,
     rhs = term_pi_mu + term_pi_nu + comparable + mean_terms
     residual = abs(lhs - rhs)
     scale = (nu.norm(tf) * nu.norm(g)
-             + mu.norm(f) * mu.norm(g @ t_mu.adjoint_matrix.T))
+             + mu.norm(f) * mu.norm(g @ t_mu.adjoint.matrix.T))
     relative = np.where(np.isfinite(residual) & np.isfinite(scale),
                         residual / np.where(scale > 0, scale, 1.0), np.nan)
     return DecompositionReport(lhs=lhs, paraproduct_mu=term_pi_mu,

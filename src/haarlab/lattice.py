@@ -233,9 +233,16 @@ class Lattice:
     def _first_leaf(self) -> np.ndarray:
         return np.concatenate([table[:, 0] for table in self.level_leaves])
 
+    def position(self, q: Cube) -> int:
+        """Position of q in active_cubes; a ValueError names a cube off the lattice."""
+        i = self.cube_index.get(q)
+        if i is None:
+            raise ValueError(f"{q!r} is not a cube of the lattice")
+        return i
+
     def leaf_indices(self, q: Cube) -> np.ndarray:
         """Indices of the leaves contained in an active cube q."""
-        return self.cube_leaves[self.cube_index[q]]
+        return self.cube_leaves[self.position(q)]
 
     def indicator(self, q: Cube) -> np.ndarray:
         """Leaf-vector indicator of an active cube."""

@@ -54,16 +54,9 @@ class MeasureGrid:
     def norm(self, f: np.ndarray):
         return _scalar(np.sqrt(np.maximum(self.inner(f, f), 0.0)))
 
-    def _position(self, q: Cube) -> int:
-        """Active position of q; a ValueError names a cube off the lattice."""
-        i = self.lattice.cube_index.get(q)
-        if i is None:
-            raise ValueError(f"{q!r} is not a cube of the lattice")
-        return i
-
     def average(self, f: np.ndarray, q: Cube):
         """mu(q)^-1 * integral of f over q; 0 when mu(q) = 0."""
-        return self._average(f, self._position(q))
+        return self._average(f, self.lattice.position(q))
 
     def _average(self, values: np.ndarray, i: int):
         m = self.cube_masses[i]
@@ -74,7 +67,7 @@ class MeasureGrid:
 
     def expectation(self, f: np.ndarray, q: Cube) -> np.ndarray:
         """E_Q f: the average of f on q, as a function supported on q."""
-        i = self._position(q)
+        i = self.lattice.position(q)
         out = np.zeros(np.shape(f))
         out[..., self.lattice.cube_leaves[i]] = np.expand_dims(self._average(f, i), -1)
         return out
@@ -82,7 +75,7 @@ class MeasureGrid:
     def martingale_difference(self, f: np.ndarray, q: Cube) -> np.ndarray:
         """Delta_Q f: on each child of q, (average on child) - (average on q)."""
         lattice = self.lattice
-        i = self._position(q)
+        i = lattice.position(q)
         if lattice.is_leaf(q):
             raise ValueError(f"cube {q} is a leaf, no martingale difference")
         out = np.zeros(np.shape(f))
@@ -122,7 +115,7 @@ class MeasureGrid:
         """The rows of haar_rows that belong to the non-leaf cube q: an
         orthonormal mean-zero basis of its child-indicator span, one row
         fewer than q has positive-mass children (none if at most one)."""
-        i = self._position(q)
+        i = self.lattice.position(q)
         if self.lattice.is_leaf(q):
             raise ValueError(f"cube {q} is a leaf, no Haar basis")
         cubes, rows = self.haar_rows
@@ -200,7 +193,7 @@ class MeasureGrid:
         if level > q.level:
             return np.zeros(np.shape(values))
         inside = (lattice.ancestor_index[lattice.top_level - q.level]
-                  == self._position(q))
+                  == lattice.position(q))
         return np.where(inside, self.level_deltas(values, [level])[..., 0, :], 0.0)
 
 

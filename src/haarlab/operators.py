@@ -9,7 +9,7 @@ mean terms of the bilinear-form decomposition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -207,7 +207,10 @@ def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
     levels = lattice.levels[nonleaf]
     gap = levels[:, None] - levels[None, :]
     near = np.zeros((nonleaf.size,) * 2, dtype=bool)
-    for u in range(r + 1):
+    # from u = depth + (bit length of the roots' coords) on, every ancestor key is a
+    # fixed point of the shift: inside(up=u) stops changing and 2u + gap <= r only narrows
+    last = lattice.depth + max(c.bit_length() for root in lattice.roots for c in root.coords)
+    for u in range(min(r, last) + 1):
         near |= lattice.inside(nonleaf, nonleaf, up=u).T & (2 * u + gap <= r)
     qs, ps = np.nonzero(near)
     haar = [[HaarIndex(q, k) for k in range(n_comp)] for q in lattice.nonleaf_cubes]
@@ -234,8 +237,8 @@ class InducedOperator:
     """T_mu = T M_u as a leaf matrix, acting L2(mu) -> L2(nu).
 
     `lebesgue_matrix` is the leaf matrix of the underlying operator T in
-    L2(m); `matrix` realizes f -> T(f u) and `adjoint_matrix` realizes
-    T*_nu = T* M_v.
+    L2(m); `matrix` realizes f -> T(f u).  `adjoint` is T*_nu = T* M_v,
+    the operator of the same kind with T* and the measures swapped.
     """
 
     lattice: Lattice
@@ -255,18 +258,17 @@ class InducedOperator:
         return self.lebesgue_matrix * self.mu.density()[np.newaxis, :]
 
     @cached_property
-    def adjoint_matrix(self) -> np.ndarray:
-        return self.lebesgue_matrix.T * self.nu.density()[np.newaxis, :]
-
-    @cached_property
     def chi_table(self) -> np.ndarray:
         """Leaves x active cubes: column Q is T_mu chi_Q."""
         return self.matrix @ self.lattice.membership
 
     @cached_property
-    def adjoint_chi_table(self) -> np.ndarray:
-        """Leaves x active cubes: column Q is T*_nu chi_Q."""
-        return self.adjoint_matrix @ self.lattice.membership
+    def adjoint(self) -> "InducedOperator":
+        """T*_nu: L2(nu) -> L2(mu), of this operator's class.  It holds no
+        reference back to this operator, so dropping one frees its arrays
+        without the cyclic garbage collector."""
+        return replace(self, mu=self.nu, nu=self.mu,
+                       lebesgue_matrix=self.lebesgue_matrix.T, band=None)
 
 
 def induce(band: BandOperator, mu: MeasureGrid, nu: MeasureGrid) -> InducedOperator:
@@ -308,10 +310,11 @@ def check_well_localized(t_mu: InducedOperator, r: int,
     non-finite pairing makes that scale non-finite and fails the check.
     """
     lattice = t_mu.lattice
-    # <T chi_Q, h_R^w>_w over non-leaf R (rows, stacked by basis element) and
-    # all active Q (columns), with the active position of each row's cube
-    scans = [((m.haar_rows[1] * m.leaf_mass) @ table, m.haar_rows[0])
-             for table, m in ((t_mu.chi_table, t_mu.nu), (t_mu.adjoint_chi_table, t_mu.mu))]
+    # for T = T_mu and T*_nu: <T chi_Q, h_R> in T's output measure over non-leaf R
+    # (rows, stacked by basis element) and all active Q (columns), with the
+    # active position of each row's cube
+    scans = [((t.nu.haar_rows[1] * t.nu.leaf_mass) @ t.chi_table, t.nu.haar_rows[0])
+             for t in (t_mu, t_mu.adjoint)]
     scale = float(np.max([np.max(np.abs(p)) for p, _ in scans if p.size], initial=0.0))
     if scale == 0.0:
         return WellLocalizedReport(True, r, 0.0, 0.0, None, 0)

@@ -16,44 +16,35 @@ from .operators import InducedOperator, ZERO_TOL, haar_block
 
 @dataclass(frozen=True)
 class Paraproduct:
-    """Pi f = sum_Q E_Q f * sum_{R in Q, side(R) = 2^-r side(Q)} Delta_R T chi_Q.
-
-    side "mu" is the paraproduct of T_mu (output in L2(nu)); side "nu" is
-    the paraproduct of the adjoint T*_nu (output in L2(mu)).
-    """
+    """Pi f = sum_Q E_Q f * sum_{R in Q, side(R) = 2^-r side(Q)} Delta_R T chi_Q
+    for an induced operator T from L2(mu) to L2(nu): Pi_mu is built from
+    T_mu, Pi_nu from its adjoint T*_nu (output in L2(mu))."""
 
     r: int
-    side: str
     matrix: np.ndarray
 
 
-def build_paraproduct(t_mu: InducedOperator, r: int, side: str = "mu",
-                      enlarge: int = 0) -> Paraproduct:
-    """Assemble the exact paraproduct matrix on leaf functions.
+def build_paraproduct(t: InducedOperator, r: int, *, enlarge: int = 0) -> Paraproduct:
+    """Assemble the exact paraproduct matrix of t on leaf functions: averages
+    in t.mu, martingale differences in t.nu.
 
     `enlarge` replaces chi_Q in the inner term by the indicator of the
     k-th active ancestor of Q (used to exercise replacement invariance);
     the result must not depend on it for a well localized operator.
     """
-    lattice = t_mu.lattice
+    lattice = t.lattice
     if lattice.depth <= r:
         raise ValueError(f"lattice depth {lattice.depth} must exceed r={r}")
-    if side == "mu":
-        table, avg_measure, delta_measure = t_mu.chi_table, t_mu.mu, t_mu.nu
-    elif side == "nu":
-        table, avg_measure, delta_measure = t_mu.adjoint_chi_table, t_mu.nu, t_mu.mu
-    else:
-        raise ValueError(f"side must be 'mu' or 'nu', got {side!r}")
-    mq = avg_measure.cube_masses
+    mq = t.mu.cube_masses
     cubes = np.flatnonzero((lattice.levels - r >= lattice.leaf_level + 1) & (mq > 0))
     n = lattice.n_leaves
     if not cubes.size:
         matrix = np.zeros((n, n))
     else:
-        w = _local_deltas(table, delta_measure, r, cubes, enlarge)
-        a = lattice.membership.T[cubes] * avg_measure.leaf_mass / mq[cubes][:, None]
+        w = _local_deltas(t.chi_table, t.nu, r, cubes, enlarge)
+        a = lattice.membership.T[cubes] * t.mu.leaf_mass / mq[cubes][:, None]
         matrix = w.T @ a
-    return Paraproduct(r=r, side=side, matrix=matrix)
+    return Paraproduct(r=r, matrix=matrix)
 
 
 def _local_deltas(table: np.ndarray, measure: MeasureGrid, r: int,
@@ -87,23 +78,21 @@ class ParaproductStructureReport:
     witness: tuple | None
 
 
-def paraproduct_structure_verify(pi: Paraproduct, t_mu: InducedOperator, r: int,
-                   tol: float = 1e-9) -> ParaproductStructureReport:
-    if pi.side == "mu":
-        op, in_measure, out_measure = t_mu.matrix, t_mu.mu, t_mu.nu
-    else:
-        op, in_measure, out_measure = t_mu.adjoint_matrix, t_mu.nu, t_mu.mu
-    mu_cubes, nu_cubes = in_measure.haar_rows[0], out_measure.haar_rows[0]
+def paraproduct_structure_verify(pi: Paraproduct, t: InducedOperator, *,
+                                 tol: float = 1e-9) -> ParaproductStructureReport:
+    """Compare pi with t, the operator it was built from, entry by entry in
+    t.mu's Haar basis (columns Q) and t.nu's (rows R)."""
+    mu_cubes, nu_cubes = t.mu.haar_rows[0], t.nu.haar_rows[0]
     if not mu_cubes.size or not nu_cubes.size:
         return ParaproductStructureReport(True, 0.0, 0.0, 0.0, 0.0, None)
-    g_pi = haar_block(pi.matrix, in_measure, out_measure)
-    g_t = haar_block(op, in_measure, out_measure)
+    g_pi = haar_block(pi.matrix, t.mu, t.nu)
+    g_t = haar_block(t.matrix, t.mu, t.nu)
     scale = max(float(np.max(np.abs(g_t))), float(np.max(np.abs(g_pi))))
     if scale == 0.0:
         return ParaproductStructureReport(True, 0.0, 0.0, 0.0, 0.0, None)
-    levels = t_mu.lattice.levels
-    coarse = levels[nu_cubes][:, None] >= levels[mu_cubes][None, :] - r
-    outside = ~t_mu.lattice.inside(nu_cubes, mu_cubes)
+    levels = t.lattice.levels
+    coarse = levels[nu_cubes][:, None] >= levels[mu_cubes][None, :] - pi.r
+    outside = ~t.lattice.inside(nu_cubes, mu_cubes)
     pi_dev = np.abs(g_pi) / scale
     devs = (np.where(coarse, pi_dev, 0.0), np.where(outside, pi_dev, 0.0),
             np.where(coarse, 0.0, np.abs(g_pi - g_t) / scale))
@@ -115,7 +104,7 @@ def paraproduct_structure_verify(pi: Paraproduct, t_mu: InducedOperator, r: int,
     witness = None
     if last is not None:
         i, j = divmod(last[0], len(mu_cubes))
-        cubes = t_mu.lattice.active_cubes
+        cubes = t.lattice.active_cubes
         witness = (("vanish_scale", "vanish_outside", "equality")[last[1]],
                    cubes[mu_cubes[j]], cubes[nu_cubes[i]])
     return ParaproductStructureReport(passed=passed, scale=scale, max_dev_vanish_scale=dev1,

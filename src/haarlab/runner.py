@@ -38,7 +38,7 @@ DEFAULT_TOLERANCES = {"zero": 1e-12, "identity": 1e-10, "entrywise": 1e-9,
 
 
 # Budget for the dense arrays of one instance: DENSE_CUBE_TABLES leaves x
-# active cubes tables (membership and the induced operator's two chi tables)
+# active cubes tables (membership, the chi tables of T_mu and its adjoint)
 # and DENSE_LEAF_MATRICES n x n leaf matrices (band leaf matrix, Haar system,
 # induced operator and adjoint, paraproducts, ...).
 MAX_DENSE_BYTES = 2 ** 31
@@ -116,7 +116,7 @@ def _paraproducts(t_mu, r):
     """(Pi_mu, Pi_nu); they need a lattice deeper than r."""
     if r >= t_mu.lattice.depth:
         raise ConfigError(f"r={r} must be below the lattice depth {t_mu.lattice.depth}")
-    return build_paraproduct(t_mu, r, side="mu"), build_paraproduct(t_mu, r, side="nu")
+    return build_paraproduct(t_mu, r), build_paraproduct(t_mu.adjoint, r)
 
 
 def _random_functions(lattice, seed, count):
@@ -180,13 +180,13 @@ def suite_verify(config, tol) -> tuple[list, dict]:
                          max_violation=wl.max_violation, scale=wl.scale))
 
     pi_mu, pi_nu = _paraproducts(t_mu, r)
-    lem = paraproduct_structure_verify(pi_mu, t_mu, r, tol=tol["entrywise"])
+    lem = paraproduct_structure_verify(pi_mu, t_mu, tol=tol["entrywise"])
     checks.append(_check("paraproduct_structure", lem.passed,
                          vanish_scale=lem.max_dev_vanish_scale,
                          vanish_outside=lem.max_dev_vanish_outside,
                          equality=lem.max_dev_equality))
 
-    pi_big = build_paraproduct(t_mu, r, side="mu", enlarge=1)
+    pi_big = build_paraproduct(t_mu, r, enlarge=1)
     dev = float(np.max(np.abs(pi_mu.matrix - pi_big.matrix)))
     scale = max(float(np.max(np.abs(pi_mu.matrix))), 1.0)
     checks.append(_check("replacement_invariance", dev / scale <= tol["zero"],

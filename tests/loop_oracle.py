@@ -113,13 +113,10 @@ def loop_delta_level_within(measure, values, level, q):
     return out
 
 
-def loop_build_paraproduct(t_mu, r, side="mu", enlarge=0):
-    """The paraproduct matrix assembled row by row, one cube at a time."""
-    lattice = t_mu.lattice
-    if side == "mu":
-        op, avg_measure, delta_measure = t_mu.matrix, t_mu.mu, t_mu.nu
-    else:
-        op, avg_measure, delta_measure = t_mu.adjoint_matrix, t_mu.nu, t_mu.mu
+def loop_build_paraproduct(t, r, enlarge=0):
+    """The paraproduct matrix of t assembled row by row, one cube at a time."""
+    lattice = t.lattice
+    op, avg_measure, delta_measure = t.matrix, t.mu, t.nu
     w_rows = []
     a_rows = []
     for q in lattice.active_cubes:
@@ -142,7 +139,7 @@ def loop_build_paraproduct(t_mu, r, side="mu", enlarge=0):
         matrix = np.zeros((n, n))
     else:
         matrix = np.array(w_rows).T @ np.array(a_rows)
-    return Paraproduct(r=r, side=side, matrix=matrix)
+    return Paraproduct(r=r, matrix=matrix)
 
 
 def loop_carleson_values(t_mu, r):
@@ -193,7 +190,7 @@ def loop_decomposition_identity(t_mu, r, f, g, pi_mu, pi_nu):
                   + nu.inner(t_mu.matrix @ f_fluct, g_mean))
     residual = abs(lhs - (term_pi_mu + term_pi_nu + comparable + mean_terms))
     scale = (nu.norm(t_mu.matrix @ f) * nu.norm(g)
-             + mu.norm(f) * mu.norm(t_mu.adjoint_matrix @ g))
+             + mu.norm(f) * mu.norm(t_mu.adjoint.matrix @ g))
     if not (math.isfinite(residual) and math.isfinite(scale)):
         relative = float("nan")
     else:
@@ -214,7 +211,7 @@ def loop_testing_constants(t_mu, r):
     mu_q = mu_mass @ x
     nu_q = nu_mass @ x
     tx = t_mu.matrix @ x
-    ax = t_mu.adjoint_matrix @ x
+    ax = t_mu.adjoint.matrix @ x
 
     direct_global = nu_mass @ (tx * tx)
     direct_local = nu_mass @ (tx * tx * x)
@@ -443,11 +440,9 @@ def loop_carleson_property(t_mu, values, tol=1e-10):
                                   local_testing_constant=c_local)
 
 
-def loop_paraproduct_structure_verify(pi, t_mu, r, tol=1e-9):
-    if pi.side == "mu":
-        op, in_measure, out_measure = t_mu.matrix, t_mu.mu, t_mu.nu
-    else:
-        op, in_measure, out_measure = t_mu.adjoint_matrix, t_mu.nu, t_mu.mu
+def loop_paraproduct_structure_verify(pi, t, tol=1e-9):
+    r = pi.r
+    op, in_measure, out_measure = t.matrix, t.mu, t.nu
     mu_cubes, mu_rows = haar_cubes(in_measure)
     nu_cubes, nu_rows = haar_cubes(out_measure)
     if not mu_cubes or not nu_cubes:
@@ -520,7 +515,7 @@ def loop_check_well_localized(t_mu, r, tol=1e-12):
     lattice = t_mu.lattice
     scans = [
         _haar_pairings(t_mu.matrix, t_mu.nu, lattice),
-        _haar_pairings(t_mu.adjoint_matrix, t_mu.mu, lattice),
+        _haar_pairings(t_mu.adjoint.matrix, t_mu.mu, lattice),
     ]
     scale = max((float(np.max(np.abs(p))) for p, _ in scans if p.size), default=0.0)
     if scale == 0.0:

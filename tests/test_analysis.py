@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -172,8 +175,8 @@ def test_norm_scales_with_weights():
 def test_bilinear_form_decomposition_is_exact(dim, depth, r):
     t = random_instance(dim, depth, r, seed=depth * 7 + r,
                         zero_fraction=0.2, root_amplitude=0.5)
-    pi_mu = build_paraproduct(t, r, side="mu")
-    pi_nu = build_paraproduct(t, r, side="nu")
+    pi_mu = build_paraproduct(t, r)
+    pi_nu = build_paraproduct(t.adjoint, r)
     rng = np.random.default_rng(100 + r)
     for _ in range(5):
         f = rng.standard_normal(t.lattice.n_leaves)
@@ -202,10 +205,6 @@ class UnweightedLeafOperator(InducedOperator):
     @cached_property
     def matrix(self):
         return self.lebesgue_matrix
-
-    @cached_property
-    def adjoint_matrix(self):
-        return self.lebesgue_matrix.T
 
 
 def assert_same_report(t, r):
@@ -244,6 +243,44 @@ def leaf_matrix_operators(draw):
 @given(t=leaf_matrix_operators(), r=st.sampled_from([0, 1, 2]))
 def test_testing_constants_match_loop_oracle_on_zero_mass_leaves(t, r):
     assert_same_report(t, r)
+
+
+@st.composite
+def adjoint_cases(draw):
+    """Leaf-matrix operators, or induced random bands with zero-mass leaves
+    and root blocks, each as an InducedOperator or the unweighted double."""
+    if draw(st.booleans()):
+        return draw(leaf_matrix_operators())
+    dim = draw(st.sampled_from([1, 2]))
+    t = random_instance(dim, draw(st.integers(1, 3 if dim == 1 else 2)), draw(st.integers(0, 2)),
+                        draw(st.integers(0, 10 ** 6)), zero_fraction=draw(st.floats(0.05, 0.6)),
+                        root_amplitude=draw(st.sampled_from([0.0, 0.4])))
+    cls = draw(st.sampled_from([InducedOperator, UnweightedLeafOperator]))
+    return cls(t.lattice, t.mu, t.nu, t.lebesgue_matrix, t.band)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=adjoint_cases(), r=st.sampled_from([0, 1, 2]))
+def test_adjoint_is_the_operator_with_measures_swapped(case, r):
+    t = dataclasses.replace(case)  # a fresh operator, referenced only here
+    adj = t.adjoint
+    assert type(adj) is type(t) and adj.mu is t.nu and adj.nu is t.mu
+    want = (t.lebesgue_matrix.T if isinstance(t, UnweightedLeafOperator)
+            else t.lebesgue_matrix.T * t.nu.density())
+    assert np.array_equal(adj.matrix, want)
+    rep, rep_adj = constants_of(t, r), constants_of(adj, r)
+    assert rep_adj.c_direct_global == rep.c_adjoint_global
+    assert rep_adj.c_direct_local == rep.c_adjoint_local
+    # no reference cycle: the operator and its cached arrays go with the last
+    # reference to it, without the cyclic collector, while its adjoint lives on
+    ref = weakref.ref(t)
+    gc.disable()
+    try:
+        del t
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert adj.matrix.shape == want.shape
 
 
 def test_unbounded_testing_constant_gives_rho_zero():

@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import math
 import os
@@ -689,3 +690,24 @@ print("jsonschema" in sys.modules)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
+
+
+def test_report_diff_finds_a_changed_bit(tmp_path, capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "report_diff.py")
+    spec = importlib.util.spec_from_file_location("report_diff", path)
+    report_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_diff)
+    old, new = (str(tmp_path / name) for name in ("old", "new"))
+    for out in (old, new):  # two runs: only the timestamps differ
+        for suite in ("testing", "search"):
+            runner.run(BASE_CONFIG, os.path.join(out, suite), suite=suite)
+    assert report_diff.main([old, new]) == 0
+    report = read_report(os.path.join(new, "testing"))
+    report["constants"]["norm"] = math.nextafter(report["constants"]["norm"], math.inf)
+    with open(os.path.join(new, "testing", "report.json"), "w") as fh:
+        json.dump(report, fh)
+    assert report_diff.main([old, new]) == 1
+    assert "report.json:constants.norm" in capsys.readouterr().out
+    os.remove(os.path.join(new, "search", "artifact.json"))
+    assert report_diff.main([old, new]) == 1
+    assert report_diff.main([old, str(tmp_path / "missing")]) == 2

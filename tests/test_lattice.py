@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,14 @@ def test_leaf_indices_and_indicator():
     assert list(lat.leaf_indices(left)) == [0, 1, 2, 3]
     ind = lat.indicator(left)
     assert ind.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("method", ["leaf_indices", "indicator"])
+def test_cube_off_the_lattice_is_named(method):
+    lat = build_lattice(1, 0, -3)
+    for q in (Cube(1, 0, (5,)), Cube(1, -4, (0,)), Cube(1, 1, (0,)), Cube(1, -1, (-1,))):
+        with pytest.raises(ValueError, match=re.escape(f"{q!r} is not a cube of the lattice")):
+            getattr(lat, method)(q)
 
 
 def test_cubes_at_level_outside_range_empty():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from haarlab import (Cube, InducedOperator, MeasureGrid,
+from haarlab import (Cube, InducedOperator, Lattice, MeasureGrid,
                      build_lattice, build_paraproduct, carleson_sequence,
                      check_band, check_well_localized, decomposition_identity,
                      induce, operator_norm, paraproduct_structure_verify,
@@ -99,6 +99,31 @@ def test_random_band_matches_loop_oracle_3d(r, amplitudes):
     assert_band_matches_loop_oracle(lat, r, 7 + r, amplitudes)
 
 
+@pytest.mark.parametrize("lat", [
+    build_lattice(1, 0, -3),
+    build_lattice(1, 0, -3, [Cube(1, 0, (c,)) for c in (-3, 0, 5)]),
+    build_lattice(1, 2, -1, [Cube(1, 2, (c,)) for c in (-1, 1)]),
+    build_lattice(2, 0, -2, [Cube(2, 0, c) for c in ((-1, 2), (3, -4), (0, 0))]),
+], ids=["1d", "1d-roots", "1d-top2", "2d-roots"])
+def test_random_band_radius_beyond_the_tree(lat, monkeypatch):
+    # from u = depth + (largest bit length of a root coordinate) on, every
+    # ancestor key is 0 or -1: cubes that ever meet have met by then, at tree
+    # distance at most 2u + depth - 1
+    last = lat.depth + max(c.bit_length() for root in lat.roots for c in root.coords)
+    at_bound = random_band(lat, 2 * last + lat.depth - 1, 5, 1.0, 0.5)
+    calls, inside = [], Lattice.inside
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        assert len(calls) <= last + 2  # one mask per u, one for the root block
+        return inside(*args, **kwargs)
+
+    monkeypatch.setattr(Lattice, "inside", counted)
+    huge = list(random_band(lat, 10 ** 9, 5, 1.0, 0.5).entries.items())
+    assert huge == list(at_bound.entries.items())
+    assert huge == list(loop_random_band(lat, 10 ** 9, 5, 1.0, 0.5).entries.items())
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), lat=lattices())
 def test_level_deltas_match_loop_oracle(data, lat):
@@ -126,13 +151,13 @@ def test_level_deltas_match_loop_oracle(data, lat):
 @given(inst=instances())
 def test_paraproducts_and_carleson_sequence_match_loop_oracle(inst):
     t, r = inst
-    for side, table in (("mu", t.chi_table), ("nu", t.adjoint_chi_table)):
+    for op in (t, t.adjoint):
         # entries sum differences of averages of table columns, so their
         # round-off scales with the table, also where the exact entries are 0
         for enlarge in (0, 1):
-            assert oracle_close(build_paraproduct(t, r, side, enlarge).matrix,
-                                loop_build_paraproduct(t, r, side, enlarge).matrix,
-                                floor=np.max(np.abs(table)))
+            assert oracle_close(build_paraproduct(op, r, enlarge=enlarge).matrix,
+                                loop_build_paraproduct(op, r, enlarge).matrix,
+                                floor=np.max(np.abs(op.chi_table)))
     # a_Q <= 4 nu(Q) max |T_mu chi_Q|^2
     assert oracle_close(carleson_sequence(t, r).values, loop_carleson_values(t, r),
                         floor=t.nu.leaf_mass.sum() * np.max(np.abs(t.chi_table)) ** 2)
@@ -143,10 +168,10 @@ def test_paraproducts_and_carleson_sequence_match_loop_oracle(inst):
 def test_locality_masks_match_loop_oracle(inst):
     t, r = inst
     assert check_well_localized(t, r) == loop_check_well_localized(t, r)
-    for side in ("mu", "nu"):
-        pi = build_paraproduct(t, r, side)
-        assert (paraproduct_structure_verify(pi, t, r)
-                == loop_paraproduct_structure_verify(pi, t, r))
+    for op in (t, t.adjoint):
+        pi = build_paraproduct(op, r)
+        assert (paraproduct_structure_verify(pi, op)
+                == loop_paraproduct_structure_verify(pi, op))
 
 
 @settings(max_examples=40, deadline=None)

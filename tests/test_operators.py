@@ -161,7 +161,7 @@ def test_chi_tables_hold_the_images_of_indicators(spec, seed, dense):
             rng.standard_normal((lat.n_leaves,) * 2), mu, nu)
     else:
         t = induce(random_band(lat, r, seed=band_seed, root_amplitude=root_amplitude), mu, nu)
-    for table, op in ((t.chi_table, t.matrix), (t.adjoint_chi_table, t.adjoint_matrix)):
+    for table, op in ((t.chi_table, t.matrix), (t.adjoint.chi_table, t.adjoint.matrix)):
         want = np.array([op @ lat.indicator(q) for q in lat.active_cubes]).T
         assert oracle_close(table, want)
 
@@ -284,7 +284,7 @@ def test_adjoint_duality():
         rng = np.random.default_rng(seed + 1000)
         f, g = rng.standard_normal((2, t.lattice.n_leaves))
         lhs = t.nu.inner(t.matrix @ f, g)
-        rhs = t.mu.inner(f, t.adjoint_matrix @ g)
+        rhs = t.mu.inner(f, t.adjoint.matrix @ g)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 

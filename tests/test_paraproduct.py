@@ -30,7 +30,7 @@ def test_paraproduct_of_zero_operator_is_zero():
     t = induce(haar_multiplier(lat, 0.0), leb, leb)
     pi = build_paraproduct(t, 1)
     np.testing.assert_allclose(pi.matrix, 0.0)
-    assert paraproduct_structure_verify(pi, t, 1).passed
+    assert paraproduct_structure_verify(pi, t).passed
 
 
 def test_paraproduct_needs_depth_beyond_radius():
@@ -39,10 +39,15 @@ def test_paraproduct_needs_depth_beyond_radius():
         build_paraproduct(t, 2)
 
 
-def test_paraproduct_side_validation():
+def test_stale_positional_arguments_raise():
+    # side was the third argument of both, r of the structure check: a
+    # leftover positional call must not become an enlarge count or a tolerance
     t = random_instance(1, 3, 1, seed=0)
-    with pytest.raises(ValueError):
-        build_paraproduct(t, 1, side="sideways")
+    pi = build_paraproduct(t, 1)
+    with pytest.raises(TypeError):
+        build_paraproduct(t, 1, "nu")
+    with pytest.raises(TypeError):
+        paraproduct_structure_verify(pi, t, 1)
 
 
 @pytest.mark.parametrize("dim,depth,r", [(1, 3, 0), (1, 4, 1), (1, 5, 2),
@@ -50,9 +55,9 @@ def test_paraproduct_side_validation():
 def test_matrix_structure_in_weighted_bases(dim, depth, r):
     t = random_instance(dim, depth, r, seed=depth + 7 * r,
                         zero_fraction=0.2, root_amplitude=0.4)
-    for side in ("mu", "nu"):
-        pi = build_paraproduct(t, r, side=side)
-        rep = paraproduct_structure_verify(pi, t, r)
+    for op in (t, t.adjoint):
+        pi = build_paraproduct(op, r)
+        rep = paraproduct_structure_verify(pi, op)
         assert rep.passed, rep.witness
         assert max(rep.max_dev_vanish_scale, rep.max_dev_vanish_outside,
                    rep.max_dev_equality) <= 1e-9
@@ -65,7 +70,7 @@ def test_matrix_structure_fails_for_dense_operator():
     t = InducedOperator.from_leaf_matrix(
         rng.standard_normal((lat.n_leaves, lat.n_leaves)), leb, leb)
     pi = build_paraproduct(t, 0)
-    rep = paraproduct_structure_verify(pi, t, 0)
+    rep = paraproduct_structure_verify(pi, t)
     assert not rep.passed
     assert rep.witness is not None
 
@@ -82,8 +87,8 @@ def test_replacement_invariance_of_inner_indicator():
 def test_remainder_has_only_comparable_diagonals(dim, depth, r):
     t = random_instance(dim, depth, r, seed=depth * 5 + r,
                         zero_fraction=0.15, root_amplitude=0.5)
-    pi_mu = build_paraproduct(t, r, side="mu")
-    pi_nu = build_paraproduct(t, r, side="nu")
+    pi_mu = build_paraproduct(t, r)
+    pi_nu = build_paraproduct(t.adjoint, r)
     rep = remainder_diagonals(t, pi_mu, pi_nu)
     assert rep.passed
     assert rep.off_band_max <= 1e-12
@@ -274,10 +279,9 @@ def test_structure_and_remainder_match_loop_oracle(dim, depth, r, dense):
     seed = dim * 100 + depth * 10 + r
     t = (_dense_instance(dim, depth, seed, 0.2) if dense else
          random_instance(dim, depth, r, seed, zero_fraction=0.2, root_amplitude=0.4))
-    pis = {side: build_paraproduct(t, r, side=side) for side in ("mu", "nu")}
-    for pi in pis.values():
-        got = paraproduct_structure_verify(pi, t, r)
-        assert got == loop_paraproduct_structure_verify(pi, t, r)
+    pis = [build_paraproduct(op, r) for op in (t, t.adjoint)]
+    for pi, op in zip(pis, (t, t.adjoint)):
+        got = paraproduct_structure_verify(pi, op)
+        assert got == loop_paraproduct_structure_verify(pi, op)
         assert got.passed != dense
-    assert (remainder_diagonals(t, pis["mu"], pis["nu"])
-            == loop_remainder_diagonals(t, pis["mu"], pis["nu"]))
+    assert remainder_diagonals(t, *pis) == loop_remainder_diagonals(t, *pis)

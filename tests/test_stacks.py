@@ -133,13 +133,13 @@ def _instance(dim, depth, r, seed, mu_scale=1.0, nu_scale=1.0):
     band = random_band(lat, r, seed=seed, amplitude=1.0, root_amplitude=0.5)
     t = induce(band, MeasureGrid(lat, mu.leaf_mass * mu_scale),
                MeasureGrid(lat, nu.leaf_mass * nu_scale))
-    return t, build_paraproduct(t, r, "mu"), build_paraproduct(t, r, "nu")
+    return t, build_paraproduct(t, r), build_paraproduct(t.adjoint, r)
 
 
 def _scale(t, f, g):
     """What decomposition_identity divides the residual by, for one pair."""
     return (t.nu.norm(t.matrix @ f) * t.nu.norm(g)
-            + t.mu.norm(f) * t.mu.norm(t.adjoint_matrix @ g))
+            + t.mu.norm(f) * t.mu.norm(t.adjoint.matrix @ g))
 
 
 CELLS = [(1, 4, 0), (1, 5, 1), (1, 6, 2), (2, 3, 1), (3, 2, 1)]
