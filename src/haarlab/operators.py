@@ -232,8 +232,17 @@ def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
     return BandOperator(lattice=lattice, band_radius=r, entries=entries)
 
 
+class TwoWeightMatrix:
+    """Base of a leaf matrix `matrix` from L2(mu) to L2(nu); subclasses hold `mu`, `nu`."""
+
+    @cached_property
+    def haar_block(self) -> np.ndarray:
+        """<matrix h_Q^mu, h_R^nu>_nu: rows R are nu's Haar rows, columns Q mu's."""
+        return (self.nu.haar_rows[1] * self.nu.leaf_mass) @ self.matrix @ self.mu.haar_rows[1].T
+
+
 @dataclass(frozen=True)
-class InducedOperator:
+class InducedOperator(TwoWeightMatrix):
     """T_mu = T M_u as a leaf matrix, acting L2(mu) -> L2(nu).
 
     `lebesgue_matrix` is the leaf matrix of the underlying operator T in
@@ -277,14 +286,6 @@ def induce(band: BandOperator, mu: MeasureGrid, nu: MeasureGrid) -> InducedOpera
         raise ValueError("lattice mismatch between operator and measures")
     return InducedOperator(lattice=band.lattice, mu=mu, nu=nu,
                            lebesgue_matrix=band.leaf_matrix, band=band)
-
-
-def haar_block(matrix: np.ndarray, in_measure: MeasureGrid,
-               out_measure: MeasureGrid) -> np.ndarray:
-    """<matrix h_Q, h_R>_out over the out_measure Haar rows R (rows) and
-    the in_measure Haar rows Q (columns)."""
-    out_rows, in_rows = out_measure.haar_rows[1], in_measure.haar_rows[1]
-    return (out_rows * out_measure.leaf_mass) @ matrix @ in_rows.T
 
 
 @dataclass(frozen=True)
@@ -343,10 +344,8 @@ def comparable_pairing_count(t_mu: InducedOperator, r: int,
     Haar block against Q is nonzero; finite and bounded in terms of the
     dimension and r only."""
     mu_cubes, nu_cubes = t_mu.mu.haar_rows[0], t_mu.nu.haar_rows[0]
-    if not mu_cubes.size or not nu_cubes.size:
-        return 0
-    block = haar_block(t_mu.matrix, t_mu.mu, t_mu.nu)
-    scale = float(np.max(np.abs(block)))
+    block = t_mu.haar_block
+    scale = float(np.max(np.abs(block), initial=0.0))
     if scale == 0.0:
         return 0
     levels = t_mu.lattice.levels

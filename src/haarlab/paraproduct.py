@@ -11,17 +11,24 @@ import numpy as np
 
 from .lattice import Lattice
 from .measures import MeasureGrid
-from .operators import InducedOperator, ZERO_TOL, haar_block
+from .operators import InducedOperator, TwoWeightMatrix, ZERO_TOL
 
 
 @dataclass(frozen=True)
-class Paraproduct:
+class Paraproduct(TwoWeightMatrix):
     """Pi f = sum_Q E_Q f * sum_{R in Q, side(R) = 2^-r side(Q)} Delta_R T chi_Q
-    for an induced operator T from L2(mu) to L2(nu): Pi_mu is built from
-    T_mu, Pi_nu from its adjoint T*_nu (output in L2(mu))."""
+    for an induced operator T from L2(mu) to L2(nu), T's measures: Pi_mu is
+    built from T_mu, Pi_nu from its adjoint T*_nu (output in L2(mu))."""
 
     r: int
     matrix: np.ndarray
+    mu: MeasureGrid
+    nu: MeasureGrid
+
+    def require_built_from(self, t: InducedOperator, name: str) -> None:
+        """Raise ValueError unless this maps between t's measures (`is`: their == raises)."""
+        if self.mu is not t.mu or self.nu is not t.nu:
+            raise ValueError(f"{name} was built from an operator between other measures")
 
 
 def build_paraproduct(t: InducedOperator, r: int, *, enlarge: int = 0) -> Paraproduct:
@@ -37,14 +44,9 @@ def build_paraproduct(t: InducedOperator, r: int, *, enlarge: int = 0) -> Parapr
         raise ValueError(f"lattice depth {lattice.depth} must exceed r={r}")
     mq = t.mu.cube_masses
     cubes = np.flatnonzero((lattice.levels - r >= lattice.leaf_level + 1) & (mq > 0))
-    n = lattice.n_leaves
-    if not cubes.size:
-        matrix = np.zeros((n, n))
-    else:
-        w = _local_deltas(t.chi_table, t.nu, r, cubes, enlarge)
-        a = lattice.membership.T[cubes] * t.mu.leaf_mass / mq[cubes][:, None]
-        matrix = w.T @ a
-    return Paraproduct(r=r, matrix=matrix)
+    w = _local_deltas(t.chi_table, t.nu, r, cubes, enlarge)  # no cubes: a zero matrix
+    a = lattice.membership.T[cubes] * t.mu.leaf_mass / mq[cubes][:, None]
+    return Paraproduct(r=r, matrix=w.T @ a, mu=t.mu, nu=t.nu)
 
 
 def _local_deltas(table: np.ndarray, measure: MeasureGrid, r: int,
@@ -82,12 +84,10 @@ def paraproduct_structure_verify(pi: Paraproduct, t: InducedOperator, *,
                                  tol: float = 1e-9) -> ParaproductStructureReport:
     """Compare pi with t, the operator it was built from, entry by entry in
     t.mu's Haar basis (columns Q) and t.nu's (rows R)."""
+    pi.require_built_from(t, "pi")
     mu_cubes, nu_cubes = t.mu.haar_rows[0], t.nu.haar_rows[0]
-    if not mu_cubes.size or not nu_cubes.size:
-        return ParaproductStructureReport(True, 0.0, 0.0, 0.0, 0.0, None)
-    g_pi = haar_block(pi.matrix, t.mu, t.nu)
-    g_t = haar_block(t.matrix, t.mu, t.nu)
-    scale = max(float(np.max(np.abs(g_t))), float(np.max(np.abs(g_pi))))
+    g_pi, g_t = pi.haar_block, t.haar_block
+    scale = float(max(np.max(np.abs(g), initial=0.0) for g in (g_t, g_pi)))
     if scale == 0.0:
         return ParaproductStructureReport(True, 0.0, 0.0, 0.0, 0.0, None)
     levels = t.lattice.levels
@@ -124,21 +124,19 @@ class RemainderReport:
 
 def remainder_diagonals(t_mu: InducedOperator, pi_mu: Paraproduct,
                         pi_nu: Paraproduct, tol: float = ZERO_TOL) -> RemainderReport:
-    r = pi_mu.r
-    mu, nu = t_mu.mu, t_mu.nu
-    mu_cubes, nu_cubes = mu.haar_rows[0], nu.haar_rows[0]
+    pi_mu.require_built_from(t_mu, "pi_mu")
+    pi_nu.require_built_from(t_mu.adjoint, "pi_nu")
+    mu_cubes, nu_cubes = t_mu.mu.haar_rows[0], t_mu.nu.haar_rows[0]
     if not mu_cubes.size or not nu_cubes.size:
         return RemainderReport(True, 0.0, 0.0, 0.0)
-    g_t = haar_block(t_mu.matrix, mu, nu)
-    g_pi = haar_block(pi_mu.matrix, mu, nu)
+    g_t = t_mu.haar_block
     # <(Pi_nu)* h_Q^mu, h_R^nu>_nu = <h_Q^mu, Pi_nu h_R^nu>_mu
-    g_pin = haar_block(pi_nu.matrix, nu, mu).T
-    diff = np.abs(g_t - g_pi - g_pin)
+    diff = np.abs(g_t - pi_mu.haar_block - pi_nu.haar_block.T)
     scale = float(np.max(np.abs(g_t)))
     if scale == 0.0:
         scale = max(float(np.max(diff)), 1.0)
     levels = t_mu.lattice.levels
-    far = np.abs(np.subtract.outer(levels[nu_cubes], levels[mu_cubes])) > r
+    far = np.abs(np.subtract.outer(levels[nu_cubes], levels[mu_cubes])) > pi_mu.r
     off = float(np.max(diff[far] / scale, initial=0.0))
     in_band = float(np.max(diff[~far], initial=0.0))
     return RemainderReport(passed=off <= tol, scale=scale,

@@ -139,7 +139,15 @@ def loop_build_paraproduct(t, r, enlarge=0):
         matrix = np.zeros((n, n))
     else:
         matrix = np.array(w_rows).T @ np.array(a_rows)
-    return Paraproduct(r=r, matrix=matrix)
+    return Paraproduct(r=r, matrix=matrix, mu=t.mu, nu=t.nu)
+
+
+def loop_haar_block(matrix, in_measure, out_measure):
+    """<matrix h_Q, h_R>_out over the out_measure Haar rows R (rows) and
+    the in_measure Haar rows Q (columns), with the measures named by the
+    caller, as before each operator and paraproduct cached its own block."""
+    out_rows, in_rows = out_measure.haar_rows[1], in_measure.haar_rows[1]
+    return (out_rows * out_measure.leaf_mass) @ matrix @ in_rows.T
 
 
 def loop_carleson_values(t_mu, r):

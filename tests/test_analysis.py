@@ -197,6 +197,17 @@ def test_decomposition_builds_paraproducts_when_missing():
     assert rep.relative <= 1e-12
 
 
+def test_decomposition_rejects_mismatched_paraproducts():
+    t = random_instance(1, 4, 1, seed=3, zero_fraction=0.2, root_amplitude=0.4)
+    pi_mu, pi_nu = build_paraproduct(t, 1), build_paraproduct(t.adjoint, 1)
+    f, g = np.random.default_rng(4).standard_normal((2, t.lattice.n_leaves))
+    with pytest.raises(ValueError, match="^pi_mu was built"):
+        decomposition_identity(t, 1, f, g, pi_mu=pi_nu)
+    with pytest.raises(ValueError, match="^pi_nu was built"):
+        decomposition_identity(t, 1, f, g, pi_nu=pi_mu)
+    assert decomposition_identity(t, 1, f, g, pi_mu=pi_mu, pi_nu=pi_nu).relative <= 1e-12
+
+
 class UnweightedLeafOperator(InducedOperator):
     """The leaf matrix used as given, without the density weighting of
     T M_u.  The weighting zeroes every column of a zero-mass leaf, so no

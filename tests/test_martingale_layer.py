@@ -20,7 +20,8 @@ from haarlab import (Cube, InducedOperator, Lattice, MeasureGrid,
 
 from loop_oracle import (loop_build_paraproduct, loop_carleson_values,
                          loop_check_well_localized, loop_comparable_sum,
-                         loop_delta_level_within, loop_martingale_difference,
+                         loop_delta_level_within, loop_haar_block,
+                         loop_martingale_difference,
                          loop_paraproduct_structure_verify, loop_random_band,
                          oracle_close)
 
@@ -161,6 +162,17 @@ def test_paraproducts_and_carleson_sequence_match_loop_oracle(inst):
     # a_Q <= 4 nu(Q) max |T_mu chi_Q|^2
     assert oracle_close(carleson_sequence(t, r).values, loop_carleson_values(t, r),
                         floor=t.nu.leaf_mass.sum() * np.max(np.abs(t.chi_table)) ** 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=instances())
+def test_haar_blocks_match_loop_oracle(inst):
+    t, r = inst
+    pi_mu, pi_nu = build_paraproduct(t, r), build_paraproduct(t.adjoint, r)
+    mu, nu = t.mu, t.nu
+    for op, (m_in, m_out) in ((t, (mu, nu)), (t.adjoint, (nu, mu)),
+                              (pi_mu, (mu, nu)), (pi_nu, (nu, mu))):
+        assert np.array_equal(op.haar_block, loop_haar_block(op.matrix, m_in, m_out))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +97,41 @@ def test_remainder_has_only_comparable_diagonals(dim, depth, r):
     assert rep.off_band_max <= 1e-12
     if r >= 1:
         assert rep.in_band_max > 0.0
+
+
+def test_mismatched_paraproducts_raise():
+    # each was a pass=False report that blamed the operator for a wrong argument
+    t = random_instance(1, 4, 1, seed=3, zero_fraction=0.2, root_amplitude=0.4)
+    pi_mu, pi_nu = build_paraproduct(t, 1), build_paraproduct(t.adjoint, 1)
+    with pytest.raises(ValueError, match="^pi was built"):
+        paraproduct_structure_verify(pi_nu, t)
+    with pytest.raises(ValueError, match="^pi_mu was built"):
+        remainder_diagonals(t, pi_nu, pi_mu)
+    with pytest.raises(ValueError, match="^pi_nu was built"):
+        remainder_diagonals(t, pi_mu, pi_mu)
+    # measures compare by identity: an equal copy of the instance is another operator
+    twin = random_instance(1, 4, 1, seed=3, zero_fraction=0.2, root_amplitude=0.4)
+    with pytest.raises(ValueError, match="^pi was built"):
+        paraproduct_structure_verify(pi_mu, twin)
+    assert paraproduct_structure_verify(pi_mu, t).passed
+    assert remainder_diagonals(t, pi_mu, pi_nu).passed
+
+
+def test_paraproduct_keeps_the_measures_and_not_the_operator():
+    t = random_instance(1, 4, 1, seed=5, zero_fraction=0.2, root_amplitude=0.4)
+    pi_mu, pi_nu = build_paraproduct(t, 1), build_paraproduct(t.adjoint, 1)
+    assert pi_mu.mu is t.mu and pi_mu.nu is t.nu
+    assert pi_nu.mu is t.nu and pi_nu.nu is t.mu
+    assert t.haar_block is t.haar_block and pi_mu.haar_block is pi_mu.haar_block
+    # no reference to t: it and its cached arrays go without the cyclic collector
+    ref = weakref.ref(t)
+    gc.disable()
+    try:
+        del t
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert pi_mu.haar_block.shape == pi_nu.haar_block.T.shape
 
 
 def test_carleson_sequence_zero_for_zero_operator():

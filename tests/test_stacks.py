@@ -1,12 +1,13 @@
 """Stacks of leaf functions: the MeasureGrid methods and the decomposition
 identity on a stack against row-by-row calls and the loop oracles, the
 scale of the identity's relative residual, off-lattice cubes, and the call
-counts of a verify run.
+and Haar block counts of a verify run.
 """
 import json
 import os
 import re
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from haarlab import (Cube, MeasureGrid, build_lattice, build_paraproduct,
                      decomposition_identity, induce, random_band, runner,
                      sparse_atoms_measure, zero_blocks_measure)
+from haarlab.operators import TwoWeightMatrix
 
 from loop_oracle import (loop_average, loop_decomposition_identity, loop_expectation,
                          loop_martingale_difference, loop_parseval_residuals,
@@ -236,6 +238,23 @@ def test_verify_makes_one_call_per_measure_and_one_identity(tmp_path, monkeypatc
     lattice = runner.build_instance(config)[0]
     assert calls == {"martingale_difference": 2 * len(lattice.nonleaf_cubes),
                      "decomposition_identity": 1}
+
+
+@pytest.mark.parametrize("name", ["default", "2d"])
+def test_verify_forms_each_haar_block_once(tmp_path, monkeypatch, name):
+    # T_mu, Pi_mu and Pi_nu; the structure check and the remainder share them
+    formed = Counter()
+    func = TwoWeightMatrix.__dict__["haar_block"].func
+
+    def counted(self):
+        formed[type(self).__name__] += 1
+        return func(self)
+
+    block = cached_property(counted)
+    block.__set_name__(TwoWeightMatrix, "haar_block")
+    monkeypatch.setattr(TwoWeightMatrix, "haar_block", block)
+    assert runner.run(_configs()[name], str(tmp_path), suite="verify")[0] == 0
+    assert formed == {"InducedOperator": 1, "Paraproduct": 2}
 
 
 @pytest.mark.parametrize("total", [1e12, 1e-24])
