@@ -149,8 +149,8 @@ def decomposition_identity(t_mu: InducedOperator, r: int, f: np.ndarray,
     mu, nu = t_mu.mu, t_mu.nu
     pi_mu = pi_mu or build_paraproduct(t_mu, r)
     pi_nu = pi_nu or build_paraproduct(t_mu.adjoint, r)
-    pi_mu.require_built_from(t_mu, "pi_mu")
-    pi_nu.require_built_from(t_mu.adjoint, "pi_nu")
+    pi_mu.require_built_from(t_mu, "pi_mu", r)
+    pi_nu.require_built_from(t_mu.adjoint, "pi_nu", r)
     t = t_mu.matrix.T  # v @ t applies T_mu to every row of v
 
     f_mean = mu.mean_part(f)

@@ -10,8 +10,8 @@ import math
 
 from .lattice import Cube, Lattice, build_lattice
 from .measures import MeasureGrid, generate_measure
-from .operators import (BandOperator, HaarIndex, RootIndex, basis_table,
-                        haar_multiplier, haar_shift, random_band, repr_order)
+from .operators import (BandOperator, basis_table, haar_multiplier, haar_shift, random_band,
+                        repr_order)
 
 
 def _number(value, what: str, kind: type = float, nonnegative: bool = False, finite: bool = True):
@@ -87,13 +87,12 @@ def lattice_from_json(obj: dict) -> Lattice:
                          _number(obj["leaf_level"], "leaf_level", int), roots or None)
 
 
-def index_to_json(ix) -> dict:
-    if isinstance(ix, HaarIndex):
-        return {"kind": "haar", "cube": cube_to_json(ix.cube),
-                "component": ix.component}
-    if isinstance(ix, RootIndex):
-        return {"kind": "root", "cube": cube_to_json(ix.cube)}
-    raise TypeError(f"not a basis index: {ix!r}")
+def _index_json(kind: str, level: int, coords: tuple, component: int | None) -> dict:
+    """The JSON of the basis index with this basis_table key."""
+    obj = {"kind": kind, "cube": {"level": level, "coords": list(coords)}}
+    if component is not None:
+        obj["component"] = component
+    return obj
 
 
 def _position(obj: dict, what: str, positions: dict) -> int:
@@ -111,11 +110,11 @@ def _position(obj: dict, what: str, positions: dict) -> int:
 
 
 def band_to_json(op: BandOperator) -> dict:
-    """The explicit spec of a band, entries in sorted(..., key=repr) order."""
-    items = list(op.entries.items())
-    entries = [{"row": index_to_json(row), "col": index_to_json(col), "value": float(val)}
-               for (row, col), val in map(items.__getitem__,
-                                          repr_order(op.lattice, *op.positions()))]
+    """The explicit spec of a band, entries in sorted(..., key=repr) order of their indices."""
+    keys, order = basis_table(op.lattice)[3], repr_order(op.lattice, op.rows, op.cols)
+    entries = [{"row": _index_json(*keys[i]), "col": _index_json(*keys[j]), "value": val}
+               for i, j, val in zip(op.rows[order].tolist(), op.cols[order].tolist(),
+                                    op.values[order].tolist())]
     return {"type": "explicit", "r": op.band_radius, "entries": entries}
 
 
@@ -134,17 +133,16 @@ def band_from_json(obj: dict, lattice: Lattice) -> BandOperator:
                            amplitude=_number(obj.get("amplitude", 1.0), "amplitude"),
                            root_amplitude=_number(obj.get("root_amplitude", 0.0),
                                                   "root_amplitude"))
-    (ix, _, positions), entries = basis_table(lattice), {}  # explicit
+    positions, rows, cols, values = basis_table(lattice)[2], [], [], []  # explicit
     for e in _container(obj["entries"], "operator entries", list):
         e = _container(e, "operator entry")
-        entries[(_position(e["row"], "entry row", positions),
-                 _position(e["col"], "entry col", positions))] = _number(
-                     e["value"], "operator entry")
-    if len(entries) < len(obj["entries"]):
+        rows.append(_position(e["row"], "entry row", positions))
+        cols.append(_position(e["col"], "entry col", positions))
+        values.append(_number(e["value"], "operator entry"))
+    if len(set(zip(rows, cols))) < len(rows):
         raise ValueError("explicit operator repeats a (row, col) pair")
-    r = _number(obj["r"], "explicit r", int, nonnegative=True)
-    return BandOperator(lattice=lattice, band_radius=r,
-                        entries={(ix[i], ix[j]): v for (i, j), v in entries.items()})
+    return BandOperator(lattice, _number(obj["r"], "explicit r", int, nonnegative=True),
+                        rows, cols, values)
 
 
 def measure_from_json(obj, lattice: Lattice) -> MeasureGrid:

@@ -42,11 +42,8 @@ class Cube:
 
     def children(self) -> list["Cube"]:
         """The 2**dim sub-cubes at level-1, in lexicographic coordinate order."""
-        out = []
-        for offs in itertools.product((0, 1), repeat=self.dim):
-            out.append(Cube(self.dim, self.level - 1,
-                            tuple(2 * c + o for c, o in zip(self.coords, offs))))
-        return out
+        return [Cube(self.dim, self.level - 1, tuple(2 * c + o for c, o in zip(self.coords, offs)))
+                for offs in itertools.product((0, 1), repeat=self.dim)]
 
     def parent(self) -> "Cube":
         return self.ancestor(1)
@@ -138,21 +135,14 @@ class Lattice:
         if level > self.top_level or level < self.leaf_level:
             return []
         k = self.top_level - level
-        out = []
-        for root in self.roots:
-            lo = [c << k for c in root.coords]
-            ranges = [range(l, l + (1 << k)) for l in lo]
-            for coords in itertools.product(*ranges):
-                out.append(Cube(self.dim, level, coords))
-        return out
+        return [Cube(self.dim, level, coords) for root in self.roots for coords in
+                itertools.product(*[range(c << k, (c + 1) << k) for c in root.coords])]
 
     @cached_property
     def active_cubes(self) -> tuple[Cube, ...]:
         """All active cubes, from top_level down to leaf_level."""
-        out = []
-        for level in range(self.top_level, self.leaf_level - 1, -1):
-            out.extend(self.cubes_at_level(level))
-        return tuple(out)
+        return tuple(q for level in range(self.top_level, self.leaf_level - 1, -1)
+                     for q in self.cubes_at_level(level))
 
     @cached_property
     def nonleaf_cubes(self) -> tuple[Cube, ...]:

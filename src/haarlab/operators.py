@@ -1,11 +1,11 @@
 """Band operators in the unweighted Haar basis and the induced two-weight
 operators T_mu = T M_u, T*_nu = T* M_v acting between L2(mu) and L2(nu).
 
-A band operator is stored as a sparse map from (row index, column index)
-to a real entry, where an index is either a Haar index (non-leaf cube plus
-component) or a root indicator.  Haar-Haar entries must vanish beyond tree
-distance r; root blocks are an explicit extension used to exercise the
-mean terms of the bilinear-form decomposition.
+A band operator is stored as three arrays: the haar_system positions of
+its rows and columns and its real entries.  A position is a Haar index
+(non-leaf cube plus component) or a root indicator.  Haar-Haar entries must
+vanish beyond tree distance r; root blocks are an explicit extension used
+to exercise the mean terms of the bilinear-form decomposition.
 """
 from __future__ import annotations
 
@@ -51,15 +51,15 @@ def haar_system(lattice: Lattice) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def basis_table(lattice: Lattice) -> tuple:
-    """(indices, rank, positions): the basis indices in haar_system order, each one's repr
-    rank, and the position of each JSON key (kind, level, coords, component; None for a root)."""
+    """(indices, rank, positions, keys): the basis indices in haar_system order, their repr
+    ranks, and JSON key (kind, level, coords, component; None for a root) to position and back."""
     n_comp = 2 ** lattice.dim - 1
     indices = tuple([HaarIndex(q, k) for q in lattice.nonleaf_cubes for k in range(n_comp)]
                     + [RootIndex(root) for root in lattice.roots])
     rank = np.argsort(sorted(range(len(indices)), key=lambda i: repr(indices[i])))
-    keys = [("haar" if isinstance(ix, HaarIndex) else "root", ix.cube.level, ix.cube.coords,
-             getattr(ix, "component", None)) for ix in indices]
-    return indices, rank, dict(zip(keys, range(len(keys))))
+    keys = tuple(("haar" if isinstance(ix, HaarIndex) else "root", ix.cube.level, ix.cube.coords,
+                  getattr(ix, "component", None)) for ix in indices)
+    return indices, rank, dict(zip(keys, range(len(keys)))), keys
 
 
 def repr_order(lattice: Lattice, rows, cols) -> np.ndarray:
@@ -94,24 +94,45 @@ def basis_positions(lattice: Lattice, indices) -> np.ndarray:
     return np.array(out, dtype=np.intp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandOperator:
-    """A sparse operator matrix over the unweighted Haar system."""
+    """A sparse operator matrix over the unweighted Haar system: entry i is values[i] at
+    row rows[i], column cols[i] of haar_system(lattice), read-only.  Compared by identity."""
 
     lattice: Lattice
     band_radius: int
-    entries: dict
-    meta: dict = field(default_factory=dict, compare=False)
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, dtype in (("rows", np.intp), ("cols", np.intp), ("values", float)):
+            x = np.array(getattr(self, name), dtype=dtype)
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
+
+    @classmethod
+    def from_entries(cls, lattice, band_radius, entries: dict, meta=None) -> "BandOperator":
+        """The band of a {(row index, col index): value} dict, in its order (basis_positions)."""
+        return cls(lattice, band_radius, *(basis_positions(lattice, [key[j] for key in entries])
+                                           for j in (0, 1)), list(entries.values()), meta or {})
+
+    @cached_property
+    def entries(self) -> dict:
+        """{(row index, col index): value} in entry order, for checks and witnesses."""
+        ix = basis_table(self.lattice)[0]
+        return {(ix[i], ix[j]): v for i, j, v in zip(
+            self.rows.tolist(), self.cols.tolist(), self.values.tolist())}
 
     @cached_property
     def leaf_matrix(self) -> np.ndarray:
         """Dense matrix acting on leaf functions in L2(m)."""
-        return assemble(self.lattice, *self.positions(), list(self.entries.values()))
+        return assemble(self.lattice, self.rows, self.cols, self.values)
 
     def positions(self) -> tuple:
         """haar_system positions (rows, cols) of the entries, in entry order."""
-        return tuple(basis_positions(self.lattice, [key[j] for key in self.entries])
-                     for j in (0, 1))
+        return self.rows, self.cols
 
 
 def assemble(lattice: Lattice, rows, cols, values) -> np.ndarray:
@@ -131,11 +152,8 @@ def check_band(op: BandOperator, r: int, tol: float = ZERO_TOL):
     that the check shares no code with the generator it checks.
     """
     for (row, col), val in op.entries.items():
-        if not (isinstance(row, HaarIndex) and isinstance(col, HaarIndex)):
-            continue
-        if abs(val) <= tol:
-            continue
-        if tree_distance(col.cube, row.cube) > r:
+        if (isinstance(row, HaarIndex) and isinstance(col, HaarIndex) and not abs(val) <= tol
+                and tree_distance(col.cube, row.cube) > r):
             return False, (row, col)
     return True, None
 
@@ -147,19 +165,11 @@ def haar_multiplier(lattice: Lattice, spec, root_alpha: float = 0.0) -> BandOper
     A nonzero root_alpha adds alpha times the identity on root indicators.
     """
     alpha = spec if isinstance(spec, dict) else {q: float(spec) for q in lattice.nonleaf_cubes}
-    n_comp = 2 ** lattice.dim - 1
-    entries = {}
-    for q, a in alpha.items():
-        if a == 0.0:
-            continue
-        for k in range(n_comp):
-            ix = HaarIndex(q, k)
-            entries[(ix, ix)] = float(a)
+    entries = {(HaarIndex(q, k),) * 2: float(a) for q, a in alpha.items() if a != 0.0
+               for k in range(2 ** lattice.dim - 1)}
     if root_alpha != 0.0:
-        for root in lattice.roots:
-            ix = RootIndex(root)
-            entries[(ix, ix)] = float(root_alpha)
-    return BandOperator(lattice=lattice, band_radius=0, entries=entries)
+        entries.update(((RootIndex(root),) * 2, float(root_alpha)) for root in lattice.roots)
+    return BandOperator.from_entries(lattice, 0, entries)
 
 
 def haar_shift(lattice: Lattice) -> BandOperator:
@@ -170,8 +180,7 @@ def haar_shift(lattice: Lattice) -> BandOperator:
     """
     if lattice.dim != 1:
         raise ValueError("the Haar shift is defined in dimension 1 only")
-    entries = {}
-    dropped = 0
+    entries, dropped = {}, 0
     for q in lattice.nonleaf_cubes:
         left, right = q.children()
         if left.level > lattice.leaf_level:
@@ -179,8 +188,7 @@ def haar_shift(lattice: Lattice) -> BandOperator:
             entries[(HaarIndex(left, 0), HaarIndex(q, 0))] = -1.0
         else:
             dropped += 1
-    return BandOperator(lattice=lattice, band_radius=1, entries=entries,
-                        meta={"dropped_terms": dropped})
+    return BandOperator.from_entries(lattice, 1, entries, meta={"dropped_terms": dropped})
 
 
 def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
@@ -203,7 +211,7 @@ def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
             raise ValueError(f"random_band {name} must be finite and nonnegative, got {a!r}")
     rng = np.random.default_rng(seed)
     n_comp = 2 ** lattice.dim - 1
-    nonleaf = np.arange(len(lattice.nonleaf_cubes))
+    nonleaf = np.arange(lattice.level_starts[-2])
     levels = lattice.levels[nonleaf]
     gap = levels[:, None] - levels[None, :]
     near = np.zeros((nonleaf.size,) * 2, dtype=bool)
@@ -213,23 +221,25 @@ def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
     for u in range(min(r, last) + 1):
         near |= lattice.inside(nonleaf, nonleaf, up=u).T & (2 * u + gap <= r)
     qs, ps = np.nonzero(near)
-    haar = [[HaarIndex(q, k) for k in range(n_comp)] for q in lattice.nonleaf_cubes]
+    kq, kp = np.divmod(np.arange(n_comp ** 2), n_comp)
     vals = rng.uniform(-amplitude, amplitude, size=qs.size * n_comp ** 2)
-    entries = {}
-    if amplitude > 0:  # drawn either way, so the root block's draws stay put
-        entries = dict(zip([(ip, iq) for q, p in zip(qs.tolist(), ps.tolist())
-                            for iq in haar[q] for ip in haar[p]], vals.tolist()))
+    n = vals.size if amplitude > 0 else 0  # drawn either way, so the root block's draws stay put
+    # entry (Haar p kp, Haar q kq); Haar component k of the i-th cube sits at n_comp * i + k
+    parts = [((n_comp * ps[:, None] + kp).ravel()[:n], (n_comp * qs[:, None] + kq).ravel()[:n],
+              vals[:n])]
     if root_amplitude > 0:
         roots = np.arange(len(lattice.roots))
         below = lattice.inside(nonleaf, roots) & (levels >= lattice.top_level - r)[:, None]
-        for j, root in enumerate(lattice.roots):
-            rix = RootIndex(root)
-            keys = [(RootIndex(other), rix) for other in lattice.roots]
-            keys += [key for p in np.flatnonzero(below[:, j]).tolist()
-                     for ix in haar[p] for key in ((ix, rix), (rix, ix))]
-            entries.update(zip(keys, rng.uniform(-root_amplitude, root_amplitude,
-                                                 size=len(keys)).tolist()))
-    return BandOperator(lattice=lattice, band_radius=r, entries=entries)
+        at = n_comp * nonleaf.size + roots  # the root indicators follow the Haar rows
+        for j in roots.tolist():
+            # every root into root j, then (h, root j) and (root j, h) for each Haar h below
+            h = (n_comp * np.flatnonzero(below[:, j])[:, None] + np.arange(n_comp)).ravel()
+            pairs = np.stack([h, np.full(h.size, at[j])], axis=1)
+            rows = np.concatenate([at, pairs.ravel()])
+            cols = np.concatenate([np.full(at.size, at[j]), pairs[:, ::-1].ravel()])
+            parts.append((rows, cols, rng.uniform(-root_amplitude, root_amplitude,
+                                                  size=rows.size)))
+    return BandOperator(lattice, r, *(np.concatenate(part) for part in zip(*parts)))
 
 
 class TwoWeightMatrix:

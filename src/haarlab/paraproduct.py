@@ -25,10 +25,12 @@ class Paraproduct(TwoWeightMatrix):
     mu: MeasureGrid
     nu: MeasureGrid
 
-    def require_built_from(self, t: InducedOperator, name: str) -> None:
-        """Raise ValueError unless this maps between t's measures (`is`: their == raises)."""
+    def require_built_from(self, t: InducedOperator, name: str, r: int | None = None) -> None:
+        """Raise ValueError unless this maps between t's measures (`is`: their == raises), at r."""
         if self.mu is not t.mu or self.nu is not t.nu:
             raise ValueError(f"{name} was built from an operator between other measures")
+        if r is not None and self.r != r:
+            raise ValueError(f"{name} was built at r={self.r}, not r={r}")
 
 
 def build_paraproduct(t: InducedOperator, r: int, *, enlarge: int = 0) -> Paraproduct:
@@ -125,7 +127,7 @@ class RemainderReport:
 def remainder_diagonals(t_mu: InducedOperator, pi_mu: Paraproduct,
                         pi_nu: Paraproduct, tol: float = ZERO_TOL) -> RemainderReport:
     pi_mu.require_built_from(t_mu, "pi_mu")
-    pi_nu.require_built_from(t_mu.adjoint, "pi_nu")
+    pi_nu.require_built_from(t_mu.adjoint, "pi_nu", pi_mu.r)
     mu_cubes, nu_cubes = t_mu.mu.haar_rows[0], t_mu.nu.haar_rows[0]
     if not mu_cubes.size or not nu_cubes.size:
         return RemainderReport(True, 0.0, 0.0, 0.0)

@@ -160,10 +160,11 @@ def suite_verify(config, tol) -> tuple[list, dict]:
     residuals = []
     fs = _random_functions(lattice, seed, 20)[:, 0]
     for measure in (mu, nu):
-        # one stack of 20 functions; its cube sums keep the per-function order
-        deltas, exps = measure.martingale_decompose(fs)
-        total = sum(measure.inner(d, d) for d in deltas.values())
-        total += sum(measure.inner(e, e) for e in exps.values())
+        # one stack of 20 functions, cube sums in per-function order, pieces freed as summed
+        deltas = (measure.martingale_difference(fs, q) for q in lattice.nonleaf_cubes)
+        means = (measure.expectation(fs, root) for root in lattice.roots)
+        total = sum(measure.inner(d, d) for d in deltas)
+        total += sum(measure.inner(e, e) for e in means)
         norm2 = measure.inner(fs, fs)
         pos = norm2 > 0
         residuals.append(np.abs(total - norm2)[pos] / norm2[pos])

@@ -83,17 +83,16 @@ def extremal_search(config: SearchConfig) -> SearchResult:
     nu = MeasureGrid(lattice, np.exp(
         config.weight_sigma * rng.standard_normal(lattice.n_leaves)))
 
-    keys, values = list(band.entries), np.array(list(band.entries.values()))
-    rows, cols = band.positions()
-    order = repr_order(lattice, rows, cols)  # moves pick keys in repr order
+    rows, cols, values = band.rows, band.cols, band.values
+    order = repr_order(lattice, rows, cols)  # moves pick entries in repr order of their indices
     matrix = assemble(lattice, rows, cols, values)
     rho, report = _evaluate(matrix, mu, nu, config.r)
     history = [rho]
     for _ in range(config.iterations):
         move = rng.integers(3)
         cand_values, cand_matrix, cand_mu, cand_nu = values, matrix, mu, nu
-        if move == 0 and keys:
-            k = order[rng.integers(len(keys))]
+        if move == 0 and values.size:
+            k = order[rng.integers(values.size)]
             cand_values = values.copy()
             cand_values[k] = cand_values[k] + config.step * rng.standard_normal()
             cand_matrix = assemble(lattice, rows, cols, cand_values)
@@ -113,7 +112,7 @@ def extremal_search(config: SearchConfig) -> SearchResult:
             rho, report = cand_rho, cand_report
         history.append(rho)
     return SearchResult(config=config, rho=rho, report=report, mu=mu, nu=nu, history=history,
-                        band=BandOperator(lattice, config.r, dict(zip(keys, values.tolist()))))
+                        band=BandOperator(lattice, config.r, rows, cols, values))
 
 
 def replay_artifact(artifact: dict, tol: float = 1e-12):

@@ -6,7 +6,9 @@ matrix product for all of them), and everything the InducedOperator chi
 tables feed, compared at ORACLE_RTOL).  The Carleson functions here work on
 {cube: a_Q} dicts, the representation CarlesonSequence used before it
 became an array; the search and band_to_json oracles sort BandOperator
-keys by repr, where the code now ranks Haar-system positions.
+keys by repr, where the code now ranks Haar-system positions, and the band
+oracles build dicts keyed by HaarIndex / RootIndex, where a BandOperator
+now holds arrays of Haar-system positions.
 
 Named without a `test` prefix so pytest collects nothing from it.
 """
@@ -19,8 +21,9 @@ from haarlab import (Cube, MeasureGrid, build_lattice, induce, random_band, tree
                      uniform_measure)
 from haarlab.analysis import (DecompositionReport, TestingReport, operator_norm,
                               testing_constants)
-from haarlab.io import index_to_json
-from haarlab.operators import BandOperator, HaarIndex, RootIndex, WellLocalizedReport
+from haarlab.io import cube_to_json
+from haarlab.operators import (BandOperator, HaarIndex, RootIndex, WellLocalizedReport,
+                               assemble, basis_positions)
 from haarlab.paraproduct import (CarlesonPropertyReport, Paraproduct,
                                  ParaproductStructureReport, RemainderReport,
                                  _largest_singular_value)
@@ -634,9 +637,10 @@ def loop_cubes_within_distance(lattice, q, r):
     return [p for p in lattice.nonleaf_cubes if tree_distance(q, p) <= r]
 
 
-def loop_random_band(lattice, r, seed, amplitude=1.0, root_amplitude=0.0):
-    """random_band drawn pair by pair over a tree_distance scan of every
-    pair of non-leaf cubes, one scalar draw per entry."""
+def loop_random_band_entries(lattice, r, seed, amplitude=1.0, root_amplitude=0.0):
+    """random_band's entries as a {(row index, col index): value} dict, drawn
+    pair by pair over a tree_distance scan of every pair of non-leaf cubes,
+    one scalar draw per entry."""
     rng = np.random.default_rng(seed)
     n_comp = 2 ** lattice.dim - 1
     entries = {}
@@ -661,7 +665,30 @@ def loop_random_band(lattice, r, seed, amplitude=1.0, root_amplitude=0.0):
                         -root_amplitude, root_amplitude)
                     entries[(rix, HaarIndex(p, k))] = rng.uniform(
                         -root_amplitude, root_amplitude)
-    return BandOperator(lattice=lattice, band_radius=r, entries=entries)
+    return entries
+
+
+def loop_random_band(lattice, r, seed, amplitude=1.0, root_amplitude=0.0):
+    """random_band built from loop_random_band_entries' dict."""
+    return BandOperator.from_entries(lattice, r, loop_random_band_entries(
+        lattice, r, seed, amplitude, root_amplitude))
+
+
+def loop_leaf_matrix(lattice, entries):
+    """The leaf matrix of an entries dict, its positions looked up index by
+    index with basis_positions."""
+    return assemble(lattice, *(basis_positions(lattice, [key[j] for key in entries])
+                               for j in (0, 1)), list(entries.values()))
+
+
+def index_to_json(ix) -> dict:
+    """The JSON of a basis index object."""
+    if isinstance(ix, HaarIndex):
+        return {"kind": "haar", "cube": cube_to_json(ix.cube),
+                "component": ix.component}
+    if isinstance(ix, RootIndex):
+        return {"kind": "root", "cube": cube_to_json(ix.cube)}
+    raise TypeError(f"not a basis index: {ix!r}")
 
 
 def loop_band_to_json(op):
@@ -680,7 +707,8 @@ def _loop_evaluate(band, mu, nu, r):
 
 def loop_extremal_search(config):
     """extremal_search on BandOperator dicts: move keys sorted by repr, and
-    every band move copies the entries and rebuilds a BandOperator."""
+    every band move copies the entries dict and rebuilds a BandOperator
+    from it."""
     rng = np.random.default_rng(config.seed)
     lattice = build_lattice(config.dim, config.top_level, config.leaf_level)
     band = random_band(lattice, config.r, seed=config.seed,
@@ -701,8 +729,7 @@ def loop_extremal_search(config):
             key = keys[rng.integers(len(keys))]
             entries = dict(band.entries)
             entries[key] = entries[key] + config.step * rng.standard_normal()
-            cand_band = BandOperator(lattice=lattice,
-                                     band_radius=config.r, entries=entries)
+            cand_band = BandOperator.from_entries(lattice, config.r, entries)
         elif move == 1:
             mass = mu.leaf_mass.copy()
             i = rng.integers(mass.size)

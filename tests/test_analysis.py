@@ -208,6 +208,19 @@ def test_decomposition_rejects_mismatched_paraproducts():
     assert decomposition_identity(t, 1, f, g, pi_mu=pi_mu, pi_nu=pi_nu).relative <= 1e-12
 
 
+def test_decomposition_rejects_paraproducts_at_another_r():
+    # without the check, pi_nu at r = 0 gave a relative residual of 0.0256
+    t = random_instance(1, 4, 1, seed=3, zero_fraction=0.2, root_amplitude=0.4)
+    pi_mu, pi_nu = build_paraproduct(t, 1), build_paraproduct(t.adjoint, 1)
+    f, g = np.random.default_rng(4).standard_normal((2, t.lattice.n_leaves))
+    with pytest.raises(ValueError, match="^pi_nu was built at r=0, not r=1"):
+        decomposition_identity(t, 1, f, g, pi_mu=pi_mu, pi_nu=build_paraproduct(t.adjoint, 0))
+    with pytest.raises(ValueError, match="^pi_mu was built at r=2, not r=1"):
+        decomposition_identity(t, 1, f, g, pi_mu=build_paraproduct(t, 2), pi_nu=pi_nu)
+    with pytest.raises(ValueError, match="^pi_mu was built at r=1, not r=2"):
+        decomposition_identity(t, 2, f, g, pi_mu=pi_mu, pi_nu=pi_nu)
+
+
 class UnweightedLeafOperator(InducedOperator):
     """The leaf matrix used as given, without the density weighting of
     T M_u.  The weighting zeroes every column of a zero-mass leaf, so no

@@ -117,6 +117,18 @@ def test_mismatched_paraproducts_raise():
     assert remainder_diagonals(t, pi_mu, pi_nu).passed
 
 
+def test_paraproducts_at_another_r_raise():
+    # without the check, pi_nu at r = 0 gave off_band_max 0.454, and pi_mu at
+    # r = 2 passed: the report measured a band of the paraproducts' radius
+    t = random_instance(1, 4, 1, seed=3, zero_fraction=0.2, root_amplitude=0.4)
+    pi_mu, pi_nu = build_paraproduct(t, 1), build_paraproduct(t.adjoint, 1)
+    with pytest.raises(ValueError, match="^pi_nu was built at r=0, not r=1"):
+        remainder_diagonals(t, pi_mu, build_paraproduct(t.adjoint, 0))
+    with pytest.raises(ValueError, match="^pi_nu was built at r=1, not r=2"):
+        remainder_diagonals(t, build_paraproduct(t, 2), pi_nu)
+    assert remainder_diagonals(t, pi_mu, pi_nu).passed
+
+
 def test_paraproduct_keeps_the_measures_and_not_the_operator():
     t = random_instance(1, 4, 1, seed=5, zero_fraction=0.2, root_amplitude=0.4)
     pi_mu, pi_nu = build_paraproduct(t, 1), build_paraproduct(t.adjoint, 1)
