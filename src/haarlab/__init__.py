@@ -7,9 +7,8 @@ from .lattice import NO_COMMON_ANCESTOR, Cube, Lattice, build_lattice, tree_dist
 from .measures import (MeasureGrid, generate_measure, lognormal_measure,
                        sparse_atoms_measure, uniform_measure, zero_blocks_measure)
 from .operators import (BandOperator, HaarIndex, InducedOperator, RootIndex,
-                        basis_positions, check_band, check_well_localized,
-                        haar_multiplier, haar_shift, haar_system, induce,
-                        random_band)
+                        check_band, check_well_localized, haar_multiplier,
+                        haar_shift, haar_system, induce, random_band)
 from .paraproduct import (CarlesonSequence, Paraproduct, build_paraproduct,
                           carleson_constant, carleson_property,
                           carleson_sequence, embedding_constant,

@@ -69,7 +69,6 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
     constant NaN, where the builtin max once used here dropped it.
     """
     lattice = t_mu.lattice
-    cubes = lattice.active_cubes
     x = lattice.membership
     nu_mass = t_mu.nu.leaf_mass
     (direct_global, direct_local, mu_q), (adjoint_global, adjoint_local, nu_q) = (
@@ -87,11 +86,11 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
     adjoint_off = np.flatnonzero(~nu_pos & (adjoint_global > 0))
     if direct_off.size:
         c_dg = c_dl = float("inf")
-        witness = ("direct", cubes[direct_off[-1]])
+        witness = ("direct", lattice.active_cubes[direct_off[-1]])
     if adjoint_off.size:
         c_ag = c_al = float("inf")
         if not direct_off.size or adjoint_off[-1] >= direct_off[-1]:
-            witness = ("adjoint", cubes[adjoint_off[-1]])
+            witness = ("adjoint", lattice.active_cubes[adjoint_off[-1]])
 
     # comparable-size bilinear pairings: rows R, columns Q
     b = np.abs(x.T @ (nu_mass[:, None] * t_mu.chi_table))
@@ -102,8 +101,8 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
     diag_off = np.flatnonzero(comparable & ~massive & (b > 0))
     if diag_off.size:
         c_diag = float("inf")
-        i, j = divmod(int(diag_off[-1]), len(cubes))
-        witness = ("diag", cubes[j], cubes[i])
+        i, j = divmod(int(diag_off[-1]), len(lattice.levels))
+        witness = ("diag", lattice.active_cubes[j], lattice.active_cubes[i])
 
     norm = operator_norm(t_mu)
     # an infinite constant (unbounded witness) gives rho 0, a NaN one NaN

@@ -128,9 +128,11 @@ class MeasureGrid:
         once per measure, both read-only.
 
         A basis is Gram-Schmidt in the mu inner product over the cube's
-        positive-mass child indicators in lexicographic order, each vector
-        negative on earlier children and positive on the latest one it
-        involves.  It runs over all cubes with the same positive-mass
+        positive-mass child indicators in lexicographic order.  Number
+        those m children 0 to m - 1: vector k (k = 1 to m - 1, the cube's
+        row k - 1) is positive on child k, negative on child 0 and on
+        children k + 1 to m - 1, and zero, up to round-off, on children 1
+        to k - 1.  It runs over all cubes with the same positive-mass
         children at once, their masses C-contiguous so that each row sum is
         the np.sum of one cube's vector.
         """

@@ -40,8 +40,8 @@ def haar_system(lattice: Lattice) -> np.ndarray:
     """The orthonormal Lebesgue Haar system of a lattice as read-only leaf
     vectors: the Haar functions of every non-leaf active cube (components in
     Gram-Schmidt order), then the normalized root indicators.  They form an
-    orthonormal basis of the leaf space under uniform leaf weights; row
-    basis_positions(lattice, [ix]) is the basis index ix."""
+    orthonormal basis of the leaf space under uniform leaf weights; row i
+    is the basis index basis_table(lattice)[0][i]."""
     rows = np.vstack([uniform_measure(lattice).haar_rows[1]]
                      + [lattice.indicator(root) / np.sqrt(root.volume)
                         for root in lattice.roots])
@@ -70,30 +70,6 @@ def repr_order(lattice: Lattice, rows, cols) -> np.ndarray:
     return np.lexsort((rank[cols], rank[rows]))
 
 
-def basis_positions(lattice: Lattice, indices) -> np.ndarray:
-    """Row of each basis index in haar_system(lattice).
-
-    HaarIndex(Q, k) is row (2**dim - 1) * i + k for the i-th active cube Q
-    (every non-leaf cube has 2**dim - 1 Lebesgue Haar functions); the roots
-    follow all Haar rows, in order.  Raises ValueError for an index outside
-    the lattice's Haar system: a leaf or inactive cube, a component out of
-    range, or a RootIndex of a cube that is not a root.
-    """
-    n_comp = 2 ** lattice.dim - 1
-    n_nonleaf, n_roots = len(lattice.nonleaf_cubes), len(lattice.roots)
-    index = lattice.cube_index
-    out = []
-    for ix in indices:
-        i = index.get(getattr(ix, "cube", None), n_nonleaf)
-        if isinstance(ix, HaarIndex) and i < n_nonleaf and 0 <= ix.component < n_comp:
-            out.append(n_comp * i + ix.component)
-        elif isinstance(ix, RootIndex) and i < n_roots:
-            out.append(n_comp * n_nonleaf + i)
-        else:
-            raise ValueError(f"{ix!r} is not a basis index of the lattice")
-    return np.array(out, dtype=np.intp)
-
-
 @dataclass(frozen=True, eq=False)
 class BandOperator:
     """A sparse operator matrix over the unweighted Haar system: entry i is values[i] at
@@ -112,15 +88,9 @@ class BandOperator:
             x.flags.writeable = False
             object.__setattr__(self, name, x)
 
-    @classmethod
-    def from_entries(cls, lattice, band_radius, entries: dict, meta=None) -> "BandOperator":
-        """The band of a {(row index, col index): value} dict, in its order (basis_positions)."""
-        return cls(lattice, band_radius, *(basis_positions(lattice, [key[j] for key in entries])
-                                           for j in (0, 1)), list(entries.values()), meta or {})
-
     @cached_property
     def entries(self) -> dict:
-        """{(row index, col index): value} in entry order, for checks and witnesses."""
+        """{(row index, col index): value} in entry order, keyed by basis_table's indices."""
         ix = basis_table(self.lattice)[0]
         return {(ix[i], ix[j]): v for i, j, v in zip(
             self.rows.tolist(), self.cols.tolist(), self.values.tolist())}
@@ -129,10 +99,6 @@ class BandOperator:
     def leaf_matrix(self) -> np.ndarray:
         """Dense matrix acting on leaf functions in L2(m)."""
         return assemble(self.lattice, self.rows, self.cols, self.values)
-
-    def positions(self) -> tuple:
-        """haar_system positions (rows, cols) of the entries, in entry order."""
-        return self.rows, self.cols
 
 
 def assemble(lattice: Lattice, rows, cols, values) -> np.ndarray:
@@ -144,32 +110,51 @@ def assemble(lattice: Lattice, rows, cols, values) -> np.ndarray:
 
 
 def check_band(op: BandOperator, r: int, tol: float = ZERO_TOL):
-    """Verify the band structure at radius r.
+    """Verify the band structure at radius r; root positions and entries
+    with |value| <= tol are exempt.
 
     Returns (passed, witness); witness is the offending (row, col) pair of
     Haar indices, or None.  It measures distances with tree_distance, not
     with the Lattice.inside masks that random_band draws its pairs from, so
     that the check shares no code with the generator it checks.
     """
-    for (row, col), val in op.entries.items():
-        if (isinstance(row, HaarIndex) and isinstance(col, HaarIndex) and not abs(val) <= tol
-                and tree_distance(col.cube, row.cube) > r):
-            return False, (row, col)
+    lattice = op.lattice
+    n_comp = 2 ** lattice.dim - 1
+    n_haar = n_comp * lattice.level_starts[-2]  # the root indicators follow the Haar rows
+    checked = np.flatnonzero((op.rows < n_haar) & (op.cols < n_haar) & ~(np.abs(op.values) <= tol))
+    cubes = lattice.active_cubes
+    for i, j in zip(op.rows[checked].tolist(), op.cols[checked].tolist()):
+        row, col = cubes[i // n_comp], cubes[j // n_comp]
+        if tree_distance(col, row) > r:
+            return False, (HaarIndex(row, i % n_comp), HaarIndex(col, j % n_comp))
     return True, None
 
 
 def haar_multiplier(lattice: Lattice, spec, root_alpha: float = 0.0) -> BandOperator:
     """T f = sum alpha_Q (f, h_Q) h_Q, a band operator with r = 0.
 
-    `spec` is a {cube: alpha} mapping or a scalar for every non-leaf cube.
+    `spec` is a {cube: alpha} mapping or a scalar for every non-leaf cube;
+    zero alphas are dropped, a leaf or off-lattice cube is a ValueError.
     A nonzero root_alpha adds alpha times the identity on root indicators.
     """
-    alpha = spec if isinstance(spec, dict) else {q: float(spec) for q in lattice.nonleaf_cubes}
-    entries = {(HaarIndex(q, k),) * 2: float(a) for q, a in alpha.items() if a != 0.0
-               for k in range(2 ** lattice.dim - 1)}
+    n_comp, n_nonleaf = 2 ** lattice.dim - 1, int(lattice.level_starts[-2])
+    if isinstance(spec, dict):
+        alpha = {q: float(a) for q, a in spec.items() if a != 0.0}
+        cubes = [lattice.cube_index.get(q, n_nonleaf) for q in alpha]
+        for q, i in zip(alpha, cubes):
+            if i >= n_nonleaf:
+                raise ValueError(f"{q!r} is not a non-leaf cube of the lattice")
+        values = np.array(list(alpha.values()), dtype=float)
+    else:
+        cubes = np.arange(n_nonleaf if float(spec) != 0.0 else 0)
+        values = np.full(cubes.size, float(spec))
+    # Haar component k of the i-th cube sits at n_comp * i + k, the root indicators after them
+    pos = (n_comp * np.array(cubes, dtype=np.intp)[:, None] + np.arange(n_comp)).ravel()
+    values = np.repeat(values, n_comp)
     if root_alpha != 0.0:
-        entries.update(((RootIndex(root),) * 2, float(root_alpha)) for root in lattice.roots)
-    return BandOperator.from_entries(lattice, 0, entries)
+        pos = np.concatenate([pos, n_comp * n_nonleaf + np.arange(len(lattice.roots))])
+        values = np.concatenate([values, np.full(len(lattice.roots), float(root_alpha))])
+    return BandOperator(lattice, 0, pos, pos, values)
 
 
 def haar_shift(lattice: Lattice) -> BandOperator:
@@ -180,15 +165,11 @@ def haar_shift(lattice: Lattice) -> BandOperator:
     """
     if lattice.dim != 1:
         raise ValueError("the Haar shift is defined in dimension 1 only")
-    entries, dropped = {}, 0
-    for q in lattice.nonleaf_cubes:
-        left, right = q.children()
-        if left.level > lattice.leaf_level:
-            entries[(HaarIndex(right, 0), HaarIndex(q, 0))] = 1.0
-            entries[(HaarIndex(left, 0), HaarIndex(q, 0))] = -1.0
-        else:
-            dropped += 1
-    return BandOperator.from_entries(lattice, 1, entries, meta={"dropped_terms": dropped})
+    kept = lattice.children_index[:lattice.level_starts[-3]]  # the cubes with non-leaf children
+    # (right child, I) = 1, then (left child, I) = -1; in 1D a cube's position is its Haar row
+    return BandOperator(lattice, 1, kept[:, ::-1].ravel(), np.repeat(np.arange(len(kept)), 2),
+                        np.tile([1.0, -1.0], len(kept)),
+                        meta={"dropped_terms": int(lattice.level_starts[-2]) - len(kept)})
 
 
 def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
@@ -329,8 +310,7 @@ def check_well_localized(t_mu: InducedOperator, r: int,
     scale = float(np.max([np.max(np.abs(p)) for p, _ in scans if p.size], initial=0.0))
     if scale == 0.0:
         return WellLocalizedReport(True, r, 0.0, 0.0, None, 0)
-    cubes = lattice.active_cubes
-    nonleaf, every = np.arange(len(lattice.nonleaf_cubes)), np.arange(len(cubes))
+    nonleaf, every = np.arange(lattice.level_starts[-2]), np.arange(len(lattice.levels))
     lr, lq = lattice.levels[nonleaf][:, None], lattice.levels[None, :]
     pattern = (lr <= lq) & (~lattice.inside(nonleaf, every, up=r)
                             | ((lr <= lq - r) & ~lattice.inside(nonleaf, every)))
@@ -340,7 +320,8 @@ def check_well_localized(t_mu: InducedOperator, r: int,
         checked += int(np.count_nonzero(flagged))
         v = np.where(flagged, np.abs(pair) / scale, 0.0)
         if v.size and np.max(v) > worst:  # witness: the first worst pair
-            i, j = divmod(int(np.argmax(v)), len(cubes))
+            i, j = divmod(int(np.argmax(v)), every.size)
+            cubes = lattice.active_cubes
             worst, witness = float(v[i, j]), (direction, cubes[j], cubes[row_cubes[i]])
     return WellLocalizedReport(passed=worst <= tol and bool(np.isfinite(scale)),
                                r=r, max_violation=worst,

@@ -96,16 +96,12 @@ def extremal_search(config: SearchConfig) -> SearchResult:
             cand_values = values.copy()
             cand_values[k] = cand_values[k] + config.step * rng.standard_normal()
             cand_matrix = assemble(lattice, rows, cols, cand_values)
-        elif move == 1:
-            mass = mu.leaf_mass.copy()
+        else:  # move 1 perturbs mu; move 2, and move 0 on an empty band, nu
+            mass = (mu if move == 1 else nu).leaf_mass.copy()
             i = rng.integers(mass.size)
             mass[i] = mass[i] * np.exp(config.step * rng.standard_normal())
-            cand_mu = MeasureGrid(lattice, mass)
-        else:
-            mass = nu.leaf_mass.copy()
-            i = rng.integers(mass.size)
-            mass[i] = mass[i] * np.exp(config.step * rng.standard_normal())
-            cand_nu = MeasureGrid(lattice, mass)
+            cand = MeasureGrid(lattice, mass)
+            cand_mu, cand_nu = (cand, nu) if move == 1 else (mu, cand)
         cand_rho, cand_report = _evaluate(cand_matrix, cand_mu, cand_nu, config.r)
         if cand_rho > rho:
             values, matrix, mu, nu = cand_values, cand_matrix, cand_mu, cand_nu

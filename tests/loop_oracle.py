@@ -7,8 +7,9 @@ tables feed, compared at ORACLE_RTOL).  The Carleson functions here work on
 {cube: a_Q} dicts, the representation CarlesonSequence used before it
 became an array; the search and band_to_json oracles sort BandOperator
 keys by repr, where the code now ranks Haar-system positions, and the band
-oracles build dicts keyed by HaarIndex / RootIndex, where a BandOperator
-now holds arrays of Haar-system positions.
+oracles build dicts keyed by HaarIndex / RootIndex and look each key up
+with basis_positions, where every band builder now writes arrays of
+Haar-system positions.
 
 Named without a `test` prefix so pytest collects nothing from it.
 """
@@ -23,7 +24,7 @@ from haarlab.analysis import (DecompositionReport, TestingReport, operator_norm,
                               testing_constants)
 from haarlab.io import cube_to_json
 from haarlab.operators import (BandOperator, HaarIndex, RootIndex, WellLocalizedReport,
-                               assemble, basis_positions)
+                               assemble)
 from haarlab.paraproduct import (CarlesonPropertyReport, Paraproduct,
                                  ParaproductStructureReport, RemainderReport,
                                  _largest_singular_value)
@@ -633,6 +634,59 @@ def loop_haar_system(lattice):
     return tuple(indices), np.array(rows)
 
 
+def basis_positions(lattice, indices) -> np.ndarray:
+    """Row of each basis index in haar_system(lattice), looked up index by
+    index: HaarIndex(Q, k) is row (2**dim - 1) * i + k for the i-th active
+    cube Q, and the roots follow all Haar rows, in order.  Raises ValueError
+    for an index outside the lattice's Haar system: a leaf or inactive cube,
+    a component out of range, or a RootIndex of a cube that is not a root."""
+    n_comp = 2 ** lattice.dim - 1
+    n_nonleaf, n_roots = len(lattice.nonleaf_cubes), len(lattice.roots)
+    index = lattice.cube_index
+    out = []
+    for ix in indices:
+        i = index.get(getattr(ix, "cube", None), n_nonleaf)
+        if isinstance(ix, HaarIndex) and i < n_nonleaf and 0 <= ix.component < n_comp:
+            out.append(n_comp * i + ix.component)
+        elif isinstance(ix, RootIndex) and i < n_roots:
+            out.append(n_comp * n_nonleaf + i)
+        else:
+            raise ValueError(f"{ix!r} is not a basis index of the lattice")
+    return np.array(out, dtype=np.intp)
+
+
+def band_from_entries(lattice, band_radius, entries, meta=None):
+    """The band of a {(row index, col index): value} dict, in its order."""
+    return BandOperator(lattice, band_radius,
+                        *(basis_positions(lattice, [key[j] for key in entries]) for j in (0, 1)),
+                        list(entries.values()), meta or {})
+
+
+def loop_haar_multiplier_entries(lattice, spec, root_alpha=0.0):
+    """haar_multiplier's entries as a dict: (h, h) for every Haar function h
+    of a cube with nonzero alpha, in spec order, then the root indicators."""
+    alpha = spec if isinstance(spec, dict) else {q: float(spec) for q in lattice.nonleaf_cubes}
+    entries = {(HaarIndex(q, k),) * 2: float(a) for q, a in alpha.items() if a != 0.0
+               for k in range(2 ** lattice.dim - 1)}
+    if root_alpha != 0.0:
+        entries.update(((RootIndex(root),) * 2, float(root_alpha)) for root in lattice.roots)
+    return entries
+
+
+def loop_haar_shift_entries(lattice):
+    """(haar_shift's entries as a dict, the number of dropped terms), one
+    Cube.children call per non-leaf cube."""
+    entries, dropped = {}, 0
+    for q in lattice.nonleaf_cubes:
+        left, right = q.children()
+        if left.level > lattice.leaf_level:
+            entries[(HaarIndex(right, 0), HaarIndex(q, 0))] = 1.0
+            entries[(HaarIndex(left, 0), HaarIndex(q, 0))] = -1.0
+        else:
+            dropped += 1
+    return entries, dropped
+
+
 def loop_cubes_within_distance(lattice, q, r):
     return [p for p in lattice.nonleaf_cubes if tree_distance(q, p) <= r]
 
@@ -670,7 +724,7 @@ def loop_random_band_entries(lattice, r, seed, amplitude=1.0, root_amplitude=0.0
 
 def loop_random_band(lattice, r, seed, amplitude=1.0, root_amplitude=0.0):
     """random_band built from loop_random_band_entries' dict."""
-    return BandOperator.from_entries(lattice, r, loop_random_band_entries(
+    return band_from_entries(lattice, r, loop_random_band_entries(
         lattice, r, seed, amplitude, root_amplitude))
 
 
@@ -729,7 +783,7 @@ def loop_extremal_search(config):
             key = keys[rng.integers(len(keys))]
             entries = dict(band.entries)
             entries[key] = entries[key] + config.step * rng.standard_normal()
-            cand_band = BandOperator.from_entries(lattice, config.r, entries)
+            cand_band = band_from_entries(lattice, config.r, entries)
         elif move == 1:
             mass = mu.leaf_mass.copy()
             i = rng.integers(mass.size)

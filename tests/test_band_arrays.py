@@ -1,8 +1,10 @@
 """A BandOperator is three arrays of haar_system positions and values.  The
-dict of HaarIndex / RootIndex keys it used to be lives on in
-tests/loop_oracle.py, and every array path is checked against it here, bit
-for bit; the hot paths are checked to build no basis index objects."""
+dict of HaarIndex / RootIndex keys it used to be, and the basis_positions
+arithmetic that turned it into positions, live on in tests/loop_oracle.py;
+every band builder is checked against them here, bit for bit, and the hot
+paths are checked to build no basis index objects."""
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -10,26 +12,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from haarlab import (BandOperator, Cube, HaarIndex, RootIndex, SearchConfig, build_lattice,
-                     extremal_search, induce, random_band, replay_artifact)
-from haarlab import analysis, operators as operators_module
+                     check_band, extremal_search, haar_multiplier, haar_shift, induce,
+                     random_band, replay_artifact)
+from haarlab import analysis
 from haarlab.io import band_from_json, band_to_json
-from haarlab.operators import repr_order
+from haarlab.operators import basis_table, repr_order
 
 from conftest import random_weights
-from loop_oracle import loop_leaf_matrix, loop_random_band_entries
+from loop_oracle import (band_from_entries, basis_positions, loop_haar_multiplier_entries,
+                         loop_haar_shift_entries, loop_leaf_matrix, loop_random_band_entries)
+
+
+@st.composite
+def lattices(draw, max_dim=2):
+    """Lattices of dim 1 to max_dim (at most 3) with 1-3 roots, negative
+    coords too."""
+    dim = draw(st.integers(1, max_dim))
+    depth = draw(st.integers(1, {1: 4, 2: 3, 3: 2}[dim]))
+    top = draw(st.integers(-3, 2))
+    coords = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim),
+                           min_size=1, max_size=3, unique=True))
+    return build_lattice(dim, top, top - depth, [Cube(dim, top, c) for c in coords])
 
 
 @st.composite
 def band_specs(draw):
-    """(lattice, r, seed, amplitude, root_amplitude): dim 1-2, 1-3 roots
-    (negative coords too), r 0-2, with and without root blocks, and zero
-    amplitudes."""
-    dim = draw(st.integers(1, 2))
-    depth = draw(st.integers(1, 4 if dim == 1 else 3))
-    top = draw(st.integers(-3, 2))
-    coords = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim),
-                           min_size=1, max_size=3, unique=True))
-    lat = build_lattice(dim, top, top - depth, [Cube(dim, top, c) for c in coords])
+    """(lattice, r, seed, amplitude, root_amplitude): dim 1-2, r 0-2, with
+    and without root blocks, and zero amplitudes."""
+    lat = draw(lattices())
     amplitudes = draw(st.sampled_from([(1.0, 0.0), (1.0, 0.5), (0.0, 0.5), (0.0, 0.0)]))
     return (lat, draw(st.integers(0, 2)), draw(st.integers(0, 2 ** 32 - 1)), *amplitudes)
 
@@ -44,7 +54,7 @@ def test_random_band_arrays_match_the_dict_oracle(spec):
     lat, r, seed, amplitude, root_amplitude = spec
     band = random_band(lat, r, seed, amplitude, root_amplitude)
     entries = loop_random_band_entries(lat, r, seed, amplitude, root_amplitude)
-    old = BandOperator.from_entries(lat, r, entries)
+    old = band_from_entries(lat, r, entries)
     for name in ("rows", "cols", "values"):
         assert same_bits(getattr(band, name), getattr(old, name)), name
     assert list(band.entries.items()) == list(entries.items())
@@ -56,12 +66,48 @@ def test_random_band_arrays_match_the_dict_oracle(spec):
     assert again.entries == entries
 
 
+@given(lattices(max_dim=3), st.floats(-2, 2), st.sampled_from([0.0, -0.5]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_multiplier_and_shift_arrays_match_the_dict_oracle(lat, alpha, root_alpha, seed):
+    rng = np.random.default_rng(seed)
+    cubes = [lat.nonleaf_cubes[i] for i in rng.permutation(len(lat.nonleaf_cubes))]
+    spec = dict(zip(cubes, np.where(rng.random(len(cubes)) < 0.3, 0.0,
+                                    rng.standard_normal(len(cubes))).tolist()))
+    off = Cube(lat.dim, lat.top_level, (9,) * lat.dim)
+    spec.update({lat.leaves[0]: 0.0, off: 0.0})  # zero alphas are dropped before any lookup
+    pairs = [(haar_multiplier(lat, s, root_alpha),
+              band_from_entries(lat, 0, loop_haar_multiplier_entries(lat, s, root_alpha)))
+             for s in (alpha, spec)]
+    if lat.dim == 1:
+        entries, dropped = loop_haar_shift_entries(lat)
+        pairs.append((haar_shift(lat), band_from_entries(lat, 1, entries,
+                                                         {"dropped_terms": dropped})))
+    for band, old in pairs:
+        for name in ("rows", "cols", "values"):
+            assert same_bits(getattr(band, name), getattr(old, name)), name
+        assert (band.band_radius, band.meta) == (old.band_radius, old.meta)
+        assert check_band(band, band.band_radius) == (True, None)
+    for bad in (lat.leaves[-1], off):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            haar_multiplier(lat, {bad: 1.0})
+    # basis_table's maps against the oracle's position arithmetic
+    indices = ([HaarIndex(q, k) for q in lat.nonleaf_cubes for k in range(2 ** lat.dim - 1)]
+               + [RootIndex(root) for root in lat.roots])
+    keys = [("haar" if isinstance(ix, HaarIndex) else "root", ix.cube.level, ix.cube.coords,
+             getattr(ix, "component", None)) for ix in indices]
+    at = basis_positions(lat, indices).tolist()
+    table, _, positions, table_keys = basis_table(lat)
+    assert [positions[key] for key in keys] == at
+    assert [table_keys[i] for i in at] == keys and [table[i] for i in at] == indices
+
+
 def test_band_arrays_are_read_only_copies_compared_by_identity():
     lat = build_lattice(1, 0, -2)
     rows, cols, values = np.array([0, 3]), np.array([3, 0]), np.array([0.5, -1.0])
     band = BandOperator(lat, 0, rows, cols, values)
     rows[0] = 1
-    assert band.rows.tolist() == [0, 3] and band.positions() == (band.rows, band.cols)
+    assert band.rows.tolist() == [0, 3]
     for x in (band.rows, band.cols, band.values):
         with pytest.raises(ValueError):
             x[0] = 0
@@ -85,7 +131,16 @@ def search_op(seed):
     return replay_artifact(json.loads(json.dumps(result.to_artifact())))[0]
 
 
-@pytest.mark.parametrize("op", [sweep_op, search_op])
+def verify_op(seed):
+    # the band part of one run of the verify suite: the paper's multiplier
+    # and shift, each checked by a passing check_band
+    lat = build_lattice(1, 0, -4)
+    bands = (haar_multiplier(lat, 0.5 + seed, root_alpha=0.5),
+             haar_multiplier(lat, dict.fromkeys(lat.nonleaf_cubes[seed:], 2.0)), haar_shift(lat))
+    return all(check_band(band, band.band_radius)[0] for band in bands)
+
+
+@pytest.mark.parametrize("op", [sweep_op, search_op, verify_op])
 def test_hot_paths_build_no_basis_index_objects(monkeypatch, op):
     assert op(0)  # warm-up: fills the lattice's cached basis tables
     calls = Counter()
@@ -96,8 +151,6 @@ def test_hot_paths_build_no_basis_index_objects(monkeypatch, op):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(operators_module, "basis_positions",
-                        counted("basis_positions", operators_module.basis_positions))
     for cls in (HaarIndex, RootIndex):
         monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
     assert op(1)

@@ -204,11 +204,15 @@ HAAR_ROOT = {"kind": "haar", "cube": {"level": 0, "coords": [0]}, "component": 0
 BAD_INDICES = {  # on BASE_CONFIG's lattice: 1D, levels 0 to -3, root [0]
     "leaf": {"kind": "haar", "cube": {"level": -3, "coords": [0]}, "component": 0},
     "outside": {"kind": "haar", "cube": {"level": 5, "coords": [99]}, "component": 0},
+    "component_1": {"kind": "haar", "cube": {"level": 0, "coords": [0]}, "component": 1},
     "component_4": {"kind": "haar", "cube": {"level": 0, "coords": [0]}, "component": 4},
+    "negative_component": {"kind": "haar", "cube": {"level": 0, "coords": [0]}, "component": -1},
     "root_not_a_root": {"kind": "root", "cube": {"level": -1, "coords": [0]}},
+    "root_outside": {"kind": "root", "cube": {"level": 0, "coords": [1]}},
     "wrong_length_coords": {"kind": "haar", "cube": {"level": 0, "coords": [0, 0]},
                             "component": 0},
     "unknown_kind": {"kind": "leaf", "cube": {"level": 0, "coords": [0]}, "component": 0},
+    "bare_cube": {"level": 0, "coords": [0]},
 }
 BAD_OPERATORS = {
     "alpha_object": {"type": "multiplier", "alpha": {'{"level": 0, "coords": [0]}': 2.0}},

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from haarlab import (Cube, MeasureGrid, basis_positions, build_lattice, haar_system,
-                     uniform_measure)
+from haarlab import Cube, MeasureGrid, build_lattice, haar_system, uniform_measure
 
-from loop_oracle import loop_haar_rows, loop_haar_system, loop_weighted_haar_basis
+from loop_oracle import (basis_positions, loop_haar_rows, loop_haar_system,
+                         loop_weighted_haar_basis)
 
 
 def same(got, want):
@@ -72,6 +72,22 @@ def test_haar_rows_match_loop_oracle_on_every_children_pattern(dim):
     check_against_loop(mu)
     assert np.array_equal(np.bincount(mu.haar_rows[0], minlength=2 ** n),
                           np.maximum(alive.sum(axis=1) - 1, 0))
+
+
+def test_haar_rows_sign_pattern():
+    # number a cube's m positive-mass children 0 to m - 1: its vector k
+    # (k = 1 to m - 1) is positive on child k, negative on child 0 and on the
+    # children after k, and zero up to round-off on children 1 to k - 1
+    lat = build_lattice(2, 0, -1)
+    rows = MeasureGrid(lat, [1.0, 2.0, 3.0, 4.0]).haar_rows[1]
+    assert np.sign(rows[0]).tolist() == [-1, 1, -1, -1]
+    for masses in ([1.0, 2.0, 3.0, 4.0], [1.0, 0.0, 3.0, 4.0]):
+        rows = MeasureGrid(lat, masses).haar_rows[1]
+        alive = np.flatnonzero(masses)
+        assert len(rows) == alive.size - 1 and np.all(rows[:, np.asarray(masses) == 0] == 0)
+        for k, row in enumerate(rows[:, alive], start=1):
+            assert row[k] > 0 and np.all(row[[0, *range(k + 1, alive.size)]] < 0)
+            assert np.all(np.abs(row[1:k]) <= 1e-15)
 
 
 @settings(max_examples=30, deadline=None)
