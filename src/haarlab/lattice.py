@@ -17,6 +17,12 @@ import numpy as np
 NO_COMMON_ANCESTOR = math.inf
 
 
+def read_only(x: np.ndarray) -> np.ndarray:
+    """x, made read-only: the cached tables are shared by every caller."""
+    x.flags.writeable = False
+    return x
+
+
 @dataclass(frozen=True)
 class Cube:
     """A dyadic cube: side 2**level, lower corner at coords * 2**level."""
@@ -168,9 +174,7 @@ class Lattice:
             kids = np.arange(*self.level_starts[k + 1:k + 3]).reshape(
                 (len(self.roots),) + (1 << k, 2) * self.dim)
             rows.append(kids.transpose(0, *axes[::2], *axes[1::2]).reshape(-1, 2 ** self.dim))
-        x = np.concatenate(rows).astype(np.intp)
-        x.flags.writeable = False
-        return x
+        return read_only(np.concatenate(rows).astype(np.intp))
 
     @property
     def n_leaves(self) -> int:
@@ -180,7 +184,8 @@ class Lattice:
     def level_starts(self) -> np.ndarray:
         """Active position of the first cube k levels below the top for
         k = 0..depth, then the number of active cubes."""
-        return np.cumsum([0, *(len(self.roots) << (self.dim * np.arange(self.depth + 1)))])
+        return read_only(np.cumsum(
+            [0, *(len(self.roots) << (self.dim * np.arange(self.depth + 1)))]))
 
     @property
     def leaf_volume(self) -> float:
@@ -197,9 +202,7 @@ class Lattice:
         rows = [len(kids) + np.arange(self.n_leaves)]
         for _ in range(self.depth):
             rows.append(parent[rows[-1]])
-        x = np.array(rows[::-1])
-        x.flags.writeable = False
-        return x
+        return read_only(np.array(rows[::-1]))
 
     @cached_property
     def level_leaves(self) -> tuple[np.ndarray, ...]:
@@ -209,9 +212,8 @@ class Lattice:
         order that np.sum over leaf_indices sees them."""
         tables = []
         for k, row in enumerate(self.ancestor_index):
-            x = np.argsort(row, kind="stable").reshape(len(self.roots) << (self.dim * k), -1)
-            x.flags.writeable = False
-            tables.append(x)
+            tables.append(read_only(np.argsort(row, kind="stable").reshape(
+                len(self.roots) << (self.dim * k), -1)))
         return tuple(tables)
 
     @cached_property
@@ -221,7 +223,7 @@ class Lattice:
 
     @cached_property
     def _first_leaf(self) -> np.ndarray:
-        return np.concatenate([table[:, 0] for table in self.level_leaves])
+        return read_only(np.concatenate([table[:, 0] for table in self.level_leaves]))
 
     def position(self, q: Cube) -> int:
         """Position of q in active_cubes; a ValueError names a cube off the lattice."""
@@ -244,16 +246,14 @@ class Lattice:
     def levels(self) -> np.ndarray:
         """Level of each active cube, in active_cubes order."""
         k = np.arange(self.depth + 1)
-        return np.repeat(self.top_level - k, np.diff(self.level_starts))
+        return read_only(np.repeat(self.top_level - k, np.diff(self.level_starts)))
 
     @cached_property
     def membership(self) -> np.ndarray:
         """Leaves x active cubes indicator matrix (layout: class docstring)."""
         x = np.zeros((len(self.levels), self.n_leaves))
         x[self.ancestor_index, np.arange(self.n_leaves)] = 1.0
-        x = x.T
-        x.flags.writeable = False
-        return x
+        return read_only(x.T)
 
     def ancestor_keys(self, positions: np.ndarray, level: int) -> np.ndarray:
         """A key for the ancestor at `level` of each active cube in

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import Cube, Lattice
+from .lattice import Cube, Lattice, read_only
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,13 @@ class MeasureGrid:
                              f"got shape {m.shape}")
         if not np.all(np.isfinite(m) & (m >= 0)):
             raise ValueError("leaf masses must be finite and nonnegative")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "leaf_mass", m)
+        object.__setattr__(self, "leaf_mass", read_only(m.copy()))
 
     @cached_property
     def cube_masses(self) -> np.ndarray:
         """mu(Q) per active cube, in active_cubes order."""
-        m = np.concatenate([self.leaf_mass[table].sum(axis=-1)
-                            for table in self.lattice.level_leaves])
-        m.flags.writeable = False
-        return m
+        return read_only(np.concatenate([self.leaf_mass[table].sum(axis=-1)
+                                         for table in self.lattice.level_leaves]))
 
     def density(self) -> np.ndarray:
         """Leaf density with respect to Lebesgue measure (mass / cell volume)."""
@@ -169,8 +165,7 @@ class MeasureGrid:
             at = np.flatnonzero(lattice.levels[cubes] == lattice.top_level - k)
             leaves = table[cubes[at] - anc[k, table[0, 0]]]
             rows[at[:, None], leaves] = coef[comp[at, None], anc[k + 1, leaves]]
-        cubes.flags.writeable = rows.flags.writeable = False
-        return cubes, rows
+        return read_only(cubes), read_only(rows)
 
     def martingale_decompose(self, f: np.ndarray):
         """All martingale differences plus root averages.

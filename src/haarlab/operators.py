@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import Cube, Lattice, tree_distance
+from .lattice import Cube, Lattice, read_only, tree_distance
 from .measures import MeasureGrid, uniform_measure
 
 ZERO_TOL = 1e-12
@@ -42,11 +42,9 @@ def haar_system(lattice: Lattice) -> np.ndarray:
     Gram-Schmidt order), then the normalized root indicators.  They form an
     orthonormal basis of the leaf space under uniform leaf weights; row i
     is the basis index basis_table(lattice)[0][i]."""
-    rows = np.vstack([uniform_measure(lattice).haar_rows[1]]
-                     + [lattice.indicator(root) / np.sqrt(root.volume)
-                        for root in lattice.roots])
-    rows.flags.writeable = False
-    return rows
+    return read_only(np.vstack([uniform_measure(lattice).haar_rows[1]]
+                               + [lattice.indicator(root) / np.sqrt(root.volume)
+                                  for root in lattice.roots]))
 
 
 @lru_cache(maxsize=32)
@@ -56,7 +54,7 @@ def basis_table(lattice: Lattice) -> tuple:
     n_comp = 2 ** lattice.dim - 1
     indices = tuple([HaarIndex(q, k) for q in lattice.nonleaf_cubes for k in range(n_comp)]
                     + [RootIndex(root) for root in lattice.roots])
-    rank = np.argsort(sorted(range(len(indices)), key=lambda i: repr(indices[i])))
+    rank = read_only(np.argsort(sorted(range(len(indices)), key=lambda i: repr(indices[i]))))
     keys = tuple(("haar" if isinstance(ix, HaarIndex) else "root", ix.cube.level, ix.cube.coords,
                   getattr(ix, "component", None)) for ix in indices)
     return indices, rank, dict(zip(keys, range(len(keys)))), keys
@@ -84,9 +82,7 @@ class BandOperator:
 
     def __post_init__(self):
         for name, dtype in (("rows", np.intp), ("cols", np.intp), ("values", float)):
-            x = np.array(getattr(self, name), dtype=dtype)
-            x.flags.writeable = False
-            object.__setattr__(self, name, x)
+            object.__setattr__(self, name, read_only(np.array(getattr(self, name), dtype=dtype)))
 
     @cached_property
     def entries(self) -> dict:
@@ -97,8 +93,8 @@ class BandOperator:
 
     @cached_property
     def leaf_matrix(self) -> np.ndarray:
-        """Dense matrix acting on leaf functions in L2(m)."""
-        return assemble(self.lattice, self.rows, self.cols, self.values)
+        """Dense matrix acting on leaf functions in L2(m), read-only."""
+        return read_only(assemble(self.lattice, self.rows, self.cols, self.values))
 
 
 def assemble(lattice: Lattice, rows, cols, values) -> np.ndarray:
@@ -228,8 +224,9 @@ class TwoWeightMatrix:
 
     @cached_property
     def haar_block(self) -> np.ndarray:
-        """<matrix h_Q^mu, h_R^nu>_nu: rows R are nu's Haar rows, columns Q mu's."""
-        return (self.nu.haar_rows[1] * self.nu.leaf_mass) @ self.matrix @ self.mu.haar_rows[1].T
+        """<matrix h_Q^mu, h_R^nu>_nu: rows R are nu's Haar rows, columns Q mu's; read-only."""
+        return read_only(
+            (self.nu.haar_rows[1] * self.nu.leaf_mass) @ self.matrix @ self.mu.haar_rows[1].T)
 
 
 @dataclass(frozen=True)
@@ -255,12 +252,12 @@ class InducedOperator(TwoWeightMatrix):
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return self.lebesgue_matrix * self.mu.density()[np.newaxis, :]
+        return read_only(self.lebesgue_matrix * self.mu.density()[np.newaxis, :])
 
     @cached_property
     def chi_table(self) -> np.ndarray:
-        """Leaves x active cubes: column Q is T_mu chi_Q."""
-        return self.matrix @ self.lattice.membership
+        """Leaves x active cubes: column Q is T_mu chi_Q; read-only."""
+        return read_only(self.matrix @ self.lattice.membership)
 
     @cached_property
     def adjoint(self) -> "InducedOperator":

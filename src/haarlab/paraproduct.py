@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice
+from .lattice import Lattice, read_only
 from .measures import MeasureGrid
 from .operators import InducedOperator, TwoWeightMatrix, ZERO_TOL
 
@@ -166,8 +166,7 @@ class CarlesonSequence:
             i = int(np.argmax(bad))
             raise ValueError(f"Carleson values must be finite and nonnegative, got "
                              f"{float(v[i])!r} at {self.lattice.active_cubes[i]}")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", read_only(v))
 
     def subtree_sums(self) -> np.ndarray:
         """sum of a_Q over active Q contained in each active cube, computed
@@ -208,14 +207,23 @@ def carleson_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
     return float(np.max(sums[pos] / m[pos], initial=0.0))
 
 
+def _largest_eigenvalue(gram: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric positive semidefinite gram, 0 where
+    round-off leaves it negative: the one symmetric eigensolve behind every
+    operator norm and embedding constant.  LAPACK's backward-stable solve
+    moves it by at most c n eps / 2 of the largest eigenvalue (gram n x n)
+    to first order; nothing stops on a tolerance of its own.
+    """
+    return max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
+
+
 def _largest_singular_value(k: np.ndarray) -> float:
     """Largest singular value sigma of k; NaN if an entry is NaN or inf.
 
     k is scaled exactly by a power of two into max|k| in [1/2, 1), so its
     smaller (p x p) Gram, summed over q terms, cannot overflow.  The root of
     its top eigenvalue is sigma (1 + delta), |delta| <= (q + c) p eps / 2 to
-    first order.  Nothing stops on a tolerance of its own: LAPACK's
-    backward-stable eigensolve meets its bound or raises.
+    first order.
     """
     amax = float(np.abs(k).max()) if k.size else 0.0
     if not 0.0 < amax < math.inf:
@@ -223,27 +231,53 @@ def _largest_singular_value(k: np.ndarray) -> float:
     e = math.frexp(amax)[1]
     k = np.ldexp(k, -e)
     gram = k @ k.T if k.shape[0] <= k.shape[1] else k.T @ k
-    return float(np.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), e))
+    return float(np.ldexp(math.sqrt(_largest_eigenvalue(gram)), e))
 
 
 def embedding_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
     """Exact optimal C in sum_R a_R |E_R f|^2 <= C ||f||_mu^2.
 
-    The quadratic form is restricted to the positive-mass leaf subspace;
-    the constant is the largest eigenvalue of the induced symmetric form.
-    Row R of its square root is sqrt(a_R) sqrt(mu) / mu(R) on R's leaves;
-    cubes with a_R = 0 or mu(R) = 0 (E_R f = 0) contribute no row.
+    C is the largest eigenvalue of the form on the positive-mass leaves.
+    Its square root has row sqrt(a_R) sqrt(mu) / mu(R) on R's leaves for
+    each support cube R (a_R > 0 and mu(R) > 0; other cubes have
+    a_R E_R f = 0), so C is also the top eigenvalue of the cube-side Gram
+    G[R, S] = sqrt(a_R a_S) mu(R n S) / (mu(R) mu(S)): a_R / mu(R) on the
+    diagonal, sqrt(a_R) sqrt(a_S) / mu(S) for R inside S, 0 for disjoint
+    cubes.  G is built from the lattice's index tables, with no leaf axis,
+    and scaled by the power of two of its largest (diagonal) entry.  When
+    the support has more cubes than mu has positive-mass leaves, the rows'
+    leaf-side Gram is the smaller one and C is sigma^2 of the rows.
+    0 for an empty support, inf past the float range.
     """
     lattice = seq.lattice
-    pos = np.flatnonzero(mu.leaf_mass > 0)
     m = mu.cube_masses
     sel = np.flatnonzero((seq.values > 0) & (m > 0))
-    inside = lattice.ancestor_index[lattice.top_level - lattice.levels[sel]] == sel[:, None]
-    k = inside[:, pos] * np.sqrt(seq.values[sel])[:, None]
-    k *= np.sqrt(mu.leaf_mass[pos])
-    k /= m[sel][:, None]
-    s = _largest_singular_value(k)
-    return float(s * s)
+    if sel.size > np.count_nonzero(mu.leaf_mass):
+        pos = np.flatnonzero(mu.leaf_mass > 0)
+        inside = lattice.ancestor_index[lattice.top_level - lattice.levels[sel]] == sel[:, None]
+        k = inside[:, pos] * np.sqrt(seq.values[sel])[:, None]
+        k *= np.sqrt(mu.leaf_mass[pos])
+        k /= m[sel][:, None]
+        s = _largest_singular_value(k)
+        return float(s * s)
+    a, ms, lv = seq.values[sel], m[sel], lattice.levels[sel]
+    # [i, j]: cube sel[i] lies inside sel[j], i.e. sel[j] is at its level or
+    # above and holds its first leaf; sel is in active order, so i >= j
+    inside = (lv[:, None] <= lv) & (lattice.ancestor_index[
+        lattice.top_level - lv, lattice._first_leaf[sel][:, None]] == sel)
+    w = np.sqrt(a)
+    with np.errstate(over="ignore"):  # an entry past the float range makes C inf
+        gram = np.where(inside, np.multiply.outer(w, w) / ms, 0.0)
+        gram += gram.T  # each off-diagonal pair has one zero: exact
+        np.fill_diagonal(gram, a / ms)
+    top = float(np.max(gram, initial=0.0))  # a diagonal entry, up to round-off
+    if not 0.0 < top < math.inf:
+        return top  # 0 for no support, inf past the float range
+    e = math.frexp(top)[1]
+    try:
+        return math.ldexp(_largest_eigenvalue(np.ldexp(gram, -e)), e)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

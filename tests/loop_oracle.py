@@ -27,7 +27,7 @@ from haarlab.operators import (BandOperator, HaarIndex, RootIndex, WellLocalized
                                assemble)
 from haarlab.paraproduct import (CarlesonPropertyReport, Paraproduct,
                                  ParaproductStructureReport, RemainderReport,
-                                 _largest_singular_value)
+                                 _largest_eigenvalue, _largest_singular_value)
 from haarlab.search import SearchResult
 
 # The InducedOperator chi tables are one BLAS product, T @ membership, where
@@ -380,13 +380,27 @@ def loop_embedding_constant(lattice, values, mu, masses):
 
 def _loop_greedy_value(lattice, values, mu, masses):
     # The greedy oracle checks the draw, normalization and accept order bit
-    # for bit, so it shares the code's spectral kernel; that kernel is
-    # checked against the SVD through loop_embedding_constant.
-    rows = loop_embedding_rows(lattice, values, mu, masses)
-    if rows is None:
-        return 0.0
-    s = _largest_singular_value(rows)
-    return float(s * s)
+    # for bit, so it builds the code's cube-side Gram entry by entry with the
+    # same roundings, switches to the rows' leaf-side Gram where the code
+    # does, and shares the code's eigen kernels; those are checked against
+    # the SVD through loop_embedding_constant.
+    support = [q for q in lattice.active_cubes
+               if values.get(q, 0.0) > 0.0 and masses[q] > 0.0]
+    if len(support) > int(np.sum(mu.leaf_mass > 0)):
+        s = _largest_singular_value(loop_embedding_rows(lattice, values, mu, masses))
+        return float(s * s)
+    gram = np.zeros((len(support),) * 2)
+    for i, r in enumerate(support):
+        gram[i, i] = values[r] / masses[r]
+        for j, s in enumerate(support[:i]):
+            if s.contains(r):
+                gram[i, j] = gram[j, i] = (math.sqrt(values[r]) * math.sqrt(values[s])
+                                           / masses[s])
+    top = max(gram.ravel().tolist(), default=0.0)
+    if not 0.0 < top < math.inf:
+        return top
+    e = math.frexp(top)[1]
+    return math.ldexp(_largest_eigenvalue(np.ldexp(gram, -e)), e)
 
 
 def _loop_normalized(lattice, values, masses):

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from haarlab import (BandOperator, Cube, HaarIndex, RootIndex, SearchConfig, build_lattice,
-                     check_band, extremal_search, haar_multiplier, haar_shift, induce,
-                     random_band, replay_artifact)
+                     build_paraproduct, carleson_sequence, check_band, extremal_search,
+                     haar_multiplier, haar_shift, induce, random_band, replay_artifact)
 from haarlab import analysis
 from haarlab.io import band_from_json, band_to_json
-from haarlab.operators import basis_table, repr_order
+from haarlab.operators import basis_table, haar_system, repr_order
 
 from conftest import random_weights
 from loop_oracle import (band_from_entries, basis_positions, loop_haar_multiplier_entries,
@@ -114,6 +114,32 @@ def test_band_arrays_are_read_only_copies_compared_by_identity():
     assert band != BandOperator(lat, 0, band.rows, band.cols, band.values)
     assert list(band.entries) == [(HaarIndex(lat.roots[0], 0), RootIndex(lat.roots[0])),
                                   (RootIndex(lat.roots[0]), HaarIndex(lat.roots[0], 0))]
+
+
+def test_cached_arrays_are_read_only():
+    # cached tables are shared: basis_table by every equal lattice in the
+    # process, the others by every caller of one object
+    lat = build_lattice(2, 0, -2, roots=[Cube(2, 0, (0, 0)), Cube(2, 0, (1, 0))])
+    band = random_band(lat, 1, seed=0, root_amplitude=0.5)
+    t = induce(band, random_weights(lat, 1), random_weights(lat, 2))
+    arrays = {f"Lattice.{name}": getattr(lat, name) for name in (
+        "levels", "level_starts", "_first_leaf", "children_index", "ancestor_index",
+        "membership")}
+    arrays.update({"Lattice.level_leaves[1]": lat.level_leaves[1],
+                   "basis_table rank": basis_table(lat)[1], "haar_system": haar_system(lat),
+                   "MeasureGrid.leaf_mass": t.mu.leaf_mass,
+                   "MeasureGrid.cube_masses": t.mu.cube_masses,
+                   "MeasureGrid.haar_rows": t.mu.haar_rows[1],
+                   "BandOperator.leaf_matrix": band.leaf_matrix,
+                   "InducedOperator.matrix": t.matrix, "InducedOperator.chi_table": t.chi_table,
+                   "InducedOperator.haar_block": t.haar_block,
+                   "Paraproduct.haar_block": build_paraproduct(t, 1).haar_block,
+                   "CarlesonSequence.values": carleson_sequence(t, 1).values})
+    for name, x in arrays.items():
+        assert x.size, name
+        with pytest.raises(ValueError, match="read-only"):
+            x[(0,) * x.ndim] = 1
+            pytest.fail(f"{name} is writeable")
 
 
 def sweep_op(seed):

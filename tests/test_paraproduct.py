@@ -1,4 +1,6 @@
 import gc
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from haarlab import paraproduct
 from haarlab import (CarlesonSequence, Cube, InducedOperator,
                      MeasureGrid, build_lattice, build_paraproduct,
                      carleson_constant, carleson_property, carleson_sequence,
@@ -234,6 +237,83 @@ def test_embedding_constant_against_dense_eigensolve():
     import scipy.linalg
     want = float(np.max(scipy.linalg.eigh(a_mat, d, eigvals_only=True)))
     assert embedding_constant(seq, mu) == pytest.approx(want, rel=1e-10)
+
+
+def test_embedding_constant_of_no_support_is_zero():
+    lat = build_lattice(1, 0, -3)
+    zero = CarlesonSequence(lat, np.zeros(len(lat.levels)))
+    assert embedding_constant(zero, uniform_measure(lat)) == 0.0
+    massless = MeasureGrid(lat, np.zeros(lat.n_leaves))
+    assert embedding_constant(CarlesonSequence(lat, np.ones(len(lat.levels))), massless) == 0.0
+
+
+def test_embedding_constant_past_the_float_range_is_inf():
+    lat = build_lattice(1, 0, -3)
+    # a diagonal entry a_R / mu(R) past the range
+    tiny = MeasureGrid(lat, np.full(lat.n_leaves, 1e-10))
+    assert embedding_constant(seq_of(lat, {lat.roots[0]: 1e308}), tiny) == math.inf
+    # finite entries (1.5e308 on the diagonal), a top eigenvalue past the range
+    mu = uniform_measure(lat, total=1.0)
+    root, child = lat.roots[0], lat.roots[0].children()[0]
+    assert embedding_constant(seq_of(lat, {root: 1.5e308, child: 0.75e308}), mu) == math.inf
+
+
+def test_embedding_constant_of_a_subnormal_sequence():
+    lat = build_lattice(1, 0, -1)
+    mu = MeasureGrid(lat, [1.0, 1.0])
+    assert embedding_constant(seq_of(lat, {lat.roots[0]: 1e-320}), mu) == 5e-321
+
+
+def test_embedding_constant_of_a_sparse_measure_takes_the_leaf_side(monkeypatch):
+    calls, kernel = [], paraproduct._largest_singular_value  # the leaf-side path's kernel
+    monkeypatch.setattr(paraproduct, "_largest_singular_value",
+                        lambda k: calls.append(k.shape) or kernel(k))
+    # two atoms: 17 support cubes (their ancestors), 2 positive-mass leaves
+    lat = build_lattice(1, 0, -8)
+    mass = np.zeros(lat.n_leaves)
+    mass[[3, 200]] = [0.7, 1.3]
+    mu = MeasureGrid(lat, mass)
+    a = np.where(mu.cube_masses > 0, np.random.default_rng(2).uniform(0.1, 1.0, len(lat.levels)),
+                 0.0)
+    values = {q: v for q, v in zip(lat.active_cubes, a.tolist()) if v}
+    got = embedding_constant(CarlesonSequence(lat, a), mu)
+    assert calls == [(17, 2)]
+    assert got == pytest.approx(
+        loop_embedding_constant(lat, values, mu, loop_cube_masses(mu)), rel=1e-13)
+    # as many positive-mass leaves as support cubes: the cube side
+    calls.clear()
+    nine = MeasureGrid(lat, np.where(np.arange(lat.n_leaves) < 9, 1.0, 0.0))
+    ancestors = np.zeros(len(lat.levels))
+    ancestors[lat.ancestor_index[:, 0]] = 1.0  # leaf 0 and its 8 ancestors
+    got = embedding_constant(CarlesonSequence(lat, ancestors), nine)
+    assert calls == []
+    values = {q: v for q, v in zip(lat.active_cubes, ancestors.tolist()) if v}
+    assert got == pytest.approx(
+        loop_embedding_constant(lat, values, nine, loop_cube_masses(nine)), rel=1e-13)
+
+
+def test_embedding_constant_allocates_no_leaf_axis():
+    # 16384 leaves; one float array over them alone is 128 KiB
+    lat = build_lattice(1, 0, -14)
+    mu = uniform_measure(lat, total=1.0)
+    rng = np.random.default_rng(0)
+    cubes = rng.choice(lat.level_starts[-2], 20, replace=False)
+    a = np.zeros(len(lat.levels))
+    a[cubes] = mu.cube_masses[cubes] * rng.uniform(0.1, 1.0, 20)
+    seq = CarlesonSequence(lat, a)
+    for table in ("levels", "ancestor_index", "_first_leaf"):
+        getattr(lat, table)
+    tracemalloc.start()
+    try:
+        const = embedding_constant(seq, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    sel = np.sort(cubes)
+    rows = lat.ancestor_index[lat.top_level - lat.levels[sel]] == sel[:, None]
+    rows = rows * (np.sqrt(a[sel]) / mu.cube_masses[sel])[:, None] * np.sqrt(mu.leaf_mass)
+    assert const == pytest.approx(np.linalg.svd(rows, compute_uv=False)[0] ** 2, rel=1e-13)
 
 
 def test_embedding_bounded_by_four_times_carleson():

@@ -1,5 +1,5 @@
-"""One spectral path: every operator norm and embedding constant is the one
-symmetric eigensolve in paraproduct._largest_singular_value.  Another
+"""One spectral path: every operator norm and embedding constant reaches the
+one symmetric eigensolve in paraproduct._largest_eigenvalue.  Another
 np.linalg call would be a second norm path that the kernel's tests do not
 reach, and an iterative norm would need a two-sided certificate.  The
 src/haarlab modules are read as source."""
@@ -8,7 +8,7 @@ import glob
 import os
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "haarlab")
-KERNEL = ("paraproduct.py", "_largest_singular_value")
+KERNEL = ("paraproduct.py", "_largest_eigenvalue")
 
 
 def parsed_sources():
@@ -49,10 +49,15 @@ def test_the_kernel_is_the_only_linalg_call():
 
 
 def test_norms_and_embedding_constants_call_the_kernel():
-    callers = set()
+    calls = {}  # function name -> names it calls
     for module, tree in parsed_sources():
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == KERNEL[1]):
-                callers.add(enclosing_function(node))
-    assert {"operator_norm", "embedding_constant"} <= callers
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls.setdefault(enclosing_function(node), set()).add(node.func.id)
+    reach = {KERNEL[1]}
+    while True:
+        more = {caller for caller, names in calls.items() if names & reach} - reach
+        if not more:
+            break
+        reach |= more
+    assert {"operator_norm", "embedding_constant", "_largest_singular_value"} <= reach
