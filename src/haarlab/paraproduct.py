@@ -244,22 +244,13 @@ def embedding_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
     G[R, S] = sqrt(a_R a_S) mu(R n S) / (mu(R) mu(S)): a_R / mu(R) on the
     diagonal, sqrt(a_R) sqrt(a_S) / mu(S) for R inside S, 0 for disjoint
     cubes.  G is built from the lattice's index tables, with no leaf axis,
-    and scaled by the power of two of its largest (diagonal) entry.  When
-    the support has more cubes than mu has positive-mass leaves, the rows'
-    leaf-side Gram is the smaller one and C is sigma^2 of the rows.
+    and scaled by the power of two of its largest (diagonal) entry.
     0 for an empty support, inf past the float range.
     """
     lattice = seq.lattice
     m = mu.cube_masses
-    sel = np.flatnonzero((seq.values > 0) & (m > 0))
-    if sel.size > np.count_nonzero(mu.leaf_mass):
-        pos = np.flatnonzero(mu.leaf_mass > 0)
-        inside = lattice.ancestor_index[lattice.top_level - lattice.levels[sel]] == sel[:, None]
-        k = inside[:, pos] * np.sqrt(seq.values[sel])[:, None]
-        k *= np.sqrt(mu.leaf_mass[pos])
-        k /= m[sel][:, None]
-        s = _largest_singular_value(k)
-        return float(s * s)
+    sel = np.flatnonzero(seq.values > 0)
+    sel = sel[m[sel] > 0]
     a, ms, lv = seq.values[sel], m[sel], lattice.levels[sel]
     # [i, j]: cube sel[i] lies inside sel[j], i.e. sel[j] is at its level or
     # above and holds its first leaf; sel is in active order, so i >= j

@@ -143,9 +143,9 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
     sequences on the 1D uniform tree of the given depth.
 
     Seeding with the optimum of a shallower tree makes the resulting
-    constants nondecreasing in depth: extended by zeros it keeps its
-    embedding constant bit for bit, and re-normalizing it (its Carleson
-    constant is 1 up to round-off) moves that by a rounding at most.
+    constants nondecreasing in depth up to a few roundings: extended by
+    zeros it keeps its embedding constant bit for bit, but it is
+    re-normalized, and its Carleson constant is 1 only up to round-off.
     Returns (sequence, constant), with the sequence normalized to
     Carleson constant 1.
     """

@@ -27,7 +27,7 @@ from haarlab.operators import (BandOperator, HaarIndex, RootIndex, WellLocalized
                                assemble)
 from haarlab.paraproduct import (CarlesonPropertyReport, Paraproduct,
                                  ParaproductStructureReport, RemainderReport,
-                                 _largest_eigenvalue, _largest_singular_value)
+                                 _largest_eigenvalue)
 from haarlab.search import SearchResult
 
 # The InducedOperator chi tables are one BLAS product, T @ membership, where
@@ -378,17 +378,13 @@ def loop_embedding_constant(lattice, values, mu, masses):
     return float(s * s)
 
 
-def _loop_greedy_value(lattice, values, mu, masses):
+def _loop_greedy_value(lattice, values, masses):
     # The greedy oracle checks the draw, normalization and accept order bit
     # for bit, so it builds the code's cube-side Gram entry by entry with the
-    # same roundings, switches to the rows' leaf-side Gram where the code
-    # does, and shares the code's eigen kernels; those are checked against
-    # the SVD through loop_embedding_constant.
+    # same roundings and shares the code's eigen kernel; that kernel is
+    # checked against the SVD through loop_embedding_constant.
     support = [q for q in lattice.active_cubes
                if values.get(q, 0.0) > 0.0 and masses[q] > 0.0]
-    if len(support) > int(np.sum(mu.leaf_mass > 0)):
-        s = _largest_singular_value(loop_embedding_rows(lattice, values, mu, masses))
-        return float(s * s)
     gram = np.zeros((len(support),) * 2)
     for i, r in enumerate(support):
         gram[i, i] = values[r] / masses[r]
@@ -426,7 +422,7 @@ def loop_greedy_embedding_sequence(depth, seed=0, iterations=40, init=None):
             candidates.append(_loop_normalized(lattice, carried, masses))
     seq, best = None, -1.0
     for cand in candidates:
-        val = _loop_greedy_value(lattice, cand, mu, masses)
+        val = _loop_greedy_value(lattice, cand, masses)
         if val > best:
             seq, best = cand, val
     rng = np.random.default_rng(seed)
@@ -441,7 +437,7 @@ def loop_greedy_embedding_sequence(depth, seed=0, iterations=40, init=None):
             else:
                 cand_values[q] = masses[q] * rng.uniform(0.1, 1.0)
         cand = _loop_normalized(lattice, cand_values, masses)
-        val = _loop_greedy_value(lattice, cand, mu, masses)
+        val = _loop_greedy_value(lattice, cand, masses)
         if val > best:
             best, seq = val, cand
     return seq, best

@@ -142,7 +142,8 @@ def test_criterion_5_carleson_embedding(emit, console):
                                                     iterations=30,
                                                     init=prev_seq)
         console(f"{depth:5d} {const:.6f}")
-        monotone = monotone and const >= prev and const <= 4.0
+        # a step can lose a few roundings when the carried optimum is re-normalized
+        monotone = monotone and const >= prev * (1 - 16 * 2.0**-53) and const <= 4.0
         prev = const
     emit(5, "Carleson embedding constant at most 4",
          worst <= 4.0 + 1e-9 and monotone,

@@ -89,7 +89,9 @@ def test_greedy_embedding_nondecreasing_with_depth():
         prev_seq, const = greedy_embedding_sequence(depth, seed=1,
                                                     iterations=10,
                                                     init=prev_seq)
-        assert const >= prev
+        # the carried optimum is re-normalized by its Carleson constant, 1 up
+        # to round-off, so a step can lose a few roundings
+        assert const >= prev * (1 - 16 * 2.0**-53)
         assert const <= 4.0 + 1e-9
         prev = const
 
