@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import _row_sums, _scalar
-from .operators import InducedOperator
+from .operators import InducedOperator, local_testing_integrals
 from .paraproduct import Paraproduct, _largest_singular_value, build_paraproduct
 
 
@@ -52,9 +52,8 @@ class TestingReport:
 def _testing_integrals(t: InducedOperator) -> tuple:
     """(global, local, mass) per active Q: the integrals of |T chi_Q|^2 over
     the whole space and over Q in t.nu, and Q's mass in t.mu, the divisor."""
-    x = t.lattice.membership
-    out_mass, tx = t.nu.leaf_mass, t.chi_table
-    return out_mass @ (tx * tx), out_mass @ (tx * tx * x), t.mu.leaf_mass @ x
+    tx = t.chi_table
+    return t.nu.leaf_mass @ (tx * tx), local_testing_integrals(t), t.mu.cube_masses
 
 
 def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:

@@ -124,39 +124,32 @@ class MeasureGrid:
         once per measure, both read-only.
 
         A basis is Gram-Schmidt in the mu inner product over the cube's
-        positive-mass child indicators in lexicographic order.  Number
-        those m children 0 to m - 1: vector k (k = 1 to m - 1, the cube's
-        row k - 1) is positive on child k, negative on child 0 and on
-        children k + 1 to m - 1, and zero, up to round-off, on children 1
-        to k - 1.  It runs over all cubes with the same positive-mass
-        children at once, their masses C-contiguous so that each row sum is
-        the np.sum of one cube's vector.
+        positive-mass child indicators in lexicographic order, in closed
+        form.  Number those m children 0 to m - 1 and let R_k be child 0
+        with children k + 1 to m - 1: vector k (k = 1 to m - 1, the cube's
+        row k - 1) is sqrt(m_R / (m_k + m_R)) / sqrt(m_k) on child k,
+        -sqrt(m_k / (m_k + m_R)) / sqrt(m_R) on R_k, with m_k and m_R their
+        masses, and exactly 0 on children 1 to k - 1 and on zero-mass
+        children.
         """
         lattice = self.lattice
         kids = lattice.children_index
         n = kids.shape[1]
         masses = self.cube_masses[kids]
         alive = masses > 0
+        rank = np.cumsum(alive, axis=1) - 1  # of each positive-mass child
         coef = np.zeros((n - 1, len(lattice.active_cubes)))  # component, child
-        # groups of equal alive rows from a stable lexsort (np.unique would
-        # import numpy.ma; an integer bit code overflows past 64 children)
-        order = np.lexsort(alive.T)
-        edges = np.flatnonzero(np.diff(alive[order], axis=0).any(axis=1)) + 1
-        for sel in np.split(order, edges):
-            idx = np.flatnonzero(alive[sel[0]])
-            w = np.ascontiguousarray(masses[sel][:, idx])
-            done: list[np.ndarray] = []
-            for k in range(1, idx.size):
-                v = np.zeros_like(w)
-                v[:, k] = 1.0
-                v -= (np.sum(v * w, axis=1) / np.sum(w, axis=1))[:, None]
-                for u in done:
-                    v -= np.sum(v * u * w, axis=1)[:, None] * u
-                v /= np.sqrt(np.sum(v * v * w, axis=1))[:, None]
-                v[v[:, k] < 0] *= -1.0
-                done.append(v)
-                coef[k - 1, kids[sel[:, None], idx]] = v
-        cubes, comp = np.nonzero(np.arange(n - 1) < alive.sum(axis=1)[:, None] - 1)
+        for k in range(1, n):
+            sel = rank[:, -1] >= k  # the cubes with a child of rank k
+            w, ids, at = masses[sel], kids[sel], rank[sel]
+            child = alive[sel] & (at == k)
+            rest = alive[sel] & ((at == 0) | (at > k))
+            m_k, m_r = w[child], np.sum(w * rest, axis=1)
+            # no m_k * (m_k + m_r), which overflows for masses near 1e300
+            coef[k - 1, ids[child]] = np.sqrt(m_r / (m_k + m_r)) / np.sqrt(m_k)
+            coef[k - 1, ids[rest]] = np.repeat(-np.sqrt(m_k / (m_k + m_r)) / np.sqrt(m_r),
+                                               rest.sum(axis=1))
+        cubes, comp = np.nonzero(np.arange(n - 1) < rank[:, -1:])
         # spread onto leaves level by level (table rows: the level's cubes in
         # active order); a row's value on a leaf is its child's coefficient
         anc = lattice.ancestor_index

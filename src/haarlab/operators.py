@@ -38,8 +38,9 @@ class RootIndex:
 @lru_cache(maxsize=32)
 def haar_system(lattice: Lattice) -> np.ndarray:
     """The orthonormal Lebesgue Haar system of a lattice as read-only leaf
-    vectors: the Haar functions of every non-leaf active cube (components in
-    Gram-Schmidt order), then the normalized root indicators.  They form an
+    vectors: the Haar functions of every non-leaf active cube (component k
+    as in MeasureGrid.haar_rows: positive on child k + 1, exactly 0 on
+    children 1 to k), then the normalized root indicators.  They form an
     orthonormal basis of the leaf space under uniform leaf weights; row i
     is the basis index basis_table(lattice)[0][i]."""
     return read_only(np.vstack([uniform_measure(lattice).haar_rows[1]]
@@ -266,6 +267,13 @@ class InducedOperator(TwoWeightMatrix):
         without the cyclic garbage collector."""
         return replace(self, mu=self.nu, nu=self.mu,
                        lebesgue_matrix=self.lebesgue_matrix.T, band=None)
+
+
+def local_testing_integrals(t: InducedOperator) -> np.ndarray:
+    """The integral of |T chi_Q|^2 over Q in t.nu, per active Q: the
+    numerator of the local testing constant and the Carleson bound."""
+    tx = t.chi_table
+    return t.nu.leaf_mass @ (tx * tx * t.lattice.membership)
 
 
 def induce(band: BandOperator, mu: MeasureGrid, nu: MeasureGrid) -> InducedOperator:

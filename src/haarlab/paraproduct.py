@@ -11,7 +11,7 @@ import numpy as np
 
 from .lattice import Lattice, read_only
 from .measures import MeasureGrid
-from .operators import InducedOperator, TwoWeightMatrix, ZERO_TOL
+from .operators import InducedOperator, TwoWeightMatrix, ZERO_TOL, local_testing_integrals
 
 
 @dataclass(frozen=True)
@@ -282,8 +282,7 @@ class CarlesonPropertyReport:
 
 def carleson_property(t_mu: InducedOperator, seq: CarlesonSequence,
                       tol: float = 1e-10) -> CarlesonPropertyReport:
-    tx = t_mu.chi_table
-    bounds = t_mu.nu.leaf_mass @ (tx * tx * t_mu.lattice.membership)
+    bounds = local_testing_integrals(t_mu)
     excess = float(np.max((seq.subtree_sums() - bounds) / np.maximum(bounds, 1.0),
                           initial=0.0))
     m = t_mu.mu.cube_masses

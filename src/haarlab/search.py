@@ -142,12 +142,12 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
     """Greedy maximizer of the embedding constant over Carleson-normalized
     sequences on the 1D uniform tree of the given depth.
 
-    Seeding with the optimum of a shallower tree makes the resulting
-    constants nondecreasing in depth up to a few roundings: extended by
-    zeros it keeps its embedding constant bit for bit, but it is
-    re-normalized, and its Carleson constant is 1 only up to round-off.
-    Returns (sequence, constant), with the sequence normalized to
-    Carleson constant 1.
+    `init`, a result of this function on a shallower tree (or a deeper
+    one, cut), is a candidate as it is, extended by zeros and not
+    re-normalized: it keeps its embedding constant bit for bit, so a
+    chain of calls gives constants nondecreasing in depth.  Returns
+    (sequence, constant), with the sequence normalized to Carleson
+    constant 1 up to round-off.
     """
     lattice = build_lattice(1, 0, -depth)
     mu = uniform_measure(lattice, total=1.0)
@@ -166,8 +166,7 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
         carried = np.zeros(n)
         carried[:init.values.size] = init.values[:n]
         if np.any(carried > 0):
-            candidates.append(_normalized(
-                CarlesonSequence(lattice, carried), mu))
+            candidates.append(CarlesonSequence(lattice, carried))
     seq, best = None, -1.0
     for cand in candidates:
         val = embedding_constant(cand, mu)

@@ -3,8 +3,10 @@ that now run on arrays, kept to check the array versions against them
 (exactly, except where the summation order changed: the comparable-scale
 sum of the decomposition identity, the identity on stacks of pairs (one
 matrix product for all of them), and everything the InducedOperator chi
-tables feed, compared at ORACLE_RTOL).  The Carleson functions here work on
-{cube: a_Q} dicts, the representation CarlesonSequence used before it
+tables feed, compared at ORACLE_RTOL; and the weighted Haar rows, which
+the code writes in closed form where the loop runs Gram-Schmidt, compared
+at the drift bound of test_haar_kernel.py).  The Carleson functions here
+work on {cube: a_Q} dicts, the representation CarlesonSequence used before it
 became an array; the search and band_to_json oracles sort BandOperator
 keys by repr, where the code now ranks Haar-system positions, and the band
 oracles build dicts keyed by HaarIndex / RootIndex and look each key up
@@ -220,8 +222,9 @@ def loop_testing_constants(t_mu, r):
     x = np.array([lattice.indicator(q) for q in cubes]).T
     mu_mass = t_mu.mu.leaf_mass
     nu_mass = t_mu.nu.leaf_mass
-    mu_q = mu_mass @ x
-    nu_q = nu_mass @ x
+    mu_masses, nu_masses = loop_cube_masses(t_mu.mu), loop_cube_masses(t_mu.nu)
+    mu_q = np.array([mu_masses[q] for q in cubes])
+    nu_q = np.array([nu_masses[q] for q in cubes])
     tx = t_mu.matrix @ x
     ax = t_mu.adjoint.matrix @ x
 
@@ -419,7 +422,7 @@ def loop_greedy_embedding_sequence(depth, seed=0, iterations=40, init=None):
         carried = {q: a for q, a in init.items()
                    if lattice.is_active(q) and a > 0}
         if carried:
-            candidates.append(_loop_normalized(lattice, carried, masses))
+            candidates.append(carried)
     seq, best = None, -1.0
     for cand in candidates:
         val = _loop_greedy_value(lattice, cand, masses)

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from haarlab import (InducedOperator, MeasureGrid,
-                     build_lattice, build_paraproduct, decomposition_identity,
-                     haar_multiplier, induce, operator_norm, uniform_measure)
+                     build_lattice, build_paraproduct, carleson_property, carleson_sequence,
+                     decomposition_identity, haar_multiplier, induce, operator_norm,
+                     random_band, uniform_measure)
 from haarlab.paraproduct import _largest_singular_value
 # local alias: a module attribute named testing_* would be collected by pytest
 from haarlab import testing_constants as constants_of
@@ -329,3 +330,18 @@ def test_nan_testing_constant_gives_nan_rho(entry):
         rep = constants_of(InducedOperator.from_leaf_matrix(m, leb, leb), 0)
     assert math.isnan(rep.c_direct_local) and math.isnan(rep.rho)
     assert math.isfinite(rep.norm) == math.isfinite(entry)
+
+
+@pytest.mark.parametrize("dim, depth", [(1, 5), (2, 3), (3, 2)])
+def test_local_testing_constant_is_one_number_in_both_suites(dim, depth):
+    # testing_constants and carleson_property divide the same integrals by
+    # the same cube masses, so they report the same constant bit for bit
+    lat = build_lattice(dim, 0, -depth)
+    for seed in range(60):
+        mu = random_weights(lat, 3 * seed + 1, zero_fraction=0.2 * (seed % 2))
+        nu = random_weights(lat, 3 * seed + 2, zero_fraction=0.2)
+        r = 1 + seed % 2
+        t = induce(random_band(lat, r, seed=seed, root_amplitude=0.5 * (seed % 3 > 0)),
+                   mu, nu)
+        c_local = carleson_property(t, carleson_sequence(t, r)).local_testing_constant
+        assert constants_of(t, r).c_direct_local == c_local, seed

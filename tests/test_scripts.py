@@ -1,0 +1,47 @@
+"""Smoke runs of the scripts under scripts/, each as a subprocess on a small
+input: they write what their usage lines promise."""
+import csv
+import os
+import subprocess
+import sys
+
+import haarlab
+
+SRC = os.path.dirname(os.path.dirname(haarlab.__file__))
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def run(args, cwd):
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=SRC)).stdout
+
+
+def test_ratio_table_writes_one_row_per_cell(tmp_path):
+    out = tmp_path / "table.csv"
+    run([os.path.join(SCRIPTS, "ratio_table.py"), "--samples", "5",
+         "--cells", "1,1,3 2,1,2", "--out", str(out)], tmp_path)
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["N", "r", "depth", "samples", "argmax_seed", "norm",
+                      "c_direct_local", "c_adjoint_local", "c_diag", "rho"]
+    assert [row[:4] for row in rows] == [["1", "1", "3", "5"], ["2", "1", "2", "5"]]
+    assert all(float(row[-1]) > 0 for row in rows)
+
+
+def test_carleson_depth_scan_is_nondecreasing_and_at_most_4(tmp_path):
+    out = run([os.path.join(SCRIPTS, "carleson_depth_scan.py"), "--max-depth", "6",
+               "--iterations", "5"], tmp_path)
+    head, *lines = out.splitlines()
+    assert head == "depth embedding_constant"
+    depths, consts = zip(*((int(d), float(c)) for d, c in map(str.split, lines)))
+    assert depths == (3, 4, 5, 6)
+    assert list(consts) == sorted(consts) and consts[-1] <= 4.0
+
+
+def test_extremal_search_artifact_replays(tmp_path):
+    artifact = tmp_path / "artifact.json"
+    run([os.path.join(SCRIPTS, "extremal_search.py"), "--iterations", "5",
+         "--out", str(artifact)], tmp_path)
+    run(["-m", "haarlab", "--replay", str(artifact), "--out", str(tmp_path / "replay")],
+        tmp_path)
+    assert (tmp_path / "replay" / "report.json").exists()
