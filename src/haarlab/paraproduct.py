@@ -161,27 +161,42 @@ class CarlesonSequence:
         v = np.array(self.values, dtype=float)
         if v.shape != self.lattice.levels.shape:
             raise ValueError(f"expected one value per active cube, got shape {v.shape}")
-        bad = ~(np.isfinite(v) & (v >= 0))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"Carleson values must be finite and nonnegative, got "
-                             f"{float(v[i])!r} at {self.lattice.active_cubes[i]}")
+        _check_values(self.lattice, v)
         object.__setattr__(self, "values", read_only(v))
 
     def subtree_sums(self) -> np.ndarray:
         """sum of a_Q over active Q contained in each active cube, computed
         bottom-up: children in lexicographic order, then a_Q."""
-        lattice = self.lattice
-        kids = lattice.children_index
-        sums = self.values.copy()
-        starts = lattice.level_starts
-        for j in range(lattice.depth - 1, -1, -1):
-            rows = slice(starts[j], starts[j + 1])
-            acc = sums[kids[rows, 0]]
-            for k in range(1, kids.shape[1]):
-                acc += sums[kids[rows, k]]
-            sums[rows] = acc + self.values[rows]
-        return sums
+        return _subtree_sums(self.lattice, self.values)
+
+
+def _check_values(lattice: Lattice, values: np.ndarray) -> None:
+    """Raise ValueError naming the first a_Q not finite and nonnegative, and its cube."""
+    bad = ~(np.isfinite(values) & (values >= 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"Carleson values must be finite and nonnegative, got "
+                         f"{float(values[i])!r} at {lattice.active_cubes[i]}")
+
+
+def _subtree_sums(lattice: Lattice, values: np.ndarray) -> np.ndarray:
+    """CarlesonSequence.subtree_sums on a values array in active order."""
+    kids = lattice.children_index
+    sums = values.copy()
+    starts = lattice.level_starts
+    for j in range(lattice.depth - 1, -1, -1):
+        rows = slice(starts[j], starts[j + 1])
+        acc = sums[kids[rows, 0]]
+        for k in range(1, kids.shape[1]):
+            acc += sums[kids[rows, k]]
+        sums[rows] = acc + values[rows]
+    return sums
+
+
+def _require_same_lattice(seq: CarlesonSequence, lattice: Lattice, owner: str) -> None:
+    if seq.lattice != lattice:
+        raise ValueError(f"lattice mismatch between Carleson sequence and {owner}: "
+                         f"{seq.lattice} against {lattice}")
 
 
 def carleson_sequence(t_mu: InducedOperator, r: int) -> CarlesonSequence:
@@ -198,13 +213,19 @@ def carleson_sequence(t_mu: InducedOperator, r: int) -> CarlesonSequence:
 
 def carleson_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
     """Smallest C with sum_{Q inside R} a_Q <= C mu(R) over active R;
-    inf when a zero-mass cube carries a positive subtree sum."""
-    sums = seq.subtree_sums()
+    inf when a zero-mass cube carries a positive subtree sum.  Raises
+    ValueError when seq and mu live on different lattices."""
+    _require_same_lattice(seq, mu.lattice, "measure")
     m = mu.cube_masses
     pos = m > 0.0
-    if np.any(sums[~pos] > 0.0):
+    return _carleson_ratio(seq.subtree_sums(), pos, ~pos, m[pos])
+
+
+def _carleson_ratio(sums: np.ndarray, pos, zero, pos_masses: np.ndarray) -> float:
+    """carleson_constant from subtree sums; pos: mu(R) > 0, zero: ~pos, pos_masses: m[pos]."""
+    if np.any(sums[zero] > 0.0):
         return float("inf")
-    return float(np.max(sums[pos] / m[pos], initial=0.0))
+    return float(np.max(sums[pos] / pos_masses, initial=0.0))
 
 
 def _largest_eigenvalue(gram: np.ndarray) -> float:
@@ -245,13 +266,18 @@ def embedding_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
     diagonal, sqrt(a_R) sqrt(a_S) / mu(S) for R inside S, 0 for disjoint
     cubes.  G is built from the lattice's index tables, with no leaf axis,
     and scaled by the power of two of its largest (diagonal) entry.
-    0 for an empty support, inf past the float range.
+    0 for an empty support, inf past the float range.  Raises ValueError
+    when seq and mu live on different lattices.
     """
-    lattice = seq.lattice
+    _require_same_lattice(seq, mu.lattice, "measure")
     m = mu.cube_masses
-    sel = np.flatnonzero(seq.values > 0)
-    sel = sel[m[sel] > 0]
-    a, ms, lv = seq.values[sel], m[sel], lattice.levels[sel]
+    return _embedding_constant(seq.lattice, seq.values, m, m > 0)
+
+
+def _embedding_constant(lattice: Lattice, values: np.ndarray, m: np.ndarray, pos) -> float:
+    """embedding_constant of a values array in the cube masses m, pos = m > 0."""
+    sel = np.flatnonzero((values > 0) & pos)
+    a, ms, lv = values[sel], m[sel], lattice.levels[sel]
     # [i, j]: cube sel[i] lies inside sel[j], i.e. sel[j] is at its level or
     # above and holds its first leaf; sel is in active order, so i >= j
     inside = (lv[:, None] <= lv) & (lattice.ancestor_index[
@@ -282,6 +308,8 @@ class CarlesonPropertyReport:
 
 def carleson_property(t_mu: InducedOperator, seq: CarlesonSequence,
                       tol: float = 1e-10) -> CarlesonPropertyReport:
+    """Subtree sums against local testing integrals; ValueError off t_mu's lattice."""
+    _require_same_lattice(seq, t_mu.lattice, "operator")
     bounds = local_testing_integrals(t_mu)
     excess = float(np.max((seq.subtree_sums() - bounds) / np.maximum(bounds, 1.0),
                           initial=0.0))

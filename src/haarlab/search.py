@@ -14,7 +14,8 @@ from .io import (_container, _number, band_to_json, band_from_json, lattice_from
 from .lattice import build_lattice
 from .measures import MeasureGrid, uniform_measure
 from .operators import BandOperator, InducedOperator, assemble, random_band, repr_order
-from .paraproduct import CarlesonSequence, carleson_constant, embedding_constant
+from .paraproduct import (CarlesonSequence, _carleson_ratio, _check_values, _embedding_constant,
+                          _subtree_sums)
 
 
 @dataclass(frozen=True)
@@ -145,18 +146,27 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
     `init`, a result of this function on a shallower tree (or a deeper
     one, cut), is a candidate as it is, extended by zeros and not
     re-normalized: it keeps its embedding constant bit for bit, so a
-    chain of calls gives constants nondecreasing in depth.  Returns
-    (sequence, constant), with the sequence normalized to Carleson
-    constant 1 up to round-off.
+    chain of calls gives constants nondecreasing in depth.  A random
+    candidate is an array, checked once as CarlesonSequence checks it,
+    normalized and scored by the array kernels of carleson_constant and
+    embedding_constant; only the optimum becomes a CarlesonSequence.
+    Returns (sequence, constant), with the sequence normalized to
+    Carleson constant 1 up to round-off.
     """
     lattice = build_lattice(1, 0, -depth)
-    mu = uniform_measure(lattice, total=1.0)
-    n = len(lattice.levels)
+    m = uniform_measure(lattice, total=1.0).cube_masses
+    pos = m > 0.0
+    zero, pos_masses, n = ~pos, m[pos], len(lattice.levels)
+
+    def normalized(values):
+        c = _carleson_ratio(_subtree_sums(lattice, values), pos, zero, pos_masses)
+        return values if c == 0 or not np.isfinite(c) else values / c
+
     # chain seed: mass-proportional values along the branch at 0 (level -j at 2^j - 1)
     branch = (1 << np.arange(depth + 1)) - 1
     chain = np.zeros(n)
-    chain[branch] = mu.cube_masses[branch]
-    candidates = [_normalized(CarlesonSequence(lattice, chain), mu)]
+    chain[branch] = m[branch]
+    candidates = [normalized(chain)]
     if init is not None:
         if init.lattice.roots != lattice.roots:
             raise ValueError(f"init lives under {init.lattice.roots}, not {lattice.roots}")
@@ -166,31 +176,25 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
         carried = np.zeros(n)
         carried[:init.values.size] = init.values[:n]
         if np.any(carried > 0):
-            candidates.append(CarlesonSequence(lattice, carried))
-    seq, best = None, -1.0
+            candidates.append(carried)
+    values, best = None, -1.0
     for cand in candidates:
-        val = embedding_constant(cand, mu)
+        val = _embedding_constant(lattice, cand, m, pos)
         if val > best:
-            seq, best = cand, val
+            values, best = cand, val
     rng = np.random.default_rng(seed)
     for _ in range(iterations):
-        cand_values = seq.values.copy()
+        cand = values.copy()
         for _ in range(1 + rng.integers(3)):
             i = rng.integers(n)
-            old = cand_values[i]
+            old = cand[i]
             if old > 0:
-                cand_values[i] = old * np.exp(0.5 * rng.standard_normal())
+                cand[i] = old * np.exp(0.5 * rng.standard_normal())
             else:
-                cand_values[i] = mu.cube_masses[i] * rng.uniform(0.1, 1.0)
-        cand = _normalized(CarlesonSequence(lattice, cand_values), mu)
-        val = embedding_constant(cand, mu)
+                cand[i] = m[i] * rng.uniform(0.1, 1.0)
+        _check_values(lattice, cand)
+        cand = normalized(cand)
+        val = _embedding_constant(lattice, cand, m, pos)
         if val > best:
-            best, seq = val, cand
-    return seq, best
-
-
-def _normalized(seq: CarlesonSequence, mu: MeasureGrid) -> CarlesonSequence:
-    c = carleson_constant(seq, mu)
-    if c == 0 or not np.isfinite(c):
-        return seq
-    return CarlesonSequence(seq.lattice, seq.values / c)
+            best, values = val, cand
+    return CarlesonSequence(lattice, values), best

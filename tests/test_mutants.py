@@ -1,0 +1,57 @@
+"""Mutation matrix: each mutant seeds one defect through a public
+constructor or a test double, and exactly the checks that watch for that
+defect must fail.
+"""
+import numpy as np
+import pytest
+
+from haarlab import CarlesonSequence, runner
+from haarlab.operators import local_testing_integrals
+
+CONFIG = {
+    "lattice": {"dim": 1, "top_level": 0, "leaf_level": -4},
+    "mu": {"type": "lognormal", "sigma": 1.0, "seed": 11},
+    "nu": {"type": "zero_blocks", "fraction": 0.2, "seed": 12},
+    "operator": {"type": "random_band", "r": 1, "seed": 13, "amplitude": 1.0,
+                 "root_amplitude": 0.5},
+    "r": 1,
+    "seed": 0,
+}
+RAISED_CUBE = 1  # the first cube below the root
+true_carleson_sequence = runner.carleson_sequence
+
+
+def raised_carleson_sequence(t_mu, r):
+    """The operator's true sequence with a_Q of one cube raised past
+    sum_{Q' inside Q} a_Q' <= ||chi_Q T_mu chi_Q||^2, its local testing bound."""
+    seq = true_carleson_sequence(t_mu, r)
+    bound = local_testing_integrals(t_mu)[RAISED_CUBE]
+    values = np.array(seq.values)
+    values[RAISED_CUBE] = bound + max(bound, 1.0)
+    return CarlesonSequence(seq.lattice, values)
+
+
+def failed_checks(tmp_path, suite):
+    code, report = runner.run(CONFIG, str(tmp_path / suite), suite)
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert code == (1 if failed else 0)
+    return failed, report
+
+
+@pytest.mark.parametrize("suite", ["carleson", "verify", "testing"])
+def test_the_instance_passes_unmutated(tmp_path, suite):
+    assert failed_checks(tmp_path, suite)[0] == set()
+
+
+@pytest.mark.parametrize("suite,failed", [
+    ("carleson", {"carleson_property"}),   # embedding <= 4 Carleson holds for any sequence
+    ("verify", {"carleson_property"}),
+    ("testing", set())],                   # reads no Carleson sequence
+    ids=["carleson", "verify", "testing"])
+def test_carleson_value_past_its_testing_bound(tmp_path, monkeypatch, suite, failed):
+    monkeypatch.setattr(runner, "carleson_sequence", raised_carleson_sequence)
+    got, report = failed_checks(tmp_path, suite)
+    assert got == failed
+    for check in report["checks"]:
+        if check["name"] == "carleson_property":
+            assert check["details"]["max_excess"] > report["tolerances"]["identity"]

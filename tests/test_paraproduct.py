@@ -15,7 +15,7 @@ from haarlab import (CarlesonSequence, Cube, InducedOperator,
                      paraproduct_structure_verify, remainder_diagonals, uniform_measure)
 
 from conftest import random_instance
-from loop_oracle import (loop_carleson_constant, loop_carleson_property,
+from loop_oracle import (_loop_greedy_value, loop_carleson_constant, loop_carleson_property,
                          loop_cube_masses, loop_embedding_constant,
                          loop_paraproduct_structure_verify,
                          loop_remainder_diagonals, loop_subtree_sums, oracle_close)
@@ -358,8 +358,41 @@ def test_carleson_layer_matches_loop_oracle(inst, sparse_dict):
     assert seq.subtree_sums().tolist() == [want[q] for q in lat.active_cubes]
     assert carleson_constant(seq, mu) == loop_carleson_constant(lat, values, masses)
     # the Gram eigensolve against the oracle's dense SVD: round-off apart
-    assert embedding_constant(seq, mu) == pytest.approx(
-        loop_embedding_constant(lat, values, mu, masses), rel=1e-13)
+    got = embedding_constant(seq, mu)
+    assert got == pytest.approx(loop_embedding_constant(lat, values, mu, masses), rel=1e-13)
+    # and against the oracle's cube-side Gram, built entry by entry: the
+    # mu(R) > 0 filter and multi-root supports, bit for bit
+    assert got.hex() == _loop_greedy_value(lat, values, masses).hex()
+
+
+def _on_other_lattice(kind):
+    """A depth-3 sequence on the tree at 0 and the lattice kind of its partner."""
+    seq = CarlesonSequence(build_lattice(1, 0, -3), np.linspace(0.1, 1.5, 15))
+    other = (build_lattice(1, 0, -3, [Cube(1, 0, (1,))]) if kind == "other_root"
+             else build_lattice(1, 0, -4))
+    return seq, other
+
+
+@pytest.mark.parametrize("kind", ["other_root", "deeper"])
+@pytest.mark.parametrize("fn", [carleson_constant, embedding_constant])
+def test_carleson_constants_reject_a_measure_on_another_lattice(fn, kind):
+    # masses read by position gave the tree at 0's constants under the other
+    # root; on the deeper tree carleson_constant raised an IndexError and
+    # embedding_constant returned a constant of the first 15 cubes' masses
+    seq, other = _on_other_lattice(kind)
+    with pytest.raises(ValueError, match="lattice mismatch between Carleson sequence and measure"):
+        fn(seq, uniform_measure(other, total=1.0))
+
+
+@pytest.mark.parametrize("kind", ["other_root", "deeper"])
+def test_carleson_property_rejects_an_operator_on_another_lattice(kind):
+    # bounds read by position gave a report under the other root and a
+    # numpy broadcast error on the deeper tree
+    seq, other = _on_other_lattice(kind)
+    leb = uniform_measure(other)
+    t = induce(haar_multiplier(other, 1.0), leb, leb)
+    with pytest.raises(ValueError, match="lattice mismatch between Carleson sequence and operator"):
+        carleson_property(t, seq)
 
 
 @pytest.mark.parametrize("dim,depth,r,zero_fraction", [

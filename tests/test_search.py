@@ -163,6 +163,16 @@ def test_greedy_init_from_another_tree_raises(init_lattice):
         greedy_embedding_sequence(4, seed=0, iterations=2, init=init)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_greedy_fails_closed_on_an_overflowing_candidate(seed):
+    # the carried values are finite, but a move that scales one of them up
+    # overflows to inf: the candidate is rejected, not scored as C = inf
+    init = CarlesonSequence(build_lattice(1, 0, -3), np.full(15, 1.7e308))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"must be finite and nonnegative, got inf at Cube\(dim=1"):
+        greedy_embedding_sequence(4, seed=seed, iterations=10, init=init)
+
+
 def test_greedy_init_from_a_deeper_tree_is_truncated():
     deep, _ = greedy_embedding_sequence(6, seed=3, iterations=10)
     seq, const = greedy_embedding_sequence(4, seed=0, iterations=5, init=deep)
