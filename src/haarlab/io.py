@@ -129,7 +129,7 @@ def band_from_json(obj: dict, lattice: Lattice) -> BandOperator:
         return haar_shift(lattice)
     if kind == "random_band":
         return random_band(lattice, r=_number(obj["r"], "random_band r", int),
-                           seed=_number(obj["seed"], "random_band seed", int),
+                           seed=_number(obj["seed"], "random_band seed", int, nonnegative=True),
                            amplitude=_number(obj.get("amplitude", 1.0), "amplitude"),
                            root_amplitude=_number(obj.get("root_amplitude", 0.0),
                                                   "root_amplitude"))
@@ -150,7 +150,7 @@ def measure_from_json(obj, lattice: Lattice) -> MeasureGrid:
     if not isinstance(obj, dict):  # the bare-list form of explicit masses
         obj = {"type": "explicit", "mass": obj}
     kind = _typed(obj, "measure", MEASURE_FIELDS)
-    obj = {key: _number(v, f"measure {key}", kinds[key]) if key in kinds else v
+    obj = {key: _number(v, f"measure {key}", kinds[key], kinds[key] is int) if key in kinds else v
            for key, v in obj.items()}
     if kind == "explicit":
         obj["mass"] = [_number(m, "leaf mass") for m in _container(obj["mass"], "mass", list)]

@@ -134,9 +134,6 @@ class Lattice:
     def is_leaf(self, q: Cube) -> bool:
         return q.level == self.leaf_level
 
-    def is_active(self, q: Cube) -> bool:
-        return q in self.cube_index
-
     def cubes_at_level(self, level: int) -> list[Cube]:
         if level > self.top_level or level < self.leaf_level:
             return []
@@ -196,13 +193,7 @@ class Lattice:
         """(depth + 1) x leaves: row k holds the active position of each
         leaf's ancestor at level top_level - k; the last row holds the
         leaves' own positions (leaves close active_cubes in leaf order)."""
-        kids = self.children_index
-        parent = np.zeros(len(self.levels), dtype=np.intp)
-        parent[kids] = np.arange(len(kids))[:, None]
-        rows = [len(kids) + np.arange(self.n_leaves)]
-        for _ in range(self.depth):
-            rows.append(parent[rows[-1]])
-        return read_only(np.array(rows[::-1]))
+        return self._level_keys[-1 - self.depth:]
 
     @cached_property
     def level_leaves(self) -> tuple[np.ndarray, ...]:
@@ -210,16 +201,8 @@ class Lattice:
         top_level - k (rows, in active_cubes order) by their leaves
         (ascending).  Gathers through it keep each cube's leaves in the
         order that np.sum over leaf_indices sees them."""
-        tables = []
-        for k, row in enumerate(self.ancestor_index):
-            tables.append(read_only(np.argsort(row, kind="stable").reshape(
-                len(self.roots) << (self.dim * k), -1)))
-        return tuple(tables)
-
-    @cached_property
-    def cube_leaves(self) -> tuple[np.ndarray, ...]:
-        """Leaf indices (ascending) of each active cube, by active position."""
-        return tuple(row for table in self.level_leaves for row in table)
+        return tuple(read_only(np.argsort(row, kind="stable").reshape(
+            len(self.roots) << (self.dim * k), -1)) for k, row in enumerate(self.ancestor_index))
 
     @cached_property
     def _first_leaf(self) -> np.ndarray:
@@ -232,9 +215,15 @@ class Lattice:
             raise ValueError(f"{q!r} is not a cube of the lattice")
         return i
 
+    def _leaf_rows(self, positions, level: int) -> np.ndarray:
+        """The level_leaves rows of the active cubes at `positions`, all at
+        `level`: each cube's leaf indices, ascending."""
+        k = self.top_level - level
+        return self.level_leaves[k][np.subtract(positions, self.level_starts[k])]
+
     def leaf_indices(self, q: Cube) -> np.ndarray:
         """Indices of the leaves contained in an active cube q."""
-        return self.cube_leaves[self.position(q)]
+        return self._leaf_rows(self.position(q), q.level)
 
     def indicator(self, q: Cube) -> np.ndarray:
         """Leaf-vector indicator of an active cube."""
@@ -255,29 +244,33 @@ class Lattice:
         x[self.ancestor_index, np.arange(self.n_leaves)] = 1.0
         return read_only(x.T)
 
-    def ancestor_keys(self, positions: np.ndarray, level: int) -> np.ndarray:
-        """A key for the ancestor at `level` of each active cube in
-        `positions` (cubes above `level` get meaningless keys): its active
-        position up to top_level, above it the index of the roots' common
-        ancestor.  Two cubes have the same ancestor iff their keys agree."""
-        first = self._first_leaf[positions]
-        k = self.top_level - level
-        if k >= 0:
-            return self.ancestor_index[k, first]
-        keys = {}
-        root_key = np.array([keys.setdefault(tuple(c >> -k for c in root.coords), len(keys))
-                             for root in self.roots])
-        return root_key[self.ancestor_index[0, first]]
+    @cached_property
+    def _level_keys(self) -> np.ndarray:
+        """Row j keys the leaves' ancestors at level leaf_level + len - 1 - j:
+        two cubes share one iff their first leaves' keys agree.  The rows
+        before ancestor_index number the roots' ancestors, up to where every
+        root coordinate is 0 or -1 (fixed by c >> 1): higher levels match row 0."""
+        kids = self.children_index
+        parent = np.zeros(len(self.levels), dtype=np.intp)
+        parent[kids] = np.arange(len(kids))[:, None]
+        rows = [len(kids) + np.arange(self.n_leaves)]
+        for _ in range(self.depth):
+            rows.append(parent[rows[-1]])
+        for j in range(1, max(c.bit_length() for root in self.roots for c in root.coords) + 1):
+            keys = {}
+            root_key = [keys.setdefault(tuple(c >> j for c in root.coords), len(keys))
+                        for root in self.roots]
+            rows.append(np.array(root_key, dtype=np.intp)[rows[self.depth]])
+        return read_only(np.array(rows[::-1]))
 
     def inside(self, inner: np.ndarray, outer: np.ndarray, up: int = 0) -> np.ndarray:
         """Boolean matrix [i, j]: active cube inner[i] lies inside the up-th
         ancestor of active cube outer[j] (positions in active_cubes)."""
-        li, lo = self.levels[inner], self.levels[outer]
-        out = li[:, None] <= lo[None, :] + up
-        for level in set(lo.tolist()):
-            cols = np.flatnonzero(lo == level)
-            out[:, cols] &= (self.ancestor_keys(inner, level + up)[:, None]
-                             == self.ancestor_keys(outer[cols], level + up)[None, :])
+        keys, first, levels = self._level_keys, self._first_leaf, self.levels
+        # the row of each outer ancestor's level; past the top row nothing changes
+        row = np.maximum(self.leaf_level + len(keys) - 1 - up - levels[outer], 0)
+        out = keys[row, first[inner][:, None]] == keys[row, first[outer]]
+        out &= levels[inner][:, None] <= levels[outer] + up  # in place, the int gather freed
         return out
 
 

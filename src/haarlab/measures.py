@@ -52,20 +52,20 @@ class MeasureGrid:
 
     def average(self, f: np.ndarray, q: Cube):
         """mu(q)^-1 * integral of f over q; 0 when mu(q) = 0."""
-        return self._average(f, self.lattice.position(q))
+        i = self.lattice.position(q)
+        return _scalar(self._averages(f, self.lattice._leaf_rows([i], q.level), [i])[..., 0])
 
-    def _average(self, values: np.ndarray, i: int):
-        m = self.cube_masses[i]
-        if m == 0.0:
-            return _scalar(np.zeros(np.shape(values)[:-1]))
-        idx = self.lattice.cube_leaves[i]
-        return _scalar(_row_sums(values[..., idx] * self.leaf_mass[idx]) / m)
+    def _averages(self, values: np.ndarray, table: np.ndarray, pos) -> np.ndarray:
+        """Averages of values over the cubes at active positions pos, whose leaves are
+        the rows of table (level_leaves rows); 0 where mu is 0.  Rows sum as np.sum does."""
+        sums = _row_sums(values[..., table] * self.leaf_mass[table])
+        m = self.cube_masses[pos]
+        return np.divide(sums, m, out=np.zeros_like(sums), where=m > 0)
 
     def expectation(self, f: np.ndarray, q: Cube) -> np.ndarray:
         """E_Q f: the average of f on q, as a function supported on q."""
-        i = self.lattice.position(q)
         out = np.zeros(np.shape(f))
-        out[..., self.lattice.cube_leaves[i]] = np.expand_dims(self._average(f, i), -1)
+        out[..., self.lattice.leaf_indices(q)] = np.expand_dims(self.average(f, q), -1)
         return out
 
     def martingale_difference(self, f: np.ndarray, q: Cube) -> np.ndarray:
@@ -74,10 +74,11 @@ class MeasureGrid:
         i = lattice.position(q)
         if lattice.is_leaf(q):
             raise ValueError(f"cube {q} is a leaf, no martingale difference")
+        kids = lattice.children_index[i]
+        rows = lattice._leaf_rows(kids, q.level - 1)
+        base = self._averages(f, lattice._leaf_rows([i], q.level), [i])
         out = np.zeros(np.shape(f))
-        base = self._average(f, i)
-        for c in lattice.children_index[i]:
-            out[..., lattice.cube_leaves[c]] = np.expand_dims(self._average(f, c) - base, -1)
+        out[..., rows] = (self._averages(f, rows, kids) - base)[..., None]
         return out
 
     def level_deltas(self, values: np.ndarray, levels) -> np.ndarray:
@@ -98,11 +99,8 @@ class MeasureGrid:
         rows = [lattice.top_level - level for level in levels]
         avg = np.zeros(np.shape(values)[:-1] + (len(lattice.active_cubes),))
         for k in set(rows) | {k + 1 for k in rows}:
-            table = lattice.level_leaves[k]
-            pos = anc[k, table[:, 0]]
-            sums = _row_sums(values[..., table] * self.leaf_mass[table])
-            m = self.cube_masses[pos]
-            avg[..., pos] = np.divide(sums, m, out=np.zeros_like(sums), where=m > 0)
+            at = slice(*lattice.level_starts[k:k + 2])
+            avg[..., at] = self._averages(values, lattice.level_leaves[k], at)
         return np.stack([np.where(self.cube_masses[anc[k + 1]] > 0,
                                   avg[..., anc[k + 1]] - avg[..., anc[k]], 0.0)
                          for k in rows], axis=-2)
@@ -173,7 +171,11 @@ class MeasureGrid:
 
     def mean_part(self, f: np.ndarray) -> np.ndarray:
         """Sum of the root averages E_R f."""
-        return sum(self.expectation(f, r) for r in self.lattice.roots)
+        lattice = self.lattice
+        # np.take keeps C order, as the sum of expectations did: on a strided
+        # result the matrix products that read it round otherwise
+        roots = self._averages(f, lattice.level_leaves[0], np.arange(len(lattice.roots)))
+        return np.take(roots, lattice.ancestor_index[0], axis=-1)
 
     def delta_level_within(self, values: np.ndarray, level: int,
                            q: Cube) -> np.ndarray:

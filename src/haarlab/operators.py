@@ -193,9 +193,9 @@ def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
     levels = lattice.levels[nonleaf]
     gap = levels[:, None] - levels[None, :]
     near = np.zeros((nonleaf.size,) * 2, dtype=bool)
-    # from u = depth + (bit length of the roots' coords) on, every ancestor key is a
-    # fixed point of the shift: inside(up=u) stops changing and 2u + gap <= r only narrows
-    last = lattice.depth + max(c.bit_length() for root in lattice.roots for c in root.coords)
+    # past u = last, the key table's top row, inside(up=u) stops changing and
+    # 2u + gap <= r only narrows
+    last = len(lattice._level_keys) - 1
     for u in range(min(r, last) + 1):
         near |= lattice.inside(nonleaf, nonleaf, up=u).T & (2 * u + gap <= r)
     qs, ps = np.nonzero(near)

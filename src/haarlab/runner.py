@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from .analysis import decomposition_identity, testing_constants
-from .io import _fields, _number, band_from_json, lattice_from_json, measure_from_json
+from .io import _fields, _number, band_from_json, cube_to_json, lattice_from_json, measure_from_json
 from .lattice import Lattice
 from .operators import check_band, check_well_localized, induce
 from .paraproduct import (build_paraproduct, carleson_constant,
@@ -205,7 +205,8 @@ def suite_verify(config, tol) -> tuple[list, dict]:
         car = carleson_property(t_mu, seq, tol=tol["identity"])
         checks.append(_check("carleson_property", car.passed,
                              max_excess=car.max_excess,
-                             local_testing_constant=car.local_testing_constant))
+                             local_testing_constant=car.local_testing_constant,
+                             witness=cube_to_json(car.witness) if car.witness else None))
 
     worst = _worst(_decomposition(t_mu, r, pi_mu, pi_nu, seed + 1, 20))
     checks.append(_check("decomposition_identity", worst <= tol["identity"],
@@ -254,7 +255,8 @@ def suite_carleson(config, tol) -> tuple[list, dict]:
     c_emb = embedding_constant(seq, mu)
     car = carleson_property(t_mu, seq, tol=tol["identity"])
     checks = [
-        _check("carleson_property", car.passed, max_excess=car.max_excess),
+        _check("carleson_property", car.passed, max_excess=car.max_excess,
+               witness=cube_to_json(car.witness) if car.witness else None),
         _check("embedding_le_4_carleson",
                c_emb <= 4.0 * c_car + tol["embedding"] or c_car == 0.0,
                embedding=c_emb, carleson=c_car),

@@ -134,7 +134,7 @@ def loop_build_paraproduct(t, r, enlarge=0):
         big = q
         for _ in range(enlarge):
             cand = big.parent()
-            if not lattice.is_active(cand):
+            if cand not in lattice.cube_index:
                 break
             big = cand
         t_chi = op @ lattice.indicator(big)
@@ -420,7 +420,7 @@ def loop_greedy_embedding_sequence(depth, seed=0, iterations=40, init=None):
     candidates = [_loop_normalized(lattice, chain, masses)]
     if init is not None:
         carried = {q: a for q, a in init.items()
-                   if lattice.is_active(q) and a > 0}
+                   if q in lattice.cube_index and a > 0}
         if carried:
             candidates.append(carried)
     seq, best = None, -1.0
@@ -452,17 +452,19 @@ def loop_carleson_property(t_mu, values, tol=1e-10):
     masses = loop_cube_masses(t_mu.mu)
     excess = 0.0
     c_local = 0.0
+    witness = None  # the first cube of the largest positive excess
     for q in lattice.active_cubes:
         ind = lattice.indicator(q)
         out = (t_mu.matrix @ ind) * ind
         bound = float(np.sum(out * out * t_mu.nu.leaf_mass))
         scale = max(bound, 1.0)
-        excess = max(excess, (sums[q] - bound) / scale)
+        if (sums[q] - bound) / scale > excess:
+            excess, witness = (sums[q] - bound) / scale, q
         m = masses[q]
         if m > 0:
             c_local = max(c_local, bound / m)
     return CarlesonPropertyReport(passed=excess <= tol, max_excess=excess,
-                                  local_testing_constant=c_local)
+                                  local_testing_constant=c_local, witness=witness)
 
 
 def loop_paraproduct_structure_verify(pi, t, tol=1e-9):

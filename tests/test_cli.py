@@ -286,6 +286,14 @@ BAD_NUMBERS = {
     "fractional_atom_count": ("mu", {"type": "sparse_atoms", "count": 2.5, "seed": 1},
                               "count"),
     "text_uniform_total": ("mu", {"type": "uniform", "total": "abc"}, "total"),
+    "negative_random_band_seed": ("operator", dict(BAND, seed=-1),
+                                  "random_band seed must be nonnegative"),
+    "negative_lognormal_seed": ("mu", {"type": "lognormal", "seed": -1},
+                                "measure seed must be nonnegative"),
+    "negative_zero_blocks_seed": ("nu", {"type": "zero_blocks", "seed": -3},
+                                  "measure seed must be nonnegative"),
+    "negative_atom_count": ("mu", {"type": "sparse_atoms", "count": -2, "seed": 1},
+                            "measure count must be nonnegative"),
 }
 
 

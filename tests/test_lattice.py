@@ -117,8 +117,8 @@ def test_lattice_two_roots():
     lat = build_lattice(1, 0, -2, roots=roots)
     assert lat.n_leaves == 8
     assert len(lat.active_cubes) == 14
-    assert lat.is_active(Cube(1, -1, (3,)))
-    assert not lat.is_active(Cube(1, -1, (4,)))
+    assert Cube(1, -1, (3,)) in lat.cube_index
+    assert Cube(1, -1, (4,)) not in lat.cube_index
 
 
 def test_lattice_bad_levels_raises():
@@ -193,11 +193,11 @@ def test_index_arrays_against_cube_enumeration(dim, depth, coords):
         assert [cubes[i] for i in kids] == q.children()
     for q in cubes:
         assert lat.leaf_indices(q).tolist() == loop_leaf_indices(lat, q).tolist()
-        assert lat.is_active(q)
+        assert q in lat.cube_index
         far = 16 << (lat.top_level - q.level)  # 16 root widths away
-        assert not lat.is_active(Cube(dim, q.level, tuple(c + far for c in q.coords)))
-    assert not lat.is_active(Cube(dim, 1, (0,) * dim))
-    assert not lat.is_active(Cube(dim, -depth - 1, (0,) * dim))
+        assert Cube(dim, q.level, tuple(c + far for c in q.coords)) not in lat.cube_index
+    assert Cube(dim, 1, (0,) * dim) not in lat.cube_index
+    assert Cube(dim, -depth - 1, (0,) * dim) not in lat.cube_index
 
 
 @st.composite

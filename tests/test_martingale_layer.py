@@ -34,10 +34,11 @@ COMPARABLE_RTOL = 1e-12
 
 
 @st.composite
-def lattices(draw, max_depth=5):
+def lattices(draw, max_depth=5, max_coord=2):
     dim = draw(st.sampled_from([1, 2]))
     depth = draw(st.integers(1, max_depth if dim == 1 else min(max_depth, 3)))
-    coords = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True))
+    coords = draw(st.lists(st.integers(-max_coord, max_coord), min_size=1, max_size=3,
+                           unique=True))
     return build_lattice(dim, 0, -depth,
                          [Cube(dim, 0, (c,) + (0,) * (dim - 1)) for c in coords])
 
@@ -66,8 +67,11 @@ def instances(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(lat=lattices(), up=st.integers(0, 3))
-def test_ancestor_index_and_inside_match_cubes(lat, up):
+@given(data=st.data(), lat=st.one_of(lattices(), lattices(max_coord=9)))
+def test_ancestor_index_and_inside_match_cubes(data, lat):
+    # root coordinates up to 9 have 4 bits: the rows above the top reach the
+    # roots' fixed point, and up past it is compared too
+    up = data.draw(st.integers(0, lat.depth + 5))
     cubes = lat.active_cubes
     for k, row in enumerate(lat.ancestor_index):
         assert [cubes[i] for i in row] == [q.ancestor(lat.depth - k) for q in lat.leaves]

@@ -5,7 +5,7 @@ defect must fail.
 import numpy as np
 import pytest
 
-from haarlab import CarlesonSequence, runner
+from haarlab import CarlesonSequence, io, runner
 from haarlab.operators import local_testing_integrals
 
 CONFIG = {
@@ -52,6 +52,9 @@ def test_carleson_value_past_its_testing_bound(tmp_path, monkeypatch, suite, fai
     monkeypatch.setattr(runner, "carleson_sequence", raised_carleson_sequence)
     got, report = failed_checks(tmp_path, suite)
     assert got == failed
+    lattice = io.lattice_from_json(CONFIG["lattice"])
+    raised = io.cube_to_json(lattice.active_cubes[RAISED_CUBE])
     for check in report["checks"]:
         if check["name"] == "carleson_property":
             assert check["details"]["max_excess"] > report["tolerances"]["identity"]
+            assert check["details"]["witness"] == raised
