@@ -9,6 +9,10 @@ absolute and relative drift over its values, "-" where a field only
 differs in text or shape.  A field is a file name and a path in it;
 list items are labelled by their "name" key, or [] for all items, so
 one line covers a table column or a check detail in every directory.
+Fields are compared by name: the k-th value of a field in OLD is paired
+with its k-th value in NEW, so a report that gains or loses a detail
+still has every shared number compared.  The unpaired values get lines
+of their own: "(only in old)", "(only in new)" or "(count differs)".
 
 Exit codes: 0 identical, 1 any difference, 2 usage error.
 """
@@ -61,6 +65,14 @@ def read(path):
     return [(f"{name}:{field}", value) for field, value in leaves(obj)]
 
 
+def by_field(values):
+    """{field: its values in file order} from read's (field, value) list."""
+    out = defaultdict(list)
+    for field, value in values:
+        out[field].append(value)
+    return out
+
+
 def _number(cell):
     try:
         return float(cell)
@@ -87,23 +99,30 @@ def compare(old_root, new_root):
         if not all(os.path.isfile(p) for p in sides):
             fields[f"{os.path.basename(rel)} ({rel} missing on one side)"][4] = True
             continue
-        old, new = (read(p) for p in sides)
-        if [f for f, _ in old] != [f for f, _ in new]:
-            fields[f"{os.path.basename(rel)} ({rel}: fields differ)"][4] = True
-            continue
-        for (field, a), (_, b) in zip(old, new):
-            stat = fields[field]
-            stat[0] += 1
-            if is_number(a) and is_number(b):
-                if float(a).hex() == float(b).hex():
-                    continue
-                stat[1] += 1
-                d, rel_d = drift(a, b)
-                stat[2] = max(stat[2], d) if not math.isnan(d) else d
-                stat[3] = max(stat[3], rel_d) if not math.isnan(rel_d) else rel_d
-            elif a != b:
-                stat[1] += 1
+        old, new = (by_field(read(p)) for p in sides)
+        for field in sorted(old.keys() | new.keys()):
+            a_values, b_values = old.get(field, []), new.get(field, [])
+            unpaired = abs(len(a_values) - len(b_values))
+            if unpaired:
+                side = ("only in new" if not a_values else "only in old" if not b_values
+                        else "count differs")
+                stat = fields[f"{field} ({side})"]
+                stat[0] += unpaired
+                stat[1] += unpaired
                 stat[4] = True
+            for a, b in zip(a_values, b_values):
+                stat = fields[field]
+                stat[0] += 1
+                if is_number(a) and is_number(b):
+                    if float(a).hex() == float(b).hex():
+                        continue
+                    stat[1] += 1
+                    d, rel_d = drift(a, b)
+                    stat[2] = max(stat[2], d) if not math.isnan(d) else d
+                    stat[3] = max(stat[3], rel_d) if not math.isnan(rel_d) else rel_d
+                elif a != b:
+                    stat[1] += 1
+                    stat[4] = True
     return fields
 
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -156,9 +157,9 @@ class Lattice:
         return tuple(self.cubes_at_level(self.leaf_level))
 
     @cached_property
-    def cube_index(self) -> dict[Cube, int]:
-        """Position of each active cube in active_cubes."""
-        return {q: i for i, q in enumerate(self.active_cubes)}
+    def cube_index(self) -> types.MappingProxyType:
+        """Position of each active cube in active_cubes, read-only."""
+        return types.MappingProxyType({q: i for i, q in enumerate(self.active_cubes)})
 
     @cached_property
     def children_index(self) -> np.ndarray:
@@ -274,10 +275,17 @@ class Lattice:
         return out
 
 
+@lru_cache(maxsize=32)
+def _interned(lattice: Lattice) -> Lattice:
+    return lattice
+
+
 def build_lattice(dim: int, top_level: int, leaf_level: int,
                   roots=None) -> Lattice:
-    """Construct a lattice; roots default to the single cube at the origin."""
+    """Construct a lattice; roots default to the single cube at the origin.
+    Equal lattices give one shared object (the last 32 distinct ones are
+    kept), so its cached tables are built once per process."""
     if roots is None:
         roots = [Cube(dim, top_level, (0,) * dim)]
-    return Lattice(dim=dim, top_level=top_level, leaf_level=leaf_level,
-                   roots=tuple(roots))
+    return _interned(Lattice(dim=dim, top_level=top_level, leaf_level=leaf_level,
+                             roots=tuple(roots)))

@@ -117,8 +117,9 @@ def test_band_arrays_are_read_only_copies_compared_by_identity():
 
 
 def test_cached_arrays_are_read_only():
-    # cached tables are shared: basis_table by every equal lattice in the
-    # process, the others by every caller of one object
+    # cached tables are shared by every caller of an equal lattice in the
+    # process: build_lattice interns lattices, and the operator tables are
+    # cached per lattice
     lat = build_lattice(2, 0, -2, roots=[Cube(2, 0, (0, 0)), Cube(2, 0, (1, 0))])
     band = random_band(lat, 1, seed=0, root_amplitude=0.5)
     t = induce(band, random_weights(lat, 1), random_weights(lat, 2))
@@ -140,6 +141,8 @@ def test_cached_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             x[(0,) * x.ndim] = 1
             pytest.fail(f"{name} is writeable")
+    with pytest.raises(TypeError):
+        lat.cube_index[lat.roots[0]] = 1
 
 
 def sweep_op(seed):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarlab import NO_COMMON_ANCESTOR, Cube, build_lattice, tree_distance
+from haarlab import (NO_COMMON_ANCESTOR, Cube, analysis, build_lattice, induce, io,
+                     random_band, tree_distance)
 
+from conftest import random_weights
 from loop_oracle import (loop_ancestor_index, loop_children_index, loop_level_leaves,
                          loop_levels, loop_membership)
 
@@ -119,6 +121,50 @@ def test_lattice_two_roots():
     assert len(lat.active_cubes) == 14
     assert Cube(1, -1, (3,)) in lat.cube_index
     assert Cube(1, -1, (4,)) not in lat.cube_index
+
+
+def test_equal_lattices_are_one_object():
+    roots = [Cube(1, 0, (0,)), Cube(1, 0, (1,))]
+    lat = build_lattice(1, 0, -2, roots=roots)
+    assert build_lattice(1, 0, -2, roots=tuple(roots)) is lat
+    assert build_lattice(1, 0, -2, roots=[Cube(1, 0, (0,)), Cube(1, 0, (1,))]) is lat
+    assert io.lattice_from_json(io.lattice_to_json(lat)) is lat
+    assert build_lattice(2, 0, -2) is build_lattice(2, 0, -2, roots=[Cube(2, 0, (0, 0))])
+
+
+def test_other_lattices_are_other_objects():
+    lat = build_lattice(1, 0, -2)
+    others = [build_lattice(1, 0, -3), build_lattice(1, 1, -2),
+              build_lattice(1, 0, -2, roots=[Cube(1, 0, (1,))]),
+              build_lattice(1, 0, -2, roots=[Cube(1, 0, (0,)), Cube(1, 0, (1,))])]
+    assert all(other is not lat and other != lat for other in others)
+
+
+def test_a_second_sweep_op_reads_the_first_ops_tables():
+    def op(seed):  # one op of the benchmark's sweep workload, kind (1, 1, 4)
+        lat = build_lattice(1, 0, -4)
+        tables = set(vars(lat))
+        t = induce(random_band(lat, 1, seed=seed), random_weights(lat, 3 * seed + 1),
+                   random_weights(lat, 3 * seed + 2))
+        analysis.testing_constants(t, 1)
+        return lat, tables
+
+    first, _ = op(0)
+    second, tables = op(1)
+    assert second is first
+    assert {"children_index", "level_leaves", "membership"} <= tables
+
+
+def test_the_intern_table_keeps_the_last_32_lattices():
+    def lattice(k):
+        return build_lattice(1, 0, -1, roots=[Cube(1, 0, (1000 + k,))])
+
+    first = lattice(0)
+    assert lattice(0) is first
+    for k in range(1, 33):  # 33 distinct lattices in all
+        lattice(k)
+    again = lattice(0)
+    assert again is not first and again == first
 
 
 def test_lattice_bad_levels_raises():

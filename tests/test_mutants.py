@@ -5,7 +5,7 @@ defect must fail.
 import numpy as np
 import pytest
 
-from haarlab import CarlesonSequence, io, runner
+from haarlab import CarlesonSequence, Cube, HaarIndex, io, runner, tree_distance
 from haarlab.operators import local_testing_integrals
 
 CONFIG = {
@@ -31,8 +31,8 @@ def raised_carleson_sequence(t_mu, r):
     return CarlesonSequence(seq.lattice, values)
 
 
-def failed_checks(tmp_path, suite):
-    code, report = runner.run(CONFIG, str(tmp_path / suite), suite)
+def failed_checks(tmp_path, suite, config=CONFIG):
+    code, report = runner.run(config, str(tmp_path / suite), suite)
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert code == (1 if failed else 0)
     return failed, report
@@ -58,3 +58,37 @@ def test_carleson_value_past_its_testing_bound(tmp_path, monkeypatch, suite, fai
         if check["name"] == "carleson_property":
             assert check["details"]["max_excess"] > report["tolerances"]["identity"]
             assert check["details"]["witness"] == raised
+
+
+# one Haar-Haar entry at tree distance r + 2: row h_Q for Q at level -3 under
+# the root, column h_R for the root R
+OFF_BAND = (Cube(1, -3, (0,)), Cube(1, 0, (0,)))
+
+
+def off_band_config():
+    """CONFIG with its band as io.band_to_json writes it, plus the OFF_BAND entry."""
+    lattice = io.lattice_from_json(CONFIG["lattice"])
+    spec = io.band_to_json(io.band_from_json(CONFIG["operator"], lattice))
+    spec["entries"].append({"row": {"kind": "haar", "cube": io.cube_to_json(OFF_BAND[0]),
+                                    "component": 0},
+                            "col": {"kind": "haar", "cube": io.cube_to_json(OFF_BAND[1]),
+                                    "component": 0},
+                            "value": 1.0})
+    return {**CONFIG, "operator": spec}
+
+
+@pytest.mark.parametrize("suite,failed", [
+    # every check of the structure that well-localization gives; Parseval
+    # reads no operator, and the Carleson and testing bounds hold for any one
+    ("verify", {"band_structure", "well_localized", "paraproduct_structure",
+                "replacement_invariance", "remainder_diagonals", "decomposition_identity"}),
+    ("testing", set()),
+    ("carleson", set())],
+    ids=["verify", "testing", "carleson"])
+def test_one_off_band_entry(tmp_path, suite, failed):
+    assert tree_distance(*OFF_BAND) == CONFIG["r"] + 2
+    got, report = failed_checks(tmp_path, suite, off_band_config())
+    assert got == failed
+    for check in report["checks"]:
+        if check["name"] == "band_structure":
+            assert check["details"]["witness"] == repr(tuple(HaarIndex(q, 0) for q in OFF_BAND))

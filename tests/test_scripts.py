@@ -1,6 +1,8 @@
 """Smoke runs of the scripts under scripts/, each as a subprocess on a small
 input: they write what their usage lines promise."""
 import csv
+import json
+import math
 import os
 import subprocess
 import sys
@@ -45,3 +47,31 @@ def test_extremal_search_artifact_replays(tmp_path):
     run(["-m", "haarlab", "--replay", str(artifact), "--out", str(tmp_path / "replay")],
         tmp_path)
     assert (tmp_path / "replay" / "report.json").exists()
+
+
+def test_report_diff_compares_shared_fields_when_one_side_adds_a_detail(tmp_path):
+    report = {"timestamp": "then", "sizes": [4, 5],
+              "checks": [{"name": "carleson_property", "passed": True,
+                          "details": {"max_excess": -0.5}},
+                         {"name": "rho", "passed": True, "details": {"rho": 1.25}}]}
+    for side in ("old", "new"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "report.json").write_text(json.dumps(report))
+        # the new side gains a detail and a size, and one number moves by an ulp
+        report["checks"][0]["details"]["witness"] = {"level": -1, "coords": [0]}
+        report["sizes"].append(6)
+        report["checks"][1]["details"]["rho"] = math.nextafter(1.25, 2.0)
+    out = subprocess.run([sys.executable, os.path.join(SCRIPTS, "report_diff.py"), "old", "new"],
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert out.returncode == 1
+    head, *lines, total = out.stdout.splitlines()
+    rows = {field: (int(n), int(bad), d) for field, n, bad, d, _ in
+            (line.rsplit(maxsplit=4) for line in lines)}
+    field = "report.json:checks[{}].details.{}".format
+    assert rows[field("carleson_property", "max_excess")] == (1, 0, "0")
+    assert rows[field("carleson_property", "witness.level") + " (only in new)"] == (1, 1, "-")
+    assert rows[field("carleson_property", "witness.coords[]") + " (only in new)"] == (1, 1, "-")
+    assert rows[field("rho", "rho")] == (1, 1, "2.22e-16")
+    assert rows["report.json:sizes[]"] == (2, 0, "0")
+    assert rows["report.json:sizes[] (count differs)"] == (1, 1, "-")
+    assert total == "4 of 10 fields differ"
