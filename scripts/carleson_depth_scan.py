@@ -15,6 +15,12 @@ def main(argv=None):
     p.add_argument("--iterations", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
+    if args.min_depth < 1:
+        p.error(f"--min-depth must be at least 1, got {args.min_depth}")
+    if args.min_depth > args.max_depth:
+        p.error(f"--min-depth {args.min_depth} exceeds --max-depth {args.max_depth}")
+    if args.iterations < 0:
+        p.error(f"--iterations must be non-negative, got {args.iterations}")
 
     print("depth embedding_constant")
     seq = None

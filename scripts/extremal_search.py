@@ -21,12 +21,19 @@ def main(argv=None):
     p.add_argument("--root-amplitude", type=float, default=0.0)
     p.add_argument("--out", default="artifact.json")
     args = p.parse_args(argv)
+    if args.depth < 1:
+        p.error(f"--depth must be at least 1, got {args.depth}")
+    if args.iterations < 0:
+        p.error(f"--iterations must be non-negative, got {args.iterations}")
 
     config = SearchConfig(dim=args.dim, top_level=0, leaf_level=-args.depth,
                           r=args.r, seed=args.seed,
                           iterations=args.iterations,
                           root_amplitude=args.root_amplitude)
-    result = extremal_search(config)
+    try:
+        result = extremal_search(config)
+    except ValueError as exc:  # an instance the library rejects, such as --r -1
+        p.error(str(exc))
     print(f"rho: {result.history[0]:.6f} -> {result.rho:.6f} "
           f"after {args.iterations} steps")
     with open(args.out, "w") as fh:

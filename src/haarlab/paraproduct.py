@@ -193,6 +193,21 @@ def _subtree_sums(lattice: Lattice, values: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _update_subtree_sums(lattice: Lattice, sums, values: np.ndarray, changed) -> np.ndarray:
+    """_subtree_sums(lattice, values) from sums, those of an array that differs from
+    values only at the positions `changed`, bit for bit: the changed cubes and their
+    ancestors (a column of ancestor_index) are summed again, deepest (last) first."""
+    anc, kids, sums = lattice.ancestor_index, lattice.children_index, sums.copy()
+    chains = (anc[lattice.top_level - lattice.levels.item(i)::-1,
+                  lattice._first_leaf.item(i)].tolist() for i in changed)
+    for q in sorted(set().union(*chains), reverse=True):
+        acc = -0.0  # x + -0.0 is x; then float64 adds in _subtree_sums's order
+        for k in kids[q].tolist() if q < len(kids) else ():
+            acc += sums.item(k)
+        sums[q] = acc + values.item(q)
+    return sums
+
+
 def _require_same_lattice(seq: CarlesonSequence, lattice: Lattice, owner: str) -> None:
     if seq.lattice != lattice:
         raise ValueError(f"lattice mismatch between Carleson sequence and {owner}: "
@@ -223,9 +238,9 @@ def carleson_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
 
 def _carleson_ratio(sums: np.ndarray, pos, zero, pos_masses: np.ndarray) -> float:
     """carleson_constant from subtree sums; pos: mu(R) > 0, zero: ~pos, pos_masses: m[pos]."""
-    if np.any(sums[zero] > 0.0):
+    if (sums[zero] > 0.0).any():
         return float("inf")
-    return float(np.max(sums[pos] / pos_masses, initial=0.0))
+    return float((sums[pos] / pos_masses).max(initial=0.0))
 
 
 def _largest_eigenvalue(gram: np.ndarray) -> float:
@@ -271,23 +286,27 @@ def embedding_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
     """
     _require_same_lattice(seq, mu.lattice, "measure")
     m = mu.cube_masses
-    return _embedding_constant(seq.lattice, seq.values, m, m > 0)
+    sel, inside = _support(seq.lattice, seq.values, m > 0)
+    return _gram_constant(seq.values[sel], m[sel], inside)
 
 
-def _embedding_constant(lattice: Lattice, values: np.ndarray, m: np.ndarray, pos) -> float:
-    """embedding_constant of a values array in the cube masses m, pos = m > 0."""
-    sel = np.flatnonzero((values > 0) & pos)
-    a, ms, lv = values[sel], m[sel], lattice.levels[sel]
-    # [i, j]: cube sel[i] lies inside sel[j] (i >= j, sel is in active order):
-    # Lattice.inside(sel, sel) inline, 5 % faster once per greedy candidate
-    inside = (lv[:, None] <= lv) & (lattice.ancestor_index[
+def _support(lattice: Lattice, values: np.ndarray, pos) -> tuple[np.ndarray, np.ndarray]:
+    """sel, the positions with a_Q > 0 and pos (mu(Q) > 0), and its containment
+    mask: [i, j] when cube sel[i] lies inside sel[j] (i >= j, sel is in active order)."""
+    sel = ((values > 0) & pos).nonzero()[0]
+    lv = lattice.levels[sel]  # Lattice.inside(sel, sel) inline, 5 % faster
+    return sel, (lv[:, None] <= lv) & (lattice.ancestor_index[
         lattice.top_level - lv, lattice._first_leaf[sel][:, None]] == sel)
+
+
+def _gram_constant(a: np.ndarray, ms: np.ndarray, inside: np.ndarray) -> float:
+    """embedding_constant from a support's a_Q, mu(Q) and _support's mask."""
     w = np.sqrt(a)
     with np.errstate(over="ignore"):  # an entry past the float range makes C inf
         gram = np.where(inside, np.multiply.outer(w, w) / ms, 0.0)
         gram += gram.T  # each off-diagonal pair has one zero: exact
         np.fill_diagonal(gram, a / ms)
-    top = float(np.max(gram, initial=0.0))  # a diagonal entry, up to round-off
+    top = float(gram.max(initial=0.0))  # a diagonal entry, up to round-off
     if not 0.0 < top < math.inf:
         return top  # 0 for no support, inf past the float range
     e = math.frexp(top)[1]

@@ -14,8 +14,8 @@ from .io import (_container, _number, band_to_json, band_from_json, lattice_from
 from .lattice import build_lattice
 from .measures import MeasureGrid, uniform_measure
 from .operators import BandOperator, InducedOperator, assemble, random_band, repr_order
-from .paraproduct import (CarlesonSequence, _carleson_ratio, _check_values, _embedding_constant,
-                          _subtree_sums)
+from .paraproduct import (CarlesonSequence, _carleson_ratio, _check_values, _gram_constant,
+                          _subtree_sums, _support, _update_subtree_sums)
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,8 @@ def extremal_search(config: SearchConfig) -> SearchResult:
 
     Fully deterministic in the seed; the incumbent never decreases.
     """
+    if config.iterations < 0:
+        raise ValueError(f"iterations must be non-negative, got {config.iterations}")
     rng = np.random.default_rng(config.seed)
     lattice = build_lattice(config.dim, config.top_level, config.leaf_level)
     band = random_band(lattice, config.r, seed=config.seed,
@@ -147,26 +149,29 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
     one, cut), is a candidate as it is, extended by zeros and not
     re-normalized: it keeps its embedding constant bit for bit, so a
     chain of calls gives constants nondecreasing in depth.  A random
-    candidate is an array, checked once as CarlesonSequence checks it,
-    normalized and scored by the array kernels of carleson_constant and
-    embedding_constant; only the optimum becomes a CarlesonSequence.
+    candidate changes 1 to 3 a_Q of the incumbent array: only those are
+    checked, only their cubes and ancestors are summed again, and the
+    support is rebuilt only if a move lands on a zero cube; it scores bit
+    for bit as the whole array.  Only the optimum becomes a CarlesonSequence.
     Returns (sequence, constant), with the sequence normalized to
     Carleson constant 1 up to round-off.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be non-negative, got {iterations}")
     lattice = build_lattice(1, 0, -depth)
     m = uniform_measure(lattice, total=1.0).cube_masses
     pos = m > 0.0
     zero, pos_masses, n = ~pos, m[pos], len(lattice.levels)
 
-    def normalized(values):
-        c = _carleson_ratio(_subtree_sums(lattice, values), pos, zero, pos_masses)
+    def normalized(values, sums):
+        c = _carleson_ratio(sums, pos, zero, pos_masses)
         return values if c == 0 or not np.isfinite(c) else values / c
 
     # chain seed: mass-proportional values along the branch at 0 (level -j at 2^j - 1)
     branch = (1 << np.arange(depth + 1)) - 1
     chain = np.zeros(n)
     chain[branch] = m[branch]
-    candidates = [normalized(chain)]
+    candidates = [normalized(chain, _subtree_sums(lattice, chain))]
     if init is not None:
         if init.lattice.roots != lattice.roots:
             raise ValueError(f"init lives under {init.lattice.roots}, not {lattice.roots}")
@@ -179,12 +184,14 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
             candidates.append(carried)
     values, best = None, -1.0
     for cand in candidates:
-        val = _embedding_constant(lattice, cand, m, pos)
+        sel, inside = _support(lattice, cand, pos)
+        val = _gram_constant(cand[sel], m[sel], inside)
         if val > best:
-            values, best = cand, val
+            values, best, support = cand, val, (sel, inside)
+    sums = _subtree_sums(lattice, values)  # the incumbent's, updated per candidate
     rng = np.random.default_rng(seed)
     for _ in range(iterations):
-        cand = values.copy()
+        cand, changed = values.copy(), []
         for _ in range(1 + rng.integers(3)):
             i = rng.integers(n)
             old = cand[i]
@@ -192,9 +199,13 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
                 cand[i] = old * np.exp(0.5 * rng.standard_normal())
             else:
                 cand[i] = m[i] * rng.uniform(0.1, 1.0)
-        _check_values(lattice, cand)
-        cand = normalized(cand)
-        val = _embedding_constant(lattice, cand, m, pos)
+            changed.append(i)
+        if not all(0.0 <= cand.item(i) < np.inf for i in changed):
+            _check_values(lattice, cand)  # names the first bad cube in active order
+        cand = normalized(cand, _update_subtree_sums(lattice, sums, cand, changed))
+        kept = all(values.item(i) > 0 for i in changed) and cand[support[0]].all()  # no underflow
+        sel, inside = support if kept else _support(lattice, cand, pos)
+        val = _gram_constant(cand[sel], m[sel], inside)
         if val > best:
-            best, values = val, cand
+            best, values, support, sums = val, cand, (sel, inside), _subtree_sums(lattice, cand)
     return CarlesonSequence(lattice, values), best

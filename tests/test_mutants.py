@@ -5,7 +5,7 @@ defect must fail.
 import numpy as np
 import pytest
 
-from haarlab import CarlesonSequence, Cube, HaarIndex, io, runner, tree_distance
+from haarlab import CarlesonSequence, Cube, HaarIndex, InducedOperator, io, runner, tree_distance
 from haarlab.operators import local_testing_integrals
 
 CONFIG = {
@@ -92,3 +92,31 @@ def test_one_off_band_entry(tmp_path, suite, failed):
     for check in report["checks"]:
         if check["name"] == "band_structure":
             assert check["details"]["witness"] == repr(tuple(HaarIndex(q, 0) for q in OFF_BAND))
+
+
+def coupled_induce(band, mu, nu):
+    """The band's leaf matrix plus one coupling from the last leaf to the
+    first, induced as a leaf matrix that no band operator gives."""
+    matrix = np.array(band.leaf_matrix)
+    matrix[0, -1] += 1.0
+    return InducedOperator.from_leaf_matrix(matrix, mu, nu)
+
+
+@pytest.mark.parametrize("suite,failed", [
+    # the checks whose identities need a well localized operator; band_structure
+    # reads the band, which the double does not change, Parseval no operator,
+    # and the testing and embedding bounds hold for any operator and sequence
+    ("verify", {"well_localized", "paraproduct_structure", "replacement_invariance",
+                "remainder_diagonals", "carleson_property", "decomposition_identity"}),
+    ("testing", set()),
+    ("carleson", {"carleson_property"})],
+    ids=["verify", "testing", "carleson"])
+def test_a_leaf_coupling_not_induced_from_a_band(tmp_path, monkeypatch, suite, failed):
+    leaves = io.lattice_from_json(CONFIG["lattice"]).leaves
+    assert tree_distance(leaves[0], leaves[-1]) > CONFIG["r"] + 2
+    monkeypatch.setattr(runner, "induce", coupled_induce)
+    got, report = failed_checks(tmp_path, suite)
+    assert got == failed
+    for check in report["checks"]:
+        if check["name"] == "carleson_property":
+            assert check["details"]["witness"] == io.cube_to_json(Cube(1, 0, (0,)))

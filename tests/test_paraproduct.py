@@ -13,6 +13,7 @@ from haarlab import (CarlesonSequence, Cube, InducedOperator,
                      carleson_constant, carleson_property, carleson_sequence,
                      embedding_constant, haar_multiplier, induce,
                      paraproduct_structure_verify, remainder_diagonals, uniform_measure)
+from haarlab.paraproduct import _subtree_sums, _update_subtree_sums
 
 from conftest import random_instance
 from loop_oracle import (_loop_greedy_value, loop_carleson_constant, loop_carleson_property,
@@ -363,6 +364,38 @@ def test_carleson_layer_matches_loop_oracle(inst, sparse_dict):
     # and against the oracle's cube-side Gram, built entry by entry: the
     # mu(R) > 0 filter and multi-root supports, bit for bit
     assert got.hex() == _loop_greedy_value(lat, values, masses).hex()
+
+
+@st.composite
+def changed_positions(draw, lat):
+    """1 to 6 positions, each a root, a leaf or an interior cube (a leaf on
+    a depth-1 lattice), and sometimes one of them again."""
+    starts = lat.level_starts
+    pools = {"root": (0, starts[1]), "leaf": (starts[-2], starts[-1]),
+             "interior": (starts[1], starts[-2])}
+    changed = []
+    for kind in draw(st.lists(st.sampled_from(sorted(pools)), min_size=1, max_size=6)):
+        lo, hi = pools[kind] if pools[kind][0] < pools[kind][1] else pools["leaf"]
+        changed.append(draw(st.integers(lo, hi - 1)))
+    if draw(st.booleans()):
+        changed.append(draw(st.sampled_from(changed)))
+    return changed
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=carleson_instances(), data=st.data())
+def test_updated_subtree_sums_match_a_full_pass_bit_for_bit(inst, data):
+    lat, _, a = inst
+    changed = data.draw(changed_positions(lat))
+    new = data.draw(st.lists(st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0]),
+                                       st.floats(0.0, 3.0)),
+                             min_size=len(changed), max_size=len(changed)))
+    b = a.copy()
+    b[changed] = new  # a repeated position takes one of its values
+    sums = _subtree_sums(lat, a)
+    got = _update_subtree_sums(lat, sums, b, changed)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in _subtree_sums(lat, b).tolist()]
+    assert sums.tobytes() == _subtree_sums(lat, a).tobytes()  # the input is left as it was
 
 
 def _on_other_lattice(kind):

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import haarlab
 
 SRC = os.path.dirname(os.path.dirname(haarlab.__file__))
@@ -38,6 +40,25 @@ def test_carleson_depth_scan_is_nondecreasing_and_at_most_4(tmp_path):
     depths, consts = zip(*((int(d), float(c)) for d, c in map(str.split, lines)))
     assert depths == (3, 4, 5, 6)
     assert list(consts) == sorted(consts) and consts[-1] <= 4.0
+
+
+@pytest.mark.parametrize("script,args,message", [
+    ("carleson_depth_scan.py", ["--min-depth", "0"], "--min-depth must be at least 1, got 0"),
+    ("carleson_depth_scan.py", ["--min-depth", "5", "--max-depth", "3"],
+     "--min-depth 5 exceeds --max-depth 3"),
+    ("carleson_depth_scan.py", ["--iterations", "-1"], "--iterations must be non-negative"),
+    ("extremal_search.py", ["--depth", "0"], "--depth must be at least 1, got 0"),
+    ("extremal_search.py", ["--iterations", "-3"], "--iterations must be non-negative"),
+    ("extremal_search.py", ["--r", "-1"], "band radius must be nonnegative"),
+    ("extremal_search.py", ["--dim", "0"], "dim must be positive, got 0")],
+    ids=["scan_depth_0", "scan_min_above_max", "scan_negative_iterations",
+         "search_depth_0", "search_negative_iterations", "search_negative_r", "search_dim_0"])
+def test_script_usage_errors_exit_2(tmp_path, script, args, message):
+    out = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), *args], cwd=tmp_path,
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert out.returncode == 2
+    assert f"error: {message}" in out.stderr
+    assert out.stdout == "" and not any(tmp_path.iterdir())  # no header, no artifact
 
 
 def test_extremal_search_artifact_replays(tmp_path):

@@ -106,7 +106,7 @@ def test_carried_optimum_is_not_renormalized(seed):
         prev = const
 
 
-@pytest.mark.parametrize("seed", [0, 1, 10 ** 6])
+@pytest.mark.parametrize("seed", [0, 1, 10 ** 6, 1_000_142, 1_000_289])
 def test_greedy_scan_matches_loop_oracle_bit_for_bit(seed):
     # the chained scan of acceptance criterion 5 (seed 0) and the benchmark
     seq = ref = None
@@ -171,6 +171,59 @@ def test_greedy_fails_closed_on_an_overflowing_candidate(seed):
     with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=r"must be finite and nonnegative, got inf at Cube\(dim=1"):
         greedy_embedding_sequence(4, seed=seed, iterations=10, init=init)
+
+
+REAL_DEFAULT_RNG = np.random.default_rng
+
+
+def non_finite_uniform(value):
+    """A test double for np.random.default_rng whose uniform draws are all
+    `value`, and the list of (candidate, position) of each such draw: the
+    number of the candidate that moved, and the cube its move landed on."""
+    landed = []
+
+    class Rng:
+        candidates = 0
+
+        def __init__(self, seed):
+            self.rng, self.last = REAL_DEFAULT_RNG(seed), None
+
+        def integers(self, high):
+            if high == 3:  # a candidate starts by drawing its number of moves
+                Rng.candidates += 1
+            self.last = self.rng.integers(high)
+            return self.last
+
+        def standard_normal(self):
+            return self.rng.standard_normal()
+
+        def uniform(self, low, high):
+            landed.append((Rng.candidates, int(self.last)))
+            return value
+
+    return Rng, landed
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_greedy_names_the_changed_cube_of_a_non_finite_move(monkeypatch, value):
+    # only a candidate's changed values are checked; a bad one must still
+    # raise as CarlesonSequence does, naming its cube, and at once: in the
+    # candidate that made it, not when a later one is accepted or returned
+    rng, landed = non_finite_uniform(value)
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    with pytest.raises(ValueError) as exc:
+        greedy_embedding_sequence(4, seed=0, iterations=10)
+    assert {candidate for candidate, _ in landed} == {rng.candidates}
+    cube = build_lattice(1, 0, -4).active_cubes[min(i for _, i in landed)]
+    assert str(exc.value) == (f"Carleson values must be finite and nonnegative, "
+                              f"got {value!r} at {cube}")
+
+
+def test_negative_iterations_are_rejected():
+    with pytest.raises(ValueError, match="iterations must be non-negative, got -1"):
+        greedy_embedding_sequence(3, iterations=-1)
+    with pytest.raises(ValueError, match="iterations must be non-negative, got -3"):
+        extremal_search(SearchConfig(iterations=-3))
 
 
 def test_greedy_init_from_a_deeper_tree_is_truncated():
