@@ -8,7 +8,7 @@ import argparse
 import json
 import sys
 
-from haarlab import SearchConfig, extremal_search
+from haarlab import SearchConfig, build_lattice, extremal_search, random_band
 
 
 def main(argv=None):
@@ -25,15 +25,17 @@ def main(argv=None):
         p.error(f"--depth must be at least 1, got {args.depth}")
     if args.iterations < 0:
         p.error(f"--iterations must be non-negative, got {args.iterations}")
+    try:  # the instance errors only the library detects, such as --r -1 or --dim 0
+        random_band(build_lattice(args.dim, 0, -args.depth), args.r, seed=args.seed,
+                    root_amplitude=args.root_amplitude)
+    except ValueError as exc:
+        p.error(str(exc))
 
     config = SearchConfig(dim=args.dim, top_level=0, leaf_level=-args.depth,
                           r=args.r, seed=args.seed,
                           iterations=args.iterations,
                           root_amplitude=args.root_amplitude)
-    try:
-        result = extremal_search(config)
-    except ValueError as exc:  # an instance the library rejects, such as --r -1
-        p.error(str(exc))
+    result = extremal_search(config)
     print(f"rho: {result.history[0]:.6f} -> {result.rho:.6f} "
           f"after {args.iterations} steps")
     with open(args.out, "w") as fh:

@@ -286,21 +286,17 @@ def embedding_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
     """
     _require_same_lattice(seq, mu.lattice, "measure")
     m = mu.cube_masses
-    sel, inside = _support(seq.lattice, seq.values, m > 0)
-    return _gram_constant(seq.values[sel], m[sel], inside)
+    return _embedding_constant(seq.lattice, seq.values, m, m > 0)
 
 
-def _support(lattice: Lattice, values: np.ndarray, pos) -> tuple[np.ndarray, np.ndarray]:
-    """sel, the positions with a_Q > 0 and pos (mu(Q) > 0), and its containment
-    mask: [i, j] when cube sel[i] lies inside sel[j] (i >= j, sel is in active order)."""
+def _embedding_constant(lattice: Lattice, values: np.ndarray, m: np.ndarray, pos) -> float:
+    """embedding_constant of a values array in the cube masses m, pos = m > 0."""
     sel = ((values > 0) & pos).nonzero()[0]
-    lv = lattice.levels[sel]  # Lattice.inside(sel, sel) inline, 5 % faster
-    return sel, (lv[:, None] <= lv) & (lattice.ancestor_index[
+    a, ms, lv = values[sel], m[sel], lattice.levels[sel]
+    # [i, j]: cube sel[i] lies inside sel[j] (i >= j, sel is in active order):
+    # Lattice.inside(sel, sel) inline, 5 % faster once per greedy candidate
+    inside = (lv[:, None] <= lv) & (lattice.ancestor_index[
         lattice.top_level - lv, lattice._first_leaf[sel][:, None]] == sel)
-
-
-def _gram_constant(a: np.ndarray, ms: np.ndarray, inside: np.ndarray) -> float:
-    """embedding_constant from a support's a_Q, mu(Q) and _support's mask."""
     w = np.sqrt(a)
     with np.errstate(over="ignore"):  # an entry past the float range makes C inf
         gram = np.where(inside, np.multiply.outer(w, w) / ms, 0.0)

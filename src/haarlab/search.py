@@ -14,8 +14,8 @@ from .io import (_container, _number, band_to_json, band_from_json, lattice_from
 from .lattice import build_lattice
 from .measures import MeasureGrid, uniform_measure
 from .operators import BandOperator, InducedOperator, assemble, random_band, repr_order
-from .paraproduct import (CarlesonSequence, _carleson_ratio, _check_values, _gram_constant,
-                          _subtree_sums, _support, _update_subtree_sums)
+from .paraproduct import (CarlesonSequence, _carleson_ratio, _check_values, _embedding_constant,
+                          _subtree_sums, _update_subtree_sums)
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,8 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
     re-normalized: it keeps its embedding constant bit for bit, so a
     chain of calls gives constants nondecreasing in depth.  A random
     candidate changes 1 to 3 a_Q of the incumbent array: only those are
-    checked, only their cubes and ancestors are summed again, and the
-    support is rebuilt only if a move lands on a zero cube; it scores bit
-    for bit as the whole array.  Only the optimum becomes a CarlesonSequence.
+    checked and only their cubes and ancestors are summed again; it scores
+    bit for bit as the whole array.  Only the optimum becomes a CarlesonSequence.
     Returns (sequence, constant), with the sequence normalized to
     Carleson constant 1 up to round-off.
     """
@@ -184,10 +183,9 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
             candidates.append(carried)
     values, best = None, -1.0
     for cand in candidates:
-        sel, inside = _support(lattice, cand, pos)
-        val = _gram_constant(cand[sel], m[sel], inside)
+        val = _embedding_constant(lattice, cand, m, pos)
         if val > best:
-            values, best, support = cand, val, (sel, inside)
+            values, best = cand, val
     sums = _subtree_sums(lattice, values)  # the incumbent's, updated per candidate
     rng = np.random.default_rng(seed)
     for _ in range(iterations):
@@ -203,9 +201,7 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
         if not all(0.0 <= cand.item(i) < np.inf for i in changed):
             _check_values(lattice, cand)  # names the first bad cube in active order
         cand = normalized(cand, _update_subtree_sums(lattice, sums, cand, changed))
-        kept = all(values.item(i) > 0 for i in changed) and cand[support[0]].all()  # no underflow
-        sel, inside = support if kept else _support(lattice, cand, pos)
-        val = _gram_constant(cand[sel], m[sel], inside)
+        val = _embedding_constant(lattice, cand, m, pos)
         if val > best:
-            best, values, support, sums = val, cand, (sel, inside), _subtree_sums(lattice, cand)
+            best, values, sums = val, cand, _subtree_sums(lattice, cand)
     return CarlesonSequence(lattice, values), best
