@@ -2,10 +2,12 @@
 """Empirical supremum of the norm-to-testing ratio rho over random
 instances, per (dimension, band radius, depth) cell.
 
-Writes a CSV with one row per cell and prints it.
+Writes a CSV with one row per cell and prints it.  Exits 2 on a bad
+argument, 1 without a CSV when a sample's rho is NaN.
 """
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -33,13 +35,31 @@ def main(argv=None):
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--out", default="ratio_table.csv")
     args = p.parse_args(argv)
+    if args.samples < 1:
+        p.error(f"--samples must be at least 1, got {args.samples}")
+    cells = []
+    for cell in args.cells.split():
+        try:
+            dim, r, depth = (int(x) for x in cell.split(","))
+        except ValueError:
+            p.error(f"--cells: {cell!r} is not a dim,r,depth triple of integers")
+        try:  # the instance errors only the library detects, such as r -1 or dim 0
+            random_band(build_lattice(dim, 0, -depth), r, seed=0)
+        except ValueError as exc:
+            p.error(f"--cells {cell}: {exc}")
+        cells.append((dim, r, depth))
+    if not cells:
+        p.error("--cells names no cell")
 
     rows = []
-    for cell in args.cells.split():
-        dim, r, depth = (int(x) for x in cell.split(","))
-        best_rho, best_seed, best = 0.0, -1, None
+    for dim, r, depth in cells:
+        best_rho, best_seed, best = -1.0, -1, None
         for seed in range(args.samples):
             rep = sample_rho(dim, r, depth, seed)
+            if math.isnan(rep.rho):
+                print(f"error: N={dim} r={r} depth={depth}: rho is NaN at seed {seed}",
+                      file=sys.stderr)
+                return 1
             if rep.rho > best_rho:
                 best_rho, best_seed, best = rep.rho, seed, rep
         rows.append([dim, r, depth, args.samples, best_seed, best.norm,

@@ -4,11 +4,13 @@ decomposition identity and the norm-to-testing sufficiency ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .lattice import Lattice, read_only
 from .measures import _row_sums, _scalar
-from .operators import InducedOperator, local_testing_integrals
+from .operators import InducedOperator
 from .paraproduct import Paraproduct, _largest_singular_value, build_paraproduct
 
 
@@ -18,13 +20,11 @@ def operator_norm(t_mu: InducedOperator) -> float:
     Largest singular value of D_nu^(1/2) [T_mu] D_mu^(-1/2) on the
     positive-mass leaf coordinates.
     """
-    mu_mass = t_mu.mu.leaf_mass
-    nu_mass = t_mu.nu.leaf_mass
-    cols = np.flatnonzero(mu_mass > 0)
-    rows = np.flatnonzero(nu_mass > 0)
-    k = (np.sqrt(nu_mass[rows])[:, None] * t_mu.matrix[np.ix_(rows, cols)]
-         / np.sqrt(mu_mass[cols])[None, :])
-    return _largest_singular_value(k)
+    mu_mass, nu_mass, m = t_mu.mu.leaf_mass, t_mu.nu.leaf_mass, t_mu.matrix
+    if not (mu_mass.all() and nu_mass.all()):  # masses are >= 0: drop the zero-mass leaves
+        cols, rows = np.flatnonzero(mu_mass > 0), np.flatnonzero(nu_mass > 0)
+        mu_mass, nu_mass, m = mu_mass[cols], nu_mass[rows], m[np.ix_(rows, cols)]
+    return _largest_singular_value(np.sqrt(nu_mass)[:, None] * m / np.sqrt(mu_mass)[None, :])
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,11 @@ class TestingReport:
     unbounded_witness: tuple | None = None
 
 
-def _testing_integrals(t: InducedOperator) -> tuple:
-    """(global, local, mass) per active Q: the integrals of |T chi_Q|^2 over
-    the whole space and over Q in t.nu, and Q's mass in t.mu, the divisor."""
-    tx = t.chi_table
-    return t.nu.leaf_mass @ (tx * tx), local_testing_integrals(t), t.mu.cube_masses
+@lru_cache(maxsize=32)
+def comparable_pairs(lattice: Lattice, r: int) -> np.ndarray:
+    """Active cubes x active cubes, read-only: [R, Q] is True when
+    |level(R) - level(Q)| <= r, the pairs C_diag runs over."""
+    return read_only(np.abs(lattice.levels[:, None] - lattice.levels[None, :]) <= r)
 
 
 def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
@@ -65,43 +65,52 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
     order: a ("diag", Q, R) pair if there is one (largest R, then largest
     Q), else a single cube, "adjoint" winning over "direct" on the same
     cube.  The maxima are numpy reductions, so a NaN ratio makes its
-    constant NaN, where the builtin max once used here dropped it.
+    constant NaN, where the builtin max once used here dropped it.  When
+    every cube has mass in both measures there is no offender and they
+    are plain quotients; only a zero mass runs the masked search.
     """
     lattice = t_mu.lattice
     x = lattice.membership
-    nu_mass = t_mu.nu.leaf_mass
-    (direct_global, direct_local, mu_q), (adjoint_global, adjoint_local, nu_q) = (
-        _testing_integrals(t) for t in (t_mu, t_mu.adjoint))
+    mu_mass, nu_mass = t_mu.mu.leaf_mass, t_mu.nu.leaf_mass
+    mu_q, nu_q = t_mu.mu.cube_masses, t_mu.nu.cube_masses
+    # one leaves x cubes buffer, overwritten in place (fresh temporaries cost
+    # page faults on every call): |T chi_Q|^2 gives the global integral, then
+    # times chi_Q the local ones (a tuple evaluates left to right); T* next
     ax = t_mu.adjoint.chi_table
-    adjoint_local_nu = nu_mass @ (ax * ax * x)
-
-    mu_pos, nu_pos = mu_q > 0, nu_q > 0
-    c_dg, c_dl = (np.max(v[mu_pos] / mu_q[mu_pos], initial=0.0)
-                  for v in (direct_global, direct_local))
-    c_ag, c_al, c_aln = (np.max(v[nu_pos] / nu_q[nu_pos], initial=0.0)
-                         for v in (adjoint_global, adjoint_local, adjoint_local_nu))
-    witness = None
-    direct_off = np.flatnonzero(~mu_pos & (direct_global > 0))
-    adjoint_off = np.flatnonzero(~nu_pos & (adjoint_global > 0))
-    if direct_off.size:
-        c_dg = c_dl = float("inf")
-        witness = ("direct", lattice.active_cubes[direct_off[-1]])
-    if adjoint_off.size:
-        c_ag = c_al = float("inf")
-        if not direct_off.size or adjoint_off[-1] >= direct_off[-1]:
-            witness = ("adjoint", lattice.active_cubes[adjoint_off[-1]])
-
+    sq = t_mu.chi_table * t_mu.chi_table
+    direct = nu_mass @ sq, nu_mass @ np.multiply(sq, x, out=sq)
+    adjoint_global = mu_mass @ np.multiply(ax, ax, out=sq)
+    sq *= x
+    adjoint = adjoint_global, mu_mass @ sq, nu_mass @ sq
     # comparable-size bilinear pairings: rows R, columns Q
     b = np.abs(x.T @ (nu_mass[:, None] * t_mu.chi_table))
-    comparable = np.abs(lattice.levels[:, None] - lattice.levels[None, :]) <= r
-    massive = comparable & np.outer(nu_pos, mu_pos)
-    c_diag = np.max(b[massive] / np.sqrt(np.outer(nu_q, mu_q)[massive]),
-                    initial=0.0)
-    diag_off = np.flatnonzero(comparable & ~massive & (b > 0))
-    if diag_off.size:
-        c_diag = float("inf")
-        i, j = divmod(int(diag_off[-1]), len(lattice.levels))
-        witness = ("diag", lattice.active_cubes[j], lattice.active_cubes[i])
+    comparable = comparable_pairs(lattice, r)
+    witness = None
+    if mu_q.all() and nu_q.all():  # masses are >= 0: every cube has mass, no offender
+        c_dg, c_dl = (np.max(v / mu_q, initial=0.0) for v in direct)
+        c_ag, c_al, c_aln = (np.max(v / nu_q, initial=0.0) for v in adjoint)
+        c_diag = np.max(b[comparable] / np.sqrt(np.outer(nu_q, mu_q)[comparable]),
+                        initial=0.0)
+    else:
+        mu_pos, nu_pos = mu_q > 0, nu_q > 0
+        c_dg, c_dl = (np.max(v[mu_pos] / mu_q[mu_pos], initial=0.0) for v in direct)
+        c_ag, c_al, c_aln = (np.max(v[nu_pos] / nu_q[nu_pos], initial=0.0) for v in adjoint)
+        direct_off = np.flatnonzero(~mu_pos & (direct[0] > 0))
+        adjoint_off = np.flatnonzero(~nu_pos & (adjoint[0] > 0))
+        if direct_off.size:
+            c_dg = c_dl = float("inf")
+            witness = ("direct", lattice.active_cubes[direct_off[-1]])
+        if adjoint_off.size:
+            c_ag = c_al = float("inf")
+            if not direct_off.size or adjoint_off[-1] >= direct_off[-1]:
+                witness = ("adjoint", lattice.active_cubes[adjoint_off[-1]])
+        massive = comparable & np.outer(nu_pos, mu_pos)
+        c_diag = np.max(b[massive] / np.sqrt(np.outer(nu_q, mu_q)[massive]), initial=0.0)
+        diag_off = np.flatnonzero(comparable & ~massive & (b > 0))
+        if diag_off.size:
+            c_diag = float("inf")
+            i, j = divmod(int(diag_off[-1]), len(lattice.levels))
+            witness = ("diag", lattice.active_cubes[j], lattice.active_cubes[i])
 
     norm = operator_norm(t_mu)
     # an infinite constant (unbounded witness) gives rho 0, a NaN one NaN

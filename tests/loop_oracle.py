@@ -22,14 +22,13 @@ import numpy as np
 
 from haarlab import (Cube, MeasureGrid, build_lattice, induce, random_band, tree_distance,
                      uniform_measure)
-from haarlab.analysis import (DecompositionReport, TestingReport, operator_norm,
-                              testing_constants)
+from haarlab.analysis import DecompositionReport, TestingReport, testing_constants
 from haarlab.io import cube_to_json
 from haarlab.operators import (BandOperator, HaarIndex, RootIndex, WellLocalizedReport,
                                assemble)
 from haarlab.paraproduct import (CarlesonPropertyReport, Paraproduct,
                                  ParaproductStructureReport, RemainderReport,
-                                 _largest_eigenvalue)
+                                 _largest_eigenvalue, _largest_singular_value)
 from haarlab.search import SearchResult
 
 # The InducedOperator chi tables are one BLAS product, T @ membership, where
@@ -215,6 +214,18 @@ def loop_decomposition_identity(t_mu, r, f, g, pi_mu, pi_nu):
                                relative=relative)
 
 
+def loop_operator_norm(t_mu):
+    """Largest singular value of D_nu^(1/2) [T_mu] D_mu^(-1/2), gathered
+    onto the positive-mass leaf coordinates for every operator."""
+    mu_mass = t_mu.mu.leaf_mass
+    nu_mass = t_mu.nu.leaf_mass
+    cols = np.flatnonzero(mu_mass > 0)
+    rows = np.flatnonzero(nu_mass > 0)
+    k = (np.sqrt(nu_mass[rows])[:, None] * t_mu.matrix[np.ix_(rows, cols)]
+         / np.sqrt(mu_mass[cols])[None, :])
+    return _largest_singular_value(k)
+
+
 def loop_testing_constants(t_mu, r):
     """Exact suprema over active cubes of the indicator testing quantities."""
     lattice = t_mu.lattice
@@ -264,7 +275,7 @@ def loop_testing_constants(t_mu, r):
                 c_diag = float("inf")
                 witness = ("diag", q, rq)
 
-    norm = operator_norm(t_mu)
+    norm = loop_operator_norm(t_mu)
     denom = np.sqrt(c_dl) + np.sqrt(c_al) + c_diag
     if np.isnan(norm + denom):
         rho = float("nan")

@@ -134,6 +134,7 @@ def test_cached_arrays_are_read_only():
                    "BandOperator.leaf_matrix": band.leaf_matrix,
                    "InducedOperator.matrix": t.matrix, "InducedOperator.chi_table": t.chi_table,
                    "InducedOperator.haar_block": t.haar_block,
+                   "comparable_pairs": analysis.comparable_pairs(lat, 1),
                    "Paraproduct.haar_block": build_paraproduct(t, 1).haar_block,
                    "CarlesonSequence.values": carleson_sequence(t, 1).values})
     for name, x in arrays.items():
@@ -143,6 +144,16 @@ def test_cached_arrays_are_read_only():
             pytest.fail(f"{name} is writeable")
     with pytest.raises(TypeError):
         lat.cube_index[lat.roots[0]] = 1
+
+
+def test_comparable_pairs_are_cached_per_lattice_and_radius():
+    lat = build_lattice(1, 0, -3)
+    tables = {r: analysis.comparable_pairs(lat, r) for r in (0, 1)}
+    assert tables[0] is not tables[1]
+    assert analysis.comparable_pairs(build_lattice(1, 0, -3), 1) is tables[1]
+    levels = lat.levels
+    for r, table in tables.items():
+        assert table.tolist() == [[abs(a - b) <= r for b in levels] for a in levels]
 
 
 def sweep_op(seed):

@@ -120,3 +120,27 @@ def test_a_leaf_coupling_not_induced_from_a_band(tmp_path, monkeypatch, suite, f
     for check in report["checks"]:
         if check["name"] == "carleson_property":
             assert check["details"]["witness"] == io.cube_to_json(Cube(1, 0, (0,)))
+
+
+def non_finite_induce(entry):
+    """runner.induce, with one entry of the band's leaf matrix set to `entry`."""
+    def induce(band, mu, nu):
+        matrix = np.array(band.leaf_matrix)
+        matrix[0, 0] = entry
+        return InducedOperator.from_leaf_matrix(matrix, mu, nu)
+    return induce
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("suite,failed", [
+    # every check that reads the operator; band_structure reads the band,
+    # which the double leaves finite, and Parseval reads no operator
+    ("testing", {"necessity_direct", "necessity_adjoint", "necessity_diag",
+                 "local_le_global"}),
+    ("verify", {"well_localized", "paraproduct_structure", "replacement_invariance",
+                "remainder_diagonals", "carleson_property", "decomposition_identity"}),
+    ("carleson", {"carleson_property", "embedding_le_4_carleson"})],
+    ids=["testing", "verify", "carleson"])
+def test_a_non_finite_leaf_matrix_entry(tmp_path, monkeypatch, suite, failed, entry):
+    monkeypatch.setattr(runner, "induce", non_finite_induce(entry))
+    assert failed_checks(tmp_path, suite)[0] == failed

@@ -1,6 +1,8 @@
 """Smoke runs of the scripts under scripts/, each as a subprocess on a small
 input: they write what their usage lines promise."""
 import csv
+import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -50,15 +52,43 @@ def test_carleson_depth_scan_is_nondecreasing_and_at_most_4(tmp_path):
     ("extremal_search.py", ["--depth", "0"], "--depth must be at least 1, got 0"),
     ("extremal_search.py", ["--iterations", "-3"], "--iterations must be non-negative"),
     ("extremal_search.py", ["--r", "-1"], "band radius must be nonnegative"),
-    ("extremal_search.py", ["--dim", "0"], "dim must be positive, got 0")],
+    ("extremal_search.py", ["--dim", "0"], "dim must be positive, got 0"),
+    ("ratio_table.py", ["--samples", "0"], "--samples must be at least 1, got 0"),
+    ("ratio_table.py", ["--cells", "1,1,3 1,0"],
+     "--cells: '1,0' is not a dim,r,depth triple of integers"),
+    ("ratio_table.py", ["--cells", "1,x,3"],
+     "--cells: '1,x,3' is not a dim,r,depth triple of integers"),
+    ("ratio_table.py", ["--cells", "1,-1,3"], "--cells 1,-1,3: band radius must be nonnegative"),
+    ("ratio_table.py", ["--cells", "1,1,0"], "--cells 1,1,0: leaf_level must be below top_level"),
+    ("ratio_table.py", ["--cells", " "], "--cells names no cell")],
     ids=["scan_depth_0", "scan_min_above_max", "scan_negative_iterations",
-         "search_depth_0", "search_negative_iterations", "search_negative_r", "search_dim_0"])
+         "search_depth_0", "search_negative_iterations", "search_negative_r", "search_dim_0",
+         "table_samples_0", "table_pair", "table_not_integer", "table_negative_r",
+         "table_depth_0", "table_no_cell"])
 def test_script_usage_errors_exit_2(tmp_path, script, args, message):
     out = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), *args], cwd=tmp_path,
                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert out.returncode == 2
     assert f"error: {message}" in out.stderr
     assert out.stdout == "" and not any(tmp_path.iterdir())  # no header, no artifact
+
+
+def test_ratio_table_exits_1_on_a_nan_rho(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("ratio_table",
+                                                  os.path.join(SCRIPTS, "ratio_table.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    sample_rho = script.sample_rho
+
+    def nan_at_seed_1(dim, r, depth, seed):
+        rep = sample_rho(dim, r, depth, seed)
+        return dataclasses.replace(rep, rho=math.nan) if (depth, seed) == (4, 1) else rep
+
+    monkeypatch.setattr(script, "sample_rho", nan_at_seed_1)
+    out = tmp_path / "table.csv"
+    assert script.main(["--samples", "3", "--cells", "1,1,3 1,1,4", "--out", str(out)]) == 1
+    assert "error: N=1 r=1 depth=4: rho is NaN at seed 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_extremal_search_artifact_replays(tmp_path):
