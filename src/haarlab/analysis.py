@@ -82,8 +82,10 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
     adjoint_global = mu_mass @ np.multiply(ax, ax, out=sq)
     sq *= x
     adjoint = adjoint_global, mu_mass @ sq, nu_mass @ sq
-    # comparable-size bilinear pairings: rows R, columns Q
-    b = np.abs(x.T @ (nu_mass[:, None] * t_mu.chi_table))
+    # comparable-size bilinear pairings: rows R, columns Q; the buffer is
+    # freed before the cubes x cubes part, which would otherwise raise the peak
+    b = np.abs(x.T @ np.multiply(nu_mass[:, None], t_mu.chi_table, out=sq))
+    del sq
     comparable = comparable_pairs(lattice, r)
     witness = None
     if mu_q.all() and nu_q.all():  # masses are >= 0: every cube has mass, no offender

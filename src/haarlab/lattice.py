@@ -72,25 +72,17 @@ def tree_distance(q: Cube, r: Cube) -> int | float:
     """Graph distance in the 2**dim-ary dyadic tree.
 
     Returns NO_COMMON_ANCESTOR (inf) for cubes that never share an ancestor,
-    e.g. cubes separated by the origin in the standard grid.
+    e.g. cubes separated by the origin in the standard grid.  Lifted to one
+    level, the cubes meet k levels up, k the bit length of their largest
+    coordinate xor; a negative xor (opposite signs) never meets.
     """
     if q.dim != r.dim:
         raise ValueError("cubes have different dimensions")
-    dist = 0
-    if q.level < r.level:
-        dist = r.level - q.level
-        q = q.ancestor(r.level - q.level)
-    elif r.level < q.level:
-        dist = q.level - r.level
-        r = r.ancestor(q.level - r.level)
-    while q.coords != r.coords:
-        qp, rp = q.parent(), r.parent()
-        if qp.coords == q.coords and rp.coords == r.coords:
-            # both at a fixed point of the parent map, never meet
-            return NO_COMMON_ANCESTOR
-        q, r = qp, rp
-        dist += 2
-    return dist
+    up = q.level - r.level
+    diff = 0
+    for c, d in zip(q.coords, r.coords):
+        diff |= (c >> max(-up, 0)) ^ (d >> max(up, 0))
+    return NO_COMMON_ANCESTOR if diff < 0 else abs(up) + 2 * diff.bit_length()
 
 
 @dataclass(frozen=True)

@@ -68,18 +68,26 @@ class MeasureGrid:
         out[..., self.lattice.leaf_indices(q)] = np.expand_dims(self.average(f, q), -1)
         return out
 
-    def martingale_difference(self, f: np.ndarray, q: Cube) -> np.ndarray:
-        """Delta_Q f: on each child of q, (average on child) - (average on q)."""
+    def martingale_difference(self, f: np.ndarray, q) -> np.ndarray:
+        """Delta_Q f: on each child of q, (average on child) - (average on q).
+        For a sequence of non-leaf cubes at one level, their differences
+        stacked on axis -2, each row with the bits of its own call."""
         lattice = self.lattice
-        i = lattice.position(q)
-        if lattice.is_leaf(q):
-            raise ValueError(f"cube {q} is a leaf, no martingale difference")
-        kids = lattice.children_index[i]
-        rows = lattice._leaf_rows(kids, q.level - 1)
-        base = self._averages(f, lattice._leaf_rows([i], q.level), [i])
-        out = np.zeros(np.shape(f))
-        out[..., rows] = (self._averages(f, rows, kids) - base)[..., None]
-        return out
+        cubes = [q] if isinstance(q, Cube) else list(q)
+        pos = np.array([lattice.position(c) for c in cubes], dtype=np.intp)
+        levels = {c.level for c in cubes}
+        if len(levels) > 1:
+            raise ValueError(f"cubes at levels {sorted(levels)}, not at one level")
+        level = levels.pop() if levels else lattice.top_level  # any level for no cubes
+        if level == lattice.leaf_level:
+            raise ValueError(f"cube {cubes[0]} is a leaf, no martingale difference")
+        kids = lattice.children_index[pos]
+        rows = lattice._leaf_rows(kids, level - 1)
+        base = self._averages(f, lattice._leaf_rows(pos, level), pos)
+        out = np.zeros(np.shape(f)[:-1] + (len(pos), lattice.n_leaves))
+        out[..., np.arange(len(pos))[:, None, None], rows] = (
+            self._averages(f, rows, kids) - base[..., None])[..., None]
+        return out[..., 0, :] if isinstance(q, Cube) else out
 
     def level_deltas(self, values: np.ndarray, levels) -> np.ndarray:
         """Martingale differences of every cube at the given non-leaf levels

@@ -45,6 +45,10 @@ MAX_DENSE_BYTES = 2 ** 31
 DENSE_CUBE_TABLES = 3
 DENSE_LEAF_MATRICES = 8
 
+# Cubes x leaves per martingale_difference call of the Parseval check, so its
+# (20, cubes, leaves) result stays 160 kB; past 2**10 leaves a call per cube.
+PARSEVAL_CHUNK = 2 ** 10
+
 
 class ConfigError(ValueError):
     """A run config that cannot be read or built (exit 2 at the CLI)."""
@@ -152,6 +156,15 @@ def _carleson_sequence(t_mu, r):
         return None, {"error": str(exc)}
 
 
+def _level_chunks(lattice: Lattice) -> list[tuple]:
+    """nonleaf_cubes in order, cut into runs of cubes at one level, at most
+    max(1, PARSEVAL_CHUNK // n_leaves) cubes in a run."""
+    size = max(1, PARSEVAL_CHUNK // lattice.n_leaves)
+    cubes, starts = lattice.nonleaf_cubes, lattice.level_starts[:-1].tolist()
+    return [cubes[i:min(i + size, end)] for start, end in zip(starts, starts[1:])
+            for i in range(start, end, size)]
+
+
 def suite_verify(config, tol) -> tuple[list, dict]:
     lattice, mu, nu, band, r = build_instance(config)
     seed = int(config.get("seed", 0))
@@ -159,11 +172,13 @@ def suite_verify(config, tol) -> tuple[list, dict]:
 
     residuals = []
     fs = _random_functions(lattice, seed, 20)[:, 0]
+    chunks = _level_chunks(lattice)
     for measure in (mu, nu):
-        # one stack of 20 functions, cube sums in per-function order, pieces freed as summed
-        deltas = (measure.martingale_difference(fs, q) for q in lattice.nonleaf_cubes)
+        # one stack of 20 functions, one call per chunk, freed as summed; the
+        # per-cube columns add in nonleaf_cubes order, as one call per cube did
+        deltas = (measure.martingale_difference(fs, chunk) for chunk in chunks)
         means = (measure.expectation(fs, root) for root in lattice.roots)
-        total = sum(measure.inner(d, d) for d in deltas)
+        total = sum(col for d in deltas for col in measure.inner(d, d).T)
         total += sum(measure.inner(e, e) for e in means)
         norm2 = measure.inner(fs, fs)
         pos = norm2 > 0

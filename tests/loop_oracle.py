@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from haarlab import (Cube, MeasureGrid, build_lattice, induce, random_band, tree_distance,
-                     uniform_measure)
+from haarlab import (NO_COMMON_ANCESTOR, Cube, MeasureGrid, build_lattice, induce, random_band,
+                     tree_distance, uniform_measure)
 from haarlab.analysis import DecompositionReport, TestingReport, testing_constants
 from haarlab.io import cube_to_json
 from haarlab.operators import (BandOperator, HaarIndex, RootIndex, WellLocalizedReport,
@@ -711,6 +711,28 @@ def loop_haar_shift_entries(lattice):
         else:
             dropped += 1
     return entries, dropped
+
+
+def loop_tree_distance(q, r):
+    """tree_distance by walking Cube objects up to the common ancestor,
+    one parent() call per level; inf for cubes that never meet."""
+    if q.dim != r.dim:
+        raise ValueError("cubes have different dimensions")
+    dist = 0
+    if q.level < r.level:
+        dist = r.level - q.level
+        q = q.ancestor(r.level - q.level)
+    elif r.level < q.level:
+        dist = q.level - r.level
+        r = r.ancestor(q.level - r.level)
+    while q.coords != r.coords:
+        qp, rp = q.parent(), r.parent()
+        if qp.coords == q.coords and rp.coords == r.coords:
+            # both at a fixed point of the parent map, never meet
+            return NO_COMMON_ANCESTOR
+        q, r = qp, rp
+        dist += 2
+    return dist
 
 
 def loop_cubes_within_distance(lattice, q, r):

@@ -11,7 +11,7 @@ from haarlab import (NO_COMMON_ANCESTOR, Cube, analysis, build_lattice, induce, 
 
 from conftest import random_weights
 from loop_oracle import (loop_ancestor_index, loop_children_index, loop_level_leaves,
-                         loop_levels, loop_membership)
+                         loop_levels, loop_membership, loop_tree_distance)
 
 
 def test_children_of_unit_interval():
@@ -81,6 +81,28 @@ def test_tree_distance_no_common_ancestor():
 def test_tree_distance_dimension_mismatch():
     with pytest.raises(ValueError):
         tree_distance(Cube(1, 0, (0,)), Cube(2, 0, (0, 0)))
+
+
+@st.composite
+def free_cube(draw, dim):
+    """Any cube of dimension dim at levels -8..3 with coordinates -20..20,
+    so that some pairs sit on opposite sides of the origin."""
+    return Cube(dim, draw(st.integers(-8, 3)),
+                tuple(draw(st.integers(-20, 20)) for _ in range(dim)))
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_tree_distance_equals_the_cube_walk(data):
+    dim = data.draw(st.integers(1, 3))
+    q = data.draw(free_cube(dim))
+    r = data.draw(free_cube(data.draw(st.one_of(st.just(dim), st.integers(1, 3)))))
+    if q.dim != r.dim:
+        for distance in (tree_distance, loop_tree_distance):
+            with pytest.raises(ValueError, match="different dimensions"):
+                distance(q, r)
+    else:
+        assert tree_distance(q, r) == loop_tree_distance(q, r)
 
 
 @st.composite

@@ -26,11 +26,11 @@ REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 @st.composite
-def measure_stacks(draw):
+def measure_stacks(draw, max_dim=3):
     """(measure, values, other): a zero_blocks or sparse_atoms measure on a
-    dim 1-3 lattice with 1-3 roots, and two stacks of leaf functions of one
-    shape (n,), (k, n) or (a, b, n), C-ordered, F-ordered or strided views."""
-    dim = draw(st.integers(1, 3))
+    dim 1-max_dim lattice with 1-3 roots, and two stacks of leaf functions of
+    one shape (n,), (k, n) or (a, b, n), C-ordered, F-ordered or strided views."""
+    dim = draw(st.integers(1, max_dim))
     depth = draw(st.integers(1, {1: 4, 2: 3, 3: 2}[dim]))
     coords = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True))
     lat = build_lattice(dim, 0, -depth, [Cube(dim, 0, (c,) + (0,) * (dim - 1))
@@ -104,6 +104,62 @@ def test_stacked_measure_methods_equal_row_by_row_calls(case):
             assert np.array_equal(got, loop_expectation(mu, f, q))
         for q, got in zip(lat.nonleaf_cubes, stacked["martingale_difference"]):
             assert np.array_equal(got, loop_martingale_difference(mu, f, q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=measure_stacks(max_dim=2), data=st.data())
+def test_martingale_difference_of_cubes_at_one_level_stacks_the_single_calls(case, data):
+    # zero_blocks and sparse_atoms masses leave zero-mass children; the
+    # cubes come in any order, repeats and the empty sequence included
+    mu, values, _ = case
+    lat = mu.lattice
+    level = data.draw(st.integers(lat.leaf_level + 1, lat.top_level))
+    cubes = data.draw(st.lists(st.sampled_from(lat.cubes_at_level(level)), max_size=6))
+    got = mu.martingale_difference(values, cubes)
+    assert got.shape == values.shape[:-1] + (len(cubes), lat.n_leaves)
+    for k, q in enumerate(cubes):
+        assert np.array_equal(got[..., k, :], mu.martingale_difference(values, q))
+
+
+def test_martingale_difference_of_cubes_with_long_rows_stacks_the_single_calls():
+    # children of 256 and 512 leaves, where numpy's pairwise sum splits its rows
+    lat = build_lattice(1, 0, -10, [Cube(1, 0, (0,)), Cube(1, 0, (3,))])
+    mu = zero_blocks_measure(lat, 0.3, 5)
+    f = np.random.default_rng(5).standard_normal((3, lat.n_leaves))
+    for level in (0, -1):
+        cubes = lat.cubes_at_level(level)
+        got = mu.martingale_difference(f, cubes)
+        for k, q in enumerate(cubes):
+            assert np.array_equal(got[:, k], mu.martingale_difference(f, q))
+
+
+def test_martingale_difference_of_a_cube_sequence_rejects_what_single_calls_reject():
+    lat = build_lattice(1, 0, -3, [Cube(1, 0, (0,)), Cube(1, 0, (2,))])
+    mu = MeasureGrid(lat, np.ones(lat.n_leaves))
+    f = np.ones((2, lat.n_leaves))
+    root = lat.roots[0]
+    assert mu.martingale_difference(f, ()).shape == (2, 0, lat.n_leaves)
+    assert mu.martingale_difference(f[0], iter([])).shape == (0, lat.n_leaves)
+    with pytest.raises(ValueError, match=r"levels \[-1, 0\], not at one level"):
+        mu.martingale_difference(f, [root, root.children()[1]])
+    with pytest.raises(ValueError, match="is a leaf"):
+        mu.martingale_difference(f, lat.leaves[:2])
+    with pytest.raises(ValueError, match="is not a cube of the lattice"):
+        mu.martingale_difference(f, [root, Cube(1, 0, (1,))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), depth=st.integers(1, 11), roots=st.integers(1, 3))
+def test_parseval_chunks_run_over_the_nonleaf_cubes_in_order(dim, depth, roots):
+    depth = min(depth, 12 // dim)
+    lat = build_lattice(dim, 0, -depth, [Cube(dim, 0, (c,) * dim) for c in range(roots)])
+    size = max(1, runner.PARSEVAL_CHUNK // lat.n_leaves)
+    chunks = runner._level_chunks(lat)
+    assert [q for chunk in chunks for q in chunk] == list(lat.nonleaf_cubes)
+    assert all(1 <= len(chunk) <= size and len({q.level for q in chunk}) == 1
+               for chunk in chunks)
+    # a run is cut short only at the end of its level
+    assert all(len(a) == size for a, b in zip(chunks, chunks[1:]) if a[0].level == b[0].level)
 
 
 @pytest.mark.parametrize("q", [Cube(1, 0, (1,)), Cube(1, -2, (4,)), Cube(1, 1, (0,)),
@@ -220,7 +276,8 @@ def test_verify_parseval_equals_the_per_function_loop(tmp_path, name):
 
 @pytest.mark.parametrize("name", ["default", "2d"])
 def test_verify_makes_one_call_per_measure_and_one_identity(tmp_path, monkeypatch, name):
-    # a relapse to per-function loops would multiply both counts
+    # one martingale_difference call per chunk of cubes at one level; a
+    # relapse to per-cube or per-function loops would multiply the counts
     calls = Counter()
 
     def counted(key, fn):
@@ -236,7 +293,7 @@ def test_verify_makes_one_call_per_measure_and_one_identity(tmp_path, monkeypatc
     config = _configs()[name]
     assert runner.run(config, str(tmp_path), suite="verify")[0] == 0
     lattice = runner.build_instance(config)[0]
-    assert calls == {"martingale_difference": 2 * len(lattice.nonleaf_cubes),
+    assert calls == {"martingale_difference": 2 * len(runner._level_chunks(lattice)),
                      "decomposition_identity": 1}
 
 
