@@ -135,9 +135,10 @@ def test_haar_system_matches_loop_oracle(lat):
 def test_haar_rows_match_loop_oracle_past_64_children():
     # dim 7: 128 children per cube, ranks past 64; roots 0 and 1 differ
     # only in child 100, roots 0 and 2 only in child 63.  The loop's
-    # Gram-Schmidt rounds in up to 127 projections per vector: under the
-    # uniform measure it leaves 1.8e-15 of a row's largest entry on a child
-    # where the row is exactly 0, so the bound is 4 * DRIFT here
+    # Gram-Schmidt rounds in up to 127 projections per vector: in float64
+    # (where longdouble is float64) it leaves 1.8e-15 of a row's largest
+    # entry on a child where the row is exactly 0 under the uniform measure,
+    # so the bound is 4 * DRIFT here
     dim, n = 7, 128
     lat = build_lattice(dim, 0, -1, [Cube(dim, 0, (i,) + (0,) * (dim - 1))
                                      for i in range(4)])
