@@ -169,8 +169,9 @@ def decomposition_identity(t_mu: InducedOperator, r: int, f: np.ndarray,
 
     tf = f @ t
     lhs = nu.inner(tf, g)
-    term_pi_mu = nu.inner(f_fluct @ pi_mu.matrix.T, g)
-    term_pi_nu = mu.inner(f, g_fluct @ pi_nu.matrix.T)
+    # v @ A^T @ W applies Pi = W^T A to every row of v
+    term_pi_mu = nu.inner(f_fluct @ pi_mu.a.T @ pi_mu.w, g)
+    term_pi_nu = mu.inner(f, g_fluct @ pi_nu.a.T @ pi_nu.w)
 
     # sum over comparable levels j, k of <T_mu Delta_j f, Delta_k g>_nu, where
     # Delta_j is the sum of Delta_Q over the cubes Q at level j

@@ -10,8 +10,8 @@ import math
 
 from .lattice import Cube, Lattice, build_lattice
 from .measures import MeasureGrid, generate_measure
-from .operators import (BandOperator, basis_table, haar_multiplier, haar_shift, random_band,
-                        repr_order)
+from .operators import (BandOperator, HaarIndex, basis_table, haar_multiplier, haar_shift,
+                        random_band, repr_order)
 
 
 def _number(value, what: str, kind: type = float, nonnegative: bool = False, finite: bool = True):
@@ -93,6 +93,11 @@ def _index_json(kind: str, level: int, coords: tuple, component: int | None) -> 
     if component is not None:
         obj["component"] = component
     return obj
+
+
+def haar_index_to_json(ix: HaarIndex) -> dict:
+    """The JSON of a Haar index, as band_to_json writes it."""
+    return _index_json("haar", ix.cube.level, ix.cube.coords, ix.component)
 
 
 def _position(obj: dict, what: str, positions: dict) -> int:

@@ -220,18 +220,8 @@ def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
     return BandOperator(lattice, r, *(np.concatenate(part) for part in zip(*parts)))
 
 
-class TwoWeightMatrix:
-    """Base of a leaf matrix `matrix` from L2(mu) to L2(nu); subclasses hold `mu`, `nu`."""
-
-    @cached_property
-    def haar_block(self) -> np.ndarray:
-        """<matrix h_Q^mu, h_R^nu>_nu: rows R are nu's Haar rows, columns Q mu's; read-only."""
-        return read_only(
-            (self.nu.haar_rows[1] * self.nu.leaf_mass) @ self.matrix @ self.mu.haar_rows[1].T)
-
-
 @dataclass(frozen=True)
-class InducedOperator(TwoWeightMatrix):
+class InducedOperator:
     """T_mu = T M_u as a leaf matrix, acting L2(mu) -> L2(nu).
 
     `lebesgue_matrix` is the leaf matrix of the underlying operator T in
@@ -259,6 +249,12 @@ class InducedOperator(TwoWeightMatrix):
     def chi_table(self) -> np.ndarray:
         """Leaves x active cubes: column Q is T_mu chi_Q; read-only."""
         return read_only(self.matrix @ self.lattice.membership)
+
+    @cached_property
+    def haar_block(self) -> np.ndarray:
+        """<matrix h_Q^mu, h_R^nu>_nu: rows R are nu's Haar rows, columns Q mu's; read-only."""
+        return read_only(
+            (self.nu.haar_rows[1] * self.nu.leaf_mass) @ self.matrix @ self.mu.haar_rows[1].T)
 
     @cached_property
     def adjoint(self) -> "InducedOperator":

@@ -6,22 +6,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .lattice import Cube, Lattice, read_only
 from .measures import MeasureGrid
-from .operators import InducedOperator, TwoWeightMatrix, ZERO_TOL, local_testing_integrals
+from .operators import InducedOperator, ZERO_TOL, local_testing_integrals
 
 
 @dataclass(frozen=True)
-class Paraproduct(TwoWeightMatrix):
-    """Pi f = sum_Q E_Q f * sum_{R in Q, side(R) = 2^-r side(Q)} Delta_R T chi_Q
+class Paraproduct:
+    """Pi f = sum_Q E_Q f * w_Q, w_Q = sum_{R in Q, side(R) = 2^-r side(Q)} Delta_R T chi_Q,
     for an induced operator T from L2(mu) to L2(nu), T's measures: Pi_mu is
-    built from T_mu, Pi_nu from its adjoint T*_nu (output in L2(mu))."""
+    built from T_mu, Pi_nu from its adjoint T*_nu (output in L2(mu)).
+
+    Pi is kept as its factors, Pi = W^T A, and never as a leaf matrix: row k
+    of W is w_Q and row k of A the mu-averaging row chi_Q mu / mu(Q), for the
+    cube Q at active position cubes[k].  The cubes are those deep enough to
+    have cubes r levels below them, with mu(Q) > 0 (E_Q f is 0 otherwise).
+    All three arrays are read-only.
+    """
 
     r: int
-    matrix: np.ndarray
+    cubes: np.ndarray
+    w: np.ndarray
+    a: np.ndarray
     mu: MeasureGrid
     nu: MeasureGrid
 
@@ -32,23 +42,31 @@ class Paraproduct(TwoWeightMatrix):
         if r is not None and self.r != r:
             raise ValueError(f"{name} was built at r={self.r}, not r={r}")
 
+    @cached_property
+    def haar_block(self) -> np.ndarray:
+        """<Pi h_Q^mu, h_R^nu>_nu, rows R nu's Haar rows, columns Q mu's, as
+        ((H_nu nu) W^T)(A H_mu^T): no leaf x leaf product; read-only."""
+        return read_only(((self.nu.haar_rows[1] * self.nu.leaf_mass) @ self.w.T)
+                         @ (self.a @ self.mu.haar_rows[1].T))
+
 
 def build_paraproduct(t: InducedOperator, r: int, *, enlarge: int = 0) -> Paraproduct:
-    """Assemble the exact paraproduct matrix of t on leaf functions: averages
-    in t.mu, martingale differences in t.nu.
+    """The factors of t's paraproduct: averages in t.mu, martingale
+    differences in t.nu.
 
-    `enlarge` replaces chi_Q in the inner term by the indicator of the
-    k-th active ancestor of Q (used to exercise replacement invariance);
-    the result must not depend on it for a well localized operator.
+    `enlarge` replaces chi_Q in w_Q by the indicator of the k-th active
+    ancestor of Q (used to exercise replacement invariance); W must not
+    depend on it for a well localized operator.
     """
     lattice = t.lattice
     if lattice.depth <= r:
         raise ValueError(f"lattice depth {lattice.depth} must exceed r={r}")
     mq = t.mu.cube_masses
     cubes = np.flatnonzero((lattice.levels - r >= lattice.leaf_level + 1) & (mq > 0))
-    w = _local_deltas(t.chi_table, t.nu, r, cubes, enlarge)  # no cubes: a zero matrix
+    w = _local_deltas(t.chi_table, t.nu, r, cubes, enlarge)  # no cubes: no rows
     a = lattice.membership.T[cubes] * t.mu.leaf_mass / mq[cubes][:, None]
-    return Paraproduct(r=r, matrix=w.T @ a, mu=t.mu, nu=t.nu)
+    return Paraproduct(r=r, cubes=read_only(cubes), w=read_only(w), a=read_only(a),
+                       mu=t.mu, nu=t.nu)
 
 
 def _local_deltas(table: np.ndarray, measure: MeasureGrid, r: int,
@@ -100,9 +118,10 @@ def paraproduct_structure_verify(pi: Paraproduct, t: InducedOperator, *,
             np.where(coarse, 0.0, np.abs(g_pi - g_t) / scale))
     dev1, dev2, dev3 = (float(np.max(d)) for d in devs)
     passed = all(d <= tol for d in (dev1, dev2, dev3))
-    # witness: of the first maximal pair of each kind, the last in (R, Q, kind) order
-    last = max(((int(np.argmax(d)), k) for k, d in enumerate(devs) if np.max(d) > 0),
-               default=None)
+    # witness: of the first maximal pair of each kind, the last in (R, Q, kind)
+    # order; none where no deviation is positive (all NaN)
+    last = None if passed else max(
+        ((int(np.argmax(d)), k) for k, d in enumerate(devs) if np.max(d) > 0), default=None)
     witness = None
     if last is not None:
         i, j = divmod(last[0], len(mu_cubes))
@@ -110,8 +129,7 @@ def paraproduct_structure_verify(pi: Paraproduct, t: InducedOperator, *,
         witness = (("vanish_scale", "vanish_outside", "equality")[last[1]],
                    cubes[mu_cubes[j]], cubes[nu_cubes[i]])
     return ParaproductStructureReport(passed=passed, scale=scale, max_dev_vanish_scale=dev1,
-                         max_dev_vanish_outside=dev2, max_dev_equality=dev3,
-                         witness=None if passed else witness)
+                         max_dev_vanish_outside=dev2, max_dev_equality=dev3, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -214,12 +232,21 @@ def _require_same_lattice(seq: CarlesonSequence, lattice: Lattice, owner: str) -
                          f"{seq.lattice} against {lattice}")
 
 
-def carleson_sequence(t_mu: InducedOperator, r: int) -> CarlesonSequence:
+def carleson_sequence(t_mu: InducedOperator, r: int,
+                      pi_mu: Paraproduct | None = None) -> CarlesonSequence:
     """a_Q = sum over R inside Q at scale 2^-r side(Q) of the squared nu-norm
-    of Delta_R^nu T_mu chi_Q."""
+    of Delta_R^nu T_mu chi_Q, the squared nu-norm of w_Q.
+
+    With pi_mu = build_paraproduct(t_mu, r), a_Q is read off its rows of W,
+    bit for bit the rows computed here otherwise; only the rows of the
+    mu-null cubes it skips are computed."""
     lattice = t_mu.lattice
     values = np.zeros(len(lattice.levels))
     cubes = np.flatnonzero(lattice.levels - r >= lattice.leaf_level + 1)
+    if pi_mu is not None:
+        pi_mu.require_built_from(t_mu, "pi_mu", r)
+        values[pi_mu.cubes] = (pi_mu.w * pi_mu.w * t_mu.nu.leaf_mass).sum(axis=-1)
+        cubes = cubes[~(t_mu.mu.cube_masses[cubes] > 0)]
     if cubes.size:
         d = _local_deltas(t_mu.chi_table, t_mu.nu, r, cubes)
         values[cubes] = (d * d * t_mu.nu.leaf_mass).sum(axis=-1)

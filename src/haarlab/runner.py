@@ -13,7 +13,8 @@ import os
 import numpy as np
 
 from .analysis import decomposition_identity, testing_constants
-from .io import _fields, _number, band_from_json, cube_to_json, lattice_from_json, measure_from_json
+from .io import (_fields, _number, band_from_json, cube_to_json, haar_index_to_json,
+                 lattice_from_json, measure_from_json)
 from .lattice import Lattice
 from .operators import check_band, check_well_localized, induce
 from .paraproduct import (build_paraproduct, carleson_constant,
@@ -40,7 +41,7 @@ DEFAULT_TOLERANCES = {"zero": 1e-12, "identity": 1e-10, "entrywise": 1e-9,
 # Budget for the dense arrays of one instance: DENSE_CUBE_TABLES leaves x
 # active cubes tables (membership, the chi tables of T_mu and its adjoint)
 # and DENSE_LEAF_MATRICES n x n leaf matrices (band leaf matrix, Haar system,
-# induced operator and adjoint, paraproducts, ...).
+# induced operator and adjoint, Haar blocks, ...).
 MAX_DENSE_BYTES = 2 ** 31
 DENSE_CUBE_TABLES = 3
 DENSE_LEAF_MATRICES = 8
@@ -147,11 +148,12 @@ def _decomposition(t_mu, r, pi_mu, pi_nu, seed, count):
     return decomposition_identity(t_mu, r, f, g, pi_mu=pi_mu, pi_nu=pi_nu).relative
 
 
-def _carleson_sequence(t_mu, r):
+def _carleson_sequence(t_mu, r, pi_mu=None):
     """(sequence, None), or (None, details) when the instance overflows and
-    some a_Q is not finite, for the Carleson checks to fail with."""
+    some a_Q is not finite, for the Carleson checks to fail with; pi_mu's
+    rows are read when given."""
     try:
-        return carleson_sequence(t_mu, r), None
+        return carleson_sequence(t_mu, r, pi_mu), None
     except ValueError as exc:
         return None, {"error": str(exc)}
 
@@ -188,7 +190,8 @@ def suite_verify(config, tol) -> tuple[list, dict]:
                          max_relative_residual=worst))
 
     ok, witness = check_band(band, band.band_radius, tol=tol["zero"])
-    checks.append(_check("band_structure", ok, witness=repr(witness)))
+    checks.append(_check("band_structure", ok, witness=None if witness is None else {
+        "row": haar_index_to_json(witness[0]), "col": haar_index_to_json(witness[1])}))
 
     t_mu = induce(band, mu, nu)
     wl = check_well_localized(t_mu, r, tol=tol["zero"])
@@ -202,9 +205,10 @@ def suite_verify(config, tol) -> tuple[list, dict]:
                          vanish_outside=lem.max_dev_vanish_outside,
                          equality=lem.max_dev_equality))
 
+    # Pi = W^T A and A does not depend on the enlargement: compare the rows of W
     pi_big = build_paraproduct(t_mu, r, enlarge=1)
-    dev = float(np.max(np.abs(pi_mu.matrix - pi_big.matrix)))
-    scale = max(float(np.max(np.abs(pi_mu.matrix))), 1.0)
+    dev = float(np.max(np.abs(pi_mu.w - pi_big.w), initial=0.0))
+    scale = max(float(np.max(np.abs(pi_mu.w), initial=0.0)), 1.0)
     checks.append(_check("replacement_invariance", dev / scale <= tol["zero"],
                          deviation=dev / scale))
 
@@ -213,7 +217,7 @@ def suite_verify(config, tol) -> tuple[list, dict]:
                          off_band_max=rem.off_band_max,
                          in_band_max=rem.in_band_max))
 
-    seq, overflow = _carleson_sequence(t_mu, r)
+    seq, overflow = _carleson_sequence(t_mu, r, pi_mu)
     if overflow:
         checks.append(_check("carleson_property", False, **overflow))
     else:
@@ -351,8 +355,7 @@ def run(config: dict, out_dir: str, suite: str | None = None,
             writer.writerow(table["header"])
             writer.writerows(table["rows"])
     if "artifact" in extra:
-        with open(os.path.join(out_dir, "artifact.json"), "w") as fh:
-            json.dump(extra["artifact"], fh, indent=2, sort_keys=True)
+        _write_json(extra["artifact"], os.path.join(out_dir, "artifact.json"))
     _write_report(report, out_dir)
     return (0 if passed else 1), report
 
@@ -383,5 +386,11 @@ def _write_report(report: dict, out_dir: str) -> None:
     report["timestamp"] = datetime.datetime.now(
         datetime.timezone.utc).isoformat()
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    _write_json(report, os.path.join(out_dir, "report.json"))
+
+
+def _write_json(obj, path: str) -> None:
+    """Write obj as indented, key-sorted JSON in one write (json.dump makes
+    hundreds of small ones); the same bytes."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True))

@@ -2,8 +2,10 @@
 that now run on arrays, kept to check the array versions against them
 (exactly, except where the summation order changed: the comparable-scale
 sum of the decomposition identity, the identity on stacks of pairs (one
-matrix product for all of them), and everything the InducedOperator chi
-tables feed, compared at ORACLE_RTOL; and the weighted Haar rows, which
+matrix product for all of them), everything the InducedOperator chi
+tables feed, and the paraproducts' Haar blocks (formed from the factors W
+and A, where the oracle takes the dense W^T A), compared at ORACLE_RTOL;
+and the weighted Haar rows, which
 the code writes in closed form where the loop runs Gram-Schmidt, compared
 at the drift bound of test_haar_kernel.py).  The Carleson functions here
 work on {cube: a_Q} dicts, the representation CarlesonSequence used before it
@@ -26,7 +28,7 @@ from haarlab.analysis import DecompositionReport, TestingReport, testing_constan
 from haarlab.io import cube_to_json
 from haarlab.operators import (BandOperator, HaarIndex, RootIndex, WellLocalizedReport,
                                assemble)
-from haarlab.paraproduct import (CarlesonPropertyReport, Paraproduct,
+from haarlab.paraproduct import (CarlesonPropertyReport,
                                  ParaproductStructureReport, RemainderReport,
                                  _largest_eigenvalue, _largest_singular_value)
 from haarlab.search import SearchResult
@@ -119,7 +121,8 @@ def loop_delta_level_within(measure, values, level, q):
 
 
 def loop_build_paraproduct(t, r, enlarge=0):
-    """The paraproduct matrix of t assembled row by row, one cube at a time."""
+    """The leaf matrix W^T A of t's paraproduct, its rows assembled one cube
+    at a time: the dense product that Paraproduct keeps as its factors."""
     lattice = t.lattice
     op, avg_measure, delta_measure = t.matrix, t.mu, t.nu
     w_rows = []
@@ -141,10 +144,21 @@ def loop_build_paraproduct(t, r, enlarge=0):
         a_rows.append(lattice.indicator(q) * avg_measure.leaf_mass / mq)
     n = lattice.n_leaves
     if not w_rows:
-        matrix = np.zeros((n, n))
-    else:
-        matrix = np.array(w_rows).T @ np.array(a_rows)
-    return Paraproduct(r=r, matrix=matrix, mu=t.mu, nu=t.nu)
+        return np.zeros((n, n))
+    return np.array(w_rows).T @ np.array(a_rows)
+
+
+def paraproduct_matrix(pi):
+    """The leaf matrix W^T A of a Paraproduct, which the code never forms."""
+    return pi.w.T @ pi.a
+
+
+def factored_block(pi, out_weighted, in_rows):
+    """pi's Haar block from its factors in the order Paraproduct.haar_block
+    forms it, ((H_out out) W^T)(A H_in^T), for the loop oracles of the checks
+    that read the block; the block itself is compared with the dense
+    loop_haar_block(paraproduct_matrix(pi), ...) at a drift bound."""
+    return (out_weighted @ pi.w.T) @ (pi.a @ in_rows.T)
 
 
 def loop_haar_block(matrix, in_measure, out_measure):
@@ -192,8 +206,8 @@ def loop_decomposition_identity(t_mu, r, f, g, pi_mu, pi_nu):
     g_mean = nu.mean_part(g)
     g_fluct = g - g_mean
     lhs = nu.inner(t_mu.matrix @ f, g)
-    term_pi_mu = nu.inner(pi_mu.matrix @ f_fluct, g)
-    term_pi_nu = mu.inner(f, pi_nu.matrix @ g_fluct)
+    term_pi_mu = nu.inner(pi_mu.w.T @ (pi_mu.a @ f_fluct), g)
+    term_pi_nu = mu.inner(f, pi_nu.w.T @ (pi_nu.a @ g_fluct))
     levels = np.arange(lattice.top_level, lattice.leaf_level, -1)
     delta_f = mu.level_deltas(f, levels)
     delta_g = nu.level_deltas(g, levels) * nu.leaf_mass
@@ -486,7 +500,7 @@ def loop_paraproduct_structure_verify(pi, t, tol=1e-9):
     if not mu_cubes or not nu_cubes:
         return ParaproductStructureReport(True, 0.0, 0.0, 0.0, 0.0, None)
     weighted = nu_rows * out_measure.leaf_mass
-    g_pi = weighted @ pi.matrix @ mu_rows.T
+    g_pi = factored_block(pi, weighted, mu_rows)
     g_t = weighted @ op @ mu_rows.T
     scale = max(float(np.max(np.abs(g_t))), float(np.max(np.abs(g_pi))))
     if scale == 0.0:
@@ -522,8 +536,8 @@ def loop_remainder_diagonals(t_mu, pi_mu, pi_nu, tol=1e-12):
     nu_weighted = nu_rows * t_mu.nu.leaf_mass
     mu_weighted = mu_rows * t_mu.mu.leaf_mass
     g_t = nu_weighted @ t_mu.matrix @ mu_rows.T
-    g_pi = nu_weighted @ pi_mu.matrix @ mu_rows.T
-    g_pin = (mu_weighted @ pi_nu.matrix @ nu_rows.T).T
+    g_pi = factored_block(pi_mu, nu_weighted, mu_rows)
+    g_pin = factored_block(pi_nu, mu_weighted, nu_rows).T
     diff = g_t - g_pi - g_pin
     scale = float(np.max(np.abs(g_t)))
     if scale == 0.0:

@@ -79,6 +79,37 @@ def test_decompose_suite_passes(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("suite", ["verify", "search"])
+def test_json_files_are_one_write_of_json_dumps(tmp_path, monkeypatch, suite):
+    # json.dump wrote the same bytes in about 280 small writes per report
+    writes = []
+
+    class Counted:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            writes.append(os.path.basename(self.fh.name))
+            return self.fh.write(text)
+
+    monkeypatch.setattr(runner, "open", lambda *a, **k: Counted(open(*a, **k)), raising=False)
+    config = dict(BASE_CONFIG, search={"iterations": 3})
+    code, report = runner.run(config, str(tmp_path), suite=suite)
+    files = {"report.json": report}
+    if suite == "search":
+        files["artifact.json"] = report["artifact"]
+    assert sorted(writes) == sorted(files)
+    for name, obj in files.items():
+        with open(tmp_path / name) as fh:
+            assert fh.read() == json.dumps(obj, indent=2, sort_keys=True)
+
+
 def test_reports_deterministic_modulo_timestamp(tmp_path):
     config = dict(BASE_CONFIG, search={"iterations": 25})
     code_a, out_a = run_cli(tmp_path, config, "search", out_name="a")

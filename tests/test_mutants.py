@@ -2,10 +2,12 @@
 constructor or a test double, and exactly the checks that watch for that
 defect must fail.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
-from haarlab import CarlesonSequence, Cube, HaarIndex, InducedOperator, io, runner, tree_distance
+from haarlab import CarlesonSequence, Cube, InducedOperator, io, runner, tree_distance
 from haarlab.operators import local_testing_integrals
 
 CONFIG = {
@@ -21,10 +23,11 @@ RAISED_CUBE = 1  # the first cube below the root
 true_carleson_sequence = runner.carleson_sequence
 
 
-def raised_carleson_sequence(t_mu, r):
+def raised_carleson_sequence(t_mu, r, pi_mu=None):
     """The operator's true sequence with a_Q of one cube raised past
-    sum_{Q' inside Q} a_Q' <= ||chi_Q T_mu chi_Q||^2, its local testing bound."""
-    seq = true_carleson_sequence(t_mu, r)
+    sum_{Q' inside Q} a_Q' <= ||chi_Q T_mu chi_Q||^2, its local testing bound;
+    `verify` passes its Pi_mu, `carleson` none."""
+    seq = true_carleson_sequence(t_mu, r, pi_mu)
     bound = local_testing_integrals(t_mu)[RAISED_CUBE]
     values = np.array(seq.values)
     values[RAISED_CUBE] = bound + max(bound, 1.0)
@@ -91,7 +94,52 @@ def test_one_off_band_entry(tmp_path, suite, failed):
     assert got == failed
     for check in report["checks"]:
         if check["name"] == "band_structure":
-            assert check["details"]["witness"] == repr(tuple(HaarIndex(q, 0) for q in OFF_BAND))
+            row, col = ({"kind": "haar", "cube": io.cube_to_json(q), "component": 0}
+                        for q in OFF_BAND)
+            assert check["details"]["witness"] == {"row": row, "col": col}
+
+
+true_paraproducts = runner._paraproducts
+
+
+def perturbed_paraproducts(side, size):
+    """runner._paraproducts with one entry of W raised by `size` in Pi_mu
+    (side 0) or Pi_nu (side 1): in the row of RAISED_CUBE, at its first leaf
+    of positive output mass.  Not the root's row: E_root of every Haar function and of
+    every mean-free f is 0, so no check that reads Pi through Haar functions
+    could see it."""
+    def paraproducts(t_mu, r):
+        pis = list(true_paraproducts(t_mu, r))
+        pi = pis[side]
+        row = int(np.flatnonzero(pi.cubes == RAISED_CUBE)[0])
+        leaf = int(np.flatnonzero((pi.a[row] > 0) & (pi.nu.leaf_mass > 0))[0])
+        w = np.array(pi.w)
+        w[row, leaf] += size
+        pis[side] = dataclasses.replace(pi, w=w)
+        return tuple(pis)
+    return paraproducts
+
+
+PI_MU_CHECKS = {"paraproduct_structure", "replacement_invariance", "remainder_diagonals",
+                "decomposition_identity"}
+
+
+@pytest.mark.parametrize("side,size,suite,failed", [
+    # Pi_mu's structure and replacement invariance are checked on it, the
+    # remainder and the identity on both paraproducts
+    (0, 1.0, "verify", PI_MU_CHECKS),
+    (0, 1.0, "decompose", {"decomposition_identity"}),
+    # carleson_property reads a_Q off Pi_mu's rows: it fails once a_Q passes
+    # its testing bound, which has slack below that
+    (0, 30.0, "verify", PI_MU_CHECKS | {"carleson_property"}),
+    # Pi_nu's own structure is not checked: the remainder and the identity see it
+    (1, 1.0, "verify", {"remainder_diagonals", "decomposition_identity"}),
+    (1, 1.0, "decompose", {"decomposition_identity"})],
+    ids=["pi_mu-verify", "pi_mu-decompose", "pi_mu-past-carleson-verify", "pi_nu-verify",
+         "pi_nu-decompose"])
+def test_one_perturbed_paraproduct_entry(tmp_path, monkeypatch, side, size, suite, failed):
+    monkeypatch.setattr(runner, "_paraproducts", perturbed_paraproducts(side, size))
+    assert failed_checks(tmp_path, suite)[0] == failed
 
 
 def coupled_induce(band, mu, nu):

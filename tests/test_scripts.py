@@ -60,17 +60,44 @@ def test_carleson_depth_scan_is_nondecreasing_and_at_most_4(tmp_path):
      "--cells: '1,x,3' is not a dim,r,depth triple of integers"),
     ("ratio_table.py", ["--cells", "1,-1,3"], "--cells 1,-1,3: band radius must be nonnegative"),
     ("ratio_table.py", ["--cells", "1,1,0"], "--cells 1,1,0: leaf_level must be below top_level"),
-    ("ratio_table.py", ["--cells", " "], "--cells names no cell")],
+    ("ratio_table.py", ["--cells", " "], "--cells names no cell"),
+    ("bench.py", ["1"], "the following arguments are required: --cell"),
+    ("bench.py", ["1", "--cell", "1", "0"], "--cell 1 0: DIM and DEPTH must be at least 1"),
+    ("bench.py", ["1", "--cell", "1", "3", "--repeat", "0"], "--repeat must be at least 1, got 0"),
+    ("bench.py", ["1", "--cell", "1", "3", "--source", "src"],
+     "--source 'src' is not LABEL=DIR with DIR/haarlab/runner.py"),
+    ("bench.py", ["1", "--cell", "1", "3", "--suite", "search"],
+     "argument --suite: invalid choice: 'search'")],
     ids=["scan_depth_0", "scan_min_above_max", "scan_negative_iterations",
          "search_depth_0", "search_negative_iterations", "search_negative_r", "search_dim_0",
          "table_samples_0", "table_pair", "table_not_integer", "table_negative_r",
-         "table_depth_0", "table_no_cell"])
+         "table_depth_0", "table_no_cell", "bench_no_cell", "bench_depth_0", "bench_repeat_0",
+         "bench_bad_source", "bench_bad_suite"])
 def test_script_usage_errors_exit_2(tmp_path, script, args, message):
     out = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), *args], cwd=tmp_path,
                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert out.returncode == 2
     assert f"error: {message}" in out.stderr
     assert out.stdout == "" and not any(tmp_path.iterdir())  # no header, no artifact
+
+
+def test_bench_writes_one_run_per_cell_suite_and_source(tmp_path):
+    out = run([os.path.join(SCRIPTS, "bench.py"), "7", "--cell", "1", "3", "--cell", "2", "2",
+               "--suite", "verify", "--suite", "carleson", "--source", f"a={SRC}",
+               "--source", f"b={SRC}", "--dir", str(tmp_path)], tmp_path)
+    assert out.splitlines()[-1] == f"wrote {tmp_path / 'BENCH_7.json'}"
+    assert sorted(os.listdir(tmp_path)) == ["BENCH_7.json"]  # the reports are gone
+    with open(tmp_path / "BENCH_7.json") as fh:
+        bench = json.load(fh)
+    assert bench["sources"] == ["a", "b"] and bench["blas_threads"] == 1
+    runs = bench["runs"]
+    assert [(r["dim"], r["depth"], r["suite"], r["source"]) for r in runs] == [
+        (dim, depth, suite, source) for dim, depth in ((1, 3), (2, 2))
+        for suite in ("verify", "carleson") for source in "ab"]
+    for r in runs:
+        assert r["exit_code"] == 0 and r["seconds"] > 0 and r["peak_rss_mb"] > 0
+        assert (r["n_leaves"], r["n_cubes"]) == ((8, 15) if r["dim"] == 1 else (16, 21))
+        assert r["band_nnz"] > 0 and set(r["zero_mass_leaves"]) == {"mu", "nu"}
 
 
 def test_ratio_table_exits_1_on_a_nan_rho(tmp_path, monkeypatch, capsys):

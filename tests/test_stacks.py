@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from haarlab import (Cube, MeasureGrid, build_lattice, build_paraproduct,
                      decomposition_identity, induce, random_band, runner,
                      sparse_atoms_measure, zero_blocks_measure)
-from haarlab.operators import TwoWeightMatrix
+from haarlab.operators import InducedOperator
+from haarlab.paraproduct import Paraproduct
 
 from loop_oracle import (loop_average, loop_decomposition_identity, loop_expectation,
                          loop_martingale_difference, loop_parseval_residuals,
@@ -301,15 +302,20 @@ def test_verify_makes_one_call_per_measure_and_one_identity(tmp_path, monkeypatc
 def test_verify_forms_each_haar_block_once(tmp_path, monkeypatch, name):
     # T_mu, Pi_mu and Pi_nu; the structure check and the remainder share them
     formed = Counter()
-    func = TwoWeightMatrix.__dict__["haar_block"].func
 
-    def counted(self):
-        formed[type(self).__name__] += 1
-        return func(self)
+    def counted(cls):
+        func = cls.__dict__["haar_block"].func
 
-    block = cached_property(counted)
-    block.__set_name__(TwoWeightMatrix, "haar_block")
-    monkeypatch.setattr(TwoWeightMatrix, "haar_block", block)
+        def count(self):
+            formed[type(self).__name__] += 1
+            return func(self)
+
+        block = cached_property(count)
+        block.__set_name__(cls, "haar_block")
+        monkeypatch.setattr(cls, "haar_block", block)
+
+    counted(InducedOperator)
+    counted(Paraproduct)  # its own block, from its factors
     assert runner.run(_configs()[name], str(tmp_path), suite="verify")[0] == 0
     assert formed == {"InducedOperator": 1, "Paraproduct": 2}
 
