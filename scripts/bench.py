@@ -12,8 +12,9 @@ skipped.
 
 Each --source LABEL=DIR runs the haarlab package under DIR (a checkout's
 src/; default: this checkout's, labelled "this"), so one file can hold a
-before/after pair; the sources take turns run by run.  Writes
-BENCH_<N>.json in --dir.  Exits 2 on a bad argument, 1 when a run crashes.
+before/after pair; the sources take turns run by run, and which runs
+first alternates repeat by repeat.  Writes BENCH_<N>.json in the working
+directory.  Exits 2 on a bad argument, 1 when a run crashes.
 """
 import argparse
 import json
@@ -25,7 +26,7 @@ import tempfile
 import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-SUITES = ("verify", "testing", "carleson", "decompose")
+SUITES = ("verify", "testing", "carleson")
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # One run, in the subprocess: argv[1] is {"config", "suite", "out"}; prints one JSON line.
@@ -69,11 +70,10 @@ def main(argv=None):
     p.add_argument("--cell", nargs=2, type=int, action="append", required=True,
                    metavar=("DIM", "DEPTH"), help="a lattice to run on; repeatable")
     p.add_argument("--suite", action="append", choices=SUITES,
-                   help="a suite to run; repeatable (default: verify, testing, carleson)")
+                   help="a suite to run; repeatable (default: all three)")
     p.add_argument("--source", action="append", metavar="LABEL=DIR",
                    help="a src/ directory holding the haarlab package; repeatable")
     p.add_argument("--repeat", type=int, default=1, help="runs per cell, suite and source")
-    p.add_argument("--dir", default=".", help="where BENCH_<N>.json goes")
     args = p.parse_args(argv)
     if args.number < 0:
         p.error(f"the BENCH number must be nonnegative, got {args.number}")
@@ -90,19 +90,18 @@ def main(argv=None):
         if label in sources:
             p.error(f"--source label {label!r} given twice")
         sources[label] = src
-    if not os.path.isdir(args.dir):
-        p.error(f"--dir {args.dir!r} is not a directory")
     with open(os.path.join(ROOT, "configs", "default.json")) as fh:
         recipe = json.load(fh)
 
     runs = []
-    out = os.path.join(args.dir, f"BENCH_{args.number}.json")
+    out = f"BENCH_{args.number}.json"
     scratch = tempfile.TemporaryDirectory()  # the runs' reports, removed at exit
     for dim, depth in args.cell:
         config = dict(recipe, lattice={"dim": dim, "top_level": 0, "leaf_level": -depth})
-        for suite in args.suite or ("verify", "testing", "carleson"):
+        for suite in args.suite or SUITES:
             for repeat in range(args.repeat):
-                for label, src in sources.items():
+                order = list(sources.items())
+                for label, src in order[::-1] if repeat % 2 else order:
                     try:
                         result = run_one(os.path.abspath(src), config, suite, scratch.name)
                     except RuntimeError as exc:

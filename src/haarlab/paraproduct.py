@@ -5,7 +5,7 @@ embedding constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +25,8 @@ class Paraproduct:
     of W is w_Q and row k of A the mu-averaging row chi_Q mu / mu(Q), for the
     cube Q at active position cubes[k].  The cubes are those deep enough to
     have cubes r levels below them, with mu(Q) > 0 (E_Q f is 0 otherwise).
-    All three arrays are read-only.
+    All three arrays are read-only.  `enlarge` is build_paraproduct's, and
+    `table` the chi table W was computed from, kept to tell whose rows W holds.
     """
 
     r: int
@@ -34,6 +35,8 @@ class Paraproduct:
     a: np.ndarray
     mu: MeasureGrid
     nu: MeasureGrid
+    enlarge: int
+    table: np.ndarray = field(repr=False, compare=False)
 
     def require_built_from(self, t: InducedOperator, name: str, r: int | None = None) -> None:
         """Raise ValueError unless this maps between t's measures (`is`: their == raises), at r."""
@@ -66,7 +69,7 @@ def build_paraproduct(t: InducedOperator, r: int, *, enlarge: int = 0) -> Parapr
     w = _local_deltas(t.chi_table, t.nu, r, cubes, enlarge)  # no cubes: no rows
     a = lattice.membership.T[cubes] * t.mu.leaf_mass / mq[cubes][:, None]
     return Paraproduct(r=r, cubes=read_only(cubes), w=read_only(w), a=read_only(a),
-                       mu=t.mu, nu=t.nu)
+                       mu=t.mu, nu=t.nu, enlarge=enlarge, table=t.chi_table)
 
 
 def _local_deltas(table: np.ndarray, measure: MeasureGrid, r: int,
@@ -239,12 +242,16 @@ def carleson_sequence(t_mu: InducedOperator, r: int,
 
     With pi_mu = build_paraproduct(t_mu, r), a_Q is read off its rows of W,
     bit for bit the rows computed here otherwise; only the rows of the
-    mu-null cubes it skips are computed."""
+    mu-null cubes it skips are computed.  Raises ValueError for a pi_mu
+    built from another operator or with enlarge: its W is not t_mu's rows."""
     lattice = t_mu.lattice
     values = np.zeros(len(lattice.levels))
     cubes = np.flatnonzero(lattice.levels - r >= lattice.leaf_level + 1)
     if pi_mu is not None:
         pi_mu.require_built_from(t_mu, "pi_mu", r)
+        if pi_mu.table is not t_mu.chi_table or pi_mu.enlarge:
+            raise ValueError("pi_mu's rows are not t_mu's: built from another operator "
+                             f"or with enlarge={pi_mu.enlarge}")
         values[pi_mu.cubes] = (pi_mu.w * pi_mu.w * t_mu.nu.leaf_mass).sum(axis=-1)
         cubes = cubes[~(t_mu.mu.cube_masses[cubes] > 0)]
     if cubes.size:

@@ -222,6 +222,13 @@ def test_carleson_sequence_read_off_pi_mu_is_the_same_bits(dim, depth, r, seed):
     assert np.all(got[null] == 0.0)
     with pytest.raises(ValueError, match="^pi_mu was built"):
         carleson_sequence(t, r, build_paraproduct(t.adjoint, r))
+    # rows that are not t's local martingale rows: enlarged, or another
+    # operator's between the same measures
+    with pytest.raises(ValueError, match="^pi_mu's rows are not t_mu's.*enlarge=1"):
+        carleson_sequence(t, r, build_paraproduct(t, r, enlarge=1))
+    other = InducedOperator.from_leaf_matrix(2.0 * t.lebesgue_matrix, t.mu, t.nu)
+    with pytest.raises(ValueError, match="^pi_mu's rows are not t_mu's"):
+        carleson_sequence(t, r, build_paraproduct(other, r))
 
 
 @pytest.mark.parametrize("mu_mass", [1.0, 0.0], ids=["positive", "mu-null"])

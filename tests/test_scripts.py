@@ -84,16 +84,18 @@ def test_script_usage_errors_exit_2(tmp_path, script, args, message):
 def test_bench_writes_one_run_per_cell_suite_and_source(tmp_path):
     out = run([os.path.join(SCRIPTS, "bench.py"), "7", "--cell", "1", "3", "--cell", "2", "2",
                "--suite", "verify", "--suite", "carleson", "--source", f"a={SRC}",
-               "--source", f"b={SRC}", "--dir", str(tmp_path)], tmp_path)
-    assert out.splitlines()[-1] == f"wrote {tmp_path / 'BENCH_7.json'}"
+               "--source", f"b={SRC}", "--repeat", "2"], tmp_path)
+    assert out.splitlines()[-1] == "wrote BENCH_7.json"
     assert sorted(os.listdir(tmp_path)) == ["BENCH_7.json"]  # the reports are gone
     with open(tmp_path / "BENCH_7.json") as fh:
         bench = json.load(fh)
     assert bench["sources"] == ["a", "b"] and bench["blas_threads"] == 1
     runs = bench["runs"]
-    assert [(r["dim"], r["depth"], r["suite"], r["source"]) for r in runs] == [
-        (dim, depth, suite, source) for dim, depth in ((1, 3), (2, 2))
-        for suite in ("verify", "carleson") for source in "ab"]
+    # the sources take turns, and which goes first alternates repeat by repeat
+    assert [(r["dim"], r["depth"], r["suite"], r["repeat"], r["source"]) for r in runs] == [
+        (dim, depth, suite, repeat, source) for dim, depth in ((1, 3), (2, 2))
+        for suite in ("verify", "carleson") for repeat, order in enumerate(("ab", "ba"))
+        for source in order]
     for r in runs:
         assert r["exit_code"] == 0 and r["seconds"] > 0 and r["peak_rss_mb"] > 0
         assert (r["n_leaves"], r["n_cubes"]) == ((8, 15) if r["dim"] == 1 else (16, 21))
