@@ -40,17 +40,8 @@ class Cube:
             raise ValueError(f"expected {self.dim} coords, got {len(self.coords)}")
 
     @property
-    def side(self) -> float:
-        return 2.0 ** self.level
-
-    @property
     def volume(self) -> float:
         return 2.0 ** (self.level * self.dim)
-
-    def children(self) -> list["Cube"]:
-        """The 2**dim sub-cubes at level-1, in lexicographic coordinate order."""
-        return [Cube(self.dim, self.level - 1, tuple(2 * c + o for c, o in zip(self.coords, offs)))
-                for offs in itertools.product((0, 1), repeat=self.dim)]
 
     def parent(self) -> "Cube":
         return self.ancestor(1)
@@ -61,11 +52,6 @@ class Cube:
             raise ValueError("k must be nonnegative")
         return Cube(self.dim, self.level + k,
                     tuple(c >> k for c in self.coords))
-
-    def contains(self, other: "Cube") -> bool:
-        if other.dim != self.dim or other.level > self.level:
-            return False
-        return other.ancestor(self.level - other.level) == self
 
 
 def tree_distance(q: Cube, r: Cube) -> int | float:

@@ -217,15 +217,20 @@ def _subtree_sums(lattice: Lattice, values: np.ndarray) -> np.ndarray:
 def _update_subtree_sums(lattice: Lattice, sums, values: np.ndarray, changed) -> np.ndarray:
     """_subtree_sums(lattice, values) from sums, those of an array that differs from
     values only at the positions `changed`, bit for bit: the changed cubes and their
-    ancestors (a column of ancestor_index) are summed again, deepest (last) first."""
+    ancestors (a column of ancestor_index) are summed again, deepest (last) first.
+    The tables and both arrays are read as plain ints and floats through
+    memoryviews, with no numpy call per cube."""
     anc, kids, sums = lattice.ancestor_index, lattice.children_index, sums.copy()
-    chains = (anc[lattice.top_level - lattice.levels.item(i)::-1,
-                  lattice._first_leaf.item(i)].tolist() for i in changed)
-    for q in sorted(set().union(*chains), reverse=True):
+    up, width, kid = memoryview(anc.ravel()), kids.shape[1], memoryview(kids.ravel())
+    out, new, n, top = memoryview(sums), memoryview(values), anc.shape[1], lattice.top_level
+    chains = set()
+    for i in changed:  # column first_leaf(i) of ancestor_index, from i's row up
+        chains.update(up[(top - lattice.levels.item(i)) * n + lattice._first_leaf.item(i)::-n])
+    for q in sorted(chains, reverse=True):
         acc = -0.0  # x + -0.0 is x; then float64 adds in _subtree_sums's order
-        for k in kids[q].tolist() if q < len(kids) else ():
-            acc += sums.item(k)
-        sums[q] = acc + values.item(q)
+        for k in kid[q * width:q * width + width]:  # no rows past the non-leaf cubes
+            acc += out[k]
+        out[q] = acc + new[q]
     return sums
 
 
@@ -266,15 +271,23 @@ def carleson_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
     ValueError when seq and mu live on different lattices."""
     _require_same_lattice(seq, mu.lattice, "measure")
     m = mu.cube_masses
+    return _carleson_ratio(seq.subtree_sums(), m, _massive(m))
+
+
+def _massive(m: np.ndarray) -> np.ndarray | None:
+    """The mask m > 0 of the cube masses m, None when every cube has mass: the
+    kernels below then read every cube, with no boolean gather."""
     pos = m > 0.0
-    return _carleson_ratio(seq.subtree_sums(), pos, ~pos, m[pos])
+    return None if pos.all() else pos
 
 
-def _carleson_ratio(sums: np.ndarray, pos, zero, pos_masses: np.ndarray) -> float:
-    """carleson_constant from subtree sums; pos: mu(R) > 0, zero: ~pos, pos_masses: m[pos]."""
-    if (sums[zero] > 0.0).any():
+def _carleson_ratio(sums: np.ndarray, m: np.ndarray, pos) -> float:
+    """carleson_constant from subtree sums and cube masses m; pos: _massive(m)."""
+    if pos is None:  # every cube has mass: the maximum below, without masks
+        return float((sums / m).max(initial=0.0))
+    if (sums[~pos] > 0.0).any():
         return float("inf")
-    return float((sums[pos] / pos_masses).max(initial=0.0))
+    return float((sums[pos] / m[pos]).max(initial=0.0))
 
 
 def _largest_eigenvalue(gram: np.ndarray) -> float:
@@ -320,12 +333,12 @@ def embedding_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:
     """
     _require_same_lattice(seq, mu.lattice, "measure")
     m = mu.cube_masses
-    return _embedding_constant(seq.lattice, seq.values, m, m > 0)
+    return _embedding_constant(seq.lattice, seq.values, m, _massive(m))
 
 
 def _embedding_constant(lattice: Lattice, values: np.ndarray, m: np.ndarray, pos) -> float:
-    """embedding_constant of a values array in the cube masses m, pos = m > 0."""
-    sel = ((values > 0) & pos).nonzero()[0]
+    """embedding_constant of a values array in the cube masses m; pos: _massive(m)."""
+    sel = (values > 0 if pos is None else (values > 0) & pos).nonzero()[0]
     a, ms, lv = values[sel], m[sel], lattice.levels[sel]
     # [i, j]: cube sel[i] lies inside sel[j] (i >= j, sel is in active order):
     # Lattice.inside(sel, sel) inline, 5 % faster once per greedy candidate

@@ -15,7 +15,7 @@ from .lattice import build_lattice
 from .measures import MeasureGrid, uniform_measure
 from .operators import BandOperator, InducedOperator, assemble, random_band, repr_order
 from .paraproduct import (CarlesonSequence, _carleson_ratio, _check_values, _embedding_constant,
-                          _subtree_sums, _update_subtree_sums)
+                          _massive, _subtree_sums, _update_subtree_sums)
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,9 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
     chain of calls gives constants nondecreasing in depth.  A random
     candidate changes 1 to 3 a_Q of the incumbent array: only those are
     checked and only their cubes and ancestors are summed again; it scores
-    bit for bit as the whole array.  Only the optimum becomes a CarlesonSequence.
+    bit for bit as the whole array, through the kernels behind
+    carleson_constant and embedding_constant.  Every uniform cube has mass,
+    so they take their mask-free path.  Only the optimum becomes a CarlesonSequence.
     Returns (sequence, constant), with the sequence normalized to
     Carleson constant 1 up to round-off.
     """
@@ -159,11 +161,10 @@ def greedy_embedding_sequence(depth: int, seed: int = 0, iterations: int = 40,
         raise ValueError(f"iterations must be non-negative, got {iterations}")
     lattice = build_lattice(1, 0, -depth)
     m = uniform_measure(lattice, total=1.0).cube_masses
-    pos = m > 0.0
-    zero, pos_masses, n = ~pos, m[pos], len(lattice.levels)
+    pos, n = _massive(m), len(lattice.levels)  # None: every uniform cube has mass
 
     def normalized(values, sums):
-        c = _carleson_ratio(sums, pos, zero, pos_masses)
+        c = _carleson_ratio(sums, m, pos)
         return values if c == 0 or not np.isfinite(c) else values / c
 
     # chain seed: mass-proportional values along the branch at 0 (level -j at 2^j - 1)

@@ -15,6 +15,9 @@ oracles build dicts keyed by HaarIndex / RootIndex and look each key up
 with basis_positions, where every band builder now writes arrays of
 Haar-system positions.
 
+The Cube helpers `cube_side`, `cube_children` and `cube_contains` are the
+per-cube geometry the library's index tables replaced.
+
 Named without a `test` prefix so pytest collects nothing from it.
 """
 import itertools
@@ -53,6 +56,24 @@ def oracle_close(got, want, floor=0.0) -> bool:
         np.max(np.abs(got - want), initial=0.0) <= ORACLE_RTOL * scale)
 
 
+def cube_side(q):
+    """The side 2**level of a cube (the Cube.side property this replaces)."""
+    return 2.0 ** q.level
+
+
+def cube_children(q):
+    """The 2**dim sub-cubes of q at level - 1, in lexicographic coordinate order."""
+    return [Cube(q.dim, q.level - 1, tuple(2 * c + o for c, o in zip(q.coords, offs)))
+            for offs in itertools.product((0, 1), repeat=q.dim)]
+
+
+def cube_contains(q, other):
+    """Whether the cube `other` lies inside the cube q."""
+    if other.dim != q.dim or other.level > q.level:
+        return False
+    return other.ancestor(q.level - other.level) == q
+
+
 def haar_cubes(measure):
     """haar_rows with the row cubes as Cube objects."""
     cubes, rows = measure.haar_rows
@@ -72,7 +93,7 @@ def loop_martingale_difference(measure, values, q):
     lattice = measure.lattice
     out = np.zeros(lattice.n_leaves)
     base = loop_average(measure, values, q)
-    for child in q.children():
+    for child in cube_children(q):
         out[loop_leaf_indices(lattice, child)] = loop_average(measure, values, child) - base
     return out
 
@@ -107,12 +128,12 @@ def loop_delta_level_within(measure, values, level, q):
     lattice = measure.lattice
     mass = measure.leaf_mass
     out = np.zeros(lattice.n_leaves)
-    cubes = [r for r in lattice.cubes_at_level(level) if q.contains(r)]
+    cubes = [r for r in lattice.cubes_at_level(level) if cube_contains(q, r)]
     for r in cubes:
         ridx = loop_leaf_indices(lattice, r)
         mr = float(mass[ridx].sum())
         base = float(np.sum(values[ridx] * mass[ridx]) / mr) if mr > 0 else 0.0
-        for child in r.children():
+        for child in cube_children(r):
             cidx = loop_leaf_indices(lattice, child)
             mc = float(mass[cidx].sum())
             if mc > 0:
@@ -317,7 +338,7 @@ def loop_children_index(lattice):
     """Lattice.children_index built from Cube objects, as it was before
     position arithmetic."""
     index = lattice.cube_index
-    return np.array([[index[c] for c in q.children()] for q in lattice.nonleaf_cubes],
+    return np.array([[index[c] for c in cube_children(q)] for q in lattice.nonleaf_cubes],
                     dtype=np.intp).reshape(-1, 2 ** lattice.dim)
 
 
@@ -356,7 +377,7 @@ def loop_subtree_sums(lattice, values):
         for q in lattice.cubes_at_level(level):
             s = values.get(q, 0.0)
             if level > lattice.leaf_level:
-                s += sum(sums[c] for c in q.children())
+                s += sum(sums[c] for c in cube_children(q))
             sums[q] = s
     return sums
 
@@ -417,7 +438,7 @@ def _loop_greedy_value(lattice, values, masses):
     for i, r in enumerate(support):
         gram[i, i] = values[r] / masses[r]
         for j, s in enumerate(support[:i]):
-            if s.contains(r):
+            if cube_contains(s, r):
                 gram[i, j] = gram[j, i] = (math.sqrt(values[r]) * math.sqrt(values[s])
                                            / masses[s])
     top = max(gram.ravel().tolist(), default=0.0)
@@ -513,7 +534,7 @@ def loop_paraproduct_structure_verify(pi, t, tol=1e-9):
                 d = abs(g_pi[i, j]) / scale
                 if d > dev1:
                     dev1, witness = d, ("vanish_scale", qc, rc)
-            if not qc.contains(rc):
+            if not cube_contains(qc, rc):
                 d = abs(g_pi[i, j]) / scale
                 if d > dev2:
                     dev2, witness = d, ("vanish_outside", qc, rc)
@@ -581,8 +602,8 @@ def loop_check_well_localized(t_mu, r, tol=1e-12):
                 if rc.level > q.level:
                     continue
                 grand = q.ancestor(r)
-                flagged = (not grand.contains(rc)) or (
-                    rc.level <= q.level - r and not q.contains(rc))
+                flagged = (not cube_contains(grand, rc)) or (
+                    rc.level <= q.level - r and not cube_contains(q, rc))
                 if not flagged:
                     continue
                 checked += 1
@@ -630,7 +651,7 @@ def loop_weighted_haar_basis(measure, q):
     heavier than the others.  Where longdouble is float64 (some platforms)
     this is the plain float64 loop."""
     lattice = measure.lattice
-    children = q.children()
+    children = cube_children(q)
     masses = measure.cube_masses[[lattice.cube_index[c] for c in children]]
     alive = np.flatnonzero(masses > 0)
     funcs = []
@@ -725,7 +746,7 @@ def loop_haar_shift_entries(lattice):
     Cube.children call per non-leaf cube."""
     entries, dropped = {}, 0
     for q in lattice.nonleaf_cubes:
-        left, right = q.children()
+        left, right = cube_children(q)
         if left.level > lattice.leaf_level:
             entries[(HaarIndex(right, 0), HaarIndex(q, 0))] = 1.0
             entries[(HaarIndex(left, 0), HaarIndex(q, 0))] = -1.0
@@ -781,7 +802,7 @@ def loop_random_band_entries(lattice, r, seed, amplitude=1.0, root_amplitude=0.0
                 entries[(RootIndex(other), rix)] = rng.uniform(
                     -root_amplitude, root_amplitude)
             near = [p for p in lattice.nonleaf_cubes
-                    if root.contains(p) and root.level - p.level <= r]
+                    if cube_contains(root, p) and root.level - p.level <= r]
             for p in near:
                 for k in range(n_comp):
                     entries[(HaarIndex(p, k), rix)] = rng.uniform(

@@ -10,28 +10,29 @@ from haarlab import (NO_COMMON_ANCESTOR, Cube, analysis, build_lattice, induce, 
                      random_band, tree_distance)
 
 from conftest import random_weights
-from loop_oracle import (loop_ancestor_index, loop_children_index, loop_level_leaves,
-                         loop_levels, loop_membership, loop_tree_distance)
+from loop_oracle import (cube_children, cube_contains, cube_side, loop_ancestor_index,
+                         loop_children_index, loop_level_leaves, loop_levels,
+                         loop_membership, loop_tree_distance)
 
 
 def test_children_of_unit_interval():
     q = Cube(1, 0, (0,))
-    assert q.children() == [Cube(1, -1, (0,)), Cube(1, -1, (1,))]
+    assert cube_children(q) == [Cube(1, -1, (0,)), Cube(1, -1, (1,))]
 
 
 def test_children_2d_lexicographic_order():
-    kids = Cube(2, 0, (0, 0)).children()
+    kids = cube_children(Cube(2, 0, (0, 0)))
     assert [c.coords for c in kids] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert all(c.level == -1 for c in kids)
 
 
 def test_children_count_3d():
-    assert len(Cube(3, 2, (1, 2, 3)).children()) == 8
+    assert len(cube_children(Cube(3, 2, (1, 2, 3)))) == 8
 
 
 def test_parent_inverts_children():
     q = Cube(2, -1, (3, 5))
-    for c in q.children():
+    for c in cube_children(q):
         assert c.parent() == q
 
 
@@ -50,27 +51,27 @@ def test_ancestor_negative_k_raises():
 
 def test_contains():
     root = Cube(1, 0, (0,))
-    assert root.contains(root)
-    assert root.contains(Cube(1, -2, (3,)))
-    assert not root.contains(Cube(1, -2, (4,)))
-    assert not root.contains(Cube(1, 1, (0,)))
+    assert cube_contains(root, root)
+    assert cube_contains(root, Cube(1, -2, (3,)))
+    assert not cube_contains(root, Cube(1, -2, (4,)))
+    assert not cube_contains(root, Cube(1, 1, (0,)))
 
 
 def test_side_and_volume():
     q = Cube(2, -1, (0, 1))
-    assert q.side == 0.5
+    assert cube_side(q) == 0.5
     assert q.volume == 0.25
 
 
 def test_tree_distance_examples():
     root = Cube(1, 0, (0,))
-    left, right = root.children()
+    left, right = cube_children(root)
     assert tree_distance(root, root) == 0
     assert tree_distance(left, root) == 1
     assert tree_distance(left, right) == 2
     # first cousins: lowest common ancestor two levels up
     assert tree_distance(Cube(1, -2, (1,)), Cube(1, -2, (2,))) == 4
-    assert tree_distance(Cube(1, -2, (0,)), root.children()[1]) == 3
+    assert tree_distance(Cube(1, -2, (0,)), cube_children(root)[1]) == 3
 
 
 def test_tree_distance_no_common_ancestor():
@@ -258,7 +259,7 @@ def test_index_arrays_against_cube_enumeration(dim, depth, coords):
     assert [cubes[i] for i in lat.cube_index.values()] == list(cubes)
     assert lat.children_index.shape == (len(lat.nonleaf_cubes), 2 ** dim)
     for q, kids in zip(lat.nonleaf_cubes, lat.children_index):
-        assert [cubes[i] for i in kids] == q.children()
+        assert [cubes[i] for i in kids] == cube_children(q)
     for q in cubes:
         assert lat.leaf_indices(q).tolist() == loop_leaf_indices(lat, q).tolist()
         assert q in lat.cube_index

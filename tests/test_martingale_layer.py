@@ -18,7 +18,7 @@ from haarlab import (Cube, InducedOperator, Lattice, MeasureGrid,
                      induce, operator_norm, paraproduct_structure_verify,
                      random_band)
 
-from loop_oracle import (loop_build_paraproduct, loop_carleson_values,
+from loop_oracle import (cube_contains, loop_build_paraproduct, loop_carleson_values,
                          loop_check_well_localized, loop_comparable_sum,
                          loop_delta_level_within, loop_haar_block,
                          loop_martingale_difference,
@@ -76,7 +76,7 @@ def test_ancestor_index_and_inside_match_cubes(data, lat):
     for k, row in enumerate(lat.ancestor_index):
         assert [cubes[i] for i in row] == [q.ancestor(lat.depth - k) for q in lat.leaves]
     pos = np.arange(len(cubes))
-    want = [[outer.ancestor(up).contains(inner) for outer in cubes] for inner in cubes]
+    want = [[cube_contains(outer.ancestor(up), inner) for outer in cubes] for inner in cubes]
     assert lat.inside(pos, pos, up=up).tolist() == want
 
 

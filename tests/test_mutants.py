@@ -102,16 +102,19 @@ def test_one_off_band_entry(tmp_path, suite, failed):
 true_paraproducts = runner._paraproducts
 
 
-def perturbed_paraproducts(side, size):
+TOP_CUBE = 0  # the root, the lattice's one top cube
+
+
+def perturbed_paraproducts(side, size, cube=RAISED_CUBE):
     """runner._paraproducts with one entry of W raised by `size` in Pi_mu
-    (side 0) or Pi_nu (side 1): in the row of RAISED_CUBE, at its first leaf
-    of positive output mass.  Not the root's row: E_root of every Haar function and of
-    every mean-free f is 0, so no check that reads Pi through Haar functions
-    could see it."""
+    (side 0) or Pi_nu (side 1): in the row of `cube`, at its first leaf of
+    positive output mass.  In the row of TOP_CUBE it is a blind spot: E_root
+    of every Haar function and of every mean-free f is 0, so no check that
+    reads Pi through Haar functions can see it."""
     def paraproducts(t_mu, r):
         pis = list(true_paraproducts(t_mu, r))
         pi = pis[side]
-        row = int(np.flatnonzero(pi.cubes == RAISED_CUBE)[0])
+        row = int(np.flatnonzero(pi.cubes == cube)[0])
         leaf = int(np.flatnonzero((pi.a[row] > 0) & (pi.nu.leaf_mass > 0))[0])
         w = np.array(pi.w)
         w[row, leaf] += size
@@ -124,21 +127,32 @@ PI_MU_CHECKS = {"paraproduct_structure", "replacement_invariance", "remainder_di
                 "decomposition_identity"}
 
 
-@pytest.mark.parametrize("side,size,suite,failed", [
+@pytest.mark.parametrize("side,size,cube,suite,failed", [
     # Pi_mu's structure and replacement invariance are checked on it, the
     # remainder and the identity on both paraproducts
-    (0, 1.0, "verify", PI_MU_CHECKS),
-    (0, 1.0, "decompose", {"decomposition_identity"}),
+    (0, 1.0, RAISED_CUBE, "verify", PI_MU_CHECKS),
+    (0, 1.0, RAISED_CUBE, "decompose", {"decomposition_identity"}),
     # carleson_property reads a_Q off Pi_mu's rows: it fails once a_Q passes
     # its testing bound, which has slack below that
-    (0, 30.0, "verify", PI_MU_CHECKS | {"carleson_property"}),
+    (0, 30.0, RAISED_CUBE, "verify", PI_MU_CHECKS | {"carleson_property"}),
     # Pi_nu's own structure is not checked: the remainder and the identity see it
-    (1, 1.0, "verify", {"remainder_diagonals", "decomposition_identity"}),
-    (1, 1.0, "decompose", {"decomposition_identity"})],
+    (1, 1.0, RAISED_CUBE, "verify", {"remainder_diagonals", "decomposition_identity"}),
+    (1, 1.0, RAISED_CUBE, "decompose", {"decomposition_identity"}),
+    # the top cube's row, the blind spot: structure, remainder and identity
+    # never read it; replacement invariance fails only because the double
+    # leaves the enlarge=1 rebuild unperturbed (for the top cube the
+    # enlargement is the cube itself).  The root's testing bound has more
+    # slack than RAISED_CUBE's: raised by 30 a_root stays below it, by 100
+    # carleson_property fails
+    (0, 1.0, TOP_CUBE, "verify", {"replacement_invariance"}),
+    (0, 30.0, TOP_CUBE, "verify", {"replacement_invariance"}),
+    (0, 100.0, TOP_CUBE, "verify", {"replacement_invariance", "carleson_property"})],
     ids=["pi_mu-verify", "pi_mu-decompose", "pi_mu-past-carleson-verify", "pi_nu-verify",
-         "pi_nu-decompose"])
-def test_one_perturbed_paraproduct_entry(tmp_path, monkeypatch, side, size, suite, failed):
-    monkeypatch.setattr(runner, "_paraproducts", perturbed_paraproducts(side, size))
+         "pi_nu-decompose", "pi_mu-top-verify", "pi_mu-top-30-verify",
+         "pi_mu-top-past-carleson-verify"])
+def test_one_perturbed_paraproduct_entry(tmp_path, monkeypatch, side, size, cube, suite,
+                                         failed):
+    monkeypatch.setattr(runner, "_paraproducts", perturbed_paraproducts(side, size, cube))
     assert failed_checks(tmp_path, suite)[0] == failed
 
 

@@ -14,8 +14,9 @@ from haarlab.io import band_from_json, band_to_json
 from haarlab.operators import basis_table, comparable_pairing_count, repr_order
 
 from conftest import random_instance, random_weights
-from loop_oracle import (basis_positions, loop_band_to_json, loop_check_well_localized,
-                         loop_comparable_pairing_count, oracle_close)
+from loop_oracle import (basis_positions, cube_children, loop_band_to_json,
+                         loop_check_well_localized, loop_comparable_pairing_count,
+                         oracle_close)
 
 
 def test_haar_system_is_orthonormal():
@@ -94,7 +95,7 @@ def test_shift_moves_haar_functions_down():
         return rows[basis_positions(lat, [HaarIndex(cube, 0)])[0]]
 
     q = Cube(1, -1, (0,))
-    left, right = q.children()
+    left, right = cube_children(q)
     np.testing.assert_allclose(op.leaf_matrix @ haar(q), haar(right) - haar(left), atol=1e-12)
 
 

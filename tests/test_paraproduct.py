@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from haarlab import (CarlesonSequence, Cube, InducedOperator,
@@ -17,7 +17,8 @@ from haarlab import (CarlesonSequence, Cube, InducedOperator,
 from haarlab.paraproduct import _subtree_sums, _update_subtree_sums
 
 from conftest import random_instance, random_weights
-from loop_oracle import (_loop_greedy_value, loop_carleson_constant, loop_carleson_property,
+from loop_oracle import (_loop_greedy_value, cube_children, cube_contains,
+                         loop_carleson_constant, loop_carleson_property,
                          loop_cube_masses, loop_embedding_constant,
                          loop_paraproduct_structure_verify,
                          loop_remainder_diagonals, loop_subtree_sums, oracle_close)
@@ -167,7 +168,7 @@ def test_carleson_sequence_against_direct_recomputation():
         if q.level - 1 >= lat.leaf_level + 1:
             t_chi = t.matrix @ lat.indicator(q)
             for rr in lat.cubes_at_level(q.level - 1):
-                if q.contains(rr):
+                if cube_contains(q, rr):
                     d = nu.martingale_difference(t_chi, rr)
                     want[i] += nu.inner(d, d)
     assert oracle_close(carleson_sequence(t, 1).values, want)
@@ -275,7 +276,7 @@ def test_subtree_sums_by_brute_force():
     seq = CarlesonSequence(lat, [rng.uniform(0, 1) for _ in lat.active_cubes])
     sums = seq.subtree_sums()
     for q, got in zip(lat.active_cubes, sums):
-        want = sum(a for p, a in zip(lat.active_cubes, seq.values) if q.contains(p))
+        want = sum(a for p, a in zip(lat.active_cubes, seq.values) if cube_contains(q, p))
         assert got == pytest.approx(want)
 
 
@@ -333,7 +334,7 @@ def test_embedding_constant_past_the_float_range_is_inf():
     assert embedding_constant(seq_of(lat, {lat.roots[0]: 1e308}), tiny) == math.inf
     # finite entries (1.5e308 on the diagonal), a top eigenvalue past the range
     mu = uniform_measure(lat, total=1.0)
-    root, child = lat.roots[0], lat.roots[0].children()[0]
+    root, child = lat.roots[0], cube_children(lat.roots[0])[0]
     assert embedding_constant(seq_of(lat, {root: 1.5e308, child: 0.75e308}), mu) == math.inf
 
 
@@ -425,8 +426,29 @@ def carleson_instances(draw):
     return lat, mu, a
 
 
+def kernel_branch_instance(dim, depth, zero_block):
+    """A one-root lattice, a measure and a positive Carleson sequence for the
+    kernels' two branches: every cube massive (no mask), or the leaves of the
+    last cube above the leaf level massless (masked).  In 1D that cube and its
+    leaves carry a_Q = 0, so the masked Carleson ratio is finite; in 2D they
+    carry a_Q > 0, so it is inf and the Gram drops them."""
+    lat = build_lattice(dim, 0, -depth)
+    mass = np.linspace(0.5, 2.0, lat.n_leaves)
+    a = np.random.default_rng(dim).uniform(0.1, 2.0, len(lat.levels))
+    if zero_block:
+        block = lat.nonleaf_cubes[-1]
+        mass[lat.leaf_indices(block)] = 0.0
+        if dim == 1:
+            a[[lat.position(q) for q in (block, *cube_children(block))]] = 0.0
+    return lat, MeasureGrid(lat, mass), a
+
+
 @settings(max_examples=120, deadline=None)
 @given(inst=carleson_instances(), sparse_dict=st.booleans())
+@example(inst=kernel_branch_instance(1, 4, zero_block=False), sparse_dict=False)
+@example(inst=kernel_branch_instance(1, 4, zero_block=True), sparse_dict=True)
+@example(inst=kernel_branch_instance(2, 2, zero_block=False), sparse_dict=True)
+@example(inst=kernel_branch_instance(2, 2, zero_block=True), sparse_dict=False)
 def test_carleson_layer_matches_loop_oracle(inst, sparse_dict):
     lat, mu, a = inst
     seq = CarlesonSequence(lat, a)

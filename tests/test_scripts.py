@@ -67,12 +67,14 @@ def test_carleson_depth_scan_is_nondecreasing_and_at_most_4(tmp_path):
     ("bench.py", ["1", "--cell", "1", "3", "--source", "src"],
      "--source 'src' is not LABEL=DIR with DIR/haarlab/runner.py"),
     ("bench.py", ["1", "--cell", "1", "3", "--suite", "search"],
-     "argument --suite: invalid choice: 'search'")],
+     "argument --suite: invalid choice: 'search'"),
+    ("bench.py", ["1", "--cell", "1", "4", "--cell", "2", "3", "--suite", "scan"],
+     "--cell 2 3: the scan suite needs DIM 1 and DEPTH at least 3")],
     ids=["scan_depth_0", "scan_min_above_max", "scan_negative_iterations",
          "search_depth_0", "search_negative_iterations", "search_negative_r", "search_dim_0",
          "table_samples_0", "table_pair", "table_not_integer", "table_negative_r",
          "table_depth_0", "table_no_cell", "bench_no_cell", "bench_depth_0", "bench_repeat_0",
-         "bench_bad_source", "bench_bad_suite"])
+         "bench_bad_source", "bench_bad_suite", "bench_scan_dim_2"])
 def test_script_usage_errors_exit_2(tmp_path, script, args, message):
     out = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), *args], cwd=tmp_path,
                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
@@ -100,6 +102,21 @@ def test_bench_writes_one_run_per_cell_suite_and_source(tmp_path):
         assert r["exit_code"] == 0 and r["seconds"] > 0 and r["peak_rss_mb"] > 0
         assert (r["n_leaves"], r["n_cubes"]) == ((8, 15) if r["dim"] == 1 else (16, 21))
         assert r["band_nnz"] > 0 and set(r["zero_mass_leaves"]) == {"mu", "nu"}
+
+
+def test_bench_scan_records_the_chained_greedy_scan(tmp_path):
+    out = run([os.path.join(SCRIPTS, "bench.py"), "8", "--cell", "1", "4", "--suite", "scan"],
+              tmp_path)
+    assert out.splitlines()[-1] == "wrote BENCH_8.json"
+    with open(tmp_path / "BENCH_8.json") as fh:
+        (r,) = json.load(fh)["runs"]
+    assert (r["source"], r["dim"], r["depth"], r["suite"]) == ("this", 1, 4, "scan")
+    assert r["seconds"] > 0 and r["peak_rss_mb"] > 0 and r["n_cubes"] == 31
+    seq = None
+    for depth in (3, 4):  # the chain carleson_depth_scan.py runs, to the same bits
+        seq, const = haarlab.greedy_embedding_sequence(depth, seed=0, iterations=30,
+                                                       init=seq)
+    assert r["embedding_constant"] == const
 
 
 def test_ratio_table_exits_1_on_a_nan_rho(tmp_path, monkeypatch, capsys):

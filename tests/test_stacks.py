@@ -19,8 +19,8 @@ from haarlab import (Cube, MeasureGrid, build_lattice, build_paraproduct,
 from haarlab.operators import InducedOperator
 from haarlab.paraproduct import Paraproduct
 
-from loop_oracle import (loop_average, loop_decomposition_identity, loop_expectation,
-                         loop_martingale_difference, loop_parseval_residuals,
+from loop_oracle import (cube_children, loop_average, loop_decomposition_identity,
+                         loop_expectation, loop_martingale_difference, loop_parseval_residuals,
                          oracle_close)
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -142,7 +142,7 @@ def test_martingale_difference_of_a_cube_sequence_rejects_what_single_calls_reje
     assert mu.martingale_difference(f, ()).shape == (2, 0, lat.n_leaves)
     assert mu.martingale_difference(f[0], iter([])).shape == (0, lat.n_leaves)
     with pytest.raises(ValueError, match=r"levels \[-1, 0\], not at one level"):
-        mu.martingale_difference(f, [root, root.children()[1]])
+        mu.martingale_difference(f, [root, cube_children(root)[1]])
     with pytest.raises(ValueError, match="is a leaf"):
         mu.martingale_difference(f, lat.leaves[:2])
     with pytest.raises(ValueError, match="is not a cube of the lattice"):
