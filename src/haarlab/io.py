@@ -82,9 +82,10 @@ def lattice_from_json(obj: dict) -> Lattice:
     dim = _number(obj["dim"], "lattice dim", int)
     if not 0 < dim < 1024:  # past 1023 no two levels have normal cube volumes
         raise ValueError(f"lattice dim must be 1 to 1023, got {dim}")
-    roots = [Cube(dim, *_cube_fields(r)) for r in _container(obj.get("roots", []), "roots", list)]
+    roots = None if "roots" not in obj else [  # an explicit [] is no roots: build_lattice raises
+        Cube(dim, *_cube_fields(r)) for r in _container(obj["roots"], "roots", list)]
     return build_lattice(dim, _number(obj["top_level"], "top_level", int),
-                         _number(obj["leaf_level"], "leaf_level", int), roots or None)
+                         _number(obj["leaf_level"], "leaf_level", int), roots)
 
 
 def _index_json(kind: str, level: int, coords: tuple, component: int | None) -> dict:

@@ -329,21 +329,3 @@ def check_well_localized(t_mu: InducedOperator, r: int,
                                scale=scale, witness=witness,
                                checked_pairs=checked)
 
-
-def comparable_pairing_count(t_mu: InducedOperator, r: int,
-                             tol: float = ZERO_TOL) -> int:
-    """Max over Q of the number of comparable-scale cubes R whose weighted
-    Haar block against Q is nonzero; finite and bounded in terms of the
-    dimension and r only."""
-    mu_cubes, nu_cubes = t_mu.mu.haar_rows[0], t_mu.nu.haar_rows[0]
-    block = t_mu.haar_block
-    scale = float(np.max(np.abs(block), initial=0.0))
-    if scale == 0.0:
-        return 0
-    levels = t_mu.lattice.levels
-    n = len(levels)
-    hit = np.zeros((n, n), dtype=bool)  # R, Q with a nonzero block
-    np.logical_or.at(hit, (nu_cubes[:, None], mu_cubes),
-                     (np.abs(block) / scale > tol)
-                     & (np.abs(np.subtract.outer(levels[nu_cubes], levels[mu_cubes])) <= r))
-    return int(hit.sum(axis=0).max())

@@ -5,7 +5,7 @@ embedding constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,9 +24,10 @@ class Paraproduct:
     Pi is kept as its factors, Pi = W^T A, and never as a leaf matrix: row k
     of W is w_Q and row k of A the mu-averaging row chi_Q mu / mu(Q), for the
     cube Q at active position cubes[k].  The cubes are those deep enough to
-    have cubes r levels below them, with mu(Q) > 0 (E_Q f is 0 otherwise).
-    All three arrays are read-only.  `enlarge` is build_paraproduct's, and
-    `table` the chi table W was computed from, kept to tell whose rows W holds.
+    have cubes r levels below them, mu-null ones included: their row of A is
+    0, as E_Q f is 0 there, and W holds T's local martingale row of every
+    cube, whose squared nu-norm is a_Q (carleson_sequence).  All three
+    arrays are read-only.
     """
 
     r: int
@@ -35,8 +36,6 @@ class Paraproduct:
     a: np.ndarray
     mu: MeasureGrid
     nu: MeasureGrid
-    enlarge: int
-    table: np.ndarray = field(repr=False, compare=False)
 
     def require_built_from(self, t: InducedOperator, name: str, r: int | None = None) -> None:
         """Raise ValueError unless this maps between t's measures (`is`: their == raises), at r."""
@@ -57,38 +56,29 @@ def build_paraproduct(t: InducedOperator, r: int, *, enlarge: int = 0) -> Parapr
     """The factors of t's paraproduct: averages in t.mu, martingale
     differences in t.nu.
 
-    `enlarge` replaces chi_Q in w_Q by the indicator of the k-th active
-    ancestor of Q (used to exercise replacement invariance); W must not
-    depend on it for a well localized operator.
+    Row k of W sums Delta_R (T chi_B) over the cubes R inside Q at
+    level(Q) - r, for Q at position cubes[k] and B = Q.  `enlarge` = j makes
+    B the j-th active ancestor of Q (the top cube when there are fewer), to
+    exercise replacement invariance: W must not depend on it for a well
+    localized operator.
     """
     lattice = t.lattice
     if lattice.depth <= r:
         raise ValueError(f"lattice depth {lattice.depth} must exceed r={r}")
-    mq = t.mu.cube_masses
-    cubes = np.flatnonzero((lattice.levels - r >= lattice.leaf_level + 1) & (mq > 0))
-    w = _local_deltas(t.chi_table, t.nu, r, cubes, enlarge)  # no cubes: no rows
-    a = lattice.membership.T[cubes] * t.mu.leaf_mass / mq[cubes][:, None]
-    return Paraproduct(r=r, cubes=read_only(cubes), w=read_only(w), a=read_only(a),
-                       mu=t.mu, nu=t.nu, enlarge=enlarge, table=t.chi_table)
-
-
-def _local_deltas(table: np.ndarray, measure: MeasureGrid, r: int,
-                  cubes: np.ndarray, enlarge: int = 0) -> np.ndarray:
-    """Row k: the sum of Delta_R (T chi_B) over the cubes R inside Q at
-    level(Q) - r, where Q is the active cube at position cubes[k], B the
-    `enlarge`-th active ancestor of Q (the top cube when there are fewer)
-    and T chi_B column B of `table` (an InducedOperator chi table)."""
-    lattice = measure.lattice
-    anc = lattice.ancestor_index
+    anc, mq = lattice.ancestor_index, t.mu.cube_masses
+    cubes = np.flatnonzero(lattice.levels - r >= lattice.leaf_level + 1)
     levels = lattice.levels[cubes]
-    rows = np.zeros((cubes.size, lattice.n_leaves))
+    w = np.zeros((cubes.size, lattice.n_leaves))
     for level in set(levels.tolist()):
         k = lattice.top_level - level
         sel = np.flatnonzero(levels == level)
         big = anc[max(k - enlarge, 0), lattice._first_leaf[cubes[sel]]]
-        d = measure.level_deltas(table.T[big], [level - r])[:, 0]
-        rows[sel] = np.where(anc[k] == cubes[sel][:, None], d, 0.0)
-    return rows
+        d = t.nu.level_deltas(t.chi_table.T[big], [level - r])[:, 0]
+        w[sel] = np.where(anc[k] == cubes[sel][:, None], d, 0.0)
+    # a mu-null cube's leaves have no mass, so its row is 0 / 1 = 0
+    a = lattice.membership.T[cubes] * t.mu.leaf_mass / np.where(mq > 0, mq, 1.0)[cubes][:, None]
+    return Paraproduct(r=r, cubes=read_only(cubes), w=read_only(w), a=read_only(a),
+                       mu=t.mu, nu=t.nu)
 
 
 @dataclass(frozen=True)
@@ -240,29 +230,14 @@ def _require_same_lattice(seq: CarlesonSequence, lattice: Lattice, owner: str) -
                          f"{seq.lattice} against {lattice}")
 
 
-def carleson_sequence(t_mu: InducedOperator, r: int,
-                      pi_mu: Paraproduct | None = None) -> CarlesonSequence:
-    """a_Q = sum over R inside Q at scale 2^-r side(Q) of the squared nu-norm
-    of Delta_R^nu T_mu chi_Q, the squared nu-norm of w_Q.
-
-    With pi_mu = build_paraproduct(t_mu, r), a_Q is read off its rows of W,
-    bit for bit the rows computed here otherwise; only the rows of the
-    mu-null cubes it skips are computed.  Raises ValueError for a pi_mu
-    built from another operator or with enlarge: its W is not t_mu's rows."""
-    lattice = t_mu.lattice
-    values = np.zeros(len(lattice.levels))
-    cubes = np.flatnonzero(lattice.levels - r >= lattice.leaf_level + 1)
-    if pi_mu is not None:
-        pi_mu.require_built_from(t_mu, "pi_mu", r)
-        if pi_mu.table is not t_mu.chi_table or pi_mu.enlarge:
-            raise ValueError("pi_mu's rows are not t_mu's: built from another operator "
-                             f"or with enlarge={pi_mu.enlarge}")
-        values[pi_mu.cubes] = (pi_mu.w * pi_mu.w * t_mu.nu.leaf_mass).sum(axis=-1)
-        cubes = cubes[~(t_mu.mu.cube_masses[cubes] > 0)]
-    if cubes.size:
-        d = _local_deltas(t_mu.chi_table, t_mu.nu, r, cubes)
-        values[cubes] = (d * d * t_mu.nu.leaf_mass).sum(axis=-1)
-    return CarlesonSequence(lattice=lattice, values=values)
+def carleson_sequence(pi: Paraproduct) -> CarlesonSequence:
+    """a_Q = ||w_Q||_nu^2, the squared nu-norm of pi's row of W: the sum over
+    R inside Q at scale 2^-r side(Q) of ||Delta_R T chi_Q||_nu^2, for T the
+    operator pi was built from; 0 off pi.cubes.  Pi_mu gives T_mu's
+    sequence, Pi_nu its adjoint's."""
+    values = np.zeros(len(pi.nu.lattice.levels))
+    values[pi.cubes] = (pi.w * pi.w * pi.nu.leaf_mass).sum(axis=-1)
+    return CarlesonSequence(lattice=pi.nu.lattice, values=values)
 
 
 def carleson_constant(seq: CarlesonSequence, mu: MeasureGrid) -> float:

@@ -117,11 +117,16 @@ def _tolerances(*overrides) -> dict:
     return tol
 
 
+def _paraproduct(t, r):
+    """t's paraproduct; it needs a lattice deeper than r."""
+    if r >= t.lattice.depth:
+        raise ConfigError(f"r={r} must be below the lattice depth {t.lattice.depth}")
+    return build_paraproduct(t, r)
+
+
 def _paraproducts(t_mu, r):
-    """(Pi_mu, Pi_nu); they need a lattice deeper than r."""
-    if r >= t_mu.lattice.depth:
-        raise ConfigError(f"r={r} must be below the lattice depth {t_mu.lattice.depth}")
-    return build_paraproduct(t_mu, r), build_paraproduct(t_mu.adjoint, r)
+    """(Pi_mu, Pi_nu)."""
+    return _paraproduct(t_mu, r), _paraproduct(t_mu.adjoint, r)
 
 
 def _random_functions(lattice, seed, count):
@@ -148,12 +153,11 @@ def _decomposition(t_mu, r, pi_mu, pi_nu, seed, count):
     return decomposition_identity(t_mu, r, f, g, pi_mu=pi_mu, pi_nu=pi_nu).relative
 
 
-def _carleson_sequence(t_mu, r, pi_mu=None):
-    """(sequence, None), or (None, details) when the instance overflows and
-    some a_Q is not finite, for the Carleson checks to fail with; pi_mu's
-    rows are read when given."""
+def _carleson_sequence(pi_mu):
+    """(T_mu's sequence, None), or (None, details) when the instance
+    overflows and some a_Q is not finite, for the Carleson checks to fail with."""
     try:
-        return carleson_sequence(t_mu, r, pi_mu), None
+        return carleson_sequence(pi_mu), None
     except ValueError as exc:
         return None, {"error": str(exc)}
 
@@ -217,7 +221,7 @@ def suite_verify(config, tol) -> tuple[list, dict]:
                          off_band_max=rem.off_band_max,
                          in_band_max=rem.in_band_max))
 
-    seq, overflow = _carleson_sequence(t_mu, r, pi_mu)
+    seq, overflow = _carleson_sequence(pi_mu)
     if overflow:
         checks.append(_check("carleson_property", False, **overflow))
     else:
@@ -266,7 +270,7 @@ def suite_testing(config, tol) -> tuple[list, dict]:
 def suite_carleson(config, tol) -> tuple[list, dict]:
     lattice, mu, nu, band, r = build_instance(config)
     t_mu = induce(band, mu, nu)
-    seq, overflow = _carleson_sequence(t_mu, r)
+    seq, overflow = _carleson_sequence(_paraproduct(t_mu, r))
     if overflow:
         return [_check(name, False, **overflow) for name in (
             "carleson_property", "embedding_le_4_carleson")], {}

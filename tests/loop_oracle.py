@@ -617,6 +617,9 @@ def loop_check_well_localized(t_mu, r, tol=1e-12):
 
 
 def loop_comparable_pairing_count(t_mu, r, tol=1e-12):
+    """Max over Q of the number of comparable-scale cubes R whose weighted
+    Haar block against Q is nonzero; finite and bounded in terms of the
+    dimension and r only."""
     mu_cubes, mu_rows = haar_cubes(t_mu.mu)
     nu_cubes, nu_rows = haar_cubes(t_mu.nu)
     if not mu_cubes or not nu_cubes:

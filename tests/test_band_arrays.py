@@ -136,7 +136,7 @@ def test_cached_arrays_are_read_only():
                    "InducedOperator.haar_block": t.haar_block,
                    "comparable_pairs": analysis.comparable_pairs(lat, 1),
                    "Paraproduct.haar_block": build_paraproduct(t, 1).haar_block,
-                   "CarlesonSequence.values": carleson_sequence(t, 1).values})
+                   "CarlesonSequence.values": carleson_sequence(build_paraproduct(t, 1)).values})
     for name, x in arrays.items():
         assert x.size, name
         with pytest.raises(ValueError, match="read-only"):

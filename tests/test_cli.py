@@ -425,7 +425,7 @@ def test_necessity_and_ordering_overrides_reach_checks(tmp_path):
     assert not any(c["passed"] for c in report["checks"])
 
 
-@pytest.mark.parametrize("suite", ["verify", "decompose"])
+@pytest.mark.parametrize("suite", ["verify", "decompose", "carleson"])
 def test_radius_not_below_depth_exits_2(tmp_path, capsys, suite):
     code, _ = run_cli(tmp_path, dict(BASE_CONFIG, r=3), suite)
     assert code == 2
@@ -591,6 +591,7 @@ CONFIG_RULES = {
     "zero_dim": (dict(BASE_CONFIG, lattice=dict(LATTICE, dim=0)), "dim"),
     "fractional_dim": (dict(BASE_CONFIG, lattice=dict(LATTICE, dim=1.5)), "dim"),
     "flat_lattice": (dict(BASE_CONFIG, lattice=dict(LATTICE, leaf_level=0)), "leaf_level"),
+    "empty_roots": (dict(BASE_CONFIG, lattice=dict(LATTICE, roots=[])), "root"),
     "text_top_level": (dict(BASE_CONFIG, lattice=dict(LATTICE, top_level="0")), "top_level"),
     "negative_r": (dict(BASE_CONFIG, r=-1), "r must be"),
     "fractional_r": (dict(BASE_CONFIG, r=1.5), "r must be"),

@@ -164,7 +164,8 @@ def test_paraproducts_and_carleson_sequence_match_loop_oracle(inst):
                                 loop_build_paraproduct(op, r, enlarge),
                                 floor=np.max(np.abs(op.chi_table)))
     # a_Q <= 4 nu(Q) max |T_mu chi_Q|^2
-    assert oracle_close(carleson_sequence(t, r).values, loop_carleson_values(t, r),
+    assert oracle_close(carleson_sequence(build_paraproduct(t, r)).values,
+                        loop_carleson_values(t, r),
                         floor=t.nu.leaf_mass.sum() * np.max(np.abs(t.chi_table)) ** 2)
 
 

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from haarlab import CarlesonSequence, Cube, InducedOperator, io, runner, tree_distance
+from haarlab import CarlesonSequence, Cube, InducedOperator, induce, io, runner, tree_distance
 from haarlab.operators import local_testing_integrals
 
 CONFIG = {
@@ -23,12 +23,12 @@ RAISED_CUBE = 1  # the first cube below the root
 true_carleson_sequence = runner.carleson_sequence
 
 
-def raised_carleson_sequence(t_mu, r, pi_mu=None):
+def raised_carleson_sequence(pi_mu):
     """The operator's true sequence with a_Q of one cube raised past
-    sum_{Q' inside Q} a_Q' <= ||chi_Q T_mu chi_Q||^2, its local testing bound;
-    `verify` passes its Pi_mu, `carleson` none."""
-    seq = true_carleson_sequence(t_mu, r, pi_mu)
-    bound = local_testing_integrals(t_mu)[RAISED_CUBE]
+    sum_{Q' inside Q} a_Q' <= ||chi_Q T_mu chi_Q||^2, its local testing bound."""
+    seq = true_carleson_sequence(pi_mu)
+    _, mu, nu, band, _ = runner.build_instance(CONFIG)
+    bound = local_testing_integrals(induce(band, mu, nu))[RAISED_CUBE]
     values = np.array(seq.values)
     values[RAISED_CUBE] = bound + max(bound, 1.0)
     return CarlesonSequence(seq.lattice, values)

@@ -18,10 +18,10 @@ from haarlab.paraproduct import _subtree_sums, _update_subtree_sums
 
 from conftest import random_instance, random_weights
 from loop_oracle import (_loop_greedy_value, cube_children, cube_contains,
-                         loop_carleson_constant, loop_carleson_property,
-                         loop_cube_masses, loop_embedding_constant,
-                         loop_paraproduct_structure_verify,
-                         loop_remainder_diagonals, loop_subtree_sums, oracle_close)
+                         loop_build_paraproduct, loop_carleson_constant,
+                         loop_carleson_property, loop_cube_masses, loop_embedding_constant,
+                         loop_paraproduct_structure_verify, loop_remainder_diagonals,
+                         loop_subtree_sums, oracle_close, paraproduct_matrix)
 
 
 def seq_of(lat, values):
@@ -156,7 +156,7 @@ def test_carleson_sequence_zero_for_zero_operator():
     lat = build_lattice(1, 0, -3)
     leb = uniform_measure(lat)
     t = induce(haar_multiplier(lat, 0.0), leb, leb)
-    seq = carleson_sequence(t, 1)
+    seq = carleson_sequence(build_paraproduct(t, 1))
     assert all(v == 0.0 for v in seq.values)
 
 
@@ -171,7 +171,7 @@ def test_carleson_sequence_against_direct_recomputation():
                 if cube_contains(q, rr):
                     d = nu.martingale_difference(t_chi, rr)
                     want[i] += nu.inner(d, d)
-    assert oracle_close(carleson_sequence(t, 1).values, want)
+    assert oracle_close(carleson_sequence(build_paraproduct(t, 1)).values, want)
 
 
 # W N Wᵀ = diag(a): the row w_Q sums Δ_R T χ_Q over the R inside Q at
@@ -195,47 +195,57 @@ def _zero_mass_instance(dim, depth, r, seed):
                   MeasureGrid(lat, np.where(last, 0.0, nu)))
 
 
-@pytest.mark.parametrize("dim,depth,r,seed", [(1, 5, 1, 0), (1, 6, 2, 1), (1, 6, 0, 2),
-                                              (2, 3, 1, 3), (2, 4, 1, 4)])
+ZERO_MASS_CASES = [(1, 5, 1, 0), (1, 6, 2, 1), (1, 6, 0, 2), (2, 3, 1, 3), (2, 4, 1, 4)]
+
+
+@pytest.mark.parametrize("dim,depth,r,seed", ZERO_MASS_CASES)
+def test_paraproduct_with_mu_null_rows_matches_loop_oracle(dim, depth, r, seed):
+    # the oracle skips the mu-null cubes, whose rows Pi keeps with A's row 0
+    t = _zero_mass_instance(dim, depth, r, seed)
+    for op in (t, t.adjoint):
+        assert (op.mu.cube_masses[build_paraproduct(op, r).cubes] == 0).any()
+        for enlarge in (0, 1):
+            assert oracle_close(paraproduct_matrix(build_paraproduct(op, r, enlarge=enlarge)),
+                                loop_build_paraproduct(op, r, enlarge),
+                                floor=np.max(np.abs(op.chi_table)))
+
+
+@pytest.mark.parametrize("dim,depth,r,seed", ZERO_MASS_CASES)
 def test_paraproduct_rows_are_orthogonal_with_the_carleson_values_as_norms(dim, depth, r, seed):
     t = _zero_mass_instance(dim, depth, r, seed)
     for op in (t, t.adjoint):  # Pi_mu against nu, Pi_nu against mu
         pi = build_paraproduct(op, r)
-        a = carleson_sequence(op, r).values
+        a = carleson_sequence(pi).values
         scale = ORTHOGONALITY_RTOL * float(np.max(a))
         gram = (pi.w * op.nu.leaf_mass) @ pi.w.T
         assert np.all(np.abs(gram - np.diag(np.diag(gram))) <= scale)
         assert np.all(np.abs(np.diag(gram) - a[pi.cubes]) <= scale)
 
 
-@pytest.mark.parametrize("dim,depth,r,seed", [(1, 5, 1, 0), (1, 6, 2, 1), (1, 6, 0, 2),
-                                              (2, 3, 1, 3), (2, 4, 1, 4)])
+@pytest.mark.parametrize("dim,depth,r,seed", ZERO_MASS_CASES)
 def test_carleson_sequence_read_off_pi_mu_is_the_same_bits(dim, depth, r, seed):
     t = _zero_mass_instance(dim, depth, r, seed)
     pi_mu = build_paraproduct(t, r)
-    want = carleson_sequence(t, r).values
-    got = carleson_sequence(t, r, pi_mu).values
-    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
-    # the mu-null cubes that Pi_mu has no row for are there, and get exactly 0
+    got = carleson_sequence(pi_mu).values
+    rows = [float((w * w * t.nu.leaf_mass).sum()) for w in pi_mu.w]
+    assert [v.hex() for v in got[pi_mu.cubes].tolist()] == [v.hex() for v in rows]
+    # every cube deep enough for r has a row, the mu-null ones too: its A
+    # row is exactly 0 (E_Q f = 0), its W row T_mu's local martingale row
+    # (0 for this finite operator), and so is a_Q
     lat = t.lattice
-    null = (lat.levels - r >= lat.leaf_level + 1) & (t.mu.cube_masses == 0)
-    assert null.any() and not np.isin(np.flatnonzero(null), pi_mu.cubes).any()
-    assert np.all(got[null] == 0.0)
-    with pytest.raises(ValueError, match="^pi_mu was built"):
-        carleson_sequence(t, r, build_paraproduct(t.adjoint, r))
-    # rows that are not t's local martingale rows: enlarged, or another
-    # operator's between the same measures
-    with pytest.raises(ValueError, match="^pi_mu's rows are not t_mu's.*enlarge=1"):
-        carleson_sequence(t, r, build_paraproduct(t, r, enlarge=1))
-    other = InducedOperator.from_leaf_matrix(2.0 * t.lebesgue_matrix, t.mu, t.nu)
-    with pytest.raises(ValueError, match="^pi_mu's rows are not t_mu's"):
-        carleson_sequence(t, r, build_paraproduct(other, r))
+    deep = lat.levels - r >= lat.leaf_level + 1
+    assert np.array_equal(pi_mu.cubes, np.flatnonzero(deep))
+    null = t.mu.cube_masses[pi_mu.cubes] == 0
+    assert null.any()
+    assert np.all(pi_mu.a[null] == 0.0) and np.all(pi_mu.w[null] == 0.0)
+    assert np.all(got[pi_mu.cubes[null]] == 0.0) and np.all(got[~deep] == 0.0)
 
 
 @pytest.mark.parametrize("mu_mass", [1.0, 0.0], ids=["positive", "mu-null"])
 @pytest.mark.parametrize("entry", [np.inf, np.nan], ids=["inf", "nan"])
 def test_carleson_sequence_of_a_non_finite_operator_overflows_with_pi_mu(mu_mass, entry):
-    # with mu = 0 everywhere Pi_mu has no rows, and every a_Q is computed here
+    # with mu = 0 everywhere every row of Pi_mu's A is 0, and W still holds
+    # the operator's rows
     t = _zero_mass_instance(1, 4, 1, 5)
     matrix = np.array(t.lebesgue_matrix)
     matrix[0, 5] = entry
@@ -243,11 +253,10 @@ def test_carleson_sequence_of_a_non_finite_operator_overflows_with_pi_mu(mu_mass
     bad = InducedOperator.from_leaf_matrix(matrix, mu, t.nu)
     with np.errstate(invalid="ignore"):  # inf * 0 on the mu-null leaves
         pi_mu = build_paraproduct(bad, 1)
-    assert (pi_mu.cubes.size == 0) == (mu_mass == 0.0)
     with pytest.raises(ValueError, match="finite") as want, np.errstate(invalid="ignore"):
-        carleson_sequence(bad, 1)
+        carleson_sequence(build_paraproduct(bad, 1))
     with pytest.raises(ValueError, match="finite") as got, np.errstate(invalid="ignore"):
-        carleson_sequence(bad, 1, pi_mu)
+        carleson_sequence(pi_mu)
     assert str(got.value) == str(want.value)
 
 
@@ -397,7 +406,7 @@ def test_embedding_bounded_by_four_times_carleson():
 def test_carleson_property_of_induced_operators(dim, depth, r):
     t = random_instance(dim, depth, r, seed=depth + r,
                         zero_fraction=0.2, root_amplitude=0.3)
-    seq = carleson_sequence(t, r)
+    seq = carleson_sequence(build_paraproduct(t, r))
     rep = carleson_property(t, seq)
     assert rep.passed
     assert rep.max_excess <= 1e-10
@@ -534,7 +543,7 @@ def test_carleson_property_rejects_an_operator_on_another_lattice(kind):
 def test_carleson_property_matches_loop_oracle(dim, depth, r, zero_fraction):
     t = random_instance(dim, depth, r, seed=dim * 100 + depth * 10 + r,
                         zero_fraction=zero_fraction, root_amplitude=0.4)
-    seq = carleson_sequence(t, r)
+    seq = carleson_sequence(build_paraproduct(t, r))
     values = dict(zip(t.lattice.active_cubes, seq.values.tolist()))
     got, want = carleson_property(t, seq), loop_carleson_property(t, values)
     assert got.passed == want.passed
