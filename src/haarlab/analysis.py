@@ -11,7 +11,7 @@ import numpy as np
 from .lattice import Lattice, read_only
 from .measures import _row_sums, _scalar
 from .operators import InducedOperator
-from .paraproduct import Paraproduct, _largest_singular_value, build_paraproduct
+from .paraproduct import Paraproduct, _largest_singular_value
 
 
 def operator_norm(t_mu: InducedOperator) -> float:
@@ -140,12 +140,12 @@ class DecompositionReport:
     relative: float | np.ndarray
 
 
-def decomposition_identity(t_mu: InducedOperator, r: int, f: np.ndarray,
-                           g: np.ndarray, pi_mu: Paraproduct | None = None,
-                           pi_nu: Paraproduct | None = None) -> DecompositionReport:
+def decomposition_identity(t_mu: InducedOperator, pi_mu: Paraproduct, pi_nu: Paraproduct,
+                           f: np.ndarray, g: np.ndarray) -> DecompositionReport:
     """Verify <T_mu f, g>_nu = <Pi^mu f~, g>_nu + <f, Pi^nu g~>_mu
     + sum over comparable scales <T_mu Delta_Q f, Delta_R g>_nu
     + mean terms, where f~, g~ are f, g minus their root averages.
+    pi_mu and pi_nu are the paraproducts of T_mu and T*_nu at one r = pi_mu.r.
 
     f and g are leaf functions, or stacks of them along the last axis
     paired row by row; a stack is one matrix product per operator.
@@ -154,11 +154,8 @@ def decomposition_identity(t_mu: InducedOperator, r: int, f: np.ndarray,
     term when mu or nu is multiplied by a constant (the residual itself
     where that scale is 0, NaN where it or the residual is not finite).
     """
-    lattice = t_mu.lattice
-    mu, nu = t_mu.mu, t_mu.nu
-    pi_mu = pi_mu or build_paraproduct(t_mu, r)
-    pi_nu = pi_nu or build_paraproduct(t_mu.adjoint, r)
-    pi_mu.require_built_from(t_mu, "pi_mu", r)
+    lattice, mu, nu, r = t_mu.lattice, t_mu.mu, t_mu.nu, pi_mu.r
+    pi_mu.require_built_from(t_mu, "pi_mu")
     pi_nu.require_built_from(t_mu.adjoint, "pi_nu", r)
     t = t_mu.matrix.T  # v @ t applies T_mu to every row of v
 

@@ -43,16 +43,6 @@ class Cube:
     def volume(self) -> float:
         return 2.0 ** (self.level * self.dim)
 
-    def parent(self) -> "Cube":
-        return self.ancestor(1)
-
-    def ancestor(self, k: int) -> "Cube":
-        """The k-th grandparent; ancestor(0) is the cube itself."""
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        return Cube(self.dim, self.level + k,
-                    tuple(c >> k for c in self.coords))
-
 
 def tree_distance(q: Cube, r: Cube) -> int | float:
     """Graph distance in the 2**dim-ary dyadic tree.
@@ -110,9 +100,6 @@ class Lattice:
     def depth(self) -> int:
         return self.top_level - self.leaf_level
 
-    def is_leaf(self, q: Cube) -> bool:
-        return q.level == self.leaf_level
-
     def cubes_at_level(self, level: int) -> list[Cube]:
         if level > self.top_level or level < self.leaf_level:
             return []
@@ -129,10 +116,6 @@ class Lattice:
     @cached_property
     def nonleaf_cubes(self) -> tuple[Cube, ...]:
         return tuple(q for q in self.active_cubes if q.level > self.leaf_level)
-
-    @cached_property
-    def leaves(self) -> tuple[Cube, ...]:
-        return tuple(self.cubes_at_level(self.leaf_level))
 
     @cached_property
     def cube_index(self) -> types.MappingProxyType:

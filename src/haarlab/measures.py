@@ -50,23 +50,12 @@ class MeasureGrid:
     def norm(self, f: np.ndarray):
         return _scalar(np.sqrt(np.maximum(self.inner(f, f), 0.0)))
 
-    def average(self, f: np.ndarray, q: Cube):
-        """mu(q)^-1 * integral of f over q; 0 when mu(q) = 0."""
-        i = self.lattice.position(q)
-        return _scalar(self._averages(f, self.lattice._leaf_rows([i], q.level), [i])[..., 0])
-
     def _averages(self, values: np.ndarray, table: np.ndarray, pos) -> np.ndarray:
         """Averages of values over the cubes at active positions pos, whose leaves are
         the rows of table (level_leaves rows); 0 where mu is 0.  Rows sum as np.sum does."""
         sums = _row_sums(values[..., table] * self.leaf_mass[table])
         m = self.cube_masses[pos]
         return np.divide(sums, m, out=np.zeros_like(sums), where=m > 0)
-
-    def expectation(self, f: np.ndarray, q: Cube) -> np.ndarray:
-        """E_Q f: the average of f on q, as a function supported on q."""
-        out = np.zeros(np.shape(f))
-        out[..., self.lattice.leaf_indices(q)] = np.expand_dims(self.average(f, q), -1)
-        return out
 
     def martingale_difference(self, f: np.ndarray, q) -> np.ndarray:
         """Delta_Q f: on each child of q, (average on child) - (average on q).
@@ -118,7 +107,7 @@ class MeasureGrid:
         orthonormal mean-zero basis of its child-indicator span, one row
         fewer than q has positive-mass children (none if at most one)."""
         i = self.lattice.position(q)
-        if self.lattice.is_leaf(q):
+        if q.level == self.lattice.leaf_level:
             raise ValueError(f"cube {q} is a leaf, no Haar basis")
         cubes, rows = self.haar_rows
         return rows[cubes == i]
@@ -170,18 +159,20 @@ class MeasureGrid:
         """All martingale differences plus root averages.
 
         Returns (deltas, expectations): dicts over non-leaf active cubes and
-        over roots.  On positive-mass leaves the pieces sum back to f.
+        over roots.  E_R f is mean_part(f) on the leaves of root R, 0 off
+        them.  On positive-mass leaves the pieces sum back to f.
         """
-        deltas = {q: self.martingale_difference(f, q)
-                  for q in self.lattice.nonleaf_cubes}
-        exps = {r: self.expectation(f, r) for r in self.lattice.roots}
-        return deltas, exps
+        lattice = self.lattice
+        deltas = {q: self.martingale_difference(f, q) for q in lattice.nonleaf_cubes}
+        mean, root_of = self.mean_part(f), lattice.ancestor_index[0]
+        return deltas, {r: np.where(root_of == j, mean, 0.0) for j, r in enumerate(lattice.roots)}
 
     def mean_part(self, f: np.ndarray) -> np.ndarray:
-        """Sum of the root averages E_R f."""
+        """Sum of the root averages E_R f: on each root's leaves, the average
+        of f over that root (0 when the root has no mass)."""
         lattice = self.lattice
-        # np.take keeps C order, as the sum of expectations did: on a strided
-        # result the matrix products that read it round otherwise
+        # np.take gives a C-ordered result: on a strided one the matrix
+        # products that read it round otherwise
         roots = self._averages(f, lattice.level_leaves[0], np.arange(len(lattice.roots)))
         return np.take(roots, lattice.ancestor_index[0], axis=-1)
 
@@ -234,7 +225,9 @@ def sparse_atoms_measure(lattice: Lattice, count: int, seed: int) -> MeasureGrid
 
 
 def zero_blocks_measure(lattice: Lattice, fraction: float, seed: int) -> MeasureGrid:
-    """Lognormal masses with a random fraction of leaves zeroed out."""
+    """Lognormal masses with a random fraction (in [0, 1]) of leaves zeroed out."""
+    if not 0 <= fraction <= 1:
+        raise ValueError(f"zero_blocks fraction must be in [0, 1], got {fraction!r}")
     rng = np.random.default_rng(seed)
     mass = np.exp(rng.standard_normal(lattice.n_leaves))
     mass[rng.random(lattice.n_leaves) < fraction] = 0.0

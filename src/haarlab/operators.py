@@ -94,16 +94,12 @@ class BandOperator:
 
     @cached_property
     def leaf_matrix(self) -> np.ndarray:
-        """Dense matrix acting on leaf functions in L2(m), read-only."""
-        return read_only(assemble(self.lattice, self.rows, self.cols, self.values))
-
-
-def assemble(lattice: Lattice, rows, cols, values) -> np.ndarray:
-    """Leaf matrix in L2(m) of the entries `values` at haar_system positions."""
-    h = haar_system(lattice)
-    e = np.zeros((len(h),) * 2)
-    e[rows, cols] = values
-    return lattice.leaf_volume * (h.T @ e @ h)
+        """Dense matrix acting on leaf functions in L2(m), read-only: the
+        entries placed in the haar_system basis, leaf_volume h^T E h."""
+        h = haar_system(self.lattice)
+        e = np.zeros((len(h),) * 2)
+        e[self.rows, self.cols] = self.values
+        return read_only(self.lattice.leaf_volume * (h.T @ e @ h))
 
 
 def check_band(op: BandOperator, r: int, tol: float = ZERO_TOL):
@@ -169,6 +165,12 @@ def haar_shift(lattice: Lattice) -> BandOperator:
                         meta={"dropped_terms": int(lattice.level_starts[-2]) - len(kept)})
 
 
+def check_amplitude(name: str, a: float) -> None:
+    """Reject a negative or NaN a, and one whose range 2a in rng.uniform(-a, a) overflows."""
+    if not (a >= 0 and np.isfinite(2.0 * float(a))):  # float: no numpy overflow warning
+        raise ValueError(f"{name} must be nonnegative and below 2**1023 (finite 2a), got {a!r}")
+
+
 def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
                 root_amplitude: float = 0.0) -> BandOperator:
     """Random band operator: i.i.d. uniform entries on all Haar index pairs
@@ -184,9 +186,8 @@ def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
     """
     if r < 0:
         raise ValueError("band radius must be nonnegative")
-    for name, a in (("amplitude", amplitude), ("root_amplitude", root_amplitude)):
-        if not (np.isfinite(a) and a >= 0):
-            raise ValueError(f"random_band {name} must be finite and nonnegative, got {a!r}")
+    check_amplitude("random_band amplitude", amplitude)
+    check_amplitude("random_band root_amplitude", root_amplitude)
     rng = np.random.default_rng(seed)
     n_comp = 2 ** lattice.dim - 1
     nonleaf = np.arange(lattice.level_starts[-2])
@@ -233,13 +234,6 @@ class InducedOperator:
     mu: MeasureGrid
     nu: MeasureGrid
     lebesgue_matrix: np.ndarray
-    band: BandOperator | None = None
-
-    @classmethod
-    def from_leaf_matrix(cls, matrix: np.ndarray, mu: MeasureGrid,
-                         nu: MeasureGrid) -> "InducedOperator":
-        return cls(lattice=mu.lattice, mu=mu, nu=nu,
-                   lebesgue_matrix=np.asarray(matrix, dtype=float))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -261,8 +255,7 @@ class InducedOperator:
         """T*_nu: L2(nu) -> L2(mu), of this operator's class.  It holds no
         reference back to this operator, so dropping one frees its arrays
         without the cyclic garbage collector."""
-        return replace(self, mu=self.nu, nu=self.mu,
-                       lebesgue_matrix=self.lebesgue_matrix.T, band=None)
+        return replace(self, mu=self.nu, nu=self.mu, lebesgue_matrix=self.lebesgue_matrix.T)
 
 
 def local_testing_integrals(t: InducedOperator) -> np.ndarray:
@@ -276,8 +269,7 @@ def induce(band: BandOperator, mu: MeasureGrid, nu: MeasureGrid) -> InducedOpera
     """T_mu for the band operator T between the measures on its lattice."""
     if mu.lattice != band.lattice or nu.lattice != band.lattice:
         raise ValueError("lattice mismatch between operator and measures")
-    return InducedOperator(lattice=band.lattice, mu=mu, nu=nu,
-                           lebesgue_matrix=band.leaf_matrix, band=band)
+    return InducedOperator(lattice=band.lattice, mu=mu, nu=nu, lebesgue_matrix=band.leaf_matrix)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from .analysis import decomposition_identity, testing_constants
 from .io import (_fields, _number, band_from_json, cube_to_json, haar_index_to_json,
                  lattice_from_json, measure_from_json)
 from .lattice import Lattice
-from .operators import check_band, check_well_localized, induce
+from .operators import check_amplitude, check_band, check_well_localized, induce
 from .paraproduct import (build_paraproduct, carleson_constant,
                           carleson_property, carleson_sequence,
                           embedding_constant, paraproduct_structure_verify,
@@ -99,8 +99,11 @@ def build_instance(config: dict):
 def _search_fields(config: dict) -> dict:
     """The config's search section as SearchConfig keywords, each checked."""
     search = _fields(config.get("search", {}), "search", SEARCH_FIELDS)
-    return {name: _number(value, f"search {name}", *SEARCH_FIELDS[name])
-            for name, value in search.items()}
+    fields = {name: _number(value, f"search {name}", *SEARCH_FIELDS[name])
+              for name, value in search.items()}
+    for name in ("amplitude", "root_amplitude"):  # the search's random_band draws with them
+        check_amplitude(f"search {name}", fields.get(name, 0.0))
+    return fields
 
 
 def _tolerances(*overrides) -> dict:
@@ -146,11 +149,11 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def _decomposition(t_mu, r, pi_mu, pi_nu, seed, count):
+def _decomposition(t_mu, pi_mu, pi_nu, seed, count):
     """decomposition_identity's relative residuals on count random pairs,
     in one call on the stacks."""
     f, g = np.moveaxis(_random_functions(t_mu.lattice, seed, count), 1, 0)
-    return decomposition_identity(t_mu, r, f, g, pi_mu=pi_mu, pi_nu=pi_nu).relative
+    return decomposition_identity(t_mu, pi_mu, pi_nu, f, g).relative
 
 
 def _carleson_sequence(pi_mu):
@@ -183,9 +186,8 @@ def suite_verify(config, tol) -> tuple[list, dict]:
         # one stack of 20 functions, one call per chunk, freed as summed; the
         # per-cube columns add in nonleaf_cubes order, as one call per cube did
         deltas = (measure.martingale_difference(fs, chunk) for chunk in chunks)
-        means = (measure.expectation(fs, root) for root in lattice.roots)
-        total = sum(col for d in deltas for col in measure.inner(d, d).T)
-        total += sum(measure.inner(e, e) for e in means)
+        e = measure.mean_part(fs)  # the sum of the root averages E_R f
+        total = sum(col for d in deltas for col in measure.inner(d, d).T) + measure.inner(e, e)
         norm2 = measure.inner(fs, fs)
         pos = norm2 > 0
         residuals.append(np.abs(total - norm2)[pos] / norm2[pos])
@@ -231,7 +233,7 @@ def suite_verify(config, tol) -> tuple[list, dict]:
                              local_testing_constant=car.local_testing_constant,
                              witness=cube_to_json(car.witness) if car.witness else None))
 
-    worst = _worst(_decomposition(t_mu, r, pi_mu, pi_nu, seed + 1, 20))
+    worst = _worst(_decomposition(t_mu, pi_mu, pi_nu, seed + 1, 20))
     checks.append(_check("decomposition_identity", worst <= tol["identity"],
                          max_relative_residual=worst))
     return checks, {}
@@ -299,7 +301,10 @@ def suite_search(config, tol) -> tuple[list, dict]:
     sc = SearchConfig(dim=lattice.dim, top_level=lattice.top_level,
                       leaf_level=lattice.leaf_level, r=r,
                       seed=int(config.get("seed", 0)), **_search_fields(config))
-    result = extremal_search(sc)
+    try:
+        result = extremal_search(sc)
+    except ValueError as exc:  # initial masses that overflow under weight_sigma
+        raise ConfigError(str(exc)) from exc
     monotone = all(b >= a for a, b in zip(result.history, result.history[1:]))
     checks = [_check("search_monotone", monotone, final_rho=result.rho)]
     constants = {"rho": result.rho}
@@ -310,8 +315,7 @@ def suite_search(config, tol) -> tuple[list, dict]:
 def suite_decompose(config, tol) -> tuple[list, dict]:
     _, mu, nu, band, r = build_instance(config)
     t_mu = induce(band, mu, nu)
-    pi_mu, pi_nu = _paraproducts(t_mu, r)
-    worst = _worst(_decomposition(t_mu, r, pi_mu, pi_nu, int(config.get("seed", 0)), 50))
+    worst = _worst(_decomposition(t_mu, *_paraproducts(t_mu, r), int(config.get("seed", 0)), 50))
     checks = [_check("decomposition_identity", worst <= tol["identity"],
                      max_relative_residual=worst)]
     return checks, {"constants": {"max_relative_residual": worst}}

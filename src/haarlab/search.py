@@ -13,7 +13,7 @@ from .io import (_container, _number, band_to_json, band_from_json, lattice_from
                  lattice_to_json, measure_from_json)
 from .lattice import build_lattice
 from .measures import MeasureGrid, uniform_measure
-from .operators import BandOperator, InducedOperator, assemble, random_band, repr_order
+from .operators import BandOperator, induce, random_band, repr_order
 from .paraproduct import (CarlesonSequence, _carleson_ratio, _check_values, _embedding_constant,
                           _massive, _subtree_sums, _update_subtree_sums)
 
@@ -64,14 +64,18 @@ def _artifact_constants(report) -> dict:
         "c_adjoint_global", "c_diag")}
 
 
-def _evaluate(matrix: np.ndarray, mu: MeasureGrid, nu: MeasureGrid, r: int):
-    report = testing_constants(InducedOperator.from_leaf_matrix(matrix, mu, nu), r)
+def _evaluate(band: BandOperator, mu: MeasureGrid, nu: MeasureGrid, r: int):
+    report = testing_constants(induce(band, mu, nu), r)
     return report.rho, report
 
 
 def extremal_search(config: SearchConfig) -> SearchResult:
     """Hill climbing on leaf masses and operator entries maximizing rho.
 
+    Each candidate is a BandOperator induced between two measures; a band
+    move edits one entry of a copy of the incumbent's values.  A move to a
+    non-finite entry or mass (too large a `step`) is rejected unevaluated;
+    initial masses that overflow under weight_sigma are a ValueError.
     Fully deterministic in the seed; the incumbent never decreases.
     """
     if config.iterations < 0:
@@ -81,37 +85,36 @@ def extremal_search(config: SearchConfig) -> SearchResult:
     band = random_band(lattice, config.r, seed=config.seed,
                        amplitude=config.amplitude,
                        root_amplitude=config.root_amplitude)
-    mu = MeasureGrid(lattice, np.exp(
-        config.weight_sigma * rng.standard_normal(lattice.n_leaves)))
-    nu = MeasureGrid(lattice, np.exp(
-        config.weight_sigma * rng.standard_normal(lattice.n_leaves)))
+    with np.errstate(over="ignore"):  # an overflow is the ValueError below
+        masses = [np.exp(config.weight_sigma * rng.standard_normal(lattice.n_leaves))
+                  for _ in range(2)]
+    if not np.isfinite(masses).all():
+        raise ValueError(f"search weight_sigma {config.weight_sigma!r} overflows leaf masses")
+    mu, nu = (MeasureGrid(lattice, mass) for mass in masses)
 
-    rows, cols, values = band.rows, band.cols, band.values
-    order = repr_order(lattice, rows, cols)  # moves pick entries in repr order of their indices
-    matrix = assemble(lattice, rows, cols, values)
-    rho, report = _evaluate(matrix, mu, nu, config.r)
+    order = repr_order(lattice, band.rows, band.cols)  # moves pick entries in repr order
+    rho, report = _evaluate(band, mu, nu, config.r)
     history = [rho]
     for _ in range(config.iterations):
         move = rng.integers(3)
-        cand_values, cand_matrix, cand_mu, cand_nu = values, matrix, mu, nu
-        if move == 0 and values.size:
-            k = order[rng.integers(values.size)]
-            cand_values = values.copy()
-            cand_values[k] = cand_values[k] + config.step * rng.standard_normal()
-            cand_matrix = assemble(lattice, rows, cols, cand_values)
-        else:  # move 1 perturbs mu; move 2, and move 0 on an empty band, nu
-            mass = (mu if move == 1 else nu).leaf_mass.copy()
-            i = rng.integers(mass.size)
-            mass[i] = mass[i] * np.exp(config.step * rng.standard_normal())
-            cand = MeasureGrid(lattice, mass)
-            cand_mu, cand_nu = (cand, nu) if move == 1 else (mu, cand)
-        cand_rho, cand_report = _evaluate(cand_matrix, cand_mu, cand_nu, config.r)
-        if cand_rho > rho:
-            values, matrix, mu, nu = cand_values, cand_matrix, cand_mu, cand_nu
-            rho, report = cand_rho, cand_report
+        # a move edits the band's values (move 0), mu's leaf masses (move 1) or
+        # nu's (move 2, and move 0 on an empty band)
+        band_move = move == 0 and band.values.size > 0
+        edit = (band.values if band_move else (mu if move == 1 else nu).leaf_mass).copy()
+        i = order[rng.integers(edit.size)] if band_move else rng.integers(edit.size)
+        with np.errstate(over="ignore"):  # an overflowing move is rejected below
+            z = config.step * rng.standard_normal()
+            edit[i] = edit[i] + z if band_move else edit[i] * np.exp(z)
+        if np.isfinite(edit[i]):
+            cand = ((BandOperator(lattice, config.r, band.rows, band.cols, edit), mu, nu)
+                    if band_move else (band, MeasureGrid(lattice, edit), nu) if move == 1
+                    else (band, mu, MeasureGrid(lattice, edit)))
+            cand_rho, cand_report = _evaluate(*cand, config.r)
+            if cand_rho > rho:
+                (band, mu, nu), rho, report = cand, cand_rho, cand_report
         history.append(rho)
-    return SearchResult(config=config, rho=rho, report=report, mu=mu, nu=nu, history=history,
-                        band=BandOperator(lattice, config.r, rows, cols, values))
+    return SearchResult(config=config, rho=rho, report=report, band=band, mu=mu, nu=nu,
+                        history=history)
 
 
 def replay_artifact(artifact: dict, tol: float = 1e-12):
@@ -126,11 +129,8 @@ def replay_artifact(artifact: dict, tol: float = 1e-12):
     mu = measure_from_json(artifact["mu"], lattice)
     nu = measure_from_json(artifact["nu"], lattice)
     r = _number(artifact["r"], "artifact r", int, nonnegative=True)
-    rho, report = _evaluate(band.leaf_matrix, mu, nu, r)
-    recomputed = {
-        "rho": float(rho),
-        "constants": _artifact_constants(report),
-    }
+    rho, report = _evaluate(band, mu, nu, r)
+    recomputed = {"rho": float(rho), "constants": _artifact_constants(report)}
     stored = {**_container(artifact["constants"], "artifact constants"), "rho": artifact["rho"]}
     pairs = [(val, _number(stored[name], f"artifact {name}", finite=False))
              for name, val in {"rho": rho, **recomputed["constants"]}.items()]

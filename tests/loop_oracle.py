@@ -15,8 +15,9 @@ oracles build dicts keyed by HaarIndex / RootIndex and look each key up
 with basis_positions, where every band builder now writes arrays of
 Haar-system positions.
 
-The Cube helpers `cube_side`, `cube_children` and `cube_contains` are the
-per-cube geometry the library's index tables replaced.
+The Cube helpers `cube_side`, `cube_children`, `cube_contains`,
+`cube_parent`, `cube_ancestor` and `lattice_leaves` are the per-cube
+geometry and navigation the library's index tables replaced.
 
 Named without a `test` prefix so pytest collects nothing from it.
 """
@@ -30,7 +31,7 @@ from haarlab import (NO_COMMON_ANCESTOR, Cube, MeasureGrid, build_lattice, induc
 from haarlab.analysis import DecompositionReport, TestingReport, testing_constants
 from haarlab.io import cube_to_json
 from haarlab.operators import (BandOperator, HaarIndex, RootIndex, WellLocalizedReport,
-                               assemble)
+                               haar_system)
 from haarlab.paraproduct import (CarlesonPropertyReport,
                                  ParaproductStructureReport, RemainderReport,
                                  _largest_eigenvalue, _largest_singular_value)
@@ -67,11 +68,28 @@ def cube_children(q):
             for offs in itertools.product((0, 1), repeat=q.dim)]
 
 
+def cube_ancestor(q, k):
+    """The k-th grandparent of q; k = 0 is q itself (the Cube.ancestor method this replaces)."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return Cube(q.dim, q.level + k, tuple(c >> k for c in q.coords))
+
+
+def cube_parent(q):
+    """The cube one level up that contains q (the Cube.parent method this replaces)."""
+    return cube_ancestor(q, 1)
+
+
+def lattice_leaves(lattice):
+    """The leaf cubes in leaf order (the Lattice.leaves property this replaces)."""
+    return tuple(lattice.cubes_at_level(lattice.leaf_level))
+
+
 def cube_contains(q, other):
     """Whether the cube `other` lies inside the cube q."""
     if other.dim != q.dim or other.level > q.level:
         return False
-    return other.ancestor(q.level - other.level) == q
+    return cube_ancestor(other, q.level - other.level) == q
 
 
 def haar_cubes(measure):
@@ -156,7 +174,7 @@ def loop_build_paraproduct(t, r, enlarge=0):
             continue
         big = q
         for _ in range(enlarge):
-            cand = big.parent()
+            cand = cube_parent(big)
             if cand not in lattice.cube_index:
                 break
             big = cand
@@ -348,8 +366,8 @@ def loop_levels(lattice):
 
 def loop_ancestor_index(lattice):
     """Row k: active position of each leaf's ancestor k levels below the top."""
-    return np.array([[lattice.cube_index[leaf.ancestor(lattice.depth - k)]
-                      for leaf in lattice.leaves] for k in range(lattice.depth + 1)])
+    return np.array([[lattice.cube_index[cube_ancestor(leaf, lattice.depth - k)]
+                      for leaf in lattice_leaves(lattice)] for k in range(lattice.depth + 1)])
 
 
 def loop_level_leaves(lattice):
@@ -358,7 +376,7 @@ def loop_level_leaves(lattice):
 
 
 def loop_membership(lattice):
-    x = np.zeros((len(lattice.leaves), len(lattice.active_cubes)))
+    x = np.zeros((len(lattice_leaves(lattice)), len(lattice.active_cubes)))
     for j, q in enumerate(lattice.active_cubes):
         x[loop_leaf_indices(lattice, q), j] = 1.0
     return x
@@ -601,7 +619,7 @@ def loop_check_well_localized(t_mu, r, tol=1e-12):
             for j, q in enumerate(lattice.active_cubes):
                 if rc.level > q.level:
                     continue
-                grand = q.ancestor(r)
+                grand = cube_ancestor(q, r)
                 flagged = (not cube_contains(grand, rc)) or (
                     rc.level <= q.level - r and not cube_contains(q, rc))
                 if not flagged:
@@ -760,18 +778,18 @@ def loop_haar_shift_entries(lattice):
 
 def loop_tree_distance(q, r):
     """tree_distance by walking Cube objects up to the common ancestor,
-    one parent() call per level; inf for cubes that never meet."""
+    one cube_parent call per level; inf for cubes that never meet."""
     if q.dim != r.dim:
         raise ValueError("cubes have different dimensions")
     dist = 0
     if q.level < r.level:
         dist = r.level - q.level
-        q = q.ancestor(r.level - q.level)
+        q = cube_ancestor(q, r.level - q.level)
     elif r.level < q.level:
         dist = q.level - r.level
-        r = r.ancestor(q.level - r.level)
+        r = cube_ancestor(r, q.level - r.level)
     while q.coords != r.coords:
-        qp, rp = q.parent(), r.parent()
+        qp, rp = cube_parent(q), cube_parent(r)
         if qp.coords == q.coords and rp.coords == r.coords:
             # both at a fixed point of the parent map, never meet
             return NO_COMMON_ANCESTOR
@@ -823,9 +841,12 @@ def loop_random_band(lattice, r, seed, amplitude=1.0, root_amplitude=0.0):
 
 def loop_leaf_matrix(lattice, entries):
     """The leaf matrix of an entries dict, its positions looked up index by
-    index with basis_positions."""
-    return assemble(lattice, *(basis_positions(lattice, [key[j] for key in entries])
-                               for j in (0, 1)), list(entries.values()))
+    index with basis_positions (the old `assemble`)."""
+    rows, cols = (basis_positions(lattice, [key[j] for key in entries]) for j in (0, 1))
+    h = haar_system(lattice)
+    e = np.zeros((len(h),) * 2)
+    e[rows, cols] = list(entries.values())
+    return lattice.leaf_volume * (h.T @ e @ h)
 
 
 def index_to_json(ix) -> dict:
@@ -855,7 +876,7 @@ def _loop_evaluate(band, mu, nu, r):
 def loop_extremal_search(config):
     """extremal_search on BandOperator dicts: move keys sorted by repr, and
     every band move copies the entries dict and rebuilds a BandOperator
-    from it."""
+    from it.  A move whose new entry or mass overflows is not evaluated."""
     rng = np.random.default_rng(config.seed)
     lattice = build_lattice(config.dim, config.top_level, config.leaf_level)
     band = random_band(lattice, config.r, seed=config.seed,
@@ -872,20 +893,23 @@ def loop_extremal_search(config):
     for _ in range(config.iterations):
         move = rng.integers(3)
         cand_band, cand_mu, cand_nu = band, mu, nu
+        with np.errstate(over="ignore"):
+            if move == 0 and keys:
+                key = keys[rng.integers(len(keys))]
+                entries = dict(band.entries)
+                entries[key] = new = entries[key] + config.step * rng.standard_normal()
+            else:
+                mass = (mu if move == 1 else nu).leaf_mass.copy()
+                i = rng.integers(mass.size)
+                mass[i] = new = mass[i] * np.exp(config.step * rng.standard_normal())
+        if not math.isfinite(new):
+            history.append(rho)
+            continue
         if move == 0 and keys:
-            key = keys[rng.integers(len(keys))]
-            entries = dict(band.entries)
-            entries[key] = entries[key] + config.step * rng.standard_normal()
             cand_band = band_from_entries(lattice, config.r, entries)
         elif move == 1:
-            mass = mu.leaf_mass.copy()
-            i = rng.integers(mass.size)
-            mass[i] = mass[i] * np.exp(config.step * rng.standard_normal())
             cand_mu = MeasureGrid(lattice, mass)
         else:
-            mass = nu.leaf_mass.copy()
-            i = rng.integers(mass.size)
-            mass[i] = mass[i] * np.exp(config.step * rng.standard_normal())
             cand_nu = MeasureGrid(lattice, mass)
         cand_rho, cand_report = _loop_evaluate(cand_band, cand_mu, cand_nu, config.r)
         if cand_rho > rho:

@@ -168,7 +168,7 @@ def test_criterion_7_bilinear_decomposition(suite, suite_paraproducts, emit):
         rng = np.random.default_rng(10_000 + i)
         f = rng.standard_normal(t.lattice.n_leaves)
         g = rng.standard_normal(t.lattice.n_leaves)
-        rep = decomposition_identity(t, r, f, g, pi_mu=pi_mu, pi_nu=pi_nu)
+        rep = decomposition_identity(t, pi_mu, pi_nu, f, g)
         worst = max(worst, rep.relative)
     emit(7, "bilinear form decomposition identity", worst <= 1e-10,
          f"max relative residual {worst:.2e}")

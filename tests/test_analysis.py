@@ -161,13 +161,13 @@ def test_norm_monotone_in_output_weight():
         bigger = MeasureGrid(t.lattice,
                              t.nu.leaf_mass * np.random.default_rng(seed)
                              .uniform(1.0, 3.0, t.lattice.n_leaves))
-        t2 = induce(t.band, t.mu, bigger)
+        t2 = dataclasses.replace(t, nu=bigger)  # the same leaf matrix, induced anew
         assert operator_norm(t2) >= operator_norm(t) - 1e-12
 
 
 def test_norm_scales_with_weights():
     t = random_instance(1, 3, 1, seed=4)
-    t2 = induce(t.band, t.mu, MeasureGrid(t.lattice, 4.0 * t.nu.leaf_mass))
+    t2 = dataclasses.replace(t, nu=MeasureGrid(t.lattice, 4.0 * t.nu.leaf_mass))
     assert operator_norm(t2) == pytest.approx(2.0 * operator_norm(t), rel=1e-10)
 
 
@@ -182,20 +182,11 @@ def test_bilinear_form_decomposition_is_exact(dim, depth, r):
     for _ in range(5):
         f = rng.standard_normal(t.lattice.n_leaves)
         g = rng.standard_normal(t.lattice.n_leaves)
-        rep = decomposition_identity(t, r, f, g, pi_mu=pi_mu, pi_nu=pi_nu)
+        rep = decomposition_identity(t, pi_mu, pi_nu, f, g)
         assert rep.relative <= 1e-12
         total = (rep.paraproduct_mu + rep.paraproduct_nu + rep.comparable
                  + rep.mean_terms)
         assert rep.lhs == pytest.approx(total, abs=1e-10)
-
-
-def test_decomposition_builds_paraproducts_when_missing():
-    t = random_instance(1, 3, 1, seed=1)
-    rng = np.random.default_rng(2)
-    f = rng.standard_normal(t.lattice.n_leaves)
-    g = rng.standard_normal(t.lattice.n_leaves)
-    rep = decomposition_identity(t, 1, f, g)
-    assert rep.relative <= 1e-12
 
 
 def test_decomposition_rejects_mismatched_paraproducts():
@@ -203,23 +194,21 @@ def test_decomposition_rejects_mismatched_paraproducts():
     pi_mu, pi_nu = build_paraproduct(t, 1), build_paraproduct(t.adjoint, 1)
     f, g = np.random.default_rng(4).standard_normal((2, t.lattice.n_leaves))
     with pytest.raises(ValueError, match="^pi_mu was built"):
-        decomposition_identity(t, 1, f, g, pi_mu=pi_nu)
+        decomposition_identity(t, pi_nu, pi_nu, f, g)
     with pytest.raises(ValueError, match="^pi_nu was built"):
-        decomposition_identity(t, 1, f, g, pi_nu=pi_mu)
-    assert decomposition_identity(t, 1, f, g, pi_mu=pi_mu, pi_nu=pi_nu).relative <= 1e-12
+        decomposition_identity(t, pi_mu, pi_mu, f, g)
+    assert decomposition_identity(t, pi_mu, pi_nu, f, g).relative <= 1e-12
 
 
 def test_decomposition_rejects_paraproducts_at_another_r():
-    # without the check, pi_nu at r = 0 gave a relative residual of 0.0256
+    # r is pi_mu's; without the check, pi_nu at r = 0 gave a relative residual of 0.0256
     t = random_instance(1, 4, 1, seed=3, zero_fraction=0.2, root_amplitude=0.4)
     pi_mu, pi_nu = build_paraproduct(t, 1), build_paraproduct(t.adjoint, 1)
     f, g = np.random.default_rng(4).standard_normal((2, t.lattice.n_leaves))
     with pytest.raises(ValueError, match="^pi_nu was built at r=0, not r=1"):
-        decomposition_identity(t, 1, f, g, pi_mu=pi_mu, pi_nu=build_paraproduct(t.adjoint, 0))
-    with pytest.raises(ValueError, match="^pi_mu was built at r=2, not r=1"):
-        decomposition_identity(t, 1, f, g, pi_mu=build_paraproduct(t, 2), pi_nu=pi_nu)
-    with pytest.raises(ValueError, match="^pi_mu was built at r=1, not r=2"):
-        decomposition_identity(t, 2, f, g, pi_mu=pi_mu, pi_nu=pi_nu)
+        decomposition_identity(t, pi_mu, build_paraproduct(t.adjoint, 0), f, g)
+    with pytest.raises(ValueError, match="^pi_nu was built at r=1, not r=2"):
+        decomposition_identity(t, build_paraproduct(t, 2), pi_nu, f, g)
 
 
 class UnweightedLeafOperator(InducedOperator):
@@ -261,7 +250,7 @@ def leaf_matrix_operators(draw):
     nu = MeasureGrid(lat, draw(arrays(float, n, elements=masses)))
     m = draw(arrays(float, (n, n), elements=st.sampled_from([-1.0, 0.0, 1.0, 2.0])))
     cls = draw(st.sampled_from([InducedOperator, UnweightedLeafOperator]))
-    return cls.from_leaf_matrix(m, mu, nu)
+    return cls(lat, mu, nu, m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -281,7 +270,7 @@ def adjoint_cases(draw):
                         draw(st.integers(0, 10 ** 6)), zero_fraction=draw(st.floats(0.05, 0.6)),
                         root_amplitude=draw(st.sampled_from([0.0, 0.4])))
     cls = draw(st.sampled_from([InducedOperator, UnweightedLeafOperator]))
-    return cls(t.lattice, t.mu, t.nu, t.lebesgue_matrix, t.band)
+    return cls(t.lattice, t.mu, t.nu, t.lebesgue_matrix)
 
 
 @settings(max_examples=100, deadline=None)
@@ -312,7 +301,7 @@ def test_unbounded_testing_constant_gives_rho_zero():
     # column 0 maps a zero-mass leaf of mu onto a nonzero image
     lat = build_lattice(1, 0, -2)
     mu = MeasureGrid(lat, np.array([0.0, 1.0, 1.0, 1.0]))
-    t = UnweightedLeafOperator.from_leaf_matrix(np.eye(4), mu, uniform_measure(lat))
+    t = UnweightedLeafOperator(lat, mu, uniform_measure(lat), np.eye(4))
     rep = constants_of(t, 0)
     assert rep.c_direct_local == math.inf and rep.unbounded_witness is not None
     assert rep.norm > 0 and rep.rho == 0.0
@@ -327,7 +316,7 @@ def test_nan_testing_constant_gives_nan_rho(entry):
     m = np.eye(lat.n_leaves)
     m[0, 1] = entry
     with np.errstate(all="ignore"):
-        rep = constants_of(InducedOperator.from_leaf_matrix(m, leb, leb), 0)
+        rep = constants_of(InducedOperator(lat, leb, leb, m), 0)
     assert math.isnan(rep.c_direct_local) and math.isnan(rep.rho)
     assert math.isfinite(rep.norm) == math.isfinite(entry)
 
@@ -373,7 +362,7 @@ def norm_cases(draw):
         m[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(
             st.sampled_from([math.nan, math.inf, -math.inf]))
     cls = UnweightedLeafOperator if family == "unweighted" else InducedOperator
-    return cls.from_leaf_matrix(m, *(MeasureGrid(lat, mass) for mass in masses))
+    return cls(lat, *(MeasureGrid(lat, mass) for mass in masses), m)
 
 
 def hex_fields(rep):

@@ -19,8 +19,9 @@ from haarlab.io import band_from_json, band_to_json
 from haarlab.operators import basis_table, haar_system, repr_order
 
 from conftest import random_weights
-from loop_oracle import (band_from_entries, basis_positions, loop_haar_multiplier_entries,
-                         loop_haar_shift_entries, loop_leaf_matrix, loop_random_band_entries)
+from loop_oracle import (band_from_entries, basis_positions, lattice_leaves,
+                         loop_haar_multiplier_entries, loop_haar_shift_entries,
+                         loop_leaf_matrix, loop_random_band_entries)
 
 
 @st.composite
@@ -75,7 +76,8 @@ def test_multiplier_and_shift_arrays_match_the_dict_oracle(lat, alpha, root_alph
     spec = dict(zip(cubes, np.where(rng.random(len(cubes)) < 0.3, 0.0,
                                     rng.standard_normal(len(cubes))).tolist()))
     off = Cube(lat.dim, lat.top_level, (9,) * lat.dim)
-    spec.update({lat.leaves[0]: 0.0, off: 0.0})  # zero alphas are dropped before any lookup
+    leaves = lattice_leaves(lat)
+    spec.update({leaves[0]: 0.0, off: 0.0})  # zero alphas are dropped before any lookup
     pairs = [(haar_multiplier(lat, s, root_alpha),
               band_from_entries(lat, 0, loop_haar_multiplier_entries(lat, s, root_alpha)))
              for s in (alpha, spec)]
@@ -88,7 +90,7 @@ def test_multiplier_and_shift_arrays_match_the_dict_oracle(lat, alpha, root_alph
             assert same_bits(getattr(band, name), getattr(old, name)), name
         assert (band.band_radius, band.meta) == (old.band_radius, old.meta)
         assert check_band(band, band.band_radius) == (True, None)
-    for bad in (lat.leaves[-1], off):
+    for bad in (leaves[-1], off):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             haar_multiplier(lat, {bad: 1.0})
     # basis_table's maps against the oracle's position arithmetic

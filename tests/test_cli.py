@@ -612,6 +612,25 @@ CONFIG_RULES = {
     "list_search": (dict(BASE_CONFIG, search=[]), "search"),
     "bool_iterations": (dict(BASE_CONFIG, search={"iterations": True}), "iterations"),
     "negative_search_amplitude": (dict(BASE_CONFIG, search={"amplitude": -1}), "amplitude"),
+    # finite numbers past what the generators can draw with: numpy's
+    # OverflowError, a traceback, or a run on a meaningless spec before
+    "overflowing_amplitude": (dict(BASE_CONFIG, operator=dict(BAND, amplitude=1e308)),
+                              "random_band amplitude must be nonnegative and below 2**1023"),
+    "overflowing_root_amplitude": (dict(BASE_CONFIG,
+                                        operator=dict(BAND, root_amplitude=2.0 ** 1023)),
+                                   "root_amplitude must be nonnegative and below 2**1023"),
+    "overflowing_search_amplitude": (dict(BASE_CONFIG, search={"amplitude": 1e308}),
+                                     "search amplitude must be nonnegative and below 2**1023"),
+    "overflowing_search_root_amplitude": (dict(BASE_CONFIG, search={"root_amplitude": 1e308}),
+                                          "root_amplitude must be nonnegative and below"),
+    "overflowing_weight_sigma": (dict(BASE_CONFIG, search={"weight_sigma": 1000.0}),
+                                 "search weight_sigma 1000.0 overflows"),
+    "overflowing_negative_weight_sigma": (dict(BASE_CONFIG, search={"weight_sigma": -1000.0}),
+                                          "search weight_sigma -1000.0 overflows"),
+    "zero_blocks_fraction_above_1": (dict(BASE_CONFIG, nu=dict(BASE_CONFIG["nu"], fraction=2.0)),
+                                     "zero_blocks fraction must be in [0, 1], got 2.0"),
+    "negative_zero_blocks_fraction": (dict(BASE_CONFIG, nu=dict(BASE_CONFIG["nu"], fraction=-1)),
+                                      "zero_blocks fraction must be in [0, 1], got -1.0"),
     # keys that no section reads, the first four misspelt defaults
     "unknown_config_key": (dict(BASE_CONFIG, tolerence={"zero": 1e-30}), "tolerence"),
     "unknown_lattice_key": (dict(BASE_CONFIG, lattice=dict(LATTICE, rootz=[])), "rootz"),
@@ -637,9 +656,14 @@ CONFIG_RULES = {
 }
 
 
-@pytest.mark.parametrize("config,word", CONFIG_RULES.values(), ids=list(CONFIG_RULES))
-def test_config_rules_exit_2(tmp_path, capsys, config, word):
-    for suite in runner.SUITES:
+# rules that only the search suite meets: it draws its initial masses as it runs
+SEARCH_RULES = {"overflowing_weight_sigma", "overflowing_negative_weight_sigma"}
+
+
+@pytest.mark.parametrize("name", list(CONFIG_RULES), ids=list(CONFIG_RULES))
+def test_config_rules_exit_2(tmp_path, capsys, name):
+    config, word = CONFIG_RULES[name]
+    for suite in ("search",) if name in SEARCH_RULES else runner.SUITES:
         assert run_cli(tmp_path, config, suite, out_name=suite)[0] == 2, suite
         captured = capsys.readouterr()
         assert "[pass]" not in captured.out

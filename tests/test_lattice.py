@@ -10,7 +10,8 @@ from haarlab import (NO_COMMON_ANCESTOR, Cube, analysis, build_lattice, induce, 
                      random_band, tree_distance)
 
 from conftest import random_weights
-from loop_oracle import (cube_children, cube_contains, cube_side, loop_ancestor_index,
+from loop_oracle import (cube_ancestor, cube_children, cube_contains, cube_parent, cube_side,
+                         lattice_leaves, loop_ancestor_index,
                          loop_children_index, loop_level_leaves, loop_levels,
                          loop_membership, loop_tree_distance)
 
@@ -33,20 +34,20 @@ def test_children_count_3d():
 def test_parent_inverts_children():
     q = Cube(2, -1, (3, 5))
     for c in cube_children(q):
-        assert c.parent() == q
+        assert cube_parent(c) == q
 
 
 def test_ancestor_examples():
-    assert Cube(1, -2, (3,)).ancestor(2) == Cube(1, 0, (0,))
-    assert Cube(1, -2, (3,)).ancestor(1) == Cube(1, -1, (1,))
+    assert cube_ancestor(Cube(1, -2, (3,)), 2) == Cube(1, 0, (0,))
+    assert cube_ancestor(Cube(1, -2, (3,)), 1) == Cube(1, -1, (1,))
     q = Cube(2, -3, (5, 6))
-    assert q.ancestor(0) == q
-    assert q.ancestor(1) == q.parent()
+    assert cube_ancestor(q, 0) == q
+    assert cube_ancestor(q, 1) == cube_parent(q)
 
 
 def test_ancestor_negative_k_raises():
     with pytest.raises(ValueError):
-        Cube(1, 0, (0,)).ancestor(-1)
+        cube_ancestor(Cube(1, 0, (0,)), -1)
 
 
 def test_contains():
@@ -209,9 +210,9 @@ def test_lattice_bad_roots_raise():
 def test_leaf_order_is_stable():
     a = build_lattice(2, 0, -2)
     b = build_lattice(2, 0, -2)
-    assert a.leaves == b.leaves
+    assert lattice_leaves(a) == lattice_leaves(b)
     # leaves close active_cubes, in leaf order
-    assert a.active_cubes[-a.n_leaves:] == a.leaves
+    assert a.active_cubes[-a.n_leaves:] == lattice_leaves(a)
 
 
 def test_leaf_indices_and_indicator():
@@ -284,7 +285,7 @@ def small_lattices(draw):
 @given(small_lattices())
 @settings(max_examples=60, deadline=None)
 def test_arithmetic_tables_match_cube_oracle(lat):
-    assert lat.n_leaves == len(lat.leaves)
+    assert lat.n_leaves == len(lattice_leaves(lat))
     for got, want in [(lat.children_index, loop_children_index(lat)),
                       (lat.levels, loop_levels(lat)),
                       (lat.ancestor_index, loop_ancestor_index(lat)),

@@ -18,8 +18,8 @@ from haarlab import (Cube, InducedOperator, Lattice, MeasureGrid,
                      induce, operator_norm, paraproduct_structure_verify,
                      random_band)
 
-from loop_oracle import (cube_contains, loop_build_paraproduct, loop_carleson_values,
-                         loop_check_well_localized, loop_comparable_sum,
+from loop_oracle import (cube_ancestor, cube_contains, lattice_leaves, loop_build_paraproduct,
+                         loop_carleson_values, loop_check_well_localized, loop_comparable_sum,
                          loop_delta_level_within, loop_haar_block,
                          loop_martingale_difference,
                          loop_paraproduct_structure_verify, loop_random_band,
@@ -51,8 +51,8 @@ def measures(draw, lat):
 
 @st.composite
 def instances(draw):
-    """(t_mu, r) with depth > r, from a random_band (checked to be a band of
-    radius r) or a dense leaf matrix."""
+    """(t_mu, r, band) with depth > r, from a random_band (checked to be a
+    band of radius r) or a dense leaf matrix (band None)."""
     r = draw(st.integers(0, 2))
     lat = draw(lattices().filter(lambda lat: lat.depth > r))
     mu, nu = measures(draw, lat), measures(draw, lat)
@@ -61,9 +61,9 @@ def instances(draw):
         band = random_band(lat, r, seed=seed,
                            root_amplitude=draw(st.sampled_from([0.0, 0.4])))
         assert check_band(band, r)[0]
-        return induce(band, mu, nu), r
+        return induce(band, mu, nu), r, band
     matrix = np.random.default_rng(seed).standard_normal((lat.n_leaves,) * 2)
-    return InducedOperator.from_leaf_matrix(matrix, mu, nu), r
+    return InducedOperator(lat, mu, nu, matrix), r, None
 
 
 @settings(max_examples=60, deadline=None)
@@ -74,9 +74,10 @@ def test_ancestor_index_and_inside_match_cubes(data, lat):
     up = data.draw(st.integers(0, lat.depth + 5))
     cubes = lat.active_cubes
     for k, row in enumerate(lat.ancestor_index):
-        assert [cubes[i] for i in row] == [q.ancestor(lat.depth - k) for q in lat.leaves]
+        assert [cubes[i] for i in row] == [cube_ancestor(q, lat.depth - k)
+                                           for q in lattice_leaves(lat)]
     pos = np.arange(len(cubes))
-    want = [[cube_contains(outer.ancestor(up), inner) for outer in cubes] for inner in cubes]
+    want = [[cube_contains(cube_ancestor(outer, up), inner) for outer in cubes] for inner in cubes]
     assert lat.inside(pos, pos, up=up).tolist() == want
 
 
@@ -155,7 +156,7 @@ def test_level_deltas_match_loop_oracle(data, lat):
 @settings(max_examples=40, deadline=None)
 @given(inst=instances())
 def test_paraproducts_and_carleson_sequence_match_loop_oracle(inst):
-    t, r = inst
+    t, r, _ = inst
     for op in (t, t.adjoint):
         # entries sum differences of averages of table columns, so their
         # round-off scales with the table, also where the exact entries are 0
@@ -172,7 +173,7 @@ def test_paraproducts_and_carleson_sequence_match_loop_oracle(inst):
 @settings(max_examples=40, deadline=None)
 @given(inst=instances())
 def test_haar_blocks_match_loop_oracle(inst):
-    t, r = inst
+    t, r, _ = inst
     pi_mu, pi_nu = build_paraproduct(t, r), build_paraproduct(t.adjoint, r)
     mu, nu = t.mu, t.nu
     for op, (m_in, m_out) in ((t, (mu, nu)), (t.adjoint, (nu, mu))):
@@ -190,7 +191,7 @@ def test_haar_blocks_match_loop_oracle(inst):
 @settings(max_examples=40, deadline=None)
 @given(inst=instances())
 def test_locality_masks_match_loop_oracle(inst):
-    t, r = inst
+    t, r, _ = inst
     assert check_well_localized(t, r) == loop_check_well_localized(t, r)
     for op in (t, t.adjoint):
         pi = build_paraproduct(op, r)
@@ -201,12 +202,13 @@ def test_locality_masks_match_loop_oracle(inst):
 @settings(max_examples=40, deadline=None)
 @given(inst=instances(), seed=st.integers(0, 2 ** 32 - 1))
 def test_decomposition_matches_loop_oracle(inst, seed):
-    t, r = inst
+    t, r, band = inst
     rng = np.random.default_rng(seed)
     f, g = rng.standard_normal((2, t.lattice.n_leaves))
-    rep = decomposition_identity(t, r, f, g)
+    pi_mu, pi_nu = build_paraproduct(t, r), build_paraproduct(t.adjoint, r)
+    rep = decomposition_identity(t, pi_mu, pi_nu, f, g)
     scale = (2 * r + 1) * operator_norm(t) * t.mu.norm(f) * t.nu.norm(g)
     assert abs(rep.comparable - loop_comparable_sum(t, r, f, g)) \
         <= COMPARABLE_RTOL * max(scale, 1.0)
-    if t.band is not None:  # the identity needs a well localized operator
+    if band is not None:  # the identity needs a well localized operator
         assert rep.relative <= 1e-10

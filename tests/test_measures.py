@@ -7,6 +7,8 @@ from haarlab import (Cube, MeasureGrid, build_lattice,
                      generate_measure, lognormal_measure, sparse_atoms_measure,
                      uniform_measure, zero_blocks_measure)
 
+from loop_oracle import lattice_leaves
+
 
 def test_uniform_measure_is_lebesgue():
     lat = build_lattice(1, 0, -3)
@@ -34,14 +36,15 @@ def test_weighted_average():
     lat = build_lattice(1, 0, -1)
     m = MeasureGrid(lat, [1.0, 3.0])
     f = np.array([1.0, 3.0])
-    assert m.average(f, Cube(1, 0, (0,))) == pytest.approx(2.5)
+    assert m.mean_part(f).tolist() == pytest.approx([2.5, 2.5])
 
 
 def test_average_over_zero_mass_cube_is_zero():
-    lat = build_lattice(1, 0, -2)
+    # two roots at level -1, the first of them without mass
+    lat = build_lattice(1, -1, -2, roots=[Cube(1, -1, (0,)), Cube(1, -1, (1,))])
     m = MeasureGrid(lat, [0.0, 0.0, 1.0, 1.0])
     f = np.array([5.0, 7.0, 1.0, 1.0])
-    assert m.average(f, Cube(1, -1, (0,))) == 0.0
+    assert m.mean_part(f).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_inner_of_indicator_is_mass():
@@ -73,7 +76,7 @@ def test_martingale_difference_on_leaf_raises():
     lat = build_lattice(1, 0, -1)
     m = uniform_measure(lat)
     with pytest.raises(ValueError):
-        m.martingale_difference(np.array([0.0, 1.0]), lat.leaves[0])
+        m.martingale_difference(np.array([0.0, 1.0]), lattice_leaves(lat)[0])
 
 
 def test_haar_basis_symmetric_two_atoms():
@@ -204,6 +207,16 @@ def test_generators_are_deterministic():
     assert np.count_nonzero(s.leaf_mass) == 3
     z = zero_blocks_measure(lat, 0.5, seed=4)
     assert np.all(z.leaf_mass >= 0)
+
+
+def test_zero_blocks_fraction_is_a_probability():
+    # 2.0 once zeroed every leaf and -1 none, both with exit 0
+    lat = build_lattice(1, 0, -3)
+    assert np.count_nonzero(zero_blocks_measure(lat, 0.0, seed=4).leaf_mass) == lat.n_leaves
+    assert np.count_nonzero(zero_blocks_measure(lat, 1.0, seed=4).leaf_mass) == 0
+    for bad in (2.0, -1.0, 1.0 + 2 ** -52):
+        with pytest.raises(ValueError, match=r"zero_blocks fraction must be in \[0, 1\]"):
+            zero_blocks_measure(lat, bad, seed=4)
 
 
 def test_generate_measure_dispatch():

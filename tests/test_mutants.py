@@ -10,6 +10,8 @@ import pytest
 from haarlab import CarlesonSequence, Cube, InducedOperator, induce, io, runner, tree_distance
 from haarlab.operators import local_testing_integrals
 
+from loop_oracle import lattice_leaves
+
 CONFIG = {
     "lattice": {"dim": 1, "top_level": 0, "leaf_level": -4},
     "mu": {"type": "lognormal", "sigma": 1.0, "seed": 11},
@@ -161,7 +163,7 @@ def coupled_induce(band, mu, nu):
     first, induced as a leaf matrix that no band operator gives."""
     matrix = np.array(band.leaf_matrix)
     matrix[0, -1] += 1.0
-    return InducedOperator.from_leaf_matrix(matrix, mu, nu)
+    return InducedOperator(band.lattice, mu, nu, matrix)
 
 
 @pytest.mark.parametrize("suite,failed", [
@@ -174,7 +176,7 @@ def coupled_induce(band, mu, nu):
     ("carleson", {"carleson_property"})],
     ids=["verify", "testing", "carleson"])
 def test_a_leaf_coupling_not_induced_from_a_band(tmp_path, monkeypatch, suite, failed):
-    leaves = io.lattice_from_json(CONFIG["lattice"]).leaves
+    leaves = lattice_leaves(io.lattice_from_json(CONFIG["lattice"]))
     assert tree_distance(leaves[0], leaves[-1]) > CONFIG["r"] + 2
     monkeypatch.setattr(runner, "induce", coupled_induce)
     got, report = failed_checks(tmp_path, suite)
@@ -189,7 +191,7 @@ def non_finite_induce(entry):
     def induce(band, mu, nu):
         matrix = np.array(band.leaf_matrix)
         matrix[0, 0] = entry
-        return InducedOperator.from_leaf_matrix(matrix, mu, nu)
+        return InducedOperator(band.lattice, mu, nu, matrix)
     return induce
 
 

@@ -157,8 +157,7 @@ def test_chi_tables_hold_the_images_of_indicators(spec, seed, dense):
                                         rng.uniform(0.1, 2.0, lat.n_leaves)))
               for _ in range(2))
     if dense:
-        t = InducedOperator.from_leaf_matrix(
-            rng.standard_normal((lat.n_leaves,) * 2), mu, nu)
+        t = InducedOperator(lat, mu, nu, rng.standard_normal((lat.n_leaves,) * 2))
     else:
         t = induce(random_band(lat, r, seed=band_seed, root_amplitude=root_amplitude), mu, nu)
     for table, op in ((t.chi_table, t.matrix), (t.adjoint.chi_table, t.adjoint.matrix)):
@@ -231,6 +230,17 @@ def test_random_band_zero_amplitude():
     lat = build_lattice(1, 0, -2)
     op = random_band(lat, 1, seed=0, amplitude=0.0)
     np.testing.assert_allclose(op.leaf_matrix, 0.0)
+
+
+@pytest.mark.parametrize("name", ["amplitude", "root_amplitude"])
+def test_random_band_rejects_an_amplitude_whose_range_overflows(name):
+    # rng.uniform(-a, a) raised numpy's OverflowError for a >= 2**1023
+    lat = build_lattice(1, 0, -2)
+    largest = np.finfo(float).max / 2  # 2 * largest is the largest float
+    assert np.abs(random_band(lat, 1, seed=0, **{name: largest}).values).max() <= largest
+    for bad in (2.0 ** 1023, 1e308, -1.0, float("nan")):
+        with pytest.raises(ValueError, match=f"^random_band {name} must be nonnegative and below"):
+            random_band(lat, 1, seed=0, **{name: bad})
 
 
 def test_induce_with_lebesgue_weights_is_plain_matrix():
@@ -313,7 +323,7 @@ def test_non_finite_pairing_is_not_well_localized(bad):
     mat = np.eye(lat.n_leaves)
     mat[5, 2] = bad
     with np.errstate(over="ignore", invalid="ignore"):  # as the runner calls it
-        rep = check_well_localized(InducedOperator.from_leaf_matrix(mat, leb, leb), 0)
+        rep = check_well_localized(InducedOperator(lat, leb, leb, mat), 0)
     assert not rep.passed
     assert not np.isfinite(rep.scale)
 
@@ -323,7 +333,7 @@ def test_dense_leaf_matrix_is_not_well_localized():
     rng = np.random.default_rng(8)
     mat = rng.standard_normal((lat.n_leaves, lat.n_leaves))
     leb = uniform_measure(lat)
-    t = InducedOperator.from_leaf_matrix(mat, leb, leb)
+    t = InducedOperator(lat, leb, leb, mat)
     rep = check_well_localized(t, 0)
     assert not rep.passed
     assert rep.witness is not None
@@ -348,8 +358,7 @@ def test_locality_scans_match_loop_oracle(dim, depth, r, dense):
     t = random_instance(dim, depth, r, seed, zero_fraction=0.25, root_amplitude=0.5)
     if dense:
         rng = np.random.default_rng(seed)
-        t = InducedOperator.from_leaf_matrix(
-            rng.standard_normal(t.matrix.shape), t.mu, t.nu)
+        t = InducedOperator(t.lattice, t.mu, t.nu, rng.standard_normal(t.matrix.shape))
     rep = check_well_localized(t, r)
     assert rep == loop_check_well_localized(t, r)
     assert rep.passed != dense

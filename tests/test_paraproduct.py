@@ -75,8 +75,7 @@ def test_matrix_structure_fails_for_dense_operator():
     lat = build_lattice(1, 0, -3)
     rng = np.random.default_rng(17)
     leb = uniform_measure(lat)
-    t = InducedOperator.from_leaf_matrix(
-        rng.standard_normal((lat.n_leaves, lat.n_leaves)), leb, leb)
+    t = InducedOperator(lat, leb, leb, rng.standard_normal((lat.n_leaves, lat.n_leaves)))
     pi = build_paraproduct(t, 0)
     rep = paraproduct_structure_verify(pi, t)
     assert not rep.passed
@@ -250,7 +249,7 @@ def test_carleson_sequence_of_a_non_finite_operator_overflows_with_pi_mu(mu_mass
     matrix = np.array(t.lebesgue_matrix)
     matrix[0, 5] = entry
     mu = MeasureGrid(t.lattice, t.mu.leaf_mass * mu_mass)
-    bad = InducedOperator.from_leaf_matrix(matrix, mu, t.nu)
+    bad = InducedOperator(t.lattice, mu, t.nu, matrix)
     with np.errstate(invalid="ignore"):  # inf * 0 on the mu-null leaves
         pi_mu = build_paraproduct(bad, 1)
     with pytest.raises(ValueError, match="finite") as want, np.errstate(invalid="ignore"):
@@ -557,9 +556,8 @@ def _dense_instance(dim, depth, seed, zero_fraction):
     rng = np.random.default_rng(seed)
     mass = rng.uniform(0.1, 2.0, (2, lat.n_leaves))
     mass[rng.random(mass.shape) < zero_fraction] = 0.0
-    return InducedOperator.from_leaf_matrix(
-        rng.standard_normal((lat.n_leaves, lat.n_leaves)),
-        MeasureGrid(lat, mass[0]), MeasureGrid(lat, mass[1]))
+    return InducedOperator(lat, MeasureGrid(lat, mass[0]), MeasureGrid(lat, mass[1]),
+                           rng.standard_normal((lat.n_leaves, lat.n_leaves)))
 
 
 @pytest.mark.parametrize("dense", [False, True])

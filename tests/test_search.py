@@ -7,11 +7,15 @@ from haarlab import (CarlesonSequence, Cube, Lattice, SearchConfig, build_lattic
                      carleson_constant, embedding_constant, extremal_search,
                      greedy_embedding_sequence, replay_artifact, uniform_measure)
 
+from haarlab import search
 from loop_oracle import loop_extremal_search, loop_greedy_embedding_sequence
 
 
 CFG = SearchConfig(dim=1, top_level=0, leaf_level=-3, r=1, seed=7,
                    iterations=30, root_amplitude=0.3)
+# configs/default.json's search with step 300: exp(300 z) overflows for z > 2.37
+STEP_300 = SearchConfig(dim=1, top_level=0, leaf_level=-4, r=1, seed=0, iterations=200,
+                        step=300.0)
 
 
 def test_zero_iterations_returns_seed_instance():
@@ -73,6 +77,28 @@ def test_search_matches_loop_oracle_bit_for_bit(config):
     assert float(got.rho).hex() == float(want.rho).hex()
     assert list(got.band.entries.items()) == list(want.band.entries.items())
     assert json.dumps(got.to_artifact()) == json.dumps(want.to_artifact())
+
+
+def test_a_move_that_overflows_is_rejected_unevaluated(monkeypatch):
+    # such a mass once raised MeasureGrid's ValueError mid-run; now the
+    # incumbent stays, and the loop oracle, which draws the same numbers
+    # and skips the same moves, gives the same trajectory
+    evaluated = []
+    evaluate = search._evaluate
+    monkeypatch.setattr(search, "_evaluate", lambda *args: evaluated.append(1) or evaluate(*args))
+    # candidate masses near 1e260 overflow the testing integrals: rho NaN, as the runner sees it
+    with np.errstate(over="ignore", invalid="ignore"):
+        result, want = extremal_search(STEP_300), loop_extremal_search(STEP_300)
+    assert 1 < len(evaluated) < len(result.history)
+    assert [float(h).hex() for h in result.history] == [float(h).hex() for h in want.history]
+    assert json.dumps(result.to_artifact()) == json.dumps(want.to_artifact())
+    assert np.isfinite(result.mu.leaf_mass).all() and np.isfinite(result.nu.leaf_mass).all()
+
+
+@pytest.mark.parametrize("sigma", [1000.0, -1000.0])
+def test_initial_masses_that_overflow_name_weight_sigma(sigma):
+    with pytest.raises(ValueError, match=f"^search weight_sigma {sigma} overflows leaf masses"):
+        extremal_search(SearchConfig(weight_sigma=sigma, iterations=1))
 
 
 def test_greedy_embedding_normalized_and_bounded():
@@ -140,7 +166,7 @@ def test_carleson_scan_reads_no_cube_view(monkeypatch):
     def cube_view(self):
         raise AssertionError("an array table read a per-cube view")
 
-    for name in ("active_cubes", "leaves", "nonleaf_cubes", "cube_index"):
+    for name in ("active_cubes", "nonleaf_cubes", "cube_index"):  # the per-cube views left
         monkeypatch.setattr(Lattice, name, property(cube_view))
     seq = None
     for depth in range(3, 8):

@@ -19,7 +19,7 @@ from haarlab import (Cube, MeasureGrid, build_lattice, build_paraproduct,
 from haarlab.operators import InducedOperator
 from haarlab.paraproduct import Paraproduct
 
-from loop_oracle import (cube_children, loop_average, loop_decomposition_identity,
+from loop_oracle import (cube_children, lattice_leaves, loop_decomposition_identity,
                          loop_expectation, loop_martingale_difference, loop_parseval_residuals,
                          oracle_close)
 
@@ -60,8 +60,6 @@ def test_stacked_measure_methods_equal_row_by_row_calls(case):
         "inner": mu.inner(values, other),
         "norm": mu.norm(values),
         "mean_part": mu.mean_part(values),
-        "average": [mu.average(values, q) for q in lat.active_cubes],
-        "expectation": [mu.expectation(values, q) for q in lat.active_cubes],
         "martingale_difference": [mu.martingale_difference(values, q)
                                   for q in lat.nonleaf_cubes],
         "delta_level_within": [mu.delta_level_within(values, level, q)
@@ -72,8 +70,7 @@ def test_stacked_measure_methods_equal_row_by_row_calls(case):
     assert list(deltas) == list(lat.nonleaf_cubes) and list(exps) == list(lat.roots)
     stacked["decompose"] = list(deltas.values()) + list(exps.values())
     assert np.shape(stacked["inner"]) == np.shape(stacked["norm"]) == shape
-    assert all(np.shape(a) == shape for a in stacked["average"])
-    for name in ("expectation", "martingale_difference", "delta_level_within", "decompose"):
+    for name in ("martingale_difference", "delta_level_within", "decompose"):
         assert all(v.shape == values.shape for v in stacked[name])
     assert stacked["mean_part"].shape == values.shape
     for row in (np.ndindex(shape) if shape else ()):
@@ -81,10 +78,6 @@ def test_stacked_measure_methods_equal_row_by_row_calls(case):
         assert np.array_equal(stacked["inner"][row], mu.inner(f, g))
         assert np.array_equal(stacked["norm"][row], mu.norm(f))
         assert np.array_equal(stacked["mean_part"][row], mu.mean_part(f))
-        for q, got in zip(lat.active_cubes, stacked["average"]):
-            assert np.array_equal(got[row], mu.average(f, q))
-        for q, got in zip(lat.active_cubes, stacked["expectation"]):
-            assert np.array_equal(got[row], mu.expectation(f, q))
         for q, got in zip(lat.nonleaf_cubes, stacked["martingale_difference"]):
             assert np.array_equal(got[row], mu.martingale_difference(f, q))
         within = [mu.delta_level_within(f, level, q) for q in lat.nonleaf_cubes
@@ -99,12 +92,12 @@ def test_stacked_measure_methods_equal_row_by_row_calls(case):
         f, g, mass = values, other, mu.leaf_mass
         assert type(stacked["inner"]) is float and type(stacked["norm"]) is float
         assert stacked["inner"] == float(np.sum(f * g * mass))
-        for q, got in zip(lat.active_cubes, stacked["average"]):
-            assert type(got) is float and got == loop_average(mu, f, q)
-        for q, got in zip(lat.active_cubes, stacked["expectation"]):
-            assert np.array_equal(got, loop_expectation(mu, f, q))
         for q, got in zip(lat.nonleaf_cubes, stacked["martingale_difference"]):
             assert np.array_equal(got, loop_martingale_difference(mu, f, q))
+        # the root averages E_R f, which mean_part sums and martingale_decompose masks
+        roots = [loop_expectation(mu, f, root) for root in lat.roots]
+        assert np.array_equal(stacked["mean_part"], sum(roots))
+        assert all(np.array_equal(got, want) for got, want in zip(exps.values(), roots))
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,7 +137,7 @@ def test_martingale_difference_of_a_cube_sequence_rejects_what_single_calls_reje
     with pytest.raises(ValueError, match=r"levels \[-1, 0\], not at one level"):
         mu.martingale_difference(f, [root, cube_children(root)[1]])
     with pytest.raises(ValueError, match="is a leaf"):
-        mu.martingale_difference(f, lat.leaves[:2])
+        mu.martingale_difference(f, lattice_leaves(lat)[:2])
     with pytest.raises(ValueError, match="is not a cube of the lattice"):
         mu.martingale_difference(f, [root, Cube(1, 0, (1,))])
 
@@ -168,8 +161,7 @@ def test_parseval_chunks_run_over_the_nonleaf_cubes_in_order(dim, depth, roots):
 def test_cube_off_the_lattice_is_a_value_error(q):
     mu = MeasureGrid(build_lattice(1, 0, -3), np.ones(8))
     f = np.ones(8)
-    for call in (lambda: mu.average(f, q), lambda: mu.expectation(f, q),
-                 lambda: mu.martingale_difference(f, q),
+    for call in (lambda: mu.martingale_difference(f, q),
                  lambda: mu.weighted_haar_basis(q)):
         with pytest.raises(ValueError, match=re.escape(f"{q!r} is not a cube of the lattice")):
             call()
@@ -179,9 +171,9 @@ def test_leaf_still_has_no_martingale_difference_or_basis():
     lat = build_lattice(2, 0, -1)
     mu = MeasureGrid(lat, np.ones(4))
     with pytest.raises(ValueError, match="is a leaf"):
-        mu.martingale_difference(np.ones((2, 4)), lat.leaves[0])
+        mu.martingale_difference(np.ones((2, 4)), lattice_leaves(lat)[0])
     with pytest.raises(ValueError, match="is a leaf"):
-        mu.weighted_haar_basis(lat.leaves[0])
+        mu.weighted_haar_basis(lattice_leaves(lat)[0])
 
 
 def _instance(dim, depth, r, seed, mu_scale=1.0, nu_scale=1.0):
@@ -209,10 +201,10 @@ def test_stacked_decomposition_matches_the_per_pair_oracle(dim, depth, r):
     t, pi_mu, pi_nu = _instance(dim, depth, r, seed=depth + r)
     pairs = np.random.default_rng(r).standard_normal((12, 2, t.lattice.n_leaves))
     f, g = pairs[:, 0], pairs[:, 1]
-    rep = decomposition_identity(t, r, f, g, pi_mu=pi_mu, pi_nu=pi_nu)
+    rep = decomposition_identity(t, pi_mu, pi_nu, f, g)
     want = [loop_decomposition_identity(t, r, a, b, pi_mu, pi_nu) for a, b in pairs]
     # one pair is the per-pair body itself, bit for bit
-    assert decomposition_identity(t, r, f[0], g[0], pi_mu=pi_mu, pi_nu=pi_nu) == want[0]
+    assert decomposition_identity(t, pi_mu, pi_nu, f[0], g[0]) == want[0]
     scale = max(_scale(t, a, b) for a, b in pairs)
     for name in ("lhs", "paraproduct_mu", "paraproduct_nu", "comparable",
                  "mean_terms", "residual"):
@@ -227,13 +219,11 @@ def test_stacked_decomposition_matches_the_per_pair_oracle(dim, depth, r):
 def test_relative_residual_ignores_the_scale_of_the_measures(dim, depth, r):
     t, pi_mu, pi_nu = _instance(dim, depth, r, seed=depth + r)
     pairs = np.random.default_rng(r).standard_normal((6, 2, t.lattice.n_leaves))
-    want = decomposition_identity(t, r, pairs[:, 0], pairs[:, 1],
-                                  pi_mu=pi_mu, pi_nu=pi_nu).relative
+    want = decomposition_identity(t, pi_mu, pi_nu, pairs[:, 0], pairs[:, 1]).relative
     for mu_scale, nu_scale in ((2.0 ** 40, 1.0), (2.0 ** -40, 1.0),
                                (1.0, 2.0 ** 40), (1.0, 2.0 ** -40)):
         t2, p2_mu, p2_nu = _instance(dim, depth, r, depth + r, mu_scale, nu_scale)
-        got = decomposition_identity(t2, r, pairs[:, 0], pairs[:, 1],
-                                     pi_mu=p2_mu, pi_nu=p2_nu).relative
+        got = decomposition_identity(t2, p2_mu, p2_nu, pairs[:, 0], pairs[:, 1]).relative
         assert np.array_equal(got, want)
 
 
@@ -242,9 +232,8 @@ def test_non_finite_scale_makes_relative_nan():
     f = np.full(t.lattice.n_leaves, 1e200)   # ||T_mu f||_nu overflows, the identity does not
     g = np.ones(t.lattice.n_leaves)
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = decomposition_identity(t, 1, np.stack([f, g]), np.stack([g, g]),
-                                     pi_mu=pi_mu, pi_nu=pi_nu)
-        one = decomposition_identity(t, 1, f, g, pi_mu=pi_mu, pi_nu=pi_nu)
+        rep = decomposition_identity(t, pi_mu, pi_nu, np.stack([f, g]), np.stack([g, g]))
+        one = decomposition_identity(t, pi_mu, pi_nu, f, g)
     assert np.isfinite(rep.residual).all()
     assert np.isnan(rep.relative[0]) and rep.relative[1] <= 1e-12
     assert type(one.relative) is float and np.isnan(one.relative)
@@ -334,7 +323,8 @@ def test_decomposition_check_holds_at_any_mass_scale(tmp_path, total):
     lattice, mu, nu, band, r = runner.build_instance(config)
     t = induce(band, mu, nu)
     pairs = runner._random_functions(lattice, 1, 20)
-    reps = [decomposition_identity(t, r, f, g) for f, g in pairs]
+    pi_mu, pi_nu = build_paraproduct(t, r), build_paraproduct(t.adjoint, r)
+    reps = [decomposition_identity(t, pi_mu, pi_nu, f, g) for f, g in pairs]
     scales = [_scale(t, f, g) for f, g in pairs]
     for name in ("lhs", "paraproduct_nu", "comparable", "mean_terms"):
         assert max(abs(getattr(rep, name)) / s for rep, s in zip(reps, scales)) > 1e-3
