@@ -7,11 +7,12 @@ through the same readers, which check every number and reject unread keys.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .lattice import Cube, Lattice, build_lattice
 from .measures import MeasureGrid, generate_measure
-from .operators import (BandOperator, HaarIndex, basis_table, haar_multiplier, haar_shift,
-                        random_band, repr_order)
+from .operators import (BandOperator, basis_table, haar_multiplier, haar_shift, random_band,
+                        repr_order)
 
 
 def _number(value, what: str, kind: type = float, nonnegative: bool = False, finite: bool = True):
@@ -45,19 +46,35 @@ def _fields(obj, what: str, names) -> dict:
     return obj
 
 
-def _typed(obj, what: str, fields: dict) -> str:
-    """The `type` of a spec object, a key of `fields`; its other keys must be that type's."""
+# A spec key: its number type (list: an array that its reader loops over),
+# whether it must be nonnegative and whether the spec must give it.
+Key = namedtuple("Key", "kind nonnegative required", defaults=(False, False))
+
+
+def _typed(obj, what: str, schema: dict) -> tuple[str, dict]:
+    """The `type` of a spec object, a key of `schema`, and its other keys, each read
+    as its Key in schema[type] says.  An undeclared key is a ValueError, a missing
+    required one a KeyError; the generators hold the defaults of the rest."""
     kind = _container(obj, what).get("type")
-    if not isinstance(kind, str) or kind not in fields:
+    if not isinstance(kind, str) or kind not in schema:
         raise ValueError(f"unknown {what} spec type {kind!r}")
-    _fields(obj, f"{kind} {what}", ("type", *fields[kind]))
-    return kind
+    keys = schema[kind]
+    _fields(obj, f"{kind} {what}", ("type", *keys))
+    return kind, {name: obj[name] if key.kind is list
+                  else _number(obj[name], f"{kind} {name}", key.kind, key.nonnegative)
+                  for name, key in keys.items() if key.required or name in obj}
 
 
-OPERATOR_FIELDS = {"multiplier": ("alpha", "root_alpha"), "explicit": ("r", "entries"),
-                   "shift": (), "random_band": ("r", "seed", "amplitude", "root_amplitude")}
-MEASURE_FIELDS = {"explicit": ("mass",), "uniform": ("total",), "lognormal": ("sigma", "seed"),
-                  "sparse_atoms": ("count", "seed"), "zero_blocks": ("fraction", "seed")}
+# random_band's r has no sign here: random_band itself rejects a negative one
+OPERATOR_FIELDS = {"multiplier": {"alpha": Key(float), "root_alpha": Key(float)}, "shift": {},
+                   "explicit": {"r": Key(int, True, True), "entries": Key(list, required=True)},
+                   "random_band": {"r": Key(int, required=True), "seed": Key(int, True, True),
+                                   "amplitude": Key(float), "root_amplitude": Key(float)}}
+MEASURE_FIELDS = {"explicit": {"mass": Key(list, required=True)},
+                  "uniform": {"total": Key(float)},
+                  "lognormal": {"sigma": Key(float), "seed": Key(int, True, True)},
+                  "sparse_atoms": {"count": Key(int, True, True), "seed": Key(int, True, True)},
+                  "zero_blocks": {"fraction": Key(float), "seed": Key(int, True, True)}}
 
 
 def cube_to_json(q: Cube) -> dict:
@@ -96,11 +113,6 @@ def _index_json(kind: str, level: int, coords: tuple, component: int | None) -> 
     return obj
 
 
-def haar_index_to_json(ix: HaarIndex) -> dict:
-    """The JSON of a Haar index, as band_to_json writes it."""
-    return _index_json("haar", ix.cube.level, ix.cube.coords, ix.component)
-
-
 def _position(obj: dict, what: str, positions: dict) -> int:
     """The haar_system row of a JSON basis index, every number checked."""
     obj = _container(obj, what)
@@ -126,38 +138,25 @@ def band_to_json(op: BandOperator) -> dict:
 
 def band_from_json(obj: dict, lattice: Lattice) -> BandOperator:
     """Build an operator from a config spec (named generator or explicit)."""
-    kind = _typed(obj, "operator", OPERATOR_FIELDS)
-    if kind == "multiplier":
-        return haar_multiplier(lattice, _number(obj.get("alpha", 1.0), "multiplier alpha"),
-                               root_alpha=_number(obj.get("root_alpha", 0.0),
-                                                  "multiplier root_alpha"))
-    if kind == "shift":
-        return haar_shift(lattice)
-    if kind == "random_band":
-        return random_band(lattice, r=_number(obj["r"], "random_band r", int),
-                           seed=_number(obj["seed"], "random_band seed", int, nonnegative=True),
-                           amplitude=_number(obj.get("amplitude", 1.0), "amplitude"),
-                           root_amplitude=_number(obj.get("root_amplitude", 0.0),
-                                                  "root_amplitude"))
+    kind, fields = _typed(obj, "operator", OPERATOR_FIELDS)
+    if kind != "explicit":
+        return {"multiplier": haar_multiplier, "shift": haar_shift,
+                "random_band": random_band}[kind](lattice, **fields)
     positions, rows, cols, values = basis_table(lattice)[2], [], [], []  # explicit
-    for e in _container(obj["entries"], "operator entries", list):
+    for e in _container(fields["entries"], "operator entries", list):
         e = _container(e, "operator entry")
         rows.append(_position(e["row"], "entry row", positions))
         cols.append(_position(e["col"], "entry col", positions))
         values.append(_number(e["value"], "operator entry"))
     if len(set(zip(rows, cols))) < len(rows):
         raise ValueError("explicit operator repeats a (row, col) pair")
-    return BandOperator(lattice, _number(obj["r"], "explicit r", int, nonnegative=True),
-                        rows, cols, values)
+    return BandOperator(lattice, fields["r"], rows, cols, values)
 
 
 def measure_from_json(obj, lattice: Lattice) -> MeasureGrid:
-    kinds = {"seed": int, "count": int, "total": float, "sigma": float, "fraction": float}
     if not isinstance(obj, dict):  # the bare-list form of explicit masses
         obj = {"type": "explicit", "mass": obj}
-    kind = _typed(obj, "measure", MEASURE_FIELDS)
-    obj = {key: _number(v, f"measure {key}", kinds[key], kinds[key] is int) if key in kinds else v
-           for key, v in obj.items()}
+    kind, fields = _typed(obj, "measure", MEASURE_FIELDS)
     if kind == "explicit":
-        obj["mass"] = [_number(m, "leaf mass") for m in _container(obj["mass"], "mass", list)]
-    return generate_measure(lattice, obj)
+        fields["mass"] = [_number(m, "leaf mass") for m in _container(fields["mass"], "mass", list)]
+    return generate_measure(lattice, {"type": kind, **fields})

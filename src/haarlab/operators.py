@@ -17,7 +17,10 @@ import numpy as np
 from .lattice import Cube, Lattice, read_only, tree_distance
 from .measures import MeasureGrid, uniform_measure
 
-ZERO_TOL = 1e-12
+# The named tolerances, runner.DEFAULT_TOLERANCES: every check's `tol` defaults to its entry.
+DEFAULT_TOLERANCES = {"zero": 1e-12, "identity": 1e-10, "entrywise": 1e-9,
+                      "necessity": 1e-9, "ordering": 1e-12, "embedding": 1e-9,
+                      "replay": 1e-12}
 
 
 @dataclass(frozen=True)
@@ -102,45 +105,42 @@ class BandOperator:
         return read_only(self.lattice.leaf_volume * (h.T @ e @ h))
 
 
-def check_band(op: BandOperator, r: int, tol: float = ZERO_TOL):
+def check_band(op: BandOperator, r: int, tol: float = DEFAULT_TOLERANCES["zero"]):
     """Verify the band structure at radius r; root positions and entries
     with |value| <= tol are exempt.
 
-    Returns (passed, witness); witness is the offending (row, col) pair of
-    Haar indices, or None.  It measures distances with tree_distance, not
-    with the Lattice.inside masks that random_band draws its pairs from, so
-    that the check shares no code with the generator it checks.
+    Returns (passed, witness), witness the offending (row, col) pair of
+    haar_system positions or None.  It measures distances with tree_distance,
+    not with the Lattice.inside masks that random_band draws its pairs from,
+    so that the check shares no code with the generator it checks.
     """
-    lattice = op.lattice
-    n_comp = 2 ** lattice.dim - 1
-    n_haar = n_comp * lattice.level_starts[-2]  # the root indicators follow the Haar rows
+    n_comp, cubes = 2 ** op.lattice.dim - 1, op.lattice.active_cubes
+    n_haar = n_comp * op.lattice.level_starts[-2]  # the root indicators follow the Haar rows
     checked = np.flatnonzero((op.rows < n_haar) & (op.cols < n_haar) & ~(np.abs(op.values) <= tol))
-    cubes = lattice.active_cubes
     for i, j in zip(op.rows[checked].tolist(), op.cols[checked].tolist()):
-        row, col = cubes[i // n_comp], cubes[j // n_comp]
-        if tree_distance(col, row) > r:
-            return False, (HaarIndex(row, i % n_comp), HaarIndex(col, j % n_comp))
+        if tree_distance(cubes[j // n_comp], cubes[i // n_comp]) > r:
+            return False, (i, j)
     return True, None
 
 
-def haar_multiplier(lattice: Lattice, spec, root_alpha: float = 0.0) -> BandOperator:
+def haar_multiplier(lattice: Lattice, alpha=1.0, root_alpha: float = 0.0) -> BandOperator:
     """T f = sum alpha_Q (f, h_Q) h_Q, a band operator with r = 0.
 
-    `spec` is a {cube: alpha} mapping or a scalar for every non-leaf cube;
+    `alpha` is a {cube: alpha} mapping or a scalar for every non-leaf cube;
     zero alphas are dropped, a leaf or off-lattice cube is a ValueError.
     A nonzero root_alpha adds alpha times the identity on root indicators.
     """
     n_comp, n_nonleaf = 2 ** lattice.dim - 1, int(lattice.level_starts[-2])
-    if isinstance(spec, dict):
-        alpha = {q: float(a) for q, a in spec.items() if a != 0.0}
+    if isinstance(alpha, dict):
+        alpha = {q: float(a) for q, a in alpha.items() if a != 0.0}
         cubes = [lattice.cube_index.get(q, n_nonleaf) for q in alpha]
         for q, i in zip(alpha, cubes):
             if i >= n_nonleaf:
                 raise ValueError(f"{q!r} is not a non-leaf cube of the lattice")
         values = np.array(list(alpha.values()), dtype=float)
     else:
-        cubes = np.arange(n_nonleaf if float(spec) != 0.0 else 0)
-        values = np.full(cubes.size, float(spec))
+        cubes = np.arange(n_nonleaf if float(alpha) != 0.0 else 0)
+        values = np.full(cubes.size, float(alpha))
     # Haar component k of the i-th cube sits at n_comp * i + k, the root indicators after them
     pos = (n_comp * np.array(cubes, dtype=np.intp)[:, None] + np.arange(n_comp)).ravel()
     values = np.repeat(values, n_comp)
@@ -283,7 +283,7 @@ class WellLocalizedReport:
 
 
 def check_well_localized(t_mu: InducedOperator, r: int,
-                         tol: float = ZERO_TOL) -> WellLocalizedReport:
+                         tol: float = DEFAULT_TOLERANCES["zero"]) -> WellLocalizedReport:
     """Scan the vanishing pattern of a lower triangularly localized operator
     and of its formal adjoint.
 

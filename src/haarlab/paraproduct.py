@@ -12,7 +12,7 @@ import numpy as np
 
 from .lattice import Cube, Lattice, read_only
 from .measures import MeasureGrid
-from .operators import InducedOperator, ZERO_TOL, local_testing_integrals
+from .operators import DEFAULT_TOLERANCES, InducedOperator, local_testing_integrals
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,8 @@ class ParaproductStructureReport:
 
 
 def paraproduct_structure_verify(pi: Paraproduct, t: InducedOperator, *,
-                                 tol: float = 1e-9) -> ParaproductStructureReport:
+                                 tol: float = DEFAULT_TOLERANCES["entrywise"]
+                                 ) -> ParaproductStructureReport:
     """Compare pi with t, the operator it was built from, entry by entry in
     t.mu's Haar basis (columns Q) and t.nu's (rows R)."""
     pi.require_built_from(t, "pi")
@@ -135,8 +136,8 @@ class RemainderReport:
     in_band_max: float
 
 
-def remainder_diagonals(t_mu: InducedOperator, pi_mu: Paraproduct,
-                        pi_nu: Paraproduct, tol: float = ZERO_TOL) -> RemainderReport:
+def remainder_diagonals(t_mu: InducedOperator, pi_mu: Paraproduct, pi_nu: Paraproduct,
+                        tol: float = DEFAULT_TOLERANCES["zero"]) -> RemainderReport:
     pi_mu.require_built_from(t_mu, "pi_mu")
     pi_nu.require_built_from(t_mu.adjoint, "pi_nu", pi_mu.r)
     mu_cubes, nu_cubes = t_mu.mu.haar_rows[0], t_mu.nu.haar_rows[0]
@@ -345,7 +346,7 @@ class CarlesonPropertyReport:
 
 
 def carleson_property(t_mu: InducedOperator, seq: CarlesonSequence,
-                      tol: float = 1e-10) -> CarlesonPropertyReport:
+                      tol: float = DEFAULT_TOLERANCES["identity"]) -> CarlesonPropertyReport:
     """Subtree sums against local testing integrals; ValueError off t_mu's lattice."""
     _require_same_lattice(seq, t_mu.lattice, "operator")
     bounds = local_testing_integrals(t_mu)

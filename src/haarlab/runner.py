@@ -13,10 +13,11 @@ import os
 import numpy as np
 
 from .analysis import decomposition_identity, testing_constants
-from .io import (_fields, _number, band_from_json, cube_to_json, haar_index_to_json,
+from .io import (Key, _fields, _index_json, _number, band_from_json, cube_to_json,
                  lattice_from_json, measure_from_json)
 from .lattice import Lattice
-from .operators import check_amplitude, check_band, check_well_localized, induce
+from .operators import (DEFAULT_TOLERANCES, basis_table, check_amplitude, check_band,
+                        check_well_localized, induce)
 from .paraproduct import (build_paraproduct, carleson_constant,
                           carleson_property, carleson_sequence,
                           embedding_constant, paraproduct_structure_verify,
@@ -28,15 +29,9 @@ SCHEMA_VERSION = 1
 SUITES = ("verify", "testing", "carleson", "search", "decompose")
 
 CONFIG_KEYS = ("lattice", "mu", "nu", "operator", "r", "suite", "seed", "tolerances", "search")
-# each search field's type, and whether it must be nonnegative
-SEARCH_FIELDS = {"iterations": (int, True), "amplitude": (float, True),
-                 "root_amplitude": (float, True), "weight_sigma": (float, False),
-                 "step": (float, False)}
-
-DEFAULT_TOLERANCES = {"zero": 1e-12, "identity": 1e-10, "entrywise": 1e-9,
-                      "necessity": 1e-9, "ordering": 1e-12, "embedding": 1e-9,
-                      "replay": 1e-12}
-
+SEARCH_FIELDS = {"iterations": Key(int, True), "amplitude": Key(float, True),
+                 "root_amplitude": Key(float, True), "weight_sigma": Key(float),
+                 "step": Key(float)}
 
 # Budget for the dense arrays of one instance: DENSE_CUBE_TABLES leaves x
 # active cubes tables (membership, the chi tables of T_mu and its adjoint)
@@ -99,8 +94,8 @@ def build_instance(config: dict):
 def _search_fields(config: dict) -> dict:
     """The config's search section as SearchConfig keywords, each checked."""
     search = _fields(config.get("search", {}), "search", SEARCH_FIELDS)
-    fields = {name: _number(value, f"search {name}", *SEARCH_FIELDS[name])
-              for name, value in search.items()}
+    fields = {name: _number(search[name], f"search {name}", key.kind, key.nonnegative)
+              for name, key in SEARCH_FIELDS.items() if name in search}
     for name in ("amplitude", "root_amplitude"):  # the search's random_band draws with them
         check_amplitude(f"search {name}", fields.get(name, 0.0))
     return fields
@@ -196,8 +191,10 @@ def suite_verify(config, tol) -> tuple[list, dict]:
                          max_relative_residual=worst))
 
     ok, witness = check_band(band, band.band_radius, tol=tol["zero"])
-    checks.append(_check("band_structure", ok, witness=None if witness is None else {
-        "row": haar_index_to_json(witness[0]), "col": haar_index_to_json(witness[1])}))
+    if witness is not None:  # two haar_system positions, written as band_to_json writes them
+        keys = basis_table(lattice)[3]
+        witness = {"row": _index_json(*keys[witness[0]]), "col": _index_json(*keys[witness[1]])}
+    checks.append(_check("band_structure", ok, witness=witness))
 
     t_mu = induce(band, mu, nu)
     wl = check_well_localized(t_mu, r, tol=tol["zero"])
@@ -299,7 +296,7 @@ def suite_carleson(config, tol) -> tuple[list, dict]:
 def suite_search(config, tol) -> tuple[list, dict]:
     lattice, *_, r = build_instance(config)  # reject what the other suites reject
     sc = SearchConfig(dim=lattice.dim, top_level=lattice.top_level,
-                      leaf_level=lattice.leaf_level, r=r,
+                      leaf_level=lattice.leaf_level, roots=lattice.roots, r=r,
                       seed=int(config.get("seed", 0)), **_search_fields(config))
     try:
         result = extremal_search(sc)

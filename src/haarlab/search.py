@@ -13,7 +13,7 @@ from .io import (_container, _number, band_to_json, band_from_json, lattice_from
                  lattice_to_json, measure_from_json)
 from .lattice import build_lattice
 from .measures import MeasureGrid, uniform_measure
-from .operators import BandOperator, induce, random_band, repr_order
+from .operators import DEFAULT_TOLERANCES, BandOperator, induce, random_band, repr_order
 from .paraproduct import (CarlesonSequence, _carleson_ratio, _check_values, _embedding_constant,
                           _massive, _subtree_sums, _update_subtree_sums)
 
@@ -30,6 +30,7 @@ class SearchConfig:
     root_amplitude: float = 0.0
     weight_sigma: float = 1.0
     step: float = 0.5
+    roots: tuple | None = None  # the lattice's root cubes; None: the one at the origin
 
 
 @dataclass
@@ -81,7 +82,7 @@ def extremal_search(config: SearchConfig) -> SearchResult:
     if config.iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {config.iterations}")
     rng = np.random.default_rng(config.seed)
-    lattice = build_lattice(config.dim, config.top_level, config.leaf_level)
+    lattice = build_lattice(config.dim, config.top_level, config.leaf_level, config.roots)
     band = random_band(lattice, config.r, seed=config.seed,
                        amplitude=config.amplitude,
                        root_amplitude=config.root_amplitude)
@@ -117,7 +118,7 @@ def extremal_search(config: SearchConfig) -> SearchResult:
                         history=history)
 
 
-def replay_artifact(artifact: dict, tol: float = 1e-12):
+def replay_artifact(artifact: dict, tol: float = DEFAULT_TOLERANCES["replay"]):
     """Rebuild the instance stored in a search artifact and recompute all
     constants; each must match to relative `tol` (the `replay` tolerance).
     Returns (matches, recomputed dict).  Only schema_version 1 is read."""

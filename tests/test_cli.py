@@ -168,6 +168,20 @@ def test_replay_roundtrip_and_tamper_detection(tmp_path):
                  "--out", str(tmp_path / "replay2")]) == 1
 
 
+def test_search_keeps_the_config_lattice_roots_and_replays(tmp_path):
+    # the search draws its band and measures on the config's lattice, every root kept
+    roots = [{"level": 0, "coords": [1]}, {"level": 0, "coords": [2]}]
+    config = dict(BASE_CONFIG, lattice=dict(BASE_CONFIG["lattice"], roots=roots),
+                  search={"iterations": 25})
+    code, out = run_cli(tmp_path, config, "search")
+    assert code == 0
+    artifact_path = os.path.join(out, "artifact.json")
+    with open(artifact_path) as fh:
+        artifact = json.load(fh)
+    assert artifact["lattice"]["roots"] == roots and len(artifact["mu"]) == 16
+    assert main(["--replay", artifact_path, "--out", str(tmp_path / "replay")]) == 0
+
+
 def test_invalid_configs_exit_2(tmp_path):
     bad_levels = copy.deepcopy(BASE_CONFIG)
     bad_levels["lattice"]["leaf_level"] = 0
@@ -320,11 +334,11 @@ BAD_NUMBERS = {
     "negative_random_band_seed": ("operator", dict(BAND, seed=-1),
                                   "random_band seed must be nonnegative"),
     "negative_lognormal_seed": ("mu", {"type": "lognormal", "seed": -1},
-                                "measure seed must be nonnegative"),
+                                "lognormal seed must be nonnegative"),
     "negative_zero_blocks_seed": ("nu", {"type": "zero_blocks", "seed": -3},
-                                  "measure seed must be nonnegative"),
+                                  "zero_blocks seed must be nonnegative"),
     "negative_atom_count": ("mu", {"type": "sparse_atoms", "count": -2, "seed": 1},
-                            "measure count must be nonnegative"),
+                            "sparse_atoms count must be nonnegative"),
 }
 
 
@@ -612,6 +626,8 @@ CONFIG_RULES = {
     "list_search": (dict(BASE_CONFIG, search=[]), "search"),
     "bool_iterations": (dict(BASE_CONFIG, search={"iterations": True}), "iterations"),
     "negative_search_amplitude": (dict(BASE_CONFIG, search={"amplitude": -1}), "amplitude"),
+    "negative_random_band_r": (dict(BASE_CONFIG, operator=dict(BAND, r=-1)),
+                               "band radius must be nonnegative"),
     # finite numbers past what the generators can draw with: numpy's
     # OverflowError, a traceback, or a run on a meaningless spec before
     "overflowing_amplitude": (dict(BASE_CONFIG, operator=dict(BAND, amplitude=1e308)),

@@ -1,6 +1,7 @@
 """One index map: a band is positions in haar_system, and the HaarIndex /
 RootIndex objects of a lattice are built in one place, basis_table, in
-position order.  check_band builds the two of its witness.  A constructor
+position order.  check_band's witness is two positions, which the runner
+writes through basis_table's JSON keys as band_to_json does.  A constructor
 call anywhere else would be a second map from basis index to position, one
 that the builders' tests do not check.  The src/haarlab modules are read
 as source."""
@@ -24,7 +25,6 @@ def index_constructions():
     return sorted(calls)
 
 
-def test_basis_indices_are_built_only_in_basis_table_and_check_band():
+def test_basis_indices_are_built_only_in_basis_table():
     assert index_constructions() == [("operators.py", "basis_table", "HaarIndex"),
-                                     ("operators.py", "basis_table", "RootIndex"),
-                                     ("operators.py", "check_band", "HaarIndex")]
+                                     ("operators.py", "basis_table", "RootIndex")]

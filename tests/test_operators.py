@@ -8,7 +8,7 @@ from haarlab import (Cube, HaarIndex, InducedOperator,
                      MeasureGrid, RootIndex, build_lattice,
                      check_band, check_well_localized, haar_multiplier,
                      haar_shift, haar_system, induce, random_band,
-                     uniform_measure)
+                     tree_distance, uniform_measure)
 from haarlab import lattice as lattice_module, operators as operators_module
 from haarlab.io import band_from_json, band_to_json
 from haarlab.operators import basis_table, repr_order
@@ -198,8 +198,10 @@ def test_random_band_respects_radius():
     assert check_band(op, 2)[0]
     ok, witness = check_band(op, 1)
     assert not ok
-    row, col = witness
+    # the witness is two haar_system positions, both Haar rows (no root)
+    row, col = (basis_table(lat)[0][i] for i in witness)
     assert isinstance(row, HaarIndex) and isinstance(col, HaarIndex)
+    assert tree_distance(col.cube, row.cube) > 1
     # adjacent roots share a parent above top_level: at r = 2 the band pairs
     # the roots' own Haar functions (tree distance 2)
     left, right = Cube(1, 0, (0,)), Cube(1, 0, (1,))
