@@ -9,7 +9,11 @@ wall-clock (the `runner.run` call alone), its peak RSS (`ru_maxrss` of the
 subprocess, imports included), its exit code and the instance size:
 leaves, active cubes, band entries and the zero-mass leaves of each
 measure.  A config over the runner's dense-array budget is recorded as
-skipped.  The `scan` suite (not a default) instead chains
+skipped.  The `search` suite (not a default) times `runner.run` of the
+search suite (the recipe has no search section: 200 iterations) followed by
+`runner.replay` of the artifact it writes, as perfbench's search op does;
+its size fields are those of the artifact's instance, and it also records
+the replay's exit code.  The `scan` suite (not a default) instead chains
 `greedy_embedding_sequence` from depth 3 to DEPTH on the 1D tree, seed 0
 and 30 iterations as in carleson_depth_scan.py, and records the chain's
 wall-clock and peak RSS, the final embedding constant and the active
@@ -31,28 +35,36 @@ import tempfile
 import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-SUITES = ("verify", "testing", "carleson")  # the defaults; "scan" runs on request
+SUITES = ("verify", "testing", "carleson")  # the defaults; "search" and "scan" run on request
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # One run, in the subprocess: argv[1] is {"config", "suite", "out"}; prints one JSON line.
 CHILD = """
-import json, resource, sys, time
+import json, os, resource, sys, time
 from haarlab import runner
 job = json.loads(sys.argv[1])
+replayed = {}
 try:
     start = time.perf_counter()
     code, _ = runner.run(job["config"], job["out"], suite=job["suite"])
+    if job["suite"] == "search":
+        artifact_path = os.path.join(job["out"], "artifact.json")
+        replayed["replay_exit_code"] = runner.replay(artifact_path, job["out"])[0]
     seconds = time.perf_counter() - start
 except runner.ConfigError as exc:
     print(json.dumps({"skipped": str(exc)}))
     sys.exit(0)
 peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 lattice, mu, nu, band, _ = runner.build_instance(job["config"])
-print(json.dumps({"seconds": seconds, "peak_rss_mb": peak_mb, "exit_code": code,
+nnz, masses = int(band.values.size), {"mu": mu.leaf_mass.tolist(), "nu": nu.leaf_mass.tolist()}
+if replayed:  # the search's own band and masses
+    with open(artifact_path) as fh:
+        artifact = json.load(fh)
+    nnz, masses = len(artifact["operator"]["entries"]), {k: artifact[k] for k in masses}
+print(json.dumps({"seconds": seconds, "peak_rss_mb": peak_mb, "exit_code": code, **replayed,
                   "n_leaves": lattice.n_leaves, "n_cubes": len(lattice.levels),
-                  "band_nnz": int(band.values.size),
-                  "zero_mass_leaves": {"mu": int((mu.leaf_mass == 0).sum()),
-                                       "nu": int((nu.leaf_mass == 0).sum())}}))
+                  "band_nnz": nnz,
+                  "zero_mass_leaves": {k: m.count(0.0) for k, m in masses.items()}}))
 """
 
 # One chained greedy scan, in the subprocess: argv[1] is {"depth"}.
@@ -87,7 +99,7 @@ def main(argv=None):
     p.add_argument("number", type=int, help="N of the BENCH_<N>.json to write")
     p.add_argument("--cell", nargs=2, type=int, action="append", required=True,
                    metavar=("DIM", "DEPTH"), help="a lattice to run on; repeatable")
-    p.add_argument("--suite", action="append", choices=SUITES + ("scan",),
+    p.add_argument("--suite", action="append", choices=SUITES + ("search", "scan"),
                    help="a suite to run; repeatable (default: verify, testing and carleson)")
     p.add_argument("--source", action="append", metavar="LABEL=DIR",
                    help="a src/ directory holding the haarlab package; repeatable")
@@ -136,6 +148,7 @@ def main(argv=None):
                     print(f"{label:>10} {dim}D depth {depth:>2} {suite:>9}: {shown}", flush=True)
     bench = {
         "recipe": "configs/default.json with lattice {dim, top_level 0, leaf_level -depth}",
+        "search": "the recipe's search suite (200 iterations), then its artifact's replay",
         "scan": "greedy_embedding_sequence chained from depth 3 to depth, seed 0, 30 iterations",
         "blas_threads": 1,
         "host": {"machine": platform.machine(), "nproc": os.cpu_count(),

@@ -24,7 +24,8 @@ def operator_norm(t_mu: InducedOperator) -> float:
     if not (mu_mass.all() and nu_mass.all()):  # masses are >= 0: drop the zero-mass leaves
         cols, rows = np.flatnonzero(mu_mass > 0), np.flatnonzero(nu_mass > 0)
         mu_mass, nu_mass, m = mu_mass[cols], nu_mass[rows], m[np.ix_(rows, cols)]
-    return _largest_singular_value(np.sqrt(nu_mass)[:, None] * m / np.sqrt(mu_mass)[None, :])
+    k = np.multiply(np.sqrt(nu_mass)[:, None], m)
+    return _largest_singular_value(np.divide(k, np.sqrt(mu_mass)[None, :], out=k))
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,10 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
     cube.  The maxima are numpy reductions, so a NaN ratio makes its
     constant NaN, where the builtin max once used here dropped it.  When
     every cube has mass in both measures there is no offender and they
-    are plain quotients; only a zero mass runs the masked search.
+    are plain quotients; only a zero mass runs the masked search.  C_diag
+    divides |b| by sqrt(nu(R) mu(Q)) in place, under a where= mask of the
+    comparable pairs with mass on both sides: only the read entries are
+    computed, each to the bits of its quotient.
     """
     lattice = t_mu.lattice
     x = lattice.membership
@@ -84,19 +88,19 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
     adjoint = adjoint_global, mu_mass @ sq, nu_mass @ sq
     # comparable-size bilinear pairings: rows R, columns Q; the buffer is
     # freed before the cubes x cubes part, which would otherwise raise the peak
-    b = np.abs(x.T @ np.multiply(nu_mass[:, None], t_mu.chi_table, out=sq))
+    b = x.T @ np.multiply(nu_mass[:, None], t_mu.chi_table, out=sq)
     del sq
+    np.abs(b, out=b)
     comparable = comparable_pairs(lattice, r)
     witness = None
     if mu_q.all() and nu_q.all():  # masses are >= 0: every cube has mass, no offender
-        c_dg, c_dl = (np.max(v / mu_q, initial=0.0) for v in direct)
-        c_ag, c_al, c_aln = (np.max(v / nu_q, initial=0.0) for v in adjoint)
-        c_diag = np.max(b[comparable] / np.sqrt(np.outer(nu_q, mu_q)[comparable]),
-                        initial=0.0)
+        c_dg, c_dl = ((v / mu_q).max(initial=0.0) for v in direct)
+        c_ag, c_al, c_aln = ((v / nu_q).max(initial=0.0) for v in adjoint)
+        massive = comparable
     else:
         mu_pos, nu_pos = mu_q > 0, nu_q > 0
-        c_dg, c_dl = (np.max(v[mu_pos] / mu_q[mu_pos], initial=0.0) for v in direct)
-        c_ag, c_al, c_aln = (np.max(v[nu_pos] / nu_q[nu_pos], initial=0.0) for v in adjoint)
+        c_dg, c_dl = ((v[mu_pos] / mu_q[mu_pos]).max(initial=0.0) for v in direct)
+        c_ag, c_al, c_aln = ((v[nu_pos] / nu_q[nu_pos]).max(initial=0.0) for v in adjoint)
         direct_off = np.flatnonzero(~mu_pos & (direct[0] > 0))
         adjoint_off = np.flatnonzero(~nu_pos & (adjoint[0] > 0))
         if direct_off.size:
@@ -107,7 +111,12 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
             if not direct_off.size or adjoint_off[-1] >= direct_off[-1]:
                 witness = ("adjoint", lattice.active_cubes[adjoint_off[-1]])
         massive = comparable & np.outer(nu_pos, mu_pos)
-        c_diag = np.max(b[massive] / np.sqrt(np.outer(nu_q, mu_q)[massive]), initial=0.0)
+    # |b| / sqrt(nu(R) mu(Q)) on the massive comparable pairs, in place: the
+    # where= forms compute and read only those entries, so b keeps |b| off them
+    q = np.outer(nu_q, mu_q)
+    np.sqrt(q, out=q, where=massive)
+    c_diag = np.divide(b, q, out=b, where=massive).max(where=massive, initial=0.0)
+    if massive is not comparable:
         diag_off = np.flatnonzero(comparable & ~massive & (b > 0))
         if diag_off.size:
             c_diag = float("inf")

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+import numpy as np
+
 from .lattice import Cube, Lattice, build_lattice
 from .measures import MeasureGrid, generate_measure
 from .operators import (BandOperator, basis_table, haar_multiplier, haar_shift, random_band,
@@ -114,7 +116,18 @@ def _index_json(kind: str, level: int, coords: tuple, component: int | None) -> 
 
 
 def _position(obj: dict, what: str, positions: dict) -> int:
-    """The haar_system row of a JSON basis index, every number checked."""
+    """The haar_system row of a JSON basis index, every number checked.  An index
+    of exact JSON types (dict, list, int: never a bool, a float or a subclass) is
+    looked up directly; anything else, and a miss, takes the checked path."""
+    cube = obj.get("cube") if type(obj) is dict else None
+    if type(cube) is dict:
+        kind, level, coords = obj.get("kind"), cube.get("level"), cube.get("coords")
+        component = obj.get("component") if kind == "haar" else None
+        if (type(level) is int and type(coords) is list and all(type(c) is int for c in coords)
+                and (kind == "root" or type(component) is int)):
+            pos = positions.get((kind, level, tuple(coords), component))
+            if pos is not None:
+                return pos
     obj = _container(obj, what)
     level, coords = _cube_fields(obj["cube"])
     kind = obj["kind"]
@@ -128,11 +141,14 @@ def _position(obj: dict, what: str, positions: dict) -> int:
 
 
 def band_to_json(op: BandOperator) -> dict:
-    """The explicit spec of a band, entries in sorted(..., key=repr) order of their indices."""
+    """The explicit spec of a band, entries in sorted(..., key=repr) order of their indices.
+    Entries at one position share its index object: copy one before editing it."""
     keys, order = basis_table(op.lattice)[3], repr_order(op.lattice, op.rows, op.cols)
-    entries = [{"row": _index_json(*keys[i]), "col": _index_json(*keys[j]), "value": val}
-               for i, j, val in zip(op.rows[order].tolist(), op.cols[order].tolist(),
-                                    op.values[order].tolist())]
+    n = order.size
+    used, at = np.unique(np.concatenate((op.rows[order], op.cols[order])), return_inverse=True)
+    index = [_index_json(*keys[i]) for i in used.tolist()]
+    entries = [{"row": index[i], "col": index[j], "value": val}
+               for i, j, val in zip(at[:n].tolist(), at[n:].tolist(), op.values[order].tolist())]
     return {"type": "explicit", "r": op.band_radius, "entries": entries}
 
 
@@ -148,7 +164,9 @@ def band_from_json(obj: dict, lattice: Lattice) -> BandOperator:
         rows.append(_position(e["row"], "entry row", positions))
         cols.append(_position(e["col"], "entry col", positions))
         values.append(_number(e["value"], "operator entry"))
-    if len(set(zip(rows, cols))) < len(rows):
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    pairs = np.sort(rows * len(positions) + cols)  # np.unique would import numpy.ma
+    if (pairs[1:] == pairs[:-1]).any():
         raise ValueError("explicit operator repeats a (row, col) pair")
     return BandOperator(lattice, fields["r"], rows, cols, values)
 

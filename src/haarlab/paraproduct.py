@@ -279,16 +279,16 @@ def _largest_eigenvalue(gram: np.ndarray) -> float:
 def _largest_singular_value(k: np.ndarray) -> float:
     """Largest singular value sigma of k; NaN if an entry is NaN or inf.
 
-    k is scaled exactly by a power of two into max|k| in [1/2, 1), so its
-    smaller (p x p) Gram, summed over q terms, cannot overflow.  The root of
-    its top eigenvalue is sigma (1 + delta), |delta| <= (q + c) p eps / 2 to
-    first order.
+    k is scaled exactly, in place, by a power of two into max|k| in [1/2, 1),
+    so its smaller (p x p) Gram, summed over q terms, cannot overflow: pass
+    an array the caller no longer reads.  The root of its top eigenvalue is
+    sigma (1 + delta), |delta| <= (q + c) p eps / 2 to first order.
     """
     amax = float(np.abs(k).max()) if k.size else 0.0
     if not 0.0 < amax < math.inf:
         return amax * 0.0  # 0 for the zero matrix, NaN for a NaN or inf entry
     e = math.frexp(amax)[1]
-    k = np.ldexp(k, -e)
+    np.ldexp(k, -e, out=k)
     gram = k @ k.T if k.shape[0] <= k.shape[1] else k.T @ k
     return float(np.ldexp(math.sqrt(_largest_eigenvalue(gram)), e))
 

@@ -49,8 +49,8 @@ class SearchResult:
             "lattice": lattice_to_json(self.band.lattice),
             "r": self.config.r,
             "operator": band_to_json(self.band),
-            "mu": [float(m) for m in self.mu.leaf_mass],
-            "nu": [float(m) for m in self.nu.leaf_mass],
+            "mu": self.mu.leaf_mass.tolist(),
+            "nu": self.nu.leaf_mass.tolist(),
             "rho": float(self.rho),
             "constants": _artifact_constants(self.report),
             "search": {"seed": self.config.seed,
@@ -137,7 +137,7 @@ def replay_artifact(artifact: dict, tol: float = DEFAULT_TOLERANCES["replay"]):
              for name, val in {"rho": rho, **recomputed["constants"]}.items()]
     # an infinity matches only itself, NaN nothing
     ok = all(val == stored if np.isinf([val, stored]).any()
-             else abs(val - stored) <= tol * max(1.0, abs(val)) for val, stored in pairs)
+             else abs(val - stored) <= tol * abs(val) for val, stored in pairs)
     return ok, recomputed
 
 

@@ -6,10 +6,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import haarlab
-from haarlab import runner
+from haarlab import io, runner
 from haarlab.cli import main
 from haarlab.lattice import build_lattice
 from haarlab.runner import ConfigError, validate_config
@@ -145,6 +146,16 @@ def test_spec_integers_as_integral_floats(tmp_path):
     assert reports[0]["constants"] == reports[1]["constants"]
 
 
+def test_index_numbers_as_integral_floats():
+    # the checked path reads an integral float as its int: the same band arrays
+    lattice = io.lattice_from_json(BASE_CONFIG["lattice"])
+    floats = dict(HAAR_ROOT, cube={"level": 0.0, "coords": [0.0]}, component=0.0)
+    got, want = (io.band_from_json(explicit(ix), lattice) for ix in (floats, HAAR_ROOT))
+    for name in ("rows", "cols", "values"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.rows.dtype == want.rows.dtype and got.cols.dtype == want.cols.dtype
+
+
 def test_seed_flag_changes_results(tmp_path):
     config = dict(BASE_CONFIG, search={"iterations": 25})
     _, out_a = run_cli(tmp_path, config, "search", out_name="a")
@@ -258,6 +269,10 @@ BAD_INDICES = {  # on BASE_CONFIG's lattice: 1D, levels 0 to -3, root [0]
                             "component": 0},
     "unknown_kind": {"kind": "leaf", "cube": {"level": 0, "coords": [0]}, "component": 0},
     "bare_cube": {"level": 0, "coords": [0]},
+    # bools are ints to Python, and False == 0: no lookup may take them as numbers
+    "false_component": {"kind": "haar", "cube": {"level": 0, "coords": [0]}, "component": False},
+    "false_coords": {"kind": "haar", "cube": {"level": 0, "coords": [False]}, "component": 0},
+    "true_level": {"kind": "haar", "cube": {"level": True, "coords": [0]}, "component": 0},
 }
 BAD_OPERATORS = {
     "alpha_object": {"type": "multiplier", "alpha": {'{"level": 0, "coords": [0]}': 2.0}},
@@ -403,6 +418,10 @@ BAD_INPUTS = {
                             "artifact schema_version must be a finite int"),
     "negative_explicit_r": (*both("operator", dict(explicit(HAAR_ROOT), r=-1)),
                             "explicit r must be nonnegative"),
+    **{f"{name}_message": (*both("operator", explicit(BAD_INDICES[name])), words)
+       for name, words in (("false_component", "component must be a finite int, got False"),
+                           ("false_coords", "cube coordinate must be a finite int, got False"),
+                           ("true_level", "cube level must be a finite int, got True"))},
     # cube volumes 2**(dim*level) that overflow, or fall below the normal floats
     "huge_levels": (*both("lattice", {"dim": 1, "top_level": 1100, "leaf_level": 1097}),
                     "must be normal floats"),

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import haarlab
+from haarlab import runner
 
 SRC = os.path.dirname(os.path.dirname(haarlab.__file__))
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
@@ -66,8 +67,8 @@ def test_carleson_depth_scan_is_nondecreasing_and_at_most_4(tmp_path):
     ("bench.py", ["1", "--cell", "1", "3", "--repeat", "0"], "--repeat must be at least 1, got 0"),
     ("bench.py", ["1", "--cell", "1", "3", "--source", "src"],
      "--source 'src' is not LABEL=DIR with DIR/haarlab/runner.py"),
-    ("bench.py", ["1", "--cell", "1", "3", "--suite", "search"],
-     "argument --suite: invalid choice: 'search'"),
+    ("bench.py", ["1", "--cell", "1", "3", "--suite", "decompose"],
+     "argument --suite: invalid choice: 'decompose'"),
     ("bench.py", ["1", "--cell", "1", "4", "--cell", "2", "3", "--suite", "scan"],
      "--cell 2 3: the scan suite needs DIM 1 and DEPTH at least 3")],
     ids=["scan_depth_0", "scan_min_above_max", "scan_negative_iterations",
@@ -117,6 +118,24 @@ def test_bench_scan_records_the_chained_greedy_scan(tmp_path):
         seq, const = haarlab.greedy_embedding_sequence(depth, seed=0, iterations=30,
                                                        init=seq)
     assert r["embedding_constant"] == const
+
+
+def test_bench_search_times_the_search_and_its_replay(tmp_path):
+    out = run([os.path.join(SCRIPTS, "bench.py"), "9", "--cell", "1", "3", "--suite", "search"],
+              tmp_path)
+    assert out.splitlines()[-1] == "wrote BENCH_9.json"
+    assert sorted(os.listdir(tmp_path)) == ["BENCH_9.json"]
+    with open(tmp_path / "BENCH_9.json") as fh:
+        (r,) = json.load(fh)["runs"]
+    assert (r["source"], r["dim"], r["depth"], r["suite"]) == ("this", 1, 3, "search")
+    assert r["exit_code"] == r["replay_exit_code"] == 0
+    assert r["seconds"] > 0 and r["peak_rss_mb"] > 0 and (r["n_leaves"], r["n_cubes"]) == (8, 15)
+    with open(os.path.join(SCRIPTS, os.pardir, "configs", "default.json")) as fh:
+        config = dict(json.load(fh), lattice={"dim": 1, "top_level": 0, "leaf_level": -3})
+    artifact = runner.run(config, str(tmp_path / "search"), suite="search")[1]["artifact"]
+    assert r["band_nnz"] == len(artifact["operator"]["entries"])
+    assert r["zero_mass_leaves"] == {"mu": artifact["mu"].count(0.0),
+                                     "nu": artifact["nu"].count(0.0)}
 
 
 def test_ratio_table_exits_1_on_a_nan_rho(tmp_path, monkeypatch, capsys):

@@ -8,7 +8,8 @@ from haarlab import (CarlesonSequence, Cube, Lattice, SearchConfig, build_lattic
                      greedy_embedding_sequence, replay_artifact, uniform_measure)
 
 from haarlab import search
-from loop_oracle import loop_extremal_search, loop_greedy_embedding_sequence
+from loop_oracle import (loop_band_to_json, loop_extremal_search,
+                         loop_greedy_embedding_sequence)
 
 
 CFG = SearchConfig(dim=1, top_level=0, leaf_level=-3, r=1, seed=7,
@@ -267,6 +268,43 @@ def test_replay_tolerance_is_a_parameter():
     assert not replay_artifact(artifact)[0]
     assert replay_artifact(artifact, tol=1e-6)[0]
     assert not replay_artifact(extremal_search(CFG).to_artifact(), tol=-1.0)[0]
+
+
+@pytest.mark.parametrize("factor", [3.0, 0.0], ids=["tripled", "zero"])
+def test_replay_compares_small_constants_relatively(factor):
+    # both measures times 2^-60 scale T_mu and every constant but rho by 2^-60
+    # (the norm to about 1e-17): an absolute 1e-12 would accept any stored value
+    artifact = extremal_search(SearchConfig(dim=1, leaf_level=-3, iterations=5)).to_artifact()
+    for name in ("mu", "nu"):
+        artifact[name] = [m * 2.0 ** -60 for m in artifact[name]]
+    ok, recomputed = replay_artifact(artifact)
+    artifact.update(rho=recomputed["rho"], constants=recomputed["constants"])
+    assert 0.0 < recomputed["constants"]["norm"] < 1e-15
+    assert replay_artifact(artifact)[0]
+    artifact["constants"] = {k: v * factor for k, v in recomputed["constants"].items()}
+    assert not replay_artifact(artifact)[0]
+
+
+@pytest.mark.parametrize("cell", [(2, 3), (1, 6)], ids=["2d_depth_3", "1d_depth_6"])
+@pytest.mark.parametrize("seed", range(4))
+def test_search_cells_match_the_oracles_bit_for_bit(cell, seed):
+    # the search workload's cells: the artifact's text, its band as the repr-sorted
+    # oracle writes it, the oracle search's rho and history, and a replay that
+    # recomputes every stored constant to the bit
+    dim, depth = cell
+    config = SearchConfig(dim=dim, top_level=0, leaf_level=-depth, r=1, seed=seed,
+                          iterations=12)
+    result, want = extremal_search(config), loop_extremal_search(config)
+    artifact = result.to_artifact()
+    text = json.dumps(artifact)
+    assert text == json.dumps({**artifact, "operator": loop_band_to_json(result.band)})
+    assert result.rho == want.rho and result.history == want.history
+    ok, recomputed = replay_artifact(json.loads(text))
+    assert ok
+    stored = {"rho": artifact["rho"], **artifact["constants"]}
+    assert {k: float.hex(v) for k, v in {"rho": recomputed["rho"],
+                                         **recomputed["constants"]}.items()} == {
+        k: float.hex(v) for k, v in stored.items()}
 
 
 @pytest.mark.parametrize("stored", [float("nan"), float("inf")])
