@@ -10,7 +10,7 @@ import numpy as np
 
 from .lattice import Lattice, read_only
 from .measures import _row_sums, _scalar
-from .operators import InducedOperator
+from .operators import InducedOperator, check_nonnegative
 from .paraproduct import Paraproduct, _largest_singular_value
 
 
@@ -35,8 +35,6 @@ class TestingReport:
     Global constants integrate |T_mu chi_Q|^2 over the whole space, local
     ones only over Q.  `c_adjoint_local_nu` is the variant of the adjoint
     local integral taken against d(nu) instead of d(mu); both are reported.
-    An unbounded witness (nonzero image over a zero-mass cube) makes the
-    corresponding constant infinite.
     """
 
     c_direct_global: float
@@ -47,7 +45,6 @@ class TestingReport:
     c_diag: float
     norm: float
     rho: float
-    unbounded_witness: tuple | None = None
 
 
 @lru_cache(maxsize=32)
@@ -60,23 +57,24 @@ def comparable_pairs(lattice: Lattice, r: int) -> np.ndarray:
 def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
     """Exact suprema over active cubes of the indicator testing quantities.
 
-    A constant is inf when a cube (for C_diag, a comparable pair) has a
-    nonzero testing integral but zero mass on the side it is divided by.
-    `unbounded_witness` then names the last offender in active_cubes
-    order: a ("diag", Q, R) pair if there is one (largest R, then largest
-    Q), else a single cube, "adjoint" winning over "direct" on the same
-    cube.  The maxima are numpy reductions, so a NaN ratio makes its
-    constant NaN, where the builtin max once used here dropped it.  When
-    every cube has mass in both measures there is no offender and they
-    are plain quotients; only a zero mass runs the masked search.  C_diag
-    divides |b| by sqrt(nu(R) mu(Q)) in place, under a where= mask of the
-    comparable pairs with mass on both sides: only the read entries are
-    computed, each to the bits of its quotient.
+    T_mu = T M_u, so T_mu chi_Q is exactly 0 on a mu-null cube Q, and so
+    is every testing integral divided by mu(Q); T*_nu on nu-null cubes
+    likewise, and every pairing with a null side.  So each quotient
+    divides by the cube's mass, or by 1 where that mass is 0: a null
+    cube's quotient is +0.0, which leaves every maximum unchanged, and
+    one path serves every mass pattern.  The maxima are numpy
+    reductions, so a NaN ratio makes its constant NaN, where the builtin
+    max once used here dropped it.  C_diag divides |b| by
+    sqrt(nu(R) mu(Q)) in place, under a where= mask of the comparable
+    pairs: only the read entries are computed, each to the bits of its
+    quotient.  A negative r is a ValueError.
     """
+    check_nonnegative("r", r)
     lattice = t_mu.lattice
     x = lattice.membership
     mu_mass, nu_mass = t_mu.mu.leaf_mass, t_mu.nu.leaf_mass
-    mu_q, nu_q = t_mu.mu.cube_masses, t_mu.nu.cube_masses
+    # masses are >= 0: a null cube divides by 1 instead of 0
+    mu_d, nu_d = (np.where(m > 0, m, 1.0) for m in (t_mu.mu.cube_masses, t_mu.nu.cube_masses))
     # one leaves x cubes buffer, overwritten in place (fresh temporaries cost
     # page faults on every call): |T chi_Q|^2 gives the global integral, then
     # times chi_Q the local ones (a tuple evaluates left to right); T* next
@@ -91,47 +89,24 @@ def testing_constants(t_mu: InducedOperator, r: int) -> TestingReport:
     b = x.T @ np.multiply(nu_mass[:, None], t_mu.chi_table, out=sq)
     del sq
     np.abs(b, out=b)
+    c_dg, c_dl = ((v / mu_d).max(initial=0.0) for v in direct)
+    c_ag, c_al, c_aln = ((v / nu_d).max(initial=0.0) for v in adjoint)
+    # |b| / sqrt(nu(R) mu(Q)) on the comparable pairs, in place: the where=
+    # forms compute and read only those entries
     comparable = comparable_pairs(lattice, r)
-    witness = None
-    if mu_q.all() and nu_q.all():  # masses are >= 0: every cube has mass, no offender
-        c_dg, c_dl = ((v / mu_q).max(initial=0.0) for v in direct)
-        c_ag, c_al, c_aln = ((v / nu_q).max(initial=0.0) for v in adjoint)
-        massive = comparable
-    else:
-        mu_pos, nu_pos = mu_q > 0, nu_q > 0
-        c_dg, c_dl = ((v[mu_pos] / mu_q[mu_pos]).max(initial=0.0) for v in direct)
-        c_ag, c_al, c_aln = ((v[nu_pos] / nu_q[nu_pos]).max(initial=0.0) for v in adjoint)
-        direct_off = np.flatnonzero(~mu_pos & (direct[0] > 0))
-        adjoint_off = np.flatnonzero(~nu_pos & (adjoint[0] > 0))
-        if direct_off.size:
-            c_dg = c_dl = float("inf")
-            witness = ("direct", lattice.active_cubes[direct_off[-1]])
-        if adjoint_off.size:
-            c_ag = c_al = float("inf")
-            if not direct_off.size or adjoint_off[-1] >= direct_off[-1]:
-                witness = ("adjoint", lattice.active_cubes[adjoint_off[-1]])
-        massive = comparable & np.outer(nu_pos, mu_pos)
-    # |b| / sqrt(nu(R) mu(Q)) on the massive comparable pairs, in place: the
-    # where= forms compute and read only those entries, so b keeps |b| off them
-    q = np.outer(nu_q, mu_q)
-    np.sqrt(q, out=q, where=massive)
-    c_diag = np.divide(b, q, out=b, where=massive).max(where=massive, initial=0.0)
-    if massive is not comparable:
-        diag_off = np.flatnonzero(comparable & ~massive & (b > 0))
-        if diag_off.size:
-            c_diag = float("inf")
-            i, j = divmod(int(diag_off[-1]), len(lattice.levels))
-            witness = ("diag", lattice.active_cubes[j], lattice.active_cubes[i])
+    q = np.outer(nu_d, mu_d)
+    np.sqrt(q, out=q, where=comparable)
+    c_diag = np.divide(b, q, out=b, where=comparable).max(where=comparable, initial=0.0)
 
     norm = operator_norm(t_mu)
-    # an infinite constant (unbounded witness) gives rho 0, a NaN one NaN
+    # an infinite constant (overflow) gives rho 0, a NaN one NaN
     denom = np.sqrt(c_dl) + np.sqrt(c_al) + c_diag
     rho = (float("nan") if np.isnan(norm + denom) else norm / denom if denom > 0
            else 0.0 if norm == 0.0 else float("inf"))
     return TestingReport(c_direct_global=c_dg, c_adjoint_global=c_ag,
                          c_direct_local=c_dl, c_adjoint_local=c_al,
                          c_adjoint_local_nu=c_aln, c_diag=c_diag,
-                         norm=norm, rho=rho, unbounded_witness=witness)
+                         norm=norm, rho=rho)
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,12 @@ def haar_shift(lattice: Lattice) -> BandOperator:
                         meta={"dropped_terms": int(lattice.level_starts[-2]) - len(kept)})
 
 
+def check_nonnegative(name: str, n: int) -> None:
+    """Reject a negative radius or level count, whose masks come out empty or index from the end."""
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative, got {n!r}")
+
+
 def check_amplitude(name: str, a: float) -> None:
     """Reject a negative or NaN a, and one whose range 2a in rng.uniform(-a, a) overflows."""
     if not (a >= 0 and np.isfinite(2.0 * float(a))):  # float: no numpy overflow warning
@@ -184,8 +190,7 @@ def random_band(lattice: Lattice, r: int, seed: int, amplitude: float = 1.0,
     distance is 2u + level(Q) - level(P).  Entries are drawn for the pairs
     (Q, P) in Q-major, then nonleaf_cubes order, components (kq, kp) last.
     """
-    if r < 0:
-        raise ValueError("band radius must be nonnegative")
+    check_nonnegative("band radius", r)
     check_amplitude("random_band amplitude", amplitude)
     check_amplitude("random_band root_amplitude", root_amplitude)
     rng = np.random.default_rng(seed)
@@ -293,7 +298,9 @@ def check_well_localized(t_mu: InducedOperator, r: int,
     symmetrically for T*_nu against mu-Haar functions.  Pairings are
     normalized by the maximal absolute pairing before the zero test; a
     non-finite pairing makes that scale non-finite and fails the check.
+    A negative r is a ValueError.
     """
+    check_nonnegative("r", r)
     lattice = t_mu.lattice
     # for T = T_mu and T*_nu: <T chi_Q, h_R> in T's output measure over non-leaf R
     # (rows, stacked by basis element) and all active Q (columns), with the

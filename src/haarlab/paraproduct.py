@@ -12,7 +12,8 @@ import numpy as np
 
 from .lattice import Cube, Lattice, read_only
 from .measures import MeasureGrid
-from .operators import DEFAULT_TOLERANCES, InducedOperator, local_testing_integrals
+from .operators import (DEFAULT_TOLERANCES, InducedOperator, check_nonnegative,
+                        local_testing_integrals)
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,10 @@ def build_paraproduct(t: InducedOperator, r: int, *, enlarge: int = 0) -> Parapr
     level(Q) - r, for Q at position cubes[k] and B = Q.  `enlarge` = j makes
     B the j-th active ancestor of Q (the top cube when there are fewer), to
     exercise replacement invariance: W must not depend on it for a well
-    localized operator.
+    localized operator.  A negative r or enlarge is a ValueError.
     """
+    check_nonnegative("r", r)
+    check_nonnegative("enlarge", enlarge)
     lattice = t.lattice
     if lattice.depth <= r:
         raise ValueError(f"lattice depth {lattice.depth} must exceed r={r}")
@@ -352,8 +355,8 @@ def carleson_property(t_mu: InducedOperator, seq: CarlesonSequence,
     bounds = local_testing_integrals(t_mu)
     excess = (seq.subtree_sums() - bounds) / np.maximum(bounds, 1.0)
     worst = float(np.max(excess, initial=0.0))
-    m = t_mu.mu.cube_masses
-    c_local = float(np.max(bounds[m > 0] / m[m > 0], initial=0.0))
+    m = t_mu.mu.cube_masses  # a mu-null cube's bound is exactly 0, divided by 1
+    c_local = float((bounds / np.where(m > 0, m, 1.0)).max(initial=0.0))
     witness = t_mu.lattice.active_cubes[int(np.argmax(excess))] if worst > 0 else None
     return CarlesonPropertyReport(passed=worst <= tol, max_excess=worst,
                                   local_testing_constant=c_local, witness=witness)
